@@ -1655,7 +1655,9 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // Collect every mapping of every page from the reverse-map
         // chains (shared anonymous pages have several, §6.7) — the
         // caller's own mapping is forced to the front.
-        fl->mappings.resize(req.num_pages);
+        fl->mappings.reserve(req.num_pages);
+        fl->mapping_begin.reserve(req.num_pages + 1);
+        fl->mapping_begin.push_back(0);
         fl->cache_refs.resize(req.num_pages);
         bool busy = false;
         for (std::uint32_t i = 0; i < req.num_pages && !busy; ++i) {
@@ -1668,6 +1670,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                 busy = true;
                 break;
             }
+            const auto page_begin =
+                static_cast<std::ptrdiff_t>(fl->mappings.size());
             for (const mem::RmapEntry &re : frame.rmaps) {
                 if (re.kind == mem::RmapKind::kPageCache) {
                     fl->cache_refs[i] = CacheRef{
@@ -1684,13 +1688,20 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                 m.page_idx = mvma->page_index(re.vaddr);
                 m.old_pte = mvma->pte(m.page_idx).pack();
                 if (as == &request_as(req) && mvma == src_vma)
-                    fl->mappings[i].insert(fl->mappings[i].begin(), m);
+                    fl->mappings.insert(fl->mappings.begin() + page_begin, m);
                 else
-                    fl->mappings[i].push_back(m);
+                    fl->mappings.push_back(m);
             }
+            fl->mapping_begin.push_back(
+                static_cast<std::uint32_t>(fl->mappings.size()));
             if (frame.mapcount() > 1)
                 remap_cost += cm.rmap_per_page * (frame.mapcount() - 1);
         }
+        // A kBusy exit leaves the remaining pages uncaptured: give them
+        // empty runs so page_mappings() stays valid for every page.
+        fl->mapping_begin.resize(
+            req.num_pages + 1,
+            static_cast<std::uint32_t>(fl->mappings.size()));
         // The admission-gate collision check ran before Prep — several
         // suspension points ago. A racing mov (say a replication whose
         // destination overlaps this source run) may have registered
@@ -1720,7 +1731,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // as the per-page variant's.
         FlushPlan flush_spans;
         for (std::uint32_t i = 0; i < req.num_pages; ++i) {
-            for (const Mapping &m : fl->mappings[i]) {
+            for (const Mapping &m : fl->page_mappings(i)) {
                 const vm::Pte old_pte = vm::Pte::unpack(m.old_pte);
                 vm::Pte next = old_pte;
                 if (flight_prevents(*fl)) {
@@ -2516,7 +2527,7 @@ MemifDevice::rollback_remap(const InFlightPtr &fl, ExecContext ctx)
     const sim::CostModel &cm = kernel_.costs();
     sim::Duration cost = 0;
     for (std::uint32_t i = 0; i < fl->num_pages; ++i) {
-        for (const Mapping &m : fl->mappings[i]) {
+        for (const Mapping &m : fl->page_mappings(i)) {
             m.vma->pte_slot(m.page_idx)
                 .store(m.old_pte, std::memory_order_release);
             m.as->flush_tlb_page(m.vma->page_vaddr(m.page_idx),
@@ -2553,7 +2564,7 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
         sim::Duration release_cost = 0;
         for (std::uint32_t i = 0; i < fl->num_pages; ++i) {
             bool page_raced = false;
-            for (const Mapping &m : fl->mappings[i]) {
+            for (const Mapping &m : fl->page_mappings(i)) {
                 vm::PteSlot &slot = m.vma->pte_slot(m.page_idx);
                 if (flight_prevents(*fl)) {
                     // Swap the migration PTE for the final one;
@@ -3071,14 +3082,11 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
         // a young fault could race; accessors wait instead.
         if (flight_prevents(*fl)) continue;
         bool hit = false;
-        for (const auto &page_mappings : fl->mappings) {
-            for (const Mapping &m : page_mappings) {
-                if (m.vma == &vma && m.page_idx == page_idx) {
-                    hit = true;
-                    break;
-                }
+        for (const Mapping &m : fl->mappings) {
+            if (m.vma == &vma && m.page_idx == page_idx) {
+                hit = true;
+                break;
             }
-            if (hit) break;
         }
         if (!hit) continue;
         if (fl->tid != dma::kInvalidTransfer &&

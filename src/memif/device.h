@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -789,9 +790,13 @@ class MemifDevice {
         std::vector<mem::Pfn> old_pfns;  ///< migration: replaced frames
         std::vector<mem::Pfn> new_pfns;  ///< migration: new frames
         std::vector<std::uint64_t> old_ptes;  ///< source-view PTEs
-        /** Migration: every mapping of every page, via the rmap chains
-         *  (index 0 per page is the caller's own mapping). */
-        std::vector<std::vector<Mapping>> mappings;
+        /** Migration: every mapping of every page, via the rmap
+         *  chains, grouped by page (see page_mappings()). */
+        std::vector<Mapping> mappings;
+        /** Page i's mappings are mappings[mapping_begin[i],
+         *  mapping_begin[i + 1]); num_pages + 1 entries once captured,
+         *  with empty runs for pages a kBusy reject left uncaptured. */
+        std::vector<std::uint32_t> mapping_begin;
         /** Migration: page-cache reference per page (backing == nullptr
          *  for anonymous pages). */
         std::vector<CacheRef> cache_refs;
@@ -840,6 +845,14 @@ class MemifDevice {
         /** Pending-prefetch tokens registered with the xlate cache
          *  (drained at retire so no pending entry outlives the move). */
         std::vector<std::uint64_t> prefetch_tokens;
+
+        /** Every mapping of page @p i; the caller's own comes first. */
+        std::span<const Mapping>
+        page_mappings(std::uint32_t i) const
+        {
+            return std::span<const Mapping>(mappings).subspan(
+                mapping_begin[i], mapping_begin[i + 1] - mapping_begin[i]);
+        }
     };
     using InFlightPtr = std::shared_ptr<InFlight>;
 

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/random.h"
@@ -42,7 +41,12 @@ namespace memif::sim {
 class EventQueue {
   public:
     using Callback = std::function<void()>;
-    /** Handle for cancelling a scheduled event. */
+    /**
+     * Handle for cancelling a scheduled event: `(generation << 32) |
+     * slot`. A slot is recycled once its event runs or surfaces
+     * cancelled, and recycling bumps its generation, so a stale id
+     * never matches the slot's next occupant.
+     */
     using EventId = std::uint64_t;
     static constexpr EventId kInvalidEvent = ~EventId{0};
 
@@ -70,10 +74,10 @@ class EventQueue {
     bool cancel(EventId id);
 
     /** True when no live (uncancelled) events remain. */
-    bool empty() const { return live_.empty(); }
+    bool empty() const { return live_ == 0; }
 
     /** Number of pending live events. */
-    std::size_t pending() const { return live_.size(); }
+    std::size_t pending() const { return live_; }
 
     /**
      * Run the single earliest event, advancing the clock to its timestamp.
@@ -124,30 +128,46 @@ class EventQueue {
     bool tie_break_fuzzed() const { return fuzzing_; }
 
   private:
-    struct Event {
+    /**
+     * Heap entry: plain data, so sifting moves 32 bytes and never a
+     * callback. Dispatch order is (when, key, seq).
+     */
+    struct Key {
         SimTime when;
         /** Tie-break among same-timestamp events: == seq (FIFO) by
          *  default, a seeded random draw under the schedule fuzzer. */
         std::uint64_t key;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
     };
-
-    /** Pop cancelled events off the top without advancing the clock. */
-    void skip_cancelled();
     struct Later {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when) return a.when > b.when;
             if (a.key != b.key) return a.key > b.key;
             return a.seq > b.seq;
         }
     };
+    /** Callback storage, recycled through free_slots_. */
+    struct Slot {
+        Callback cb;
+        std::uint32_t generation = 0;
+        /** Scheduled and neither run nor cancelled. A cancelled event
+         *  keeps its slot until its key surfaces from the heap. */
+        bool armed = false;
+    };
 
-    std::priority_queue<Event, std::vector<Event>, Later> events_;
-    /** Scheduled-but-not-run event ids (excludes cancelled ones). */
-    std::unordered_set<EventId> live_;
+    /** Pop cancelled events off the top without advancing the clock. */
+    void skip_cancelled();
+    /** Return @p slot to the free list under a new generation. */
+    void release_slot(std::uint32_t slot);
+
+    std::priority_queue<Key, std::vector<Key>, Later> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    /** Scheduled-but-not-run events (excludes cancelled ones). */
+    std::size_t live_ = 0;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;

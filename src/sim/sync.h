@@ -15,7 +15,6 @@
 
 #include <coroutine>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -54,8 +53,7 @@ class SimEvent {
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            ev.waiters_.push_back(
-                Waiter{h, detail::liveness_of(h)});
+            ev.waiters_.push_back(Waiter{h, detail::liveness_of(h)});
         }
         void await_resume() const noexcept {}
     };
@@ -70,25 +68,23 @@ class SimEvent {
     friend struct Awaiter;
     struct Waiter {
         std::coroutine_handle<> handle;
-        std::weak_ptr<bool> alive;
+        detail::Liveness alive;
     };
 
     void
     wake_all()
     {
-        // Swap out first: a woken task may wait() again immediately.
-        std::deque<Waiter> ws;
-        ws.swap(waiters_);
-        for (Waiter &w : ws) {
-            eq_.schedule_after(0, [h = w.handle, alive = std::move(w.alive)] {
-                if (alive.lock()) h.resume();
-            });
-        }
+        // Wakeups are queued, not run: no woken task can wait() again
+        // before the list is cleared, and clear() keeps the capacity
+        // for the next round of waiters.
+        for (const Waiter &w : waiters_)
+            detail::schedule_resume(eq_, 0, w.handle, w.alive);
+        waiters_.clear();
     }
 
     EventQueue &eq_;
     bool set_ = false;
-    std::deque<Waiter> waiters_;
+    std::vector<Waiter> waiters_;
 };
 
 /**
@@ -121,12 +117,11 @@ class WaitQueue {
     notify_one()
     {
         while (!waiters_.empty()) {
-            Waiter w = waiters_.front();
+            const Waiter w = waiters_.front();
             waiters_.pop_front();
-            if (w.alive.expired()) continue;  // task died while asleep
-            eq_.schedule_after(0, [h = w.handle, alive = std::move(w.alive)] {
-                if (alive.lock()) h.resume();
-            });
+            if (!detail::liveness_table().alive(w.alive))
+                continue;  // task died while asleep
+            detail::schedule_resume(eq_, 0, w.handle, w.alive);
             return true;
         }
         return false;
@@ -148,7 +143,7 @@ class WaitQueue {
     friend struct Awaiter;
     struct Waiter {
         std::coroutine_handle<> handle;
-        std::weak_ptr<bool> alive;
+        detail::Liveness alive;
     };
 
     EventQueue &eq_;

@@ -14,21 +14,156 @@
  * first suspension point. Completion is observable through done() and by
  * co_await-ing the Task. A Task object owns the coroutine frame; destroying
  * a still-suspended Task destroys the frame (any event that would have
- * resumed it is disarmed through a shared liveness token, so stray
- * callbacks in the event queue are harmless).
+ * resumed it is disarmed through a liveness token, so stray callbacks in
+ * the event queue are harmless).
+ *
+ * Liveness tokens are (slot, generation) pairs in a per-thread table: a
+ * frame holds a slot for its lifetime and destroying it bumps the slot's
+ * generation, so a token taken earlier no longer matches even after a
+ * new frame reuses the slot. Frames come from per-thread size-classed
+ * free lists. Both are thread-local, so a Task must be created, resumed
+ * and destroyed on one host thread (the simulator is single-threaded).
  */
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <memory>
+#include <new>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/types.h"
 
 namespace memif::sim {
+
+namespace detail {
+
+/** A Task frame's liveness token: its slot in the thread's
+ *  LivenessTable and the slot's generation when the token was taken.
+ *  16 bytes with a coroutine handle, so a resume capture stays inside
+ *  std::function's inline buffer. */
+struct Liveness {
+    std::uint32_t slot;
+    std::uint32_t generation;
+};
+
+/** Per-thread generation table behind the liveness tokens. */
+class LivenessTable {
+  public:
+    /** Claim a slot for a new frame. */
+    std::uint32_t
+    acquire()
+    {
+        if (free_.empty()) {
+            generation_.push_back(0);
+            return static_cast<std::uint32_t>(generation_.size() - 1);
+        }
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        return slot;
+    }
+
+    /** The frame in @p slot is gone: invalidate its tokens. */
+    void
+    release(std::uint32_t slot)
+    {
+        ++generation_[slot];
+        free_.push_back(slot);
+    }
+
+    Liveness
+    token(std::uint32_t slot) const
+    {
+        return {slot, generation_[slot]};
+    }
+
+    bool
+    alive(Liveness t) const
+    {
+        return generation_[t.slot] == t.generation;
+    }
+
+  private:
+    std::vector<std::uint32_t> generation_;
+    std::vector<std::uint32_t> free_;
+};
+
+inline LivenessTable &
+liveness_table()
+{
+    thread_local LivenessTable table;
+    return table;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MEMIF_SIM_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MEMIF_SIM_FRAME_POOL 0
+#endif
+#endif
+#ifndef MEMIF_SIM_FRAME_POOL
+#define MEMIF_SIM_FRAME_POOL 1
+#endif
+
+/**
+ * Per-thread free lists of coroutine frames, one per 64-byte size
+ * class up to 4 KB (larger frames go straight to ::operator new). A
+ * freed frame is kept for the next frame of its class and never
+ * returned. Under ASan/TSan every frame is a plain ::operator new, so
+ * the sanitizer still sees a use-after-free of a frame.
+ */
+class FramePool {
+  public:
+    void *
+    allocate(std::size_t bytes)
+    {
+        const std::size_t c = size_class(bytes);
+        if (c >= kClasses) return ::operator new(bytes);
+        if (FreeFrame *f = free_[c]) {
+            free_[c] = f->next;
+            return f;
+        }
+        return ::operator new(c * kGranule);
+    }
+
+    void
+    deallocate(void *p, std::size_t bytes) noexcept
+    {
+        const std::size_t c = size_class(bytes);
+        if (c >= kClasses) {
+            ::operator delete(p);
+            return;
+        }
+        auto *f = static_cast<FreeFrame *>(p);
+        f->next = free_[c];
+        free_[c] = f;
+    }
+
+  private:
+    static constexpr std::size_t kGranule = 64;
+    static constexpr std::size_t kClasses = 65;  // classes 1..64
+    static constexpr std::size_t
+    size_class(std::size_t bytes)
+    {
+        return (bytes + kGranule - 1) / kGranule;
+    }
+
+    struct FreeFrame {
+        FreeFrame *next;
+    };
+    FreeFrame *free_[kClasses] = {};
+};
+
+/** Trivially destructible, so frames freed late in thread exit still
+ *  find their list. */
+constinit inline thread_local FramePool frame_pool;
+
+}  // namespace detail
 
 /**
  * An eagerly-started, joinable coroutine task with void result.
@@ -47,11 +182,27 @@ class [[nodiscard]] Task {
         std::coroutine_handle<> continuation;
         /** Captured exception, rethrown at the join point. */
         std::exception_ptr error;
-        /**
-         * Liveness token shared with resume callbacks sitting in the event
-         * queue; reset when the frame is destroyed.
-         */
-        std::shared_ptr<bool> alive = std::make_shared<bool>(true);
+        /** This frame's slot in the thread's LivenessTable; released
+         *  (invalidating every token) when the frame is destroyed. */
+        std::uint32_t live_slot = detail::liveness_table().acquire();
+
+        promise_type() = default;
+        promise_type(const promise_type &) = delete;
+        promise_type &operator=(const promise_type &) = delete;
+        ~promise_type() { detail::liveness_table().release(live_slot); }
+
+#if MEMIF_SIM_FRAME_POOL
+        static void *
+        operator new(std::size_t bytes)
+        {
+            return detail::frame_pool.allocate(bytes);
+        }
+        static void
+        operator delete(void *p, std::size_t bytes) noexcept
+        {
+            detail::frame_pool.deallocate(p, bytes);
+        }
+#endif
 
         Task get_return_object() { return Task{Handle::from_promise(*this)}; }
         std::suspend_never initial_suspend() noexcept { return {}; }
@@ -136,21 +287,12 @@ class [[nodiscard]] Task {
         return JoinAwaiter{handle_};
     }
 
-    /** Liveness token for resume callbacks (see Delay). */
-    std::weak_ptr<bool>
-    liveness() const
-    {
-        MEMIF_ASSERT(handle_, "liveness of an empty Task");
-        return handle_.promise().alive;
-    }
-
   private:
     void
     destroy()
     {
         if (handle_) {
-            handle_.promise().alive.reset();  // disarm pending resumes
-            handle_.destroy();
+            handle_.destroy();  // the promise disarms pending resumes
             handle_ = {};
         }
     }
@@ -165,21 +307,30 @@ namespace detail {
  * is a Task coroutine. Awaitables use this so a resume scheduled in the
  * event queue becomes a no-op if the frame has been destroyed meanwhile.
  */
-inline std::weak_ptr<bool>
+inline Liveness
 liveness_of(std::coroutine_handle<> h)
 {
     auto typed = Task::Handle::from_address(h.address());
-    return typed.promise().alive;
+    return liveness_table().token(typed.promise().live_slot);
+}
+
+/** Schedule a liveness-guarded resume of @p h, identified by @p live,
+ *  after @p delay. The capture is 16 trivially-copyable bytes, so
+ *  std::function stores it without allocating. */
+inline void
+schedule_resume(EventQueue &eq, Duration delay, std::coroutine_handle<> h,
+                Liveness live)
+{
+    eq.schedule_after(delay, [h, live] {
+        if (liveness_table().alive(live)) h.resume();
+    });
 }
 
 /** Schedule a liveness-guarded resume of @p h after @p delay. */
 inline void
 schedule_resume(EventQueue &eq, Duration delay, std::coroutine_handle<> h)
 {
-    std::weak_ptr<bool> alive = liveness_of(h);
-    eq.schedule_after(delay, [h, alive = std::move(alive)] {
-        if (alive.lock()) h.resume();
-    });
+    schedule_resume(eq, delay, h, liveness_of(h));
 }
 
 }  // namespace detail

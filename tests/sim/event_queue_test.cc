@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: ordering, determinism, clock
- * behaviour, and run_until semantics.
+ * behaviour, run_until semantics, and cancellation across slot reuse.
  */
 #include "sim/event_queue.h"
 
@@ -171,6 +171,93 @@ TEST(EventQueue, CancelFromWithinAnEvent)
     eq.run();
     EXPECT_EQ(fired, 0);
     EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST(EventQueue, StaleIdCannotCancelTheSlotsNextOccupant)
+{
+    // ABA: once an event runs its slot is recycled; the old id must not
+    // cancel whatever event takes the slot next.
+    EventQueue eq;
+    const EventQueue::EventId first = eq.schedule_at(10, [] {});
+    eq.run();
+    bool ran = false;
+    const EventQueue::EventId second = eq.schedule_at(20, [&] { ran = true; });
+    EXPECT_EQ(second & 0xFFFFFFFFu, first & 0xFFFFFFFFu);  // same slot
+    EXPECT_NE(second, first);
+    EXPECT_FALSE(eq.cancel(first));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, CancelledSlotIsRecycledOnlyAfterItSurfaces)
+{
+    EventQueue eq;
+    const EventQueue::EventId victim = eq.schedule_at(10, [] {});
+    EXPECT_TRUE(eq.cancel(victim));
+    EXPECT_FALSE(eq.cancel(victim));  // already cancelled
+    // The cancelled key still sits in the heap: a new event gets a
+    // fresh slot, not the victim's.
+    const EventQueue::EventId other = eq.schedule_at(20, [] {});
+    EXPECT_NE(other & 0xFFFFFFFFu, victim & 0xFFFFFFFFu);
+    eq.run();
+    // Both slots are recycled now, under new generations: whichever
+    // the next event takes, neither old id cancels it.
+    bool ran = false;
+    const EventQueue::EventId reuse = eq.schedule_at(30, [&] { ran = true; });
+    EXPECT_FALSE(eq.cancel(victim));
+    EXPECT_FALSE(eq.cancel(other));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(eq.cancel(reuse));
+}
+
+TEST(EventQueue, PendingTracksCancelSurfaceAndReuse)
+{
+    EventQueue eq;
+    std::vector<EventQueue::EventId> ids;
+    for (SimTime t = 1; t <= 4; ++t) ids.push_back(eq.schedule_at(t, [] {}));
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_TRUE(eq.cancel(ids[0]));  // at the top of the heap
+    EXPECT_TRUE(eq.cancel(ids[2]));  // in the middle
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.step());  // surfaces ids[0], runs ids[1]
+    EXPECT_EQ(eq.now(), 2u);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.schedule_at(3, [] {});  // reuses a recycled slot
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.events_executed(), 3u);
+    EXPECT_EQ(eq.now(), 4u);
+}
+
+TEST(EventQueue, FuzzedTieBreakOrderIsPinned)
+{
+    // The permutation a seed produces is part of the fuzzer's replay
+    // contract: a failing seed must replay the same interleaving on
+    // every build. The golden order predates the slot-indexed heap, so
+    // it also shows the heap reproduces the old dispatch order exactly.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule_at(100, [&] { order.push_back(100); });  // FIFO key
+    eq.set_tie_break_seed(0x5eed);
+    std::vector<EventQueue::EventId> ids;
+    for (int i = 0; i < 12; ++i)
+        ids.push_back(
+            eq.schedule_at(100, [&order, i] { order.push_back(i); }));
+    EXPECT_TRUE(eq.cancel(ids[5]));
+    eq.schedule_at(50, [&] {
+        order.push_back(50);
+        for (int i = 20; i < 24; ++i)
+            eq.schedule_at(100, [&order, i] { order.push_back(i); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{50, 100, 10, 22, 6, 20, 7, 23, 21, 11,
+                                       4, 9, 8, 2, 1, 0, 3}));
 }
 
 }  // namespace

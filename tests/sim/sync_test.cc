@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -215,6 +216,61 @@ TEST(WaitAny, LosingEventsDropTheirWaitersSafely)
     b.set();
     eq.run();
     EXPECT_EQ(b.waiter_count(), 0u);
+}
+
+TEST(WaitQueue, NotifySkipsDeadWaiterAfterItsSlotIsReused)
+{
+    EventQueue eq;
+    WaitQueue wq(eq);
+    auto sleeper = [&]() -> Task { co_await wq.wait(); };
+    bool bystander_woke = false;
+    auto bystander = [&]() -> Task {
+        co_await Delay{eq, 1000};
+        bystander_woke = true;
+    };
+    bool live_woke = false;
+    auto live = [&]() -> Task {
+        co_await wq.wait();
+        live_woke = true;
+    };
+    std::optional<Task> dead(sleeper());
+    dead.reset();  // dies asleep; its waiter entry stays queued
+    Task b = bystander();  // takes the dead task's liveness slot
+    Task l = live();
+    EXPECT_EQ(wq.waiter_count(), 2u);
+    EXPECT_TRUE(wq.notify_one());  // skips the stale entry, wakes l
+    EXPECT_EQ(wq.waiter_count(), 0u);
+    eq.run_until(10);
+    EXPECT_TRUE(live_woke);
+    EXPECT_FALSE(bystander_woke);
+    eq.run();
+    EXPECT_TRUE(bystander_woke);
+}
+
+TEST(SimEvent, WokenWaiterMayWaitAgainAtOnce)
+{
+    EventQueue eq;
+    SimEvent ev(eq);
+    int rounds = 0;
+    auto waiter = [&]() -> Task {
+        for (int i = 0; i < 3; ++i) {
+            co_await ev.wait();
+            ++rounds;
+            ev.reset();
+        }
+    };
+    std::vector<Task> tasks;
+    tasks.push_back(waiter());
+    tasks.push_back(waiter());
+    for (int round = 1; round <= 3; ++round) {
+        EXPECT_EQ(ev.waiter_count(), 2u);
+        ev.set();
+        EXPECT_EQ(ev.waiter_count(), 0u);
+        eq.run();
+        EXPECT_EQ(rounds, 2 * round);
+    }
+    EXPECT_TRUE(tasks[0].done());
+    EXPECT_TRUE(tasks[1].done());
 }
 
 }  // namespace

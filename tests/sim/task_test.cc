@@ -195,5 +195,42 @@ TEST(Task, MoveTransfersOwnership)
     EXPECT_TRUE(b.done());
 }
 
+TEST(Task, StaleResumeStaysNoOpAfterSlotReuse)
+{
+    // A resume queued for a destroyed task must not wake the task that
+    // took over its liveness slot.
+    EventQueue eq;
+    bool first_resumed = false;
+    auto first = [&]() -> Task {
+        co_await Delay{eq, 100};
+        first_resumed = true;  // must never run
+    };
+    std::vector<SimTime> woke;
+    auto second = [&]() -> Task {
+        co_await Delay{eq, 200};
+        woke.push_back(eq.now());
+    };
+    std::optional<Task> a(first());
+    a.reset();  // frame gone; its resume at t=100 is still queued
+    Task b = second();  // reuses the freed liveness slot
+    eq.run();
+    EXPECT_FALSE(first_resumed);
+    EXPECT_EQ(woke, (std::vector<SimTime>{200}));
+    EXPECT_TRUE(b.done());
+}
+
+TEST(Task, LivenessTokensDieWithTheirGeneration)
+{
+    detail::LivenessTable table;
+    const std::uint32_t slot = table.acquire();
+    const detail::Liveness old = table.token(slot);
+    EXPECT_TRUE(table.alive(old));
+    table.release(slot);
+    EXPECT_FALSE(table.alive(old));
+    EXPECT_EQ(table.acquire(), slot);  // recycled
+    EXPECT_FALSE(table.alive(old));
+    EXPECT_TRUE(table.alive(table.token(slot)));
+}
+
 }  // namespace
 }  // namespace memif::sim
