@@ -292,9 +292,9 @@ class Edma3Engine {
         bool gate_fault = false; ///< terminated by an XlateGate fault
         unsigned tc = 0;
         sim::SimTime completes_at = 0;
-        CompletionFn on_complete;
+        CompletionFn on_complete{};
         /** SVA translation gate; non-null = stepped consumption. */
-        XlateGate gate;
+        XlateGate gate{};
         /** Stepped consumption cursor: next descriptor to stream. */
         DescIndex next_desc = kNullLink;
         /** Descriptors consumed so far (loop guard + gate index). */

@@ -50,6 +50,14 @@ coalesce_sg(const std::vector<dma::SgEntry> &sg)
     return out;
 }
 
+/** True when the row [@p va, @p va + @p bytes) lies inside @p vma
+ *  (@p va comes from user memory: no wrap-around arithmetic on it). */
+bool
+row_in_vma(const vm::Vma &vma, vm::VAddr va, std::uint64_t bytes)
+{
+    return va >= vma.base() && va <= vma.end() && bytes <= vma.end() - va;
+}
+
 }  // namespace
 
 MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
@@ -711,21 +719,11 @@ MemifDevice::route_to_pending(bool take_staging)
         }
         t->pending.push_back(idx);
     };
-    for (;;) {
-        lockfree::DequeueResult d = region_.submission_queue().dequeue();
-        if (!d.ok && take_staging) d = region_.staging_queue().dequeue();
-        if (!d.ok && region_.num_rings() > 0) {
-            const std::uint32_t nr = region_.num_rings();
-            for (std::uint32_t i = 0; i < nr && !d.ok; ++i) {
-                const std::uint32_t r = (ring_rr_ + i) % nr;
-                d = region_.ring_queue(r).dequeue();
-                if (d.ok) ring_rr_ = (r + 1) % nr;
-            }
-        }
-        if (!d.ok) return;
+    std::uint32_t idx = 0;
+    while (dequeue_deposit(&idx, take_staging)) {
         kernel_.cpu().charge(sim::ExecContext::kKthread, Op::kQueue,
                              cm.queue_op);
-        route(d.value);
+        route(idx);
     }
 }
 
@@ -769,9 +767,24 @@ bool
 MemifDevice::next_request(std::uint32_t *out, bool take_staging)
 {
     if (config_.multi_tenant) {
+        // The engine backlog is bounded: the WRR can only arbitrate
+        // work still in the pending lists, so overload must queue
+        // there, not in the FIFO TC queues. Both paths honour the
+        // window (a kicking tenant could otherwise push past the WRR's
+        // standing queue); the request stays deposited and completion
+        // interrupts wake the worker as slots free up.
+        if (config_.tenant_dispatch_window != 0 &&
+            in_flight_.size() >= config_.tenant_dispatch_window)
+            return false;
         route_to_pending(take_staging);
         return wrr_pick(out);
     }
+    return dequeue_deposit(out, take_staging);
+}
+
+bool
+MemifDevice::dequeue_deposit(std::uint32_t *out, bool take_staging)
+{
     lockfree::DequeueResult d = region_.submission_queue().dequeue();
     if (!d.ok && take_staging) d = region_.staging_queue().dequeue();
     if (!d.ok && region_.num_rings() > 0) {
@@ -996,11 +1009,7 @@ MemifDevice::xlate_writethrough(const InFlightPtr &fl, ExecContext ctx)
     // next move over the region starts from a hit.
     XlateCache *const xcache = xlate_for(fl->asid);
     if (!xcache) return;
-    std::vector<vm::Pte> ptes;
-    ptes.reserve(fl->num_pages);
-    for (std::uint32_t i = 0; i < fl->num_pages; ++i)
-        ptes.push_back(fl->vma->pte(fl->first_page + i));
-    xcache->record(fl->vma, fl->first_page, std::move(ptes));
+    xcache->record(fl->vma, fl->first_page, fl->num_pages);
     kernel_.cpu().charge(ctx, Op::kRelease, kernel_.costs().xlate_probe);
 }
 
@@ -1160,6 +1169,24 @@ MemifDevice::resolve_span(const vm::Vma *vma, vm::VAddr va,
     return true;
 }
 
+MemifDevice::SlotPages
+MemifDevice::slot_pages(const InFlight &fl, std::uint64_t lo,
+                        std::uint64_t hi) const
+{
+    const XlateSlot &head = fl.slots[lo];
+    const XlateSlot &tail = fl.slots[hi - 1];
+    SlotPages sp;
+    sp.s0 = fl.vma->page_index(head.src_va);
+    sp.sn = fl.vma->page_index(tail.src_va + tail.bytes - 1) - sp.s0 + 1;
+    sp.d0 = fl.dst_vma->page_index(head.dst_va);
+    sp.dn = fl.dst_vma->page_index(tail.dst_va + tail.bytes - 1) - sp.d0 + 1;
+    // One full descent then adjacent steps per run: the gang-walk shape.
+    const sim::CostModel &cm = kernel_.costs();
+    sp.walk = 2 * cm.page_walk_full +
+              (sp.sn - 1 + sp.dn - 1) * cm.page_walk_adjacent;
+    return sp;
+}
+
 void
 MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
                                    std::uint64_t batch)
@@ -1170,25 +1197,11 @@ MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
     if (lo >= fl->slots.size()) return;
     const std::uint64_t hi =
         std::min<std::uint64_t>(lo + w, fl->slots.size());
-    const sim::CostModel &cm = kernel_.costs();
-    const vm::Vma *const svma = fl->vma;
-    const vm::Vma *const dvma = fl->dst_vma;
-    const XlateSlot &head = fl->slots[lo];
-    const XlateSlot &tail = fl->slots[hi - 1];
-    const std::uint64_t s0 = svma->page_index(head.src_va);
-    const std::uint64_t sn =
-        svma->page_index(tail.src_va + tail.bytes - 1) - s0 + 1;
-    const std::uint64_t d0 = dvma->page_index(head.dst_va);
-    const std::uint64_t dn =
-        dvma->page_index(tail.dst_va + tail.bytes - 1) - d0 + 1;
-
-    // The asynchronous walker: one full descent then adjacent steps
-    // per run (the gang-walk cost shape), elapsed as walker time on
-    // the event queue — no CPU is charged, which is the whole point:
-    // the walk overlaps in-flight DMA instead of serialising in prep.
-    const sim::Duration walk = 2 * cm.page_walk_full +
-                               (sn - 1 + dn - 1) * cm.page_walk_adjacent;
-    const sim::SimTime ready = kernel_.eq().now() + walk;
+    const SlotPages sp = slot_pages(*fl, lo, hi);
+    // The asynchronous walker, elapsed as walker time on the event
+    // queue — no CPU is charged, which is the whole point: the walk
+    // overlaps in-flight DMA instead of serialising in prep.
+    const sim::SimTime ready = kernel_.eq().now() + sp.walk;
     for (std::uint64_t i = lo; i < hi; ++i) {
         fl->slots[i].ready_at = ready;
         fl->slots[i].prefetched = true;
@@ -1200,14 +1213,14 @@ MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
     if (cache) {
         // Pending entries: an invalidation landing before the fill
         // kills the token and the stale walk result is dropped.
-        stok = cache->begin_prefetch(svma, s0, sn);
-        dtok = cache->begin_prefetch(dvma, d0, dn);
+        stok = cache->begin_prefetch(fl->vma, sp.s0, sp.sn);
+        dtok = cache->begin_prefetch(fl->dst_vma, sp.d0, sp.dn);
         fl->prefetch_tokens.push_back(stok);
         fl->prefetch_tokens.push_back(dtok);
     }
     std::weak_ptr<InFlight> weak = fl;
     const sim::EventQueue::EventId ev = kernel_.eq().schedule_at(
-        ready, [this, weak, stok, dtok, svma, dvma, s0, sn, d0, dn] {
+        ready, [this, weak, stok, dtok] {
             InFlightPtr alive = weak.lock();
             if (!alive || stopping_) return;
             XlateCache *const xc = xlate_for(alive->asid);
@@ -1215,17 +1228,8 @@ MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
             // Fill from the PTEs live *now*: the walk result delivered
             // is whatever the tables say at completion time, and the
             // generation check drops it if an invalidation raced ahead.
-            const auto fill = [&](std::uint64_t tok, const vm::Vma *vma,
-                                  std::uint64_t p0, std::uint64_t n) {
-                std::vector<vm::Pte> ptes;
-                ptes.reserve(n);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    ptes.push_back(vma->pte(p0 + i));
-                if (!xc->fill_prefetch(tok, std::move(ptes)))
-                    ++stats_.prefetch_fills_dropped;
-            };
-            fill(stok, svma, s0, sn);
-            fill(dtok, dvma, d0, dn);
+            for (const std::uint64_t tok : {stok, dtok})
+                if (!xc->fill_prefetch(tok)) ++stats_.prefetch_fills_dropped;
         });
     fl->prefetch_events.push_back(ev);
 }
@@ -1240,7 +1244,7 @@ MemifDevice::cancel_stream_prefetch(const InFlightPtr &fl)
     // outlives the move (a fill that already ran erased its own).
     if (XlateCache *cache = xlate_for(fl->asid))
         for (const std::uint64_t tok : fl->prefetch_tokens)
-            cache->fill_prefetch(tok, {});
+            cache->cancel_prefetch(tok);
     fl->prefetch_tokens.clear();
 }
 
@@ -1300,25 +1304,9 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
 
     // Stall accounting: is the translation already in the cache?
     XlateCache *const cache = xlate_for(fl->asid);
-    const std::uint64_t s0 = fl->vma->page_index(slot.src_va);
-    const std::uint64_t sn =
-        fl->vma->page_index(slot.src_va + slot.bytes - 1) - s0 + 1;
-    const std::uint64_t d0 = fl->dst_vma->page_index(slot.dst_va);
-    const std::uint64_t dn =
-        fl->dst_vma->page_index(slot.dst_va + slot.bytes - 1) - d0 + 1;
-    const bool covered = cache && cache->lookup(fl->vma, s0, sn) &&
-                         cache->lookup(fl->dst_vma, d0, dn);
-    const auto rec = [&](const vm::Vma *vma, std::uint64_t p0,
-                         std::uint64_t n) {
-        std::vector<vm::Pte> ptes;
-        ptes.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ptes.push_back(vma->pte(p0 + i));
-        cache->record(vma, p0, std::move(ptes));
-    };
-    const sim::Duration demand_walk =
-        2 * cm.page_walk_full +
-        (sn - 1 + dn - 1) * cm.page_walk_adjacent;
+    const SlotPages sp = slot_pages(*fl, idx, idx + 1);
+    const bool covered = cache && cache->lookup(fl->vma, sp.s0, sp.sn) &&
+                         cache->lookup(fl->dst_vma, sp.d0, sp.dn);
 
     if (slot.prefetched) {
         if (now < slot.ready_at) {
@@ -1337,10 +1325,10 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
             // the fill was dropped): demand re-walk in the stream.
             ++stats_.stream_prefetch_wasted;
             ++stats_.sva_demand_walks;
-            v.stall = demand_walk;
+            v.stall = sp.walk;
             if (cache) {
-                rec(fl->vma, s0, sn);
-                rec(fl->dst_vma, d0, dn);
+                cache->record(fl->vma, sp.s0, sp.sn);
+                cache->record(fl->dst_vma, sp.d0, sp.dn);
             }
         }
     } else if (covered) {
@@ -1350,10 +1338,10 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
         v.stall = cm.xlate_probe;
     } else {
         ++stats_.sva_demand_walks;
-        v.stall = demand_walk;
+        v.stall = sp.walk;
         if (cache) {
-            rec(fl->vma, s0, sn);
-            rec(fl->dst_vma, d0, dn);
+            cache->record(fl->vma, sp.s0, sp.sn);
+            cache->record(fl->dst_vma, sp.d0, sp.dn);
         }
     }
     return v;
@@ -1384,12 +1372,118 @@ MemifDevice::revalidate_stream(const InFlightPtr &fl)
 }
 
 // --------------------------------------------------------------------
+// The replication lowering: one row walk for flat, strided and gather.
+// --------------------------------------------------------------------
+
+Lowering
+lower_rows(const RowWalk &w)
+{
+    Lowering out;
+    const std::uint64_t spb = vm::page_bytes(w.src_vma->page_size());
+    const std::uint64_t dpb = vm::page_bytes(w.dst_vma->page_size());
+    const std::uint64_t src_first = w.src_vma->page_index(w.src_base);
+    const bool gather = !w.row_srcs.empty();
+    out.sg.reserve(w.rows + w.row_bytes / std::min(spb, dpb));
+    for (std::uint32_t r = 0; r < w.rows; ++r) {
+        const vm::VAddr row_src = gather ? w.row_srcs[r]
+                                         : w.src_base + r * w.src_pitch;
+        const vm::VAddr row_dst = w.dst_base + r * w.dst_pitch;
+        if (gather && !row_in_vma(*w.src_vma, row_src, w.row_bytes)) {
+            out.error = MovError::kBadAddress;
+            return out;
+        }
+        std::uint64_t done = 0;
+        unsigned segs = 0;
+        while (done < w.row_bytes) {
+            const vm::VAddr sva = row_src + done;
+            const vm::VAddr dva = row_dst + done;
+            const std::uint64_t sidx = w.src_vma->page_index(sva);
+            const std::uint64_t didx = w.dst_vma->page_index(dva);
+            const vm::Pte spte =
+                w.src_frames.empty()
+                    ? w.src_vma->pte(sidx)
+                    : vm::Pte{.pfn = w.src_frames[sidx - src_first],
+                              .present = true};
+            const vm::Pte dpte = w.dst_vma->pte(didx);
+            if (!spte.present || !dpte.present) {
+                out.error = MovError::kBadAddress;
+                return out;
+            }
+            if (spte.migration || dpte.migration) {
+                // A page mid-migration abandons its old frame at
+                // Release: bytes copied from or to it would be lost.
+                out.error = MovError::kBusy;
+                return out;
+            }
+            const std::uint64_t s_off = sva - w.src_vma->page_vaddr(sidx);
+            const std::uint64_t d_off = dva - w.dst_vma->page_vaddr(didx);
+            const std::uint64_t seg =
+                std::min({w.row_bytes - done, spb - s_off, dpb - d_off});
+            const std::uint64_t spa = (spte.pfn << mem::kPageShift) + s_off;
+            const std::uint64_t dpa = (dpte.pfn << mem::kPageShift) + d_off;
+            dma::SgEntry *last = out.sg.empty() ? nullptr : &out.sg.back();
+            if (w.fold_2d && segs == 0 && seg == w.row_bytes && last &&
+                last->bytes == w.row_bytes && last->rows < 0xFFFF &&
+                spa == last->src_addr +
+                           std::uint64_t{last->rows} * w.src_pitch &&
+                dpa == last->dst_addr +
+                           std::uint64_t{last->rows} * w.dst_pitch) {
+                // Whole row, physically in line with the previous
+                // entry's pitch train: fold into its B-count.
+                ++last->rows;
+            } else {
+                out.sg.push_back(dma::SgEntry{spa, dpa, seg, 1, w.src_pitch,
+                                              w.dst_pitch});
+            }
+            if (w.sva_slots)
+                out.slots.push_back(
+                    {.src_va = sva, .dst_va = dva, .bytes = seg});
+            done += seg;
+            ++segs;
+        }
+        if (segs > 1) ++out.row_splits;
+    }
+    for (const dma::SgEntry &e : out.sg)
+        if (e.strided()) ++out.descriptors_2d;
+    // Page-boundary splitting may blow past the PaRAM; reject rather
+    // than deadlock on a reservation that cannot fit.
+    if (out.sg.size() > dma::DescriptorRam::kEntries)
+        out.error = MovError::kBadRequest;
+    return out;
+}
+
+// --------------------------------------------------------------------
 // Ops 1-3: Prep, Remap, DMA config + trigger.
 // --------------------------------------------------------------------
 
 sim::Task
 MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                            InFlightPtr *out, bool moderated)
+{
+    // Awaiting the executor adds no event (a Task join is a symmetric
+    // transfer), so the exit below runs in the same synchronous stretch
+    // as the rejection that sent the request here.
+    Reject rj;
+    co_await execute_ops(idx, ctx, irq_mode, out, moderated, &rj);
+    if (rj.error == MovError::kNone) co_return;
+    // The one reject exit. A flight rejected during Remap hands back
+    // what it holds: its frame charge and any new frames (uncharged
+    // frees: the reject comes before the Remap charge).
+    if (rj.fl) {
+        uncharge_frames(rj.fl);
+        sim::Duration scratch = 0;
+        for (const mem::Pfn pfn : rj.fl->new_pfns)
+            free_frames(pfn, rj.fl->order, scratch);
+    }
+    if (rj.error == MovError::kNoMemory)
+        co_await kernel_.cpu().busy(ctx, Op::kRemap, rj.remap_cost);
+    co_await kernel_.cpu().busy(ctx, Op::kNotify, kernel_.costs().queue_op);
+    notify(idx, MovStatus::kFailed, rj.error);
+}
+
+sim::Task
+MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
+                         InFlightPtr *out, bool moderated, Reject *rj)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
@@ -1403,15 +1497,14 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                       cm.request_validate + cm.request_admin);
     vm::Vma *src_vma = nullptr;
     vm::Vma *dst_vma = nullptr;
-    const MovError verr = validate(req, &src_vma, &dst_vma);
-    if (verr != MovError::kNone) {
+    rj->error = validate(req, &src_vma, &dst_vma);
+    if (rj->error != MovError::kNone) {
         ++stats_.validation_failures;
-        co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-        notify(idx, MovStatus::kFailed, verr);
         co_return;
     }
 
     auto fl = std::make_shared<InFlight>();
+    rj->fl = fl;
     fl->req_idx = idx;
     fl->op = req.op;
     fl->asid = req.asid;
@@ -1467,8 +1560,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                 (dst_span_bytes + dpb - 1) / dpb, daemon_only);
         }
         if (busy) {
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kBusy);
+            rj->error = MovError::kBusy;
             co_return;
         }
     }
@@ -1480,23 +1572,16 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // geometry: its page size may differ from the source's, so the
     // same byte range spans a different number of its pages.
     struct LookupRegion {
-        vm::VAddr base = 0;
-        std::uint64_t pages = 0;
-        vm::PageSize psize = vm::PageSize::k4K;
         const vm::Vma *vma = nullptr;
+        std::uint64_t first = 0, pages = 0;  ///< page-index run
     };
-    LookupRegion lookups[2] = {
-        {src_vma->page_vaddr(fl->first_page), fl->num_pages,
-         src_vma->page_size(), src_vma},
-        {}};
+    LookupRegion lookups[2] = {{src_vma, fl->first_page, fl->num_pages}, {}};
     std::uint64_t lookup_regions = 1;
     if (req.op == MovOp::kReplicate) {
         const std::uint64_t dfirst = dst_vma->page_index(req.dst_base);
         const std::uint64_t dlast =
             dst_vma->page_index(req.dst_base + dst_span_bytes - 1);
-        lookups[1] = {dst_vma->page_vaddr(dfirst), dlast - dfirst + 1,
-                      dst_vma->page_size(), dst_vma};
-        lookup_regions = 2;
+        lookups[lookup_regions++] = {dst_vma, dfirst, dlast - dfirst + 1};
     }
     sim::Duration lookup_cost = 0;
     vm::PageTable &table = request_as(req).page_table();
@@ -1525,13 +1610,12 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             // One hashed probe against the per-VMA generation, hit or
             // miss (the cache's only cost on the submission path).
             lookup_cost += cm.xlate_probe;
-            const std::uint64_t first = lr.vma->page_index(lr.base);
             const XlateCache::Entry *e =
-                xcache->lookup(lr.vma, first, lr.pages);
+                xcache->lookup(lr.vma, lr.first, lr.pages);
             if (e) {
                 stats_.xlate_hits += lr.pages;
                 if (r == 0) {
-                    const std::uint64_t off = first - e->first_page;
+                    const std::uint64_t off = lr.first - e->first_page;
                     cached_src.assign(
                         e->ptes.begin() + static_cast<std::ptrdiff_t>(off),
                         e->ptes.begin() +
@@ -1543,25 +1627,19 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             stats_.xlate_misses += lr.pages;
             // Miss: gang-prefetch the next translations while the walk
             // is down here anyway (clamped to the Vma).
-            const std::uint64_t room = lr.vma->num_pages() - first;
+            const std::uint64_t room = lr.vma->num_pages() - lr.first;
             walk_pages = std::min<std::uint64_t>(
                 lr.pages + config_.xlate_prefetch, room);
             stats_.xlate_gang_prefetched += walk_pages - lr.pages;
         }
         const vm::WalkCost wc =
             config_.gang_lookup
-                ? table.gang_lookup(lr.base, walk_pages, lr.psize).cost
+                ? table.gang_lookup(lr.vma->page_vaddr(lr.first), walk_pages,
+                                    lr.vma->page_size()).cost
                 : vm::PageTable::per_page_cost(walk_pages);
         lookup_cost += wc.full_descents * cm.page_walk_full +
                        wc.adjacent_steps * cm.page_walk_adjacent;
-        if (xcache) {
-            const std::uint64_t first = lr.vma->page_index(lr.base);
-            std::vector<vm::Pte> ptes;
-            ptes.reserve(walk_pages);
-            for (std::uint64_t i = 0; i < walk_pages; ++i)
-                ptes.push_back(lr.vma->pte(first + i));
-            xcache->record(lr.vma, first, std::move(ptes));
-        }
+        if (xcache) xcache->record(lr.vma, lr.first, walk_pages);
     }
     co_await cpu.busy(ctx, Op::kPrep, lookup_cost);
     tr.record(kernel_.eq().now(), TracePoint::kPrepDone, ctx, idx);
@@ -1574,21 +1652,15 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         const vm::Pte pte = use_cached_src
                                 ? cached_src[i]
                                 : src_vma->pte(fl->first_page + i);
-        if (!pte.present) {
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kBadAddress);
-            co_return;
-        }
-        if (pte.migration) {
+        if (!pte.present || pte.migration) {
             // Under race *prevention* an in-flight page is marked by
             // the migration bit while the PTE still names the old
             // frame; overlapping the move would double-manage it.
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kBusy);
+            rj->error =
+                pte.present ? MovError::kBusy : MovError::kBadAddress;
             co_return;
         }
         fl->old_pfns.push_back(pte.pfn);
-        fl->old_ptes.push_back(pte.pack());
     }
 
     // Tiered memory: a migration whose endpoints are non-adjacent tiers
@@ -1613,11 +1685,10 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     }
 
     std::vector<dma::SgEntry> sg;
-    sg.reserve(req.num_pages);
-
     if (req.op == MovOp::kMigrate) {
         // ---- 2. Remap (migration only) -------------------------------
         sim::Duration remap_cost = 0;
+        sg.reserve(req.num_pages);
         fl->new_pfns.reserve(req.num_pages);
         bool exhausted = false;
         if (config_.bulk_alloc) {
@@ -1642,10 +1713,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             }
         }
         if (exhausted) {
-            for (const mem::Pfn pfn : fl->new_pfns) pm.free(pfn, fl->order);
-            co_await cpu.busy(ctx, Op::kRemap, remap_cost);
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kNoMemory);
+            rj->error = MovError::kNoMemory;
+            rj->remap_cost = remap_cost;
             co_return;
         }
         // The doubled-frame window opens here: both the old and the new
@@ -1713,14 +1782,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             busy = page_run_in_flight(src_vma, fl->first_page,
                                       req.num_pages, !fl->daemon);
         if (busy) {
-            // Frees are uncharged here, as on the non-bulk path (the
-            // reject happens before the Remap charge).
-            uncharge_frames(fl);
-            sim::Duration scratch = 0;
-            for (const mem::Pfn pfn : fl->new_pfns)
-                free_frames(pfn, fl->order, scratch);
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kBusy);
+            rj->error = MovError::kBusy;
             co_return;
         }
         // Batched shootdown: instead of broadcasting one invalidation
@@ -1770,44 +1832,36 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         add_in_flight(fl);
         co_await cpu.busy(ctx, Op::kRemap, remap_cost);
         tr.record(kernel_.eq().now(), TracePoint::kRemapDone, ctx, idx);
-    } else if (strided) {
-        // ---- 2'. Strided replication -------------------------------
-        // The generic PTE capture above saw zero pages (num_pages
-        // carries the envelope, not a flat run), so rows resolve their
-        // translations here. Each row is walked into segments split at
-        // virtual page boundaries on BOTH sides — within a page the
-        // backing 4 KB frames are contiguous, so a segment is one flat
-        // physically contiguous run. Adjacent single-segment rows whose
-        // physical starts line up with the pitches re-merge into true
-        // 2D (A/B-count) descriptors; SVA streams skip the merge, as
-        // the consumption-time gate needs the 1:1 slot <-> entry map.
-        ++stats_.strided_requests;
-        if (gather) ++stats_.gather_requests;
-        stats_.strided_rows_moved += req.rows;
-
-        // Gather: the per-row source addresses live in user memory;
-        // validate pinned the list's span, each address is bounds-
-        // checked against the source vma here.
+    } else {
+        // ---- 2'. Replication: the row walk -------------------------
+        // Both regions are already mapped; no VM management and no
+        // race concern (§3). A flat replication is the one-row walk over
+        // the frames the capture loop above checked (its segments come
+        // out at the finer of the two page sizes, as validate aligned
+        // dst_base to it). Strided rows resolve their translations in
+        // the walk, which re-merges whole pitch-aligned rows into true
+        // 2D (A/B-count) descriptors; SVA streams skip the merge, as the
+        // consumption-time gate needs the 1:1 slot <-> entry map.
         std::vector<vm::VAddr> row_srcs;
+        if (strided) {
+            ++stats_.strided_requests;
+            if (gather) ++stats_.gather_requests;
+            stats_.strided_rows_moved += req.rows;
+        }
         if (gather) {
+            // The per-row source addresses live in user memory;
+            // validate pinned the list's span, each address is bounds-
+            // checked against the source vma before the list read is
+            // charged.
             vm::AddressSpace &as = request_as(req);
             row_srcs.reserve(req.rows);
             for (std::uint32_t r = 0; r < req.rows; ++r) {
                 const std::byte *p =
                     as.translate(req.gather_list + std::uint64_t{r} * 8);
-                if (!p) {
-                    co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                    notify(idx, MovStatus::kFailed,
-                           MovError::kBadAddress);
-                    co_return;
-                }
                 vm::VAddr row = 0;
-                std::memcpy(&row, p, sizeof(row));
-                if (row < src_vma->page_vaddr(0) ||
-                    row + req.row_bytes > src_vma->end()) {
-                    co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                    notify(idx, MovStatus::kFailed,
-                           MovError::kBadAddress);
+                if (p) std::memcpy(&row, p, sizeof(row));
+                if (!p || !row_in_vma(*src_vma, row, req.row_bytes)) {
+                    rj->error = MovError::kBadAddress;
                     co_return;
                 }
                 row_srcs.push_back(row);
@@ -1817,124 +1871,30 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                               (std::uint64_t{req.rows} * 8 / 64 + 1) *
                                   cm.queue_op);
         }
-
-        const std::uint64_t spb = fl->page_bytes;
-        const std::uint64_t dpb = vm::page_bytes(dst_vma->page_size());
-        for (std::uint32_t r = 0; r < req.rows; ++r) {
-            const vm::VAddr row_src =
-                gather ? row_srcs[r]
-                       : req.src_base + std::uint64_t{r} * req.src_pitch;
-            const vm::VAddr row_dst =
-                req.dst_base + std::uint64_t{r} * req.dst_pitch;
-            std::uint64_t done = 0;
-            unsigned segs = 0;
-            while (done < req.row_bytes) {
-                const vm::VAddr sva = row_src + done;
-                const vm::VAddr dva = row_dst + done;
-                const std::uint64_t sidx = src_vma->page_index(sva);
-                const std::uint64_t didx = dst_vma->page_index(dva);
-                const vm::Pte spte = src_vma->pte(sidx);
-                const vm::Pte dpte = dst_vma->pte(didx);
-                if (!spte.present || !dpte.present) {
-                    co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                    notify(idx, MovStatus::kFailed,
-                           MovError::kBadAddress);
-                    co_return;
-                }
-                if (spte.migration || dpte.migration) {
-                    // Same reject contract as the flat paths: a page
-                    // mid-migration abandons its old frame at Release.
-                    co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                    notify(idx, MovStatus::kFailed, MovError::kBusy);
-                    co_return;
-                }
-                const std::uint64_t s_off =
-                    sva - src_vma->page_vaddr(sidx);
-                const std::uint64_t d_off =
-                    dva - dst_vma->page_vaddr(didx);
-                const std::uint64_t seg = std::min(
-                    {req.row_bytes - done, spb - s_off, dpb - d_off});
-                const std::uint64_t spa =
-                    (spte.pfn << mem::kPageShift) + s_off;
-                const std::uint64_t dpa =
-                    (dpte.pfn << mem::kPageShift) + d_off;
-                dma::SgEntry *last = sg.empty() ? nullptr : &sg.back();
-                if (!sva_stream && !gather && segs == 0 &&
-                    seg == req.row_bytes && last &&
-                    last->bytes == req.row_bytes &&
-                    last->rows < 0xFFFF &&
-                    spa == last->src_addr +
-                               std::uint64_t{last->rows} * req.src_pitch &&
-                    dpa == last->dst_addr +
-                               std::uint64_t{last->rows} * req.dst_pitch) {
-                    // Whole row, physically in line with the previous
-                    // entry's pitch train: fold into its B-count.
-                    ++last->rows;
-                } else {
-                    sg.push_back(dma::SgEntry{spa, dpa, seg, 1,
-                                              req.src_pitch,
-                                              req.dst_pitch});
-                }
-                if (sva_stream) {
-                    XlateSlot s;
-                    s.src_va = sva;
-                    s.dst_va = dva;
-                    s.bytes = seg;
-                    fl->slots.push_back(s);
-                }
-                done += seg;
-                ++segs;
-            }
-            if (segs > 1) ++stats_.strided_row_splits;
+        // (A strided request captured no flat frames: num_pages is 0.)
+        Lowering low = lower_rows(RowWalk{
+            .src_vma = src_vma,
+            .dst_vma = dst_vma,
+            .src_base = req.src_base,
+            .dst_base = req.dst_base,
+            .rows = strided ? req.rows : 1u,
+            .row_bytes = strided ? req.row_bytes : fl->total_bytes,
+            .src_pitch = strided ? req.src_pitch : 0,
+            .dst_pitch = strided ? req.dst_pitch : 0,
+            .row_srcs = row_srcs,
+            .src_frames = fl->old_pfns,
+            .fold_2d = !sva_stream && !gather,
+            .sva_slots = sva_stream && strided});
+        if (strided) {
+            stats_.strided_row_splits += low.row_splits;
+            stats_.strided_descriptors += low.descriptors_2d;
         }
-        for (const dma::SgEntry &e : sg)
-            if (e.strided()) ++stats_.strided_descriptors;
-        if (sg.size() > dma::DescriptorRam::kEntries) {
-            // Page-boundary splitting blew past the PaRAM; reject
-            // rather than deadlock on a reservation that cannot fit.
-            fl->slots.clear();
-            co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-            notify(idx, MovStatus::kFailed, MovError::kBadRequest);
+        if (low.error != MovError::kNone) {
+            rj->error = low.error;
             co_return;
         }
-        fl->dst_vma = dst_vma;
-        ++stats_.replications;
-        req.store_status(MovStatus::kInFlight);
-        add_in_flight(fl);
-    } else {
-        // Replication: both regions already mapped; no VM management
-        // and no race concern (§3). Chunks are emitted at the finer of
-        // the two granularities — a coarse source page can span several
-        // destination frames (and vice versa), and only within-page
-        // spans are physically contiguous on both sides.
-        const std::uint64_t dst_pb = vm::page_bytes(dst_vma->page_size());
-        const std::uint64_t chunk =
-            fl->page_bytes < dst_pb ? fl->page_bytes : dst_pb;
-        for (std::uint64_t off = 0; off < fl->total_bytes; off += chunk) {
-            const vm::VAddr dva = req.dst_base + off;
-            const std::uint64_t didx = dst_vma->page_index(dva);
-            const vm::Pte dst_pte = dst_vma->pte(didx);
-            if (!dst_pte.present) {
-                co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                notify(idx, MovStatus::kFailed, MovError::kBadAddress);
-                co_return;
-            }
-            if (dst_pte.migration) {
-                // Destination page mid-migration: the PTE still names
-                // the old frame, which the migrating flight abandons at
-                // Release — bytes copied there would silently vanish.
-                // Same reject contract as the source-side check above.
-                co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
-                notify(idx, MovStatus::kFailed, MovError::kBusy);
-                co_return;
-            }
-            const std::uint64_t src_page = off / fl->page_bytes;
-            const std::uint64_t src_off = off % fl->page_bytes;
-            const std::uint64_t dst_off = dva - dst_vma->page_vaddr(didx);
-            sg.push_back(dma::SgEntry{
-                (fl->old_pfns[src_page] << mem::kPageShift) + src_off,
-                (dst_pte.pfn << mem::kPageShift) + dst_off, chunk});
-        }
+        sg = std::move(low.sg);
+        fl->slots = std::move(low.slots);
         fl->dst_vma = dst_vma;
         ++stats_.replications;
         req.store_status(MovStatus::kInFlight);
@@ -1992,59 +1952,35 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         fl->slots.reserve(fl->sg.size());
         std::uint64_t off = 0;
         for (const dma::SgEntry &e : fl->sg) {
-            XlateSlot s;
-            s.src_va = req.src_base + off;
-            s.dst_va = req.dst_base + off;
-            s.bytes = e.bytes;
-            fl->slots.push_back(s);
+            fl->slots.push_back({.src_va = req.src_base + off,
+                                 .dst_va = req.dst_base + off,
+                                 .bytes = e.bytes});
             off += e.bytes;
         }
     }
-    if (sva_stream) {
-        if (config_.xlate_prefetch_ahead && !fl->slots.empty()) {
-            // Walk only the first window synchronously; everything
-            // beyond it is walked by asynchronous prefetch events that
-            // run ahead of the consumption stream (two windows of
-            // lead, sustained by the gate as the stream advances).
-            const std::uint32_t w =
-                std::max<std::uint32_t>(config_.prefetch_window, 1);
-            const std::uint64_t hi =
-                std::min<std::uint64_t>(w, fl->slots.size());
-            const XlateSlot &tail = fl->slots[hi - 1];
-            const std::uint64_t s0 = src_vma->page_index(req.src_base);
-            const std::uint64_t sn =
-                src_vma->page_index(tail.src_va + tail.bytes - 1) - s0 +
-                1;
-            const std::uint64_t d0 = dst_vma->page_index(req.dst_base);
-            const std::uint64_t dn =
-                dst_vma->page_index(tail.dst_va + tail.bytes - 1) - d0 +
-                1;
-            const sim::Duration sync_walk =
-                2 * cm.page_walk_full +
-                (sn - 1 + dn - 1) * cm.page_walk_adjacent;
-            if (XlateCache *cache = xlate_for(req.asid)) {
-                std::vector<vm::Pte> ptes;
-                ptes.reserve(sn);
-                for (std::uint64_t i = 0; i < sn; ++i)
-                    ptes.push_back(src_vma->pte(s0 + i));
-                cache->record(src_vma, s0, std::move(ptes));
-                ptes.clear();
-                ptes.reserve(dn);
-                for (std::uint64_t i = 0; i < dn; ++i)
-                    ptes.push_back(dst_vma->pte(d0 + i));
-                cache->record(dst_vma, d0, std::move(ptes));
-            }
-            co_await cpu.busy(ctx, Op::kPrep, sync_walk);
-            const sim::SimTime ready = kernel_.eq().now();
-            for (std::uint64_t i = 0; i < hi; ++i) {
-                fl->slots[i].ready_at = ready;
-                fl->slots[i].prefetched = true;
-            }
-            stats_.stream_prefetch_issued += hi;
-            issue_stream_prefetch(fl, 1);
-            issue_stream_prefetch(fl, 2);
-            fl->next_prefetch_batch = 3;
+    if (sva_stream && config_.xlate_prefetch_ahead && !fl->slots.empty()) {
+        // Walk only the first window synchronously; everything beyond
+        // it is walked by asynchronous prefetch events that run ahead
+        // of the consumption stream (two windows of lead, sustained by
+        // the gate as the stream advances).
+        const std::uint64_t hi = std::min<std::uint64_t>(
+            std::max<std::uint32_t>(config_.prefetch_window, 1),
+            fl->slots.size());
+        const SlotPages sp = slot_pages(*fl, 0, hi);
+        if (XlateCache *cache = xlate_for(req.asid)) {
+            cache->record(src_vma, sp.s0, sp.sn);
+            cache->record(dst_vma, sp.d0, sp.dn);
         }
+        co_await cpu.busy(ctx, Op::kPrep, sp.walk);
+        const sim::SimTime ready = kernel_.eq().now();
+        for (std::uint64_t i = 0; i < hi; ++i) {
+            fl->slots[i].ready_at = ready;
+            fl->slots[i].prefetched = true;
+        }
+        stats_.stream_prefetch_issued += hi;
+        issue_stream_prefetch(fl, 1);
+        issue_stream_prefetch(fl, 2);
+        fl->next_prefetch_batch = 3;
     }
     fl->irq_mode = irq_mode;
     fl->moderated = moderated && irq_mode && config_.irq_moderation;
@@ -2067,7 +2003,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         co_return;
     }
     if (out) *out = fl;
-    trigger_dma(fl, std::move(prepared), ctx);
+    trigger_dma(fl, std::move(prepared));
     tr.record(kernel_.eq().now(), TracePoint::kDmaStart, ctx, idx);
 }
 
@@ -2076,10 +2012,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
 // --------------------------------------------------------------------
 
 void
-MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
-                         ExecContext ctx)
+MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p)
 {
-    (void)ctx;
     ++fl->dma_attempts;
     // A (re)started transfer is supervised afresh: a drain pass must
     // only skip transfers whose *current* attempt it retired.
@@ -2453,7 +2387,7 @@ MemifDevice::restart_dma(InFlightPtr fl, ExecContext ctx)
         kernel_.dma().abandon(std::move(p));
         co_return;
     }
-    trigger_dma(fl, std::move(p), ctx);
+    trigger_dma(fl, std::move(p));
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaStart, ctx,
                             fl->req_idx);
 }
@@ -2807,16 +2741,7 @@ MemifDevice::kthread_loop()
         // kernel owns them). Under multi_tenant the deposited order is
         // re-ranked by the weighted round-robin instead.
         std::uint32_t next = 0;
-        // Under multi_tenant the engine backlog is bounded: the WRR
-        // can only arbitrate work that is still in the pending lists,
-        // so overload must queue there, not in the FIFO TC queues.
-        // Completion interrupts wake the loop as slots free up.
-        const bool gated = config_.multi_tenant &&
-                           config_.tenant_dispatch_window != 0 &&
-                           in_flight_.size() >=
-                               config_.tenant_dispatch_window;
-        const bool got =
-            !gated && next_request(&next, /*take_staging=*/true);
+        const bool got = next_request(&next, /*take_staging=*/true);
         cpu.charge(ExecContext::kKthread, Op::kQueue, cm.queue_op);
 
         if (got) {
@@ -3031,14 +2956,7 @@ MemifDevice::ioctl_mov_one()
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kKickIoctl,
                             ExecContext::kSyscall);
     std::uint32_t next = 0;
-    // The syscall fast path must honour the dispatch window too, or a
-    // kicking tenant could push past the WRR's standing queue. Leave
-    // the request deposited; the worker serves it as slots free up.
-    const bool gated = config_.multi_tenant &&
-                       config_.tenant_dispatch_window != 0 &&
-                       in_flight_.size() >=
-                           config_.tenant_dispatch_window;
-    const bool got = !gated && next_request(&next, /*take_staging=*/false);
+    const bool got = next_request(&next, /*take_staging=*/false);
     kernel_.cpu().charge(ExecContext::kSyscall, Op::kQueue,
                          kernel_.costs().queue_op);
     if (!got) {

@@ -613,6 +613,61 @@ struct DeviceStats {
     std::uint64_t strided_descriptors = 0;
 };
 
+/** One SVA-routed descriptor's virtual span: what the engine's
+ *  translation gate re-resolves through the live page tables at
+ *  consumption time (sva_dma replication streams only). */
+struct XlateSlot {
+    vm::VAddr src_va = 0;
+    vm::VAddr dst_va = 0;
+    std::uint64_t bytes = 0;
+    /** When the covering prefetch walk completes (prefetch-ahead
+     *  only; 0 = no prefetch covers this slot). */
+    sim::SimTime ready_at = 0;
+    bool prefetched = false;
+};
+
+/** A replication as the row walk sees it: row r of row_bytes is read
+ *  from src_base + r * src_pitch (or row_srcs[r], a gather) and written
+ *  to dst_base + r * dst_pitch. A flat replication is one row. */
+struct RowWalk {
+    const vm::Vma *src_vma = nullptr;
+    const vm::Vma *dst_vma = nullptr;
+    vm::VAddr src_base = 0;
+    vm::VAddr dst_base = 0;
+    std::uint32_t rows = 1;
+    std::uint64_t row_bytes = 0;
+    std::uint64_t src_pitch = 0;
+    std::uint64_t dst_pitch = 0;
+    /** Gather: per-row source addresses (empty = pitched rows). */
+    std::span<const vm::VAddr> row_srcs = {};
+    /** Source frames already captured and checked, one per source page
+     *  from src_base's page on; empty = read the live source PTEs. */
+    std::span<const mem::Pfn> src_frames = {};
+    /** Fold whole rows in line with the previous entry's pitch train
+     *  into its B-count (true 2D descriptors). */
+    bool fold_2d = false;
+    /** Emit one XlateSlot per SG entry (SVA-routed strided streams). */
+    bool sva_slots = false;
+};
+
+/** What lower_rows() produced. On error, sg and slots are partial. */
+struct Lowering {
+    std::vector<dma::SgEntry> sg;
+    std::vector<XlateSlot> slots;
+    std::uint64_t row_splits = 0;  ///< rows split, up to an error
+    std::uint64_t descriptors_2d = 0;  ///< 2D entries of a complete walk
+    MovError error = MovError::kNone;
+};
+
+/**
+ * The replication lowering: walk each row into segments split at page
+ * boundaries on BOTH sides (a segment is then physically contiguous).
+ * Synchronous and device-free; reads only the two Vmas' PTEs. Errors:
+ * kBadAddress (absent page, gather row outside the source Vma), kBusy
+ * (page mid-migration), kBadRequest (more segments than the PaRAM).
+ */
+Lowering lower_rows(const RowWalk &w);
+
 class MemifDevice {
   public:
     /**
@@ -764,19 +819,6 @@ class MemifDevice {
         std::uint64_t file_page = 0;
     };
 
-    /** One SVA-routed descriptor's virtual span: what the engine's
-     *  translation gate re-resolves through the live page tables at
-     *  consumption time (sva_dma replication streams only). */
-    struct XlateSlot {
-        vm::VAddr src_va = 0;
-        vm::VAddr dst_va = 0;
-        std::uint64_t bytes = 0;
-        /** When the covering prefetch walk completes (prefetch-ahead
-         *  only; 0 = no prefetch covers this slot). */
-        sim::SimTime ready_at = 0;
-        bool prefetched = false;
-    };
-
     /** Per-page state of one request being served. */
     struct InFlight {
         std::uint32_t req_idx = 0;
@@ -789,7 +831,6 @@ class MemifDevice {
         std::uint64_t total_bytes = 0;
         std::vector<mem::Pfn> old_pfns;  ///< migration: replaced frames
         std::vector<mem::Pfn> new_pfns;  ///< migration: new frames
-        std::vector<std::uint64_t> old_ptes;  ///< source-view PTEs
         /** Migration: every mapping of every page, via the rmap
          *  chains, grouped by page (see page_mappings()). */
         std::vector<Mapping> mappings;
@@ -893,10 +934,23 @@ class MemifDevice {
 
     /** Ops 1-3 for one request; on success the DMA is running and
      *  @p out (if given) receives the in-flight record. @p moderated
-     *  asks for a moderated completion IRQ (irq_mode only). */
+     *  asks for a moderated completion IRQ (irq_mode only). Every
+     *  early rejection leaves through one exit here. */
     sim::Task serve_request(std::uint32_t idx, sim::ExecContext ctx,
                             bool irq_mode, InFlightPtr *out = nullptr,
                             bool moderated = false);
+    /** Why execute_ops stopped early, and what the flight holds that
+     *  serve_request's reject exit must hand back. */
+    struct Reject {
+        MovError error = MovError::kNone;
+        InFlightPtr fl;  ///< null when rejected before the flight exists
+        sim::Duration remap_cost = 0;  ///< kNoMemory: allocation time
+    };
+    /** The executor behind serve_request: Prep, Remap, lowering, DMA
+     *  config and trigger. Sets @p rj on an early rejection. */
+    sim::Task execute_ops(std::uint32_t idx, sim::ExecContext ctx,
+                          bool irq_mode, InFlightPtr *out, bool moderated,
+                          Reject *rj);
     /** Ops 4-5. With @p shared_plan, a kPrevent migration's release
      *  accumulates its TLB work there instead of flushing per page —
      *  the caller issues one ranged shootdown for the whole batch. */
@@ -936,8 +990,7 @@ class MemifDevice {
     // ----- DMA error recovery -----------------------------------------
     /** Start (or restart) @p fl's transfer; arms the watchdog in irq
      *  mode. The prepared chain must match fl->sg. */
-    void trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
-                     sim::ExecContext ctx);
+    void trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p);
     /** Completion-interrupt dispatcher: routes to irq_complete or, on a
      *  TC error, into the recovery ladder. */
     sim::Task on_dma_complete(InFlightPtr fl);
@@ -1051,6 +1104,15 @@ class MemifDevice {
      *  restart and CPU fallback of an SVA-routed stream re-validate
      *  every prefetched translation before touching bytes). */
     void revalidate_stream(const InFlightPtr &fl);
+    /** Page runs under stream slots [lo, hi) of an SVA-routed flight,
+     *  and the gang walk (one descent per run) that covers them. */
+    struct SlotPages {
+        std::uint64_t s0 = 0, sn = 0;  ///< source: first page, count
+        std::uint64_t d0 = 0, dn = 0;  ///< destination: first page, count
+        sim::Duration walk = 0;
+    };
+    SlotPages slot_pages(const InFlight &fl, std::uint64_t lo,
+                         std::uint64_t hi) const;
     /** Cancel outstanding prefetch-fill events (retire / teardown). */
     void cancel_stream_prefetch(const InFlightPtr &fl);
 
@@ -1092,8 +1154,12 @@ class MemifDevice {
      *  false when all are empty. Records the slot-wait tripwire. */
     bool wrr_pick(std::uint32_t *out);
     /** Dequeue the next index to serve on either execution path:
-     *  single-tenant order with the lever off, route + WRR with it on. */
+     *  single-tenant order with the lever off, route + WRR with it on
+     *  (false while the tenant dispatch window is full). */
     bool next_request(std::uint32_t *out, bool take_staging);
+    /** Pop the next deposited index: submission queue, then (with
+     *  @p take_staging) the staging queue, then the per-CPU rings. */
+    bool dequeue_deposit(std::uint32_t *out, bool take_staging);
     /** Complete @p idx as kFailed/kNoSpace with a retry-after hint;
      *  @p permanent zeroes the hint, meaning the request can never be
      *  admitted under this tenant's quota and must not be retried. */

@@ -1,5 +1,7 @@
 #include "memif/xlate_cache.h"
 
+#include <algorithm>
+
 namespace memif {
 
 const XlateCache::Entry *
@@ -15,32 +17,31 @@ XlateCache::lookup(const vm::Vma *vma, std::uint64_t first, std::uint64_t n)
 }
 
 void
-XlateCache::record(const vm::Vma *vma, std::uint64_t first,
-                   std::vector<vm::Pte> ptes)
+XlateCache::record(const vm::Vma *vma, std::uint64_t first, std::uint64_t n)
 {
-    if (ptes.empty()) return;
-    for (Entry &e : entries_) {
-        if (e.vma == vma && e.first_page == first) {
-            e.ptes = std::move(ptes);
-            e.generation = generation_;
-            e.tick = ++tick_;
-            return;
+    if (n == 0) return;
+    auto slot = std::find_if(entries_.begin(), entries_.end(),
+                             [&](const Entry &e) {
+                                 return e.vma == vma && e.first_page == first;
+                             });
+    if (slot == entries_.end()) {
+        std::vector<vm::Pte> storage;
+        if (entries_.size() >= max_entries_) {
+            const auto lru = std::min_element(
+                entries_.begin(), entries_.end(),
+                [](const Entry &x, const Entry &y) { return x.tick < y.tick; });
+            storage = std::move(lru->ptes);
+            entries_.erase(lru);
         }
+        slot = entries_.insert(entries_.end(),
+                               Entry{vma, first, std::move(storage)});
     }
-    if (entries_.size() >= max_entries_) {
-        std::size_t victim = 0;
-        for (std::size_t i = 1; i < entries_.size(); ++i)
-            if (entries_[i].tick < entries_[victim].tick) victim = i;
-        entries_.erase(entries_.begin() +
-                       static_cast<std::ptrdiff_t>(victim));
-    }
-    Entry e;
-    e.vma = vma;
-    e.first_page = first;
-    e.ptes = std::move(ptes);
-    e.generation = generation_;
-    e.tick = ++tick_;
-    entries_.push_back(std::move(e));
+    slot->ptes.clear();
+    slot->ptes.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        slot->ptes.push_back(vma->pte(first + i));
+    slot->generation = generation_;
+    slot->tick = ++tick_;
 }
 
 std::uint64_t
@@ -84,17 +85,24 @@ XlateCache::begin_prefetch(const vm::Vma *vma, std::uint64_t first,
 }
 
 bool
-XlateCache::fill_prefetch(std::uint64_t token, std::vector<vm::Pte> ptes)
+XlateCache::fill_prefetch(std::uint64_t token)
 {
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         if (pending_[i].token != token) continue;
         const Pending p = pending_[i];
         pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
         if (p.killed) return false;
-        record(p.vma, p.first_page, std::move(ptes));
+        record(p.vma, p.first_page, p.num_pages);
         return true;
     }
     return false;  // unknown token (e.g. cache cleared); drop the fill
+}
+
+void
+XlateCache::cancel_prefetch(std::uint64_t token)
+{
+    std::erase_if(pending_,
+                  [token](const Pending &p) { return p.token == token; });
 }
 
 }  // namespace memif

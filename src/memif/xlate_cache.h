@@ -62,12 +62,12 @@ class XlateCache {
                         std::uint64_t n);
 
     /**
-     * Record a freshly walked run starting at page @p first. Replaces
-     * any entry with the same key; evicts the least recently used
-     * entry when the cache is full.
+     * Record the @p n live PTEs of @p vma from page @p first on (a
+     * fresh walk of that run). Replaces any entry with the same key,
+     * reusing its storage; evicts the least recently used entry when
+     * the cache is full. No-op for n == 0.
      */
-    void record(const vm::Vma *vma, std::uint64_t first,
-                std::vector<vm::Pte> ptes);
+    void record(const vm::Vma *vma, std::uint64_t first, std::uint64_t n);
 
     /**
      * Drop every entry overlapping pages [first, first+n) of @p vma
@@ -103,11 +103,15 @@ class XlateCache {
 
     /**
      * Complete the prefetch registered under @p token. If no
-     * invalidation overlapped the range in the meantime, the walked
-     * @p ptes are record()ed and true is returned; otherwise the fill
-     * is dropped (stale walk) and false is returned.
+     * invalidation overlapped the range in the meantime, the range's
+     * PTEs as they are live *now* are record()ed and true is returned;
+     * otherwise the fill is dropped (stale walk) and false is returned.
      */
-    bool fill_prefetch(std::uint64_t token, std::vector<vm::Pte> ptes);
+    bool fill_prefetch(std::uint64_t token);
+
+    /** Retire the prefetch registered under @p token without recording
+     *  anything (the move it ran ahead of is gone). */
+    void cancel_prefetch(std::uint64_t token);
 
     /** In-flight prefetches (diagnostics / tests). */
     const std::vector<Pending> &pending_prefetches() const

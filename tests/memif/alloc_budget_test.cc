@@ -85,7 +85,7 @@ constexpr std::uint32_t kWindow = 8;
 constexpr std::uint64_t kWarmup = 2'000;
 constexpr std::uint64_t kMeasured = 6'000;
 /** At most this many heap allocations per completed request. */
-constexpr double kBudget = 25.0;
+constexpr double kBudget = 22.0;
 
 TEST(AllocBudget, SmallMigrationsStayUnderBudget)
 {

@@ -103,18 +103,11 @@ TEST(XlatePrefetch, FillAfterInvalidationIsDropped)
     const vm::VAddr base = f.proc.mmap(8 * 4096, vm::PageSize::k4K);
     vm::Vma *vma = f.proc.as().find_vma(base);
     ASSERT_NE(vma, nullptr);
-    auto walk = [&](std::uint64_t first, std::uint64_t n) {
-        std::vector<vm::Pte> ptes;
-        for (std::uint64_t i = 0; i < n; ++i)
-            ptes.push_back(vma->pte(first + i));
-        return ptes;
-    };
-
     XlateCache cache(8);
     // Clean prefetch: issue, fill, hit.
     const std::uint64_t t0 = cache.begin_prefetch(vma, 0, 4);
     EXPECT_EQ(cache.pending_prefetches().size(), 1u);
-    EXPECT_TRUE(cache.fill_prefetch(t0, walk(0, 4)));
+    EXPECT_TRUE(cache.fill_prefetch(t0));
     EXPECT_TRUE(cache.pending_prefetches().empty());
     EXPECT_NE(cache.lookup(vma, 0, 4), nullptr);
 
@@ -122,25 +115,63 @@ TEST(XlatePrefetch, FillAfterInvalidationIsDropped)
     // dropped — the walk it snapshots may predate the PTE change.
     const std::uint64_t t1 = cache.begin_prefetch(vma, 4, 4);
     EXPECT_EQ(cache.invalidate(vma, 5, 1), 0u);  // kills the pending
-    EXPECT_FALSE(cache.fill_prefetch(t1, walk(4, 4)));
+    EXPECT_FALSE(cache.fill_prefetch(t1));
     EXPECT_TRUE(cache.pending_prefetches().empty());
     EXPECT_EQ(cache.lookup(vma, 4, 4), nullptr);
 
     // Non-overlapping invalidations leave a pending alive.
     const std::uint64_t t2 = cache.begin_prefetch(vma, 4, 2);
     cache.invalidate(vma, 0, 2);
-    EXPECT_TRUE(cache.fill_prefetch(t2, walk(4, 2)));
+    EXPECT_TRUE(cache.fill_prefetch(t2));
     EXPECT_NE(cache.lookup(vma, 4, 2), nullptr);
 
     // Unknown / already-consumed tokens are rejected.
-    EXPECT_FALSE(cache.fill_prefetch(t2, walk(4, 2)));
-    EXPECT_FALSE(cache.fill_prefetch(987654u, walk(0, 1)));
+    EXPECT_FALSE(cache.fill_prefetch(t2));
+    EXPECT_FALSE(cache.fill_prefetch(987654u));
 
-    // An empty fill cleanly retires a pending (cancellation drain).
+    // A cancel cleanly retires a pending without recording it.
     const std::uint64_t t3 = cache.begin_prefetch(vma, 0, 2);
-    EXPECT_TRUE(cache.fill_prefetch(t3, {}));
+    cache.cancel_prefetch(t3);
     EXPECT_TRUE(cache.pending_prefetches().empty());
     EXPECT_EQ(cache.lookup(vma, 0, 2), nullptr);
+    EXPECT_FALSE(cache.fill_prefetch(t3));
+}
+
+TEST(XlatePrefetch, RecordSnapshotsLivePtesAndEvictsTheLru)
+{
+    Fixture f;  // only used to mint a real Vma
+    const vm::VAddr base = f.proc.mmap(8 * 4096, vm::PageSize::k4K);
+    vm::Vma *vma = f.proc.as().find_vma(base);
+    ASSERT_NE(vma, nullptr);
+    XlateCache cache(2);
+    cache.record(vma, 0, 4);
+    const XlateCache::Entry *e = cache.lookup(vma, 0, 4);
+    ASSERT_NE(e, nullptr);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        EXPECT_EQ(e->ptes[i].pack(), vma->pte(i).pack());
+
+    // Re-recording a key replaces the entry in place with the PTEs
+    // live now.
+    vm::Pte p = vma->pte(1);
+    p.young = !p.young;
+    vma->pte_slot(1).store(p.pack());
+    cache.record(vma, 0, 2);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.lookup(vma, 0, 4), nullptr);
+    e = cache.lookup(vma, 0, 2);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->ptes[1].pack(), p.pack());
+
+    // A full cache evicts the least recently used entry.
+    cache.record(vma, 4, 2);
+    EXPECT_NE(cache.lookup(vma, 0, 2), nullptr);  // {0} now the newer
+    cache.record(vma, 6, 2);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.lookup(vma, 4, 2), nullptr);
+    EXPECT_NE(cache.lookup(vma, 0, 2), nullptr);
+    EXPECT_NE(cache.lookup(vma, 6, 2), nullptr);
+    cache.record(vma, 2, 0);  // an empty run records nothing
+    EXPECT_EQ(cache.size(), 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -322,5 +322,167 @@ TEST(Tiered, LeverOffNeverChains)
     EXPECT_EQ(f.dev.stats().hop_stages_issued, 0u);
 }
 
+// ---------------------------------------------------------------------
+// The registration invariant: a migration's PTE stores and its flight
+// registration happen in one synchronous stretch, before the Remap
+// charge. A replication whose walk runs any time after that stretch
+// sees the blocking PTEs and bounces kBusy instead of copying into
+// frames the migration abandons at Release.
+// ---------------------------------------------------------------------
+
+MemifConfig
+invariant_cfg()
+{
+    MemifConfig cfg = tiered_cfg();
+    cfg.strided_dma = true;
+    // Two submission rings: the second submitter's kick serves its
+    // request in its own syscall context, concurrently with the
+    // migration's serve instead of queued behind it.
+    cfg.percpu_rings = true;
+    cfg.num_submit_cpus = 2;
+    return cfg;
+}
+
+/** A 32-page SRAM region demoting to far (a chained move, so its PTEs
+ *  are blocking migration PTEs for the whole chain) and a DDR source
+ *  the replications copy from. */
+struct InvariantSetup {
+    Fixture f{invariant_cfg()};
+    MemifUser other{f.dev, 1};
+    vm::VAddr mig = 0;
+    vm::VAddr src = 0;
+    std::uint32_t m = kNoRequest;
+
+    InvariantSetup()
+    {
+        mig = f.proc.mmap(32 * 4096, vm::PageSize::k4K,
+                          f.kernel.fast_node());
+        src = f.proc.mmap(32 * 4096, vm::PageSize::k4K,
+                          f.kernel.slow_node());
+        f.fill(mig, 32 * 4096, 7);
+        f.fill(src, 32 * 4096, 99);
+        m = f.migrate(mig, 32, f.kernel.far_node());
+    }
+
+    /** Until the migration is registered (and its PTEs are live). */
+    sim::Task
+    wait_registered()
+    {
+        while (f.user.request(m).load_status() != MovStatus::kInFlight)
+            co_await sim::Delay{f.kernel.eq(), 100};
+    }
+
+    /** A flat 32-page replication src -> mig from the other CPU. */
+    std::uint32_t
+    flat_replication()
+    {
+        const std::uint32_t idx = other.alloc_request();
+        MovReq &req = other.request(idx);
+        req.op = MovOp::kReplicate;
+        req.src_base = src;
+        req.dst_base = mig;
+        req.num_pages = 32;
+        return idx;
+    }
+
+    /** The migration finished with its bytes intact on the far node,
+     *  and the replication source is untouched. */
+    void
+    expect_migration_intact()
+    {
+        EXPECT_EQ(f.user.request(m).load_status(), MovStatus::kDone);
+        EXPECT_TRUE(f.check(mig, 32 * 4096, 7));
+        f.expect_on_node(mig, 32, f.kernel.far_node());
+        EXPECT_TRUE(f.check(src, 32 * 4096, 99));
+    }
+};
+
+TEST(Tiered, FlatAndStridedReplicationIntoAMigratingDestinationBounceBusy)
+{
+    InvariantSetup s;
+    std::uint32_t flat = kNoRequest, strided = kNoRequest;
+    auto late = [&]() -> sim::Task {
+        co_await s.wait_registered();
+        flat = s.flat_replication();
+        co_await s.other.submit(flat);
+        strided = s.other.alloc_request();
+        MovReq &req = s.other.request(strided);
+        req.op = MovOp::kReplicate;
+        req.src_base = s.src;
+        req.dst_base = s.mig + 100;
+        req.rows = 16;
+        req.row_bytes = 1000;
+        req.src_pitch = 4096;
+        req.dst_pitch = 3000;
+        co_await s.other.submit(strided);
+    };
+    sim::Task t = late();
+    s.f.kernel.run();
+
+    for (const std::uint32_t idx : {flat, strided}) {
+        ASSERT_NE(idx, kNoRequest);
+        EXPECT_EQ(s.other.request(idx).load_status(), MovStatus::kFailed);
+        EXPECT_EQ(s.other.request(idx).error, MovError::kBusy);
+    }
+    s.expect_migration_intact();
+    // Both went through the row walk; only the strided one counts as
+    // strided, and neither became a replication.
+    EXPECT_EQ(s.f.dev.stats().strided_requests, 1u);
+    EXPECT_EQ(s.f.dev.stats().replications, 0u);
+}
+
+TEST(Tiered, ReplicationReachingPrepDuringTheRemapChargeIsRejected)
+{
+    InvariantSetup s;
+    s.f.kernel.tracer().enable();
+    const auto traced = [&](sim::TracePoint p, std::uint32_t req,
+                            sim::SimTime *t) {
+        for (const sim::TraceRecord &rec : s.f.kernel.tracer().records()) {
+            if (rec.point != p || rec.req != req) continue;
+            *t = rec.time;
+            return true;
+        }
+        return false;
+    };
+    const auto at = [&](sim::TracePoint p, std::uint32_t req) {
+        sim::SimTime t = 0;
+        EXPECT_TRUE(traced(p, req, &t)) << "no trace point for " << req;
+        return t;
+    };
+    std::uint32_t r = kNoRequest;
+    auto late = [&]() -> sim::Task {
+        // Submit once the migration's Prep is done: its PTE stores, its
+        // registration and its Remap charge all start at that instant,
+        // so the replication's walk lands inside the charge.
+        sim::SimTime prep_done = 0;
+        while (!traced(sim::TracePoint::kPrepDone, s.m, &prep_done))
+            co_await sim::Delay{s.f.kernel.eq(), 100};
+        r = s.flat_replication();
+        co_await s.other.submit(r);
+    };
+    sim::Task t = late();
+    s.f.kernel.run();
+    ASSERT_NE(r, kNoRequest);
+
+    // The replication's serve began inside the migration's Remap
+    // charge.
+    const sim::SimTime serve = at(sim::TracePoint::kServeBegin, r);
+    EXPECT_GT(serve, at(sim::TracePoint::kPrepDone, s.m));
+    EXPECT_LT(serve, at(sim::TracePoint::kRemapDone, s.m));
+
+    EXPECT_EQ(s.other.request(r).load_status(), MovStatus::kFailed);
+    EXPECT_EQ(s.other.request(r).error, MovError::kBusy);
+    s.expect_migration_intact();
+
+    // Retried once the migration is done, the replication lands: no
+    // bytes of either move are lost.
+    const std::uint32_t retry = s.flat_replication();
+    s.f.kernel.spawn(s.other.submit(retry));
+    s.f.kernel.run();
+    EXPECT_EQ(s.other.request(retry).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(s.f.check(s.mig, 32 * 4096, 99));
+    EXPECT_TRUE(s.f.check(s.src, 32 * 4096, 99));
+}
+
 }  // namespace
 }  // namespace memif::core
