@@ -1,10 +1,12 @@
 #include "memif/device.h"
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "sim/cost_model.h"
 #include "sim/log.h"
@@ -127,24 +129,19 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
 MemifDevice::~MemifDevice()
 {
     stopping_ = true;
-    // Cancel anything still in flight: the engine outlives us, and its
-    // completion callbacks capture this device. Watchdog events capture
-    // it too, so disarm them all before the device goes away.
-    for (const InFlightPtr &fl : in_flight_) {
-        disarm_watchdog(fl);
-        // Prefetch-fill events capture this device; drop them too.
+    // Cancel every transfer still under supervision: the engine
+    // outlives us, and its completion callbacks — like the deadline
+    // events — capture this device and the supervisor's record. The
+    // supervisor frames themselves go with tasks_.
+    while (!transfers_.empty()) {
+        Transfer &x = *transfers_.back();
+        if (claim_transfer(x) == MovError::kTimeout)
+            kernel_.dma().cancel(x.tid);
+    }
+    // Prefetch-fill events capture this device; drop them too.
+    for (const InFlightPtr &fl : in_flight_)
         if (!fl->prefetch_events.empty() || !fl->prefetch_tokens.empty())
             cancel_stream_prefetch(fl);
-        if (fl->tid == dma::kInvalidTransfer) continue;
-        if (kernel_.dma().discard_moderated(fl->tid)) {
-            // Completed but its moderated delivery was still held: the
-            // held callback captures this device, so drop it and return
-            // the descriptor lease ourselves.
-            kernel_.dma().reclaim(fl->tid);
-        } else if (!kernel_.dma().is_complete(fl->tid)) {
-            kernel_.dma().cancel(fl->tid);
-        }
-    }
     if (config_.race_policy == RacePolicy::kRecover ||
         config_.auto_migrate)
         proc_.as().set_young_fault_hook(nullptr);
@@ -205,6 +202,9 @@ MemifDevice::check_quiesced(std::string *why) const
     if (!pending_release_.empty())
         fail("pending-release list holds " +
              std::to_string(pending_release_.size()) + " record(s)");
+    if (!transfers_.empty())
+        fail(std::to_string(transfers_.size()) +
+             " transfer(s) still under supervision");
 
     auto &region = const_cast<SharedRegion &>(region_);
     if (!region.staging_queue().empty()) fail("staging queue not drained");
@@ -1458,7 +1458,7 @@ lower_rows(const RowWalk &w)
 
 sim::Task
 MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
-                           InFlightPtr *out, bool moderated)
+                           sim::Task *out, bool moderated)
 {
     // Awaiting the executor adds no event (a Task join is a symmetric
     // transfer), so the exit below runs in the same synchronous stretch
@@ -1483,7 +1483,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
 
 sim::Task
 MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
-                         InFlightPtr *out, bool moderated, Reject *rj)
+                         sim::Task *out, bool moderated, Reject *rj)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
@@ -1904,21 +1904,15 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     if (fl->chained) {
         // Chained multi-hop move: the migration PTEs are live and the
         // record registered; hand the copy to the chain master instead
-        // of one end-to-end DMA. The master keeps
-        // tid == kInvalidTransfer, so the drain / reap / watchdog
-        // machinery never claims it — each hop stage supervises
-        // itself. fl->sg keeps the logical old→new list for
-        // bookkeeping; the hops build their own per-batch lists. The
-        // caller's @p out stays unset: there is no single transfer for
-        // the kernel thread to poll on.
+        // of one end-to-end DMA. The master's own xfer is never
+        // started, so no drain or reap pass claims it — each hop stage
+        // runs its own supervisor. fl->sg keeps the logical old→new
+        // list for bookkeeping; the hops build their own per-batch
+        // lists. The caller's @p out stays empty: there is no single
+        // transfer for the kernel thread to poll on.
         fl->sg = std::move(sg);
         ++stats_.chained_migrations;
-        std::erase_if(chain_tasks_, [](const sim::Task &t) {
-            if (!t.done()) return false;
-            t.rethrow_if_failed();
-            return true;
-        });
-        chain_tasks_.push_back(run_chain(fl, chain_mid));
+        spawn(run_chain(fl, chain_mid));
         tr.record(kernel_.eq().now(), TracePoint::kDmaStart, ctx, idx);
         co_return;
     }
@@ -1982,7 +1976,6 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         issue_stream_prefetch(fl, 2);
         fl->next_prefetch_batch = 3;
     }
-    fl->irq_mode = irq_mode;
     fl->moderated = moderated && irq_mode && config_.irq_moderation;
     // The PaRAM has 512 entries (Table 2); with several instances (or a
     // deep pipeline) in flight, wait until enough descriptors retire.
@@ -2002,138 +1995,320 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         kernel_.dma().abandon(std::move(prepared));
         co_return;
     }
-    if (out) *out = fl;
-    trigger_dma(fl, std::move(prepared));
+    // The supervisor starts the chain before its first suspension, so
+    // this record marks the trigger's instant.
     tr.record(kernel_.eq().now(), TracePoint::kDmaStart, ctx, idx);
+    *out = supervise(fl,
+                     Supervision{.x = &fl->xfer,
+                                 .sg = &fl->sg,
+                                 .latch = &fl->aborted,
+                                 .ctx = irq_mode ? ExecContext::kIrq : ctx,
+                                 .polled = !irq_mode},
+                     &prepared);
 }
 
 // --------------------------------------------------------------------
-// DMA trigger + error recovery.
+// Transfer supervision + DMA error recovery.
 // --------------------------------------------------------------------
 
-void
-MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p)
-{
-    ++fl->dma_attempts;
-    // A (re)started transfer is supervised afresh: a drain pass must
-    // only skip transfers whose *current* attempt it retired.
-    fl->completion_claimed = false;
-    fl->dma_start_at = kernel_.eq().now();
-    // The TC scheduler: with multi-TC dispatch the chain goes to the
-    // controller that frees up first, so independent in-flight chains
-    // run in parallel instead of serialising behind this instance's
-    // assigned TC.
-    const unsigned tc =
-        config_.multi_tc_dispatch ? kernel_.dma().pick_tc() : tc_;
-    ++stats_.tc_dispatches[tc];
-    // SVA-routed stream: install the per-descriptor translation gate.
-    // The engine then consumes the chain one entry at a time, asking
-    // the gate before each copy; the weak capture keeps a retired
-    // record from being revived by a late engine step.
-    dma::XlateGate gate;
-    if (!fl->slots.empty()) {
-        std::weak_ptr<InFlight> weak = fl;
-        gate = [this, weak](dma::TransferId, std::uint32_t idx,
-                            dma::TransferDescriptor &d) {
-            InFlightPtr alive = weak.lock();
-            if (!alive) return dma::XlateVerdict{};
-            return sva_gate_check(alive, idx, d);
-        };
-    }
-    if (fl->irq_mode) {
-        // Retries bypass moderation: once the recovery ladder is
-        // involved, detection latency matters more than IRQ rate.
-        const bool moderated = fl->moderated && fl->dma_attempts == 1;
-        if (moderated) ++stats_.moderated_dispatches;
-        fl->tid = kernel_.dma().start(
-            std::move(p), /*irq_mode=*/true,
-            [this, fl](dma::TransferId) {
-                kernel_.spawn(on_dma_complete(fl));
-            },
-            tc, moderated, std::move(gate));
-        fl->predicted =
-            kernel_.dma().completion_time(fl->tid) - fl->dma_start_at;
-        arm_watchdog(fl);
-    } else {
-        // Polled mode: the kernel thread supervises the transfer itself
-        // (its timed wait doubles as the watchdog).
-        fl->tid = kernel_.dma().start(std::move(p), /*irq_mode=*/false,
-                                      nullptr, tc, /*moderated=*/false,
-                                      std::move(gate));
-        fl->predicted =
-            kernel_.dma().completion_time(fl->tid) - fl->dma_start_at;
-    }
-}
+namespace {
+
+/** Parks a supervisor on its transfer until settle() resumes it; yields
+ *  the waker. */
+template <class Transfer>
+struct Park {
+    Transfer &x;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept { x.parked = h; }
+    auto await_resume() const noexcept { return x.wake; }
+};
+
+}  // namespace
 
 void
-MemifDevice::arm_watchdog(const InFlightPtr &fl)
+MemifDevice::spawn(sim::Task t)
 {
-    const sim::SimTime now = kernel_.eq().now();
-    const sim::SimTime done = kernel_.dma().completion_time(fl->tid);
-    const sim::Duration remaining = done > now ? done - now : 0;
-    const auto padded = static_cast<sim::Duration>(
-        static_cast<double>(remaining) * config_.watchdog_margin);
-    const sim::SimTime deadline = now + padded + config_.watchdog_slack;
-    // The event must not keep the device or the record alive, and the
-    // normal completion path cancels it before it can run — a cancelled
-    // event neither executes nor advances virtual time, so supervision
-    // is free on the fault-less path.
-    std::weak_ptr<InFlight> weak = fl;
-    fl->watchdog_id = kernel_.eq().schedule_at(deadline, [this, weak] {
-        InFlightPtr alive = weak.lock();
-        if (!alive) return;
-        alive->watchdog_id = sim::EventQueue::kInvalidEvent;
-        kernel_.spawn(watchdog_expired(std::move(alive)));
+    std::erase_if(tasks_, [](const sim::Task &done) {
+        if (!done.done()) return false;
+        done.rethrow_if_failed();
+        return true;
     });
-}
-
-void
-MemifDevice::disarm_watchdog(const InFlightPtr &fl)
-{
-    if (fl->watchdog_id == sim::EventQueue::kInvalidEvent) return;
-    kernel_.eq().cancel(fl->watchdog_id);
-    fl->watchdog_id = sim::EventQueue::kInvalidEvent;
+    if (t.done())
+        t.rethrow_if_failed();
+    else if (!t.empty())
+        tasks_.push_back(std::move(t));
 }
 
 sim::Task
-MemifDevice::on_dma_complete(InFlightPtr fl)
+MemifDevice::supervise(InFlightPtr fl, Supervision s,
+                       dma::DmaDriver::Prepared *first)
 {
-    disarm_watchdog(fl);
-    if (fl->aborted || stopping_) co_return;
-    // Retired inside a sibling's drain pass (the claim happens before
-    // any suspension point, so this check is race-free in the DES).
-    if (fl->completion_claimed) co_return;
-    if (kernel_.dma().status(fl->tid) == dma::TransferStatus::kError) {
-        // CC error interrupt (EDMA3 EMR): recover. A translation-gate
-        // fault (SVA walk error) is distinguished from a TC bus error
-        // here, before any suspension — the engine purges the errored
-        // record later and the stale id would read as faultless.
-        const bool xfault = kernel_.dma().gate_faulted(fl->tid);
-        // Claim the flight BEFORE charging interrupt time: the engine
-        // purges the errored record during that suspension, after which
-        // a drain/reap pass querying the stale id would read a clean
-        // completion and release the request while the recovery ladder
-        // is still on its way to retry it.
-        fl->completion_claimed = true;
-        const sim::CostModel &cm = kernel_.costs();
-        ++stats_.dma_errors;
-        kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaError,
-                                ExecContext::kIrq, fl->req_idx);
-        co_await kernel_.cpu().busy(ExecContext::kIrq, Op::kSched,
-                                    cm.irq_overhead);
-        co_await handle_dma_failure(fl, ExecContext::kIrq,
-                                    xfault ? MovError::kXlateFault
-                                           : MovError::kDmaError);
-        wake_kthread();
-        co_return;
+    const sim::CostModel &cm = kernel_.costs();
+    dma::DmaDriver &drv = kernel_.dma();
+    sim::EventQueue &eq = kernel_.eq();
+    Transfer &x = *s.x;
+    // A hop belongs to no request of its own (the stage ledger follows
+    // the chain master's).
+    const std::uint32_t req =
+        fl->chained ? sim::TraceRecord::kNoTraceReq : fl->req_idx;
+    const auto trace = [&](TracePoint p) {
+        kernel_.tracer().record(eq.now(), p, s.ctx, req);
+    };
+    // A recovery episode in interrupt context ends by waking the worker:
+    // at the restarted attempt's start, or at exit.
+    bool irq_episode = false;
+    for (;;) {
+        // ---- Start an attempt. The caller programmed the first chain
+        // of a flight; retries and every hop attempt program it here.
+        dma::DmaDriver::Prepared p;
+        if (first) {
+            p = std::move(*std::exchange(first, nullptr));
+        } else {
+            co_await drv.reserve_descriptors(
+                static_cast<std::uint32_t>(s.sg->size()), s.latch,
+                &stopping_);
+            if (*s.latch || stopping_) break;
+            // A retried SVA stream re-validates every prefetched
+            // translation: the world may have moved while it was down.
+            if (!fl->slots.empty()) revalidate_stream(fl);
+            p = drv.prepare(*s.sg);
+            co_await kernel_.cpu().busy(s.ctx, Op::kDmaConfig, p.cpu_time);
+            if (*s.latch || stopping_) {
+                drv.abandon(std::move(p));
+                break;
+            }
+        }
+        ++x.attempts;
+        x.start_at = eq.now();
+        // The TC scheduler: with multi-TC dispatch the chain goes to the
+        // controller that frees up first, so independent in-flight
+        // chains run in parallel instead of serialising behind this
+        // instance's assigned TC.
+        const unsigned tc = config_.multi_tc_dispatch ? drv.pick_tc() : tc_;
+        ++stats_.tc_dispatches[tc];
+        if (fl->chained) {
+            ++stats_.hop_stages_issued;
+            if (++active_hop_stages_ > 1) ++stats_.hop_overlap_events;
+        }
+        // SVA-routed stream: install the per-descriptor translation
+        // gate. The engine then consumes the chain one entry at a time,
+        // asking the gate before each copy; the weak capture keeps a
+        // retired record from being revived by a late engine step. (A
+        // hop has no slots: chained moves are migrations.)
+        dma::XlateGate gate;
+        if (!fl->slots.empty()) {
+            std::weak_ptr<InFlight> weak = fl;
+            gate = [this, weak](dma::TransferId, std::uint32_t idx,
+                                dma::TransferDescriptor &d) {
+                InFlightPtr alive = weak.lock();
+                if (!alive) return dma::XlateVerdict{};
+                return sva_gate_check(alive, idx, d);
+            };
+        }
+        // Retries bypass moderation: once the recovery ladder is
+        // involved, detection latency matters more than IRQ rate.
+        const bool moderated = fl->moderated && x.attempts == 1;
+        if (moderated) ++stats_.moderated_dispatches;
+        dma::CompletionFn on_complete;
+        if (!s.polled)
+            on_complete = [this, px = &x](dma::TransferId) {
+                settle(*px, Wake::kIrq);
+            };
+        x.tid = drv.start(std::move(p), /*irq_mode=*/!s.polled,
+                          std::move(on_complete), tc, moderated,
+                          std::move(gate));
+        x.predicted = drv.completion_time(x.tid) - x.start_at;
+        transfers_.push_back(&x);
+        if (!s.polled) arm_deadline(x);
+        if (x.attempts > 1) trace(TracePoint::kDmaStart);
+        if (std::exchange(irq_episode, false)) wake_kthread();
+
+        // ---- Wait until exactly one waker settles it.
+        if (s.polled) trace(TracePoint::kPolledWait);
+        Wake w = Wake::kNone;
+        for (;;) {
+            if (s.polled) {
+                // §5.4: interrupt off, sleep until the predicted
+                // completion — in whole scheduler ticks, the worker
+                // cannot wake at an arbitrary instant (an overdue
+                // quote just yields).
+                const sim::SimTime done = drv.completion_time(x.tid);
+                const sim::Duration left =
+                    done > eq.now() ? done - eq.now() : 0;
+                const sim::Duration tick = cm.kthread_poll_interval;
+                co_await sim::Delay{eq, (left + tick - 1) / tick * tick};
+                w = Wake::kPoll;
+            } else {
+                w = co_await Park<Transfer>{x};
+            }
+            if (w == Wake::kClaimed) co_return;  // its settler retires it
+            if (*s.latch || stopping_ || w == Wake::kIrq) break;
+            // Gate stalls (SVA demand walks, late prefetches) push a
+            // gated stream's completion past the quote its wait was
+            // armed from: it is progressing, not stuck, so follow the
+            // new quote. Other transfers never move their completion
+            // time, and a hung one never advances it past its quote.
+            if (fl->slots.empty() || drv.is_complete(x.tid) ||
+                drv.completion_time(x.tid) <= eq.now())
+                break;
+            if (!s.polled) arm_deadline(x);
+        }
+        bool held = false;
+        const MovError o = claim_transfer(x, &held);
+        if (fl->chained) --active_hop_stages_;
+        if (*s.latch || stopping_) {
+            if (o == MovError::kTimeout) drv.cancel(x.tid);
+            break;
+        }
+        // A timeout is a hung chain, or a completion whose interrupt was
+        // lost — not one merely held by moderation.
+        if (o == MovError::kTimeout || (w == Wake::kDeadline && !held))
+            ++stats_.watchdog_timeouts;
+        if (o == MovError::kTimeout || w == Wake::kDeadline)
+            trace(TracePoint::kWatchdogFire);
+        if (o == MovError::kNone) {
+            trace(TracePoint::kDmaComplete);
+        } else if (o != MovError::kTimeout) {
+            ++stats_.dma_errors;
+            trace(TracePoint::kDmaError);
+        }
+
+        // ---- A clean flight completion retires here.
+        if (o == MovError::kNone && !fl->chained) {
+            if (s.polled) {
+                ++stats_.polled_completions;
+                observe_completion(fl);
+                co_await do_release(fl, s.ctx);
+            } else {
+                // Only an interrupt sweeps siblings; a deadline that
+                // found its transfer complete pays the one IRQ entry
+                // for it alone.
+                co_await retire_irq(
+                    fl, w == Wake::kIrq && config_.completion_drain);
+            }
+            co_return;
+        }
+        // The wake's one IRQ entry (a clean flight's is retire_irq's); a
+        // hung chain is cancelled once it is paid.
+        if (!s.polled) {
+            co_await kernel_.cpu().busy(s.ctx, Op::kSched, cm.irq_overhead);
+            irq_episode = s.ctx == ExecContext::kIrq;
+        }
+        if (o == MovError::kTimeout) drv.cancel(x.tid);
+        if (o == MovError::kNone) {  // a hop landed
+            ++stats_.hop_stages_completed;
+            *s.landed = true;
+            co_return;
+        }
+        if (*s.latch || stopping_) break;
+
+        // ---- The ladder: retry with backoff, then CPU replay, then
+        // fail. Only the failed transfer is redone — a chain's earlier
+        // hops are already safe in staging/new frames.
+        if (x.attempts <= config_.dma_max_retries) {
+            ++stats_.dma_retries;
+            if (fl->chained) ++stats_.hop_retries;
+            trace(TracePoint::kDmaRetry);
+            co_await sim::Delay{
+                eq, config_.dma_retry_backoff << (x.attempts - 1)};
+            if (*s.latch || stopping_) break;
+            continue;
+        }
+        if (config_.cpu_copy_fallback) {
+            ++stats_.fallback_copies;
+            trace(TracePoint::kFallbackCopy);
+            co_await fallback_copy(fl, s.sg, s.ctx);
+            if (fl->chained) {
+                ++stats_.hop_fallback_copies;
+                ++stats_.hop_stages_completed;
+                *s.landed = true;
+            } else if (flight_prevents(*fl) && fl->op == MovOp::kMigrate &&
+                       s.ctx == ExecContext::kIrq) {
+                // Release needs sleepable locks under race prevention.
+                pending_release_.push_back(fl);
+                wake_kthread();
+            } else {
+                co_await do_release(fl, s.ctx);
+            }
+        } else if (!fl->chained) {
+            // A dry hop fails its chain instead: the batch latches it
+            // and the master rolls the whole remap back.
+            fail_unrecoverable(fl, s.ctx, o);
+        }
+        break;
     }
-    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaComplete,
-                            ExecContext::kIrq, fl->req_idx);
-    if (config_.completion_drain) {
-        co_await drain_completions(std::move(fl));
-        co_return;
+    if (irq_episode) wake_kthread();
+}
+
+void
+MemifDevice::arm_deadline(Transfer &x)
+{
+    const sim::SimTime now = kernel_.eq().now();
+    const sim::SimTime done = kernel_.dma().completion_time(x.tid);
+    const sim::Duration remaining = done > now ? done - now : 0;
+    const auto padded = static_cast<sim::Duration>(
+        static_cast<double>(remaining) * config_.watchdog_margin);
+    // Every other waker cancels the event when it takes the transfer —
+    // a cancelled event neither executes nor advances virtual time, so
+    // supervision is free on the fault-less path — and teardown
+    // cancels what is left, so the capture cannot outlive @p x.
+    x.deadline = kernel_.eq().schedule_at(
+        now + padded + config_.watchdog_slack, [this, px = &x] {
+            px->deadline = sim::EventQueue::kInvalidEvent;
+            settle(*px, Wake::kDeadline);
+        });
+}
+
+void
+MemifDevice::settle(Transfer &x, Wake w)
+{
+    if (!x.parked) return;
+    x.wake = w;
+    // Resume inline, at the waker's own event position: a wake adds no
+    // event. @p x may be gone once the supervisor suspends again.
+    std::exchange(x.parked, {}).resume();
+}
+
+MovError
+MemifDevice::claim_transfer(Transfer &x, bool *held)
+{
+    dma::DmaDriver &drv = kernel_.dma();
+    if (x.deadline != sim::EventQueue::kInvalidEvent) {
+        kernel_.eq().cancel(x.deadline);
+        x.deadline = sim::EventQueue::kInvalidEvent;
     }
-    co_await irq_complete(fl);
+    std::erase(transfers_, &x);
+    if (!drv.is_complete(x.tid)) return MovError::kTimeout;  // hung
+    // Drop a delivery moderation still holds, so it cannot dispatch a
+    // second time, and return the lease an undelivered callback would
+    // have (a no-op when it ran). The status is read now: the engine
+    // may purge the record at any later suspension, and a purged id
+    // reads as a clean completion.
+    const bool was_held = drv.discard_moderated(x.tid);
+    if (held) *held = was_held;
+    drv.reclaim(x.tid);
+    if (drv.status(x.tid) != dma::TransferStatus::kError)
+        return MovError::kNone;
+    return drv.gate_faulted(x.tid) ? MovError::kXlateFault
+                                   : MovError::kDmaError;
+}
+
+void
+MemifDevice::claim_completed(std::vector<InFlightPtr> &batch,
+                             bool moderated_only)
+{
+    const dma::DmaDriver &drv = kernel_.dma();
+    for (const InFlightPtr &fl : in_flight_) {
+        Transfer &x = fl->xfer;
+        if (!x.parked || (moderated_only && !fl->moderated)) continue;
+        // Errors take their own path: the supervisor's error interrupt.
+        if (!drv.is_complete(x.tid) ||
+            drv.status(x.tid) != dma::TransferStatus::kOk)
+            continue;
+        claim_transfer(x);
+        settle(x, Wake::kClaimed);
+        batch.push_back(fl);
+    }
 }
 
 void
@@ -2141,48 +2316,21 @@ MemifDevice::observe_completion(const InFlightPtr &fl)
 {
     // Only clean first attempts teach the controller: a retry's span
     // covers backoff and watchdog slack, not DMA service time.
-    if (!config_.adaptive_polling || fl->dma_attempts != 1) return;
-    completion_ctl_.observe(fl->total_bytes, fl->predicted,
-                            kernel_.eq().now() - fl->dma_start_at);
+    if (!config_.adaptive_polling || fl->xfer.attempts != 1) return;
+    completion_ctl_.observe(fl->total_bytes, fl->xfer.predicted,
+                            kernel_.eq().now() - fl->xfer.start_at);
 }
 
 sim::Task
-MemifDevice::drain_completions(InFlightPtr first)
+MemifDevice::retire_irq(InFlightPtr first, bool sweep)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
-    // Claim-and-collect. This runs synchronously — coroutines start
-    // eagerly and the first co_await is below — so when a coalesced IRQ
-    // fans out into N handler tasks, the first one claims every
-    // completed transfer before the others get to their claimed-check.
-    std::vector<InFlightPtr> batch;
-    first->completion_claimed = true;
-    batch.push_back(first);
-    for (const InFlightPtr &fl : in_flight_) {
-        if (fl == first || fl->completion_claimed || fl->aborted ||
-            !fl->irq_mode)
-            continue;
-        if (fl->tid == dma::kInvalidTransfer ||
-            !kernel_.dma().is_complete(fl->tid))
-            continue;
-        if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kOk)
-            continue;  // errors take their own recovery path
-        if (region_.request(fl->req_idx).load_status() !=
-            MovStatus::kInFlight)
-            continue;
-        fl->completion_claimed = true;
-        // A claimed sibling whose delivery is still held on another
-        // TC's timer must not cost a second (empty) IRQ when that
-        // timer fires; drop the delivery and return its lease. The
-        // reclaim is unconditional: if the sibling's interrupt was
-        // lost (not merely held), no callback will ever return the
-        // lease for us — and if the callback already ran, the lease
-        // is back in the cache and reclaim is a no-op.
-        kernel_.dma().discard_moderated(fl->tid);
-        kernel_.dma().reclaim(fl->tid);
-        disarm_watchdog(fl);
-        batch.push_back(fl);
-    }
+    std::vector<InFlightPtr> batch{first};
+    // The sweep runs before the first suspension, so when a coalesced
+    // IRQ fans out into several callbacks, the first takes every
+    // completed sibling while it is still parked.
+    if (sweep) claim_completed(batch, /*moderated_only=*/false);
     stats_.irq_completions += batch.size();
     if (batch.size() > 1) {
         ++stats_.completion_drains;
@@ -2190,14 +2338,18 @@ MemifDevice::drain_completions(InFlightPtr first)
     }
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kIrqEnter,
                             ExecContext::kIrq, first->req_idx);
+    // A lone handler samples the controller at entry, a drain pass
+    // once the entry is paid.
+    const bool drain = config_.completion_drain;
+    if (!drain) observe_completion(first);
     // One IRQ entry for the whole batch — that is the drain's point.
     co_await cpu.busy(ExecContext::kIrq, Op::kSched, cm.irq_overhead);
     for (const InFlightPtr &fl : batch) {
-        observe_completion(fl);
+        if (drain) observe_completion(fl);
         if (flight_prevents(*fl) && fl->op == MovOp::kMigrate) {
-            // Release needs sleepable locks under race prevention; the
-            // kernel thread drains these in one pass with a shared
-            // ranged shootdown.
+            // Release needs sleepable locks under race prevention —
+            // forbidden here. The kernel thread drains these in one
+            // pass with a shared ranged shootdown.
             pending_release_.push_back(fl);
         } else {
             co_await do_release(fl, ExecContext::kIrq);
@@ -2209,49 +2361,20 @@ MemifDevice::drain_completions(InFlightPtr first)
 }
 
 sim::Task
-MemifDevice::reap_moderated()
+MemifDevice::release_batch(std::vector<InFlightPtr> batch, bool reaped)
 {
-    // NAPI-style reaping: a running kernel thread retires completed
-    // moderated transfers directly from the flight table, discarding
-    // the held completion interrupt before it ever fires. The IRQ path
-    // (and its wakeup) is then only paid as a backstop when the thread
-    // was asleep at delivery time.
-    std::vector<InFlightPtr> batch;
-    for (const InFlightPtr &fl : in_flight_) {
-        if (!fl->moderated || !fl->irq_mode || fl->completion_claimed ||
-            fl->aborted)
-            continue;
-        if (fl->tid == dma::kInvalidTransfer ||
-            !kernel_.dma().is_complete(fl->tid))
-            continue;
-        if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kOk)
-            continue;  // errors raise an unmoderated IRQ; not ours
-        if (region_.request(fl->req_idx).load_status() !=
-            MovStatus::kInFlight)
-            continue;
-        fl->completion_claimed = true;
-        // The discarded callback was what returned the descriptor
-        // lease; reclaim it ourselves (as the watchdog path does).
-        kernel_.dma().discard_moderated(fl->tid);
-        kernel_.dma().reclaim(fl->tid);
-        disarm_watchdog(fl);
-        batch.push_back(fl);
-    }
-    // One flight-table peek per pass, however many transfers it nets.
-    kernel_.cpu().charge(ExecContext::kKthread, Op::kQueue,
-                         kernel_.costs().queue_op);
-    if (batch.empty()) co_return;
-    stats_.reaped_completions += batch.size();
     if (batch.size() > 1) {
         ++stats_.completion_drains;
         stats_.drained_requests += batch.size() - 1;
     }
     FlushPlan plan;
     for (const InFlightPtr &fl : batch) {
-        kernel_.tracer().record(kernel_.eq().now(),
-                                TracePoint::kDmaComplete,
-                                ExecContext::kKthread, fl->req_idx);
-        observe_completion(fl);
+        if (reaped) {
+            kernel_.tracer().record(kernel_.eq().now(),
+                                    TracePoint::kDmaComplete,
+                                    ExecContext::kKthread, fl->req_idx);
+            observe_completion(fl);
+        }
         co_await do_release(fl, ExecContext::kKthread, &plan);
     }
     if (!plan.empty()) {
@@ -2260,8 +2383,8 @@ MemifDevice::reap_moderated()
         co_await kernel_.cpu().busy(ExecContext::kKthread, Op::kRelease,
                                     flush_cost);
     }
-    // The shared shootdown above invalidated the just-released regions'
-    // entries; re-record them now that the flushes are done.
+    // The shared shootdown invalidated the batch's cache entries;
+    // re-record them now that the flushes are issued.
     if (config_.batched_tlb_shootdown) {
         for (const InFlightPtr &fl : batch)
             if (flight_prevents(*fl) && fl->op == MovOp::kMigrate &&
@@ -2271,135 +2394,11 @@ MemifDevice::reap_moderated()
 }
 
 sim::Task
-MemifDevice::watchdog_expired(InFlightPtr fl)
+MemifDevice::fallback_copy(InFlightPtr fl,
+                           const std::vector<dma::SgEntry> *sg,
+                           ExecContext ctx)
 {
-    if (fl->aborted || stopping_) co_return;
-    if (region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
-        co_return;  // already resolved by some other path
-    // Gate stalls (SVA demand walks, late prefetches) push a stepped
-    // chain's completion later than the quote the deadline was armed
-    // from. A transfer whose predicted completion still lies ahead is
-    // progressing, not stuck: follow the new quote instead of firing.
-    // Non-gated transfers never move their completion time, so this
-    // re-arm is unreachable for them. A genuinely stuck transfer never
-    // advances completes_at past its original quote, so the margin-
-    // scaled deadline still catches it.
-    if (!fl->slots.empty() && fl->tid != dma::kInvalidTransfer &&
-        !kernel_.dma().is_complete(fl->tid) &&
-        kernel_.dma().completion_time(fl->tid) > kernel_.eq().now()) {
-        arm_watchdog(fl);
-        co_return;
-    }
-    const sim::CostModel &cm = kernel_.costs();
-    ++stats_.watchdog_timeouts;
-    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kWatchdogFire,
-                            ExecContext::kIrq, fl->req_idx);
-    co_await kernel_.cpu().busy(ExecContext::kIrq, Op::kSched,
-                                cm.irq_overhead);
-    // Re-validate after the suspension: while this handler was charging
-    // interrupt time, a moderated flush, drain pass, or kthread reap
-    // may have claimed the completion and resolved the request.
-    if (fl->aborted || stopping_ || fl->completion_claimed ||
-        region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
-        co_return;
-
-    if (kernel_.dma().is_complete(fl->tid)) {
-        // The transfer finished but its completion interrupt was lost —
-        // or (with a holdoff longer than the watchdog slack) is still
-        // held by moderation. Either way this handler dispatches the
-        // completion itself: drop any held delivery so the moderation
-        // flush cannot dispatch it a second time, reclaim the
-        // descriptor chain, then proceed as usual.
-        kernel_.dma().discard_moderated(fl->tid);
-        const dma::TransferStatus st = kernel_.dma().status(fl->tid);
-        kernel_.dma().reclaim(fl->tid);
-        if (st == dma::TransferStatus::kError) {
-            ++stats_.dma_errors;
-            kernel_.tracer().record(kernel_.eq().now(),
-                                    TracePoint::kDmaError,
-                                    ExecContext::kIrq, fl->req_idx);
-            co_await handle_dma_failure(fl, ExecContext::kIrq,
-                                        MovError::kDmaError);
-            wake_kthread();
-        } else {
-            kernel_.tracer().record(kernel_.eq().now(),
-                                    TracePoint::kDmaComplete,
-                                    ExecContext::kIrq, fl->req_idx);
-            co_await irq_complete(fl);
-        }
-        co_return;
-    }
-    // Genuinely stuck: drop the hung transfer and recover.
-    kernel_.dma().cancel(fl->tid);
-    co_await handle_dma_failure(fl, ExecContext::kIrq, MovError::kTimeout);
-    wake_kthread();
-}
-
-sim::Task
-MemifDevice::handle_dma_failure(InFlightPtr fl, ExecContext ctx,
-                                MovError reason)
-{
-    if (fl->aborted) co_return;
-    // The recovery ladder owns this flight until trigger_dma starts the
-    // next attempt (which resets the claim). Without this, a drain or
-    // reap pass scanning the flight table during the retry backoff can
-    // mistake the dead transfer for a successful one — once the engine
-    // purges the failed flight's record, is_complete()/status() on the
-    // stale id report a clean completion — and release the request a
-    // second time.
-    fl->completion_claimed = true;
-    if (fl->dma_attempts <= config_.dma_max_retries) {
-        ++stats_.dma_retries;
-        kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaRetry,
-                                ctx, fl->req_idx);
-        const sim::Duration backoff = config_.dma_retry_backoff
-                                      << (fl->dma_attempts - 1);
-        co_await sim::Delay{kernel_.eq(), backoff};
-        if (fl->aborted || stopping_) co_return;
-        co_await restart_dma(fl, ctx);
-        co_return;
-    }
-    if (config_.cpu_copy_fallback) {
-        co_await fallback_copy(fl, ctx);
-        co_return;
-    }
-    fail_unrecoverable(fl, ctx, reason);
-}
-
-sim::Task
-MemifDevice::restart_dma(InFlightPtr fl, ExecContext ctx)
-{
-    co_await kernel_.dma().reserve_descriptors(
-        static_cast<std::uint32_t>(fl->sg.size()), &fl->aborted,
-        &stopping_);
-    if (fl->aborted || stopping_) co_return;
-    // Another path may have resolved the request while the retry was
-    // backing off (it is no longer kInFlight then); restarting DMA for
-    // it would leak the new chain and double-release the pages.
-    if (region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
-        co_return;
-    // A retried SVA stream re-validates every prefetched translation:
-    // the world may have moved while the chain was down.
-    if (!fl->slots.empty()) revalidate_stream(fl);
-    dma::DmaDriver::Prepared p = kernel_.dma().prepare(fl->sg);
-    co_await kernel_.cpu().busy(ctx, Op::kDmaConfig, p.cpu_time);
-    if (fl->aborted || stopping_) {
-        kernel_.dma().abandon(std::move(p));
-        co_return;
-    }
-    trigger_dma(fl, std::move(p));
-    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaStart, ctx,
-                            fl->req_idx);
-}
-
-sim::Task
-MemifDevice::fallback_copy(InFlightPtr fl, ExecContext ctx)
-{
-    const sim::CostModel &cm = kernel_.costs();
     mem::PhysicalMemory &pm = kernel_.phys();
-    ++stats_.fallback_copies;
-    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kFallbackCopy,
-                            ctx, fl->req_idx);
     // The CPU replays the scatter-gather list byte-for-byte; correct
     // but slow — this is the graceful-degradation floor. An SVA
     // stream's list may hold translations from before the failure;
@@ -2409,7 +2408,9 @@ MemifDevice::fallback_copy(InFlightPtr fl, ExecContext ctx)
         const std::uint64_t off = pa & (mem::kPageSize - 1);
         return pm.span(pa >> mem::kPageShift, off + bytes) + off;
     };
-    for (const dma::SgEntry &e : fl->sg) {
+    std::uint64_t bytes = 0;
+    for (const dma::SgEntry &e : *sg) {
+        bytes += e.total_bytes();
         if (!e.strided() && e.src_addr % mem::kPageSize == 0 &&
             e.dst_addr % mem::kPageSize == 0) {
             pm.copy(e.dst_addr >> mem::kPageShift,
@@ -2425,16 +2426,7 @@ MemifDevice::fallback_copy(InFlightPtr fl, ExecContext ctx)
                         e.bytes);
     }
     co_await kernel_.cpu().busy(ctx, Op::kCopy,
-                                cm.cpu_copy_time(fl->total_bytes));
-    if (flight_prevents(*fl) && fl->op == MovOp::kMigrate &&
-        ctx == ExecContext::kIrq) {
-        // Same constraint as irq_complete: Release needs sleepable
-        // locks under race prevention.
-        pending_release_.push_back(fl);
-        wake_kthread();
-        co_return;
-    }
-    co_await do_release(fl, ctx);
+                                kernel_.costs().cpu_copy_time(bytes));
 }
 
 void
@@ -2621,37 +2613,6 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
 }
 
 // --------------------------------------------------------------------
-// Interrupt path (§5.4).
-// --------------------------------------------------------------------
-
-sim::Task
-MemifDevice::irq_complete(InFlightPtr fl)
-{
-    const sim::CostModel &cm = kernel_.costs();
-    sim::Cpu &cpu = kernel_.cpu();
-    // Take ownership before the first suspension so a concurrent drain
-    // or kthread reap pass cannot dispatch this completion a second
-    // time (the watchdog's lost-IRQ branch arrives here with the
-    // transfer still unclaimed).
-    fl->completion_claimed = true;
-    ++stats_.irq_completions;
-    observe_completion(fl);
-    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kIrqEnter,
-                            ExecContext::kIrq, fl->req_idx);
-    co_await cpu.busy(ExecContext::kIrq, Op::kSched, cm.irq_overhead);
-
-    if (flight_prevents(*fl) && fl->op == MovOp::kMigrate) {
-        // Modifying the address space under race prevention needs
-        // sleepable locks — forbidden here. Defer to the kernel thread.
-        pending_release_.push_back(fl);
-    } else {
-        co_await do_release(fl, ExecContext::kIrq);
-    }
-    cpu.charge(ExecContext::kIrq, Op::kSched, cm.kthread_wakeup);
-    wake_kthread();
-}
-
-// --------------------------------------------------------------------
 // Kernel-thread path (§5.4).
 // --------------------------------------------------------------------
 
@@ -2677,7 +2638,7 @@ MemifDevice::kthread_loop()
     sim::Cpu &cpu = k.cpu();
     // With reaping active the thread masks the moderated completion
     // IRQ for as long as it is awake (NAPI): held completions are
-    // retired by reap_moderated() below, and the coalesced IRQ is only
+    // reaped at the top of the loop, and the coalesced IRQ is only
     // paid as a wakeup backstop when a completion lands while the
     // thread sleeps.
     const bool reaping =
@@ -2697,37 +2658,25 @@ MemifDevice::kthread_loop()
         }
 
         // Moderated completions whose held IRQ has not fired yet are
-        // retired inline while the worker is running anyway.
-        if (reaping && !in_flight_.empty()) co_await reap_moderated();
+        // reaped while the worker is running anyway.
+        if (reaping && !in_flight_.empty()) {
+            std::vector<InFlightPtr> reaped;
+            claim_completed(reaped, /*moderated_only=*/true);
+            // One flight-table peek per pass, however much it nets.
+            cpu.charge(ExecContext::kKthread, Op::kQueue, cm.queue_op);
+            if (!reaped.empty()) {
+                stats_.reaped_completions += reaped.size();
+                co_await release_batch(std::move(reaped), /*reaped=*/true);
+            }
+        }
 
         // Releases the interrupt handler deferred (kPrevent only).
         if (!pending_release_.empty()) {
             if (config_.completion_drain) {
                 // Drain every deferred release in one pass, sharing a
                 // single batched ranged shootdown across requests.
-                std::vector<InFlightPtr> batch;
-                batch.swap(pending_release_);
-                FlushPlan plan;
-                for (const InFlightPtr &fl : batch)
-                    co_await do_release(fl, ExecContext::kKthread, &plan);
-                if (!plan.empty()) {
-                    sim::Duration flush_cost = 0;
-                    issue_flush_plan(plan, flush_cost);
-                    co_await cpu.busy(ExecContext::kKthread, Op::kRelease,
-                                      flush_cost);
-                }
-                // The shared shootdown invalidated the batch's cache
-                // entries; re-record now that the flushes are issued.
-                if (config_.batched_tlb_shootdown) {
-                    for (const InFlightPtr &fl : batch)
-                        if (flight_prevents(*fl) &&
-                            fl->op == MovOp::kMigrate && !fl->aborted)
-                            xlate_writethrough(fl, ExecContext::kKthread);
-                }
-                if (batch.size() > 1) {
-                    ++stats_.completion_drains;
-                    stats_.drained_requests += batch.size() - 1;
-                }
+                co_await release_batch(std::exchange(pending_release_, {}),
+                                       /*reaped=*/false);
                 continue;
             }
             InFlightPtr fl = pending_release_.front();
@@ -2791,82 +2740,18 @@ MemifDevice::kthread_loop()
                            : CompletionMode::kInterrupt;
             }
             const bool polled = mode == CompletionMode::kPolled;
-            InFlightPtr fl;
+            sim::Task supervisor;
             co_await serve_request(next, ExecContext::kKthread,
-                                   /*irq_mode=*/!polled, &fl,
+                                   /*irq_mode=*/!polled, &supervisor,
                                    mode == CompletionMode::kModerated);
-            if (polled && fl) {
-                // §5.4: small request — interrupt off, sleep until the
-                // predicted completion, then Release/Notify here. The
-                // timed wait doubles as the watchdog: waking with the
-                // transfer still incomplete means it is stuck, and the
-                // loop runs the recovery ladder until the request
-                // reaches a terminal status.
-                k.tracer().record(k.eq().now(), TracePoint::kPolledWait,
-                                  ExecContext::kKthread, fl->req_idx);
-                while (!fl->aborted &&
-                       region_.request(fl->req_idx).load_status() ==
-                           MovStatus::kInFlight) {
-                    const sim::SimTime done =
-                        k.dma().completion_time(fl->tid);
-                    const sim::SimTime now = k.eq().now();
-                    if (done > now) {
-                        // Sleep in whole scheduler ticks: the worker
-                        // cannot wake at an arbitrary instant (§5.4
-                        // "sleeps shortly").
-                        const sim::Duration tick = cm.kthread_poll_interval;
-                        const sim::Duration wait =
-                            (done - now + tick - 1) / tick * tick;
-                        co_await sim::Delay{k.eq(), wait};
-                    } else {
-                        co_await sim::Yield{k.eq()};
-                    }
-                    if (fl->aborted) break;
-                    if (!fl->slots.empty() &&
-                        !k.dma().is_complete(fl->tid) &&
-                        k.dma().completion_time(fl->tid) > k.eq().now()) {
-                        // Gate stalls pushed an SVA stream's completion
-                        // out past the quote this wait slept on; it is
-                        // progressing, not stuck — sleep to the new
-                        // quote. (Stuck transfers never advance it.)
-                        continue;
-                    }
-                    if (!k.dma().is_complete(fl->tid)) {
-                        // Stuck: the predicted completion time passed
-                        // with the transfer still running.
-                        ++stats_.watchdog_timeouts;
-                        k.tracer().record(k.eq().now(),
-                                          TracePoint::kWatchdogFire,
-                                          ExecContext::kKthread,
-                                          fl->req_idx);
-                        k.dma().cancel(fl->tid);
-                        co_await handle_dma_failure(
-                            fl, ExecContext::kKthread, MovError::kTimeout);
-                        continue;
-                    }
-                    if (k.dma().status(fl->tid) ==
-                        dma::TransferStatus::kError) {
-                        const bool xfault =
-                            k.dma().gate_faulted(fl->tid);
-                        ++stats_.dma_errors;
-                        k.tracer().record(k.eq().now(),
-                                          TracePoint::kDmaError,
-                                          ExecContext::kKthread,
-                                          fl->req_idx);
-                        co_await handle_dma_failure(
-                            fl, ExecContext::kKthread,
-                            xfault ? MovError::kXlateFault
-                                   : MovError::kDmaError);
-                        continue;
-                    }
-                    k.tracer().record(k.eq().now(),
-                                      TracePoint::kDmaComplete,
-                                      ExecContext::kKthread, fl->req_idx);
-                    ++stats_.polled_completions;
-                    observe_completion(fl);
-                    co_await do_release(fl, ExecContext::kKthread);
-                }
-            }
+            // §5.4: a small request's supervisor is this thread — it
+            // sleeps for the predicted completion and performs
+            // Release/Notify itself — while a large one's runs on
+            // interrupts and this thread moves on.
+            if (polled && !supervisor.empty())
+                co_await supervisor;
+            else
+                spawn(std::move(supervisor));
             continue;
         }
 
@@ -2878,10 +2763,9 @@ MemifDevice::kthread_loop()
             sim::SimTime earliest = 0;
             bool have = false;
             for (const InFlightPtr &fl : in_flight_) {
-                if (!fl->moderated || fl->completion_claimed ||
-                    fl->aborted || fl->tid == dma::kInvalidTransfer)
-                    continue;
-                const sim::SimTime done = k.dma().completion_time(fl->tid);
+                if (!fl->moderated || !fl->xfer.parked) continue;
+                const sim::SimTime done =
+                    k.dma().completion_time(fl->xfer.tid);
                 if (done > k.eq().now() && (!have || done < earliest)) {
                     earliest = done;
                     have = true;
@@ -2922,8 +2806,6 @@ MemifDevice::kthread_loop()
         }
         k.tracer().record(k.eq().now(), TracePoint::kKthreadSleep,
                           ExecContext::kKthread);
-        // Housekeeping before sleeping: drop finished-transfer records.
-        kernel_.dma_engine().purge_finished();
         // Re-enable the moderated IRQ across the sleep — it is the
         // wakeup mechanism while nobody is reaping.
         if (kthread_masked_) {
@@ -2972,13 +2854,14 @@ MemifDevice::ioctl_mov_one()
     }
     // Serve exactly one request in the caller's context, interrupt-
     // driven, and return as soon as the DMA is started.
-    InFlightPtr fl;
+    sim::Task supervisor;
     co_await serve_request(next, ExecContext::kSyscall,
-                           /*irq_mode=*/true, &fl,
+                           /*irq_mode=*/true, &supervisor,
                            /*moderated=*/config_.irq_moderation);
     // If no transfer started (validation/resource failure), there is no
     // completion interrupt coming: hand the rest to the worker now.
-    if (!fl) wake_kthread();
+    if (supervisor.empty()) wake_kthread();
+    spawn(std::move(supervisor));
 }
 
 // --------------------------------------------------------------------
@@ -3007,8 +2890,8 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
             }
         }
         if (!hit) continue;
-        if (fl->tid != dma::kInvalidTransfer &&
-            kernel_.dma().is_complete(fl->tid))
+        if (fl->xfer.tid != dma::kInvalidTransfer &&
+            kernel_.dma().is_complete(fl->xfer.tid))
             return false;  // data already landed; default path is safe
         abort_migration(fl);
         return true;
@@ -3023,16 +2906,17 @@ MemifDevice::abort_migration(const InFlightPtr &fl)
     // every old mapping, release the new pages, and notify the
     // application of the abort. Runs synchronously in the faulting
     // thread's context.
-    if (fl->tid != dma::kInvalidTransfer) {
-        disarm_watchdog(fl);
-        kernel_.dma().cancel(fl->tid);
-    }
+    if (fl->xfer.tid != dma::kInvalidTransfer)
+        kernel_.dma().cancel(fl->xfer.tid);
     rollback_remap(fl, ExecContext::kSyscall);
     fl->aborted = true;
     ++stats_.migrations_aborted;
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kAborted,
                             ExecContext::kSyscall, fl->req_idx);
     notify(fl->req_idx, MovStatus::kAborted, MovError::kAborted);
+    // A parked supervisor learns of the rollback now and takes its
+    // cancelled transfer back; a running one at its next latch check.
+    settle(fl->xfer, Wake::kAborted);
     remove_in_flight(fl);
 }
 

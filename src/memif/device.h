@@ -30,19 +30,25 @@
  *  - kPrevent: the Linux-style migration PTE; accessors block, Release
  *    must run in the kernel thread (never in the interrupt handler).
  *
- * DMA error recovery: every interrupt-mode transfer is supervised by a
- * watchdog armed at its predicted duration × watchdog_margin (+ slack);
- * polled transfers are supervised inline by the kernel thread's wait.
- * A TC bus error or a watchdog expiry first retries the transfer (up to
- * dma_max_retries, exponential backoff), then degrades to a CPU
- * byte-copy of the scatter-gather list, and — only if the fallback is
- * disabled — rolls a migration back to its old frames (extending the
- * §5.2 abort machinery) and fails the request with kDmaError/kTimeout.
- * Error completions move no bytes, so destinations are all-or-nothing.
+ * DMA error recovery: every started transfer — an interrupt-driven
+ * flight, a polled flight, or one hop of a chained move — is owned by
+ * one supervisor coroutine from its start until it settles. The
+ * supervisor parks until exactly one waker settles it: the completion
+ * interrupt, the deadline (predicted duration × watchdog_margin +
+ * slack), a drain or reap pass, or (polled) its own tick sleep. Only a
+ * parked supervisor can be settled, and the settler owns the transfer
+ * from that synchronous point on. A TC bus error or a timeout first
+ * retries the transfer (up to dma_max_retries, exponential backoff),
+ * then degrades to a CPU byte-copy of the scatter-gather list, and —
+ * only if the fallback is disabled — rolls a migration back to its old
+ * frames (extending the §5.2 abort machinery) and fails the request
+ * with kDmaError/kTimeout. Error completions move no bytes, so
+ * destinations are all-or-nothing.
  */
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -819,6 +825,30 @@ class MemifDevice {
         std::uint64_t file_page = 0;
     };
 
+    /** What settled a parked supervisor. */
+    enum class Wake : std::uint8_t {
+        kNone = 0,
+        kIrq,       ///< the transfer's completion (or error) interrupt
+        kDeadline,  ///< its supervision deadline expired
+        kPoll,      ///< polled: the worker's own tick sleep ended
+        kClaimed,   ///< a drain or reap pass retired it
+        kAborted,   ///< young-fault rollback (kRecover)
+    };
+
+    /** One started transfer under supervision: a flight's own
+     *  (InFlight::xfer) or one chain hop's. */
+    struct Transfer {
+        dma::TransferId tid = dma::kInvalidTransfer;
+        std::uint32_t attempts = 0;   ///< starts so far (1 = first)
+        sim::SimTime start_at = 0;    ///< trigger time of the attempt
+        sim::Duration predicted = 0;  ///< engine quote for the attempt
+        sim::EventQueue::EventId deadline = sim::EventQueue::kInvalidEvent;
+        /** The supervisor while it is parked, null while it runs. Only
+         *  a parked supervisor can be settled; settle() clears this. */
+        std::coroutine_handle<> parked;
+        Wake wake = Wake::kNone;  ///< who settled it last
+    };
+
     /** Per-page state of one request being served. */
     struct InFlight {
         std::uint32_t req_idx = 0;
@@ -841,22 +871,14 @@ class MemifDevice {
         /** Migration: page-cache reference per page (backing == nullptr
          *  for anonymous pages). */
         std::vector<CacheRef> cache_refs;
-        dma::TransferId tid = dma::kInvalidTransfer;
+        /** The flight's transfer (never started on a chain master). */
+        Transfer xfer;
         bool aborted = false;            ///< recover-mode rollback done
         /** Depositing CPU (per-CPU rings: the flight-table shard). */
         std::uint32_t submit_cpu = 0;
         /** Scatter-gather list, kept for retries and the CPU fallback. */
         std::vector<dma::SgEntry> sg;
-        bool irq_mode = false;           ///< completion via interrupt
         bool moderated = false;          ///< IRQ held in the TC batch
-        /** Retired (or being retired) by a completion-drain pass; the
-         *  transfer's own on_dma_complete must then do nothing. Reset
-         *  on every (re)start so retries are supervised normally. */
-        bool completion_claimed = false;
-        std::uint32_t dma_attempts = 0;  ///< starts so far (1 = first)
-        sim::SimTime dma_start_at = 0;   ///< trigger time of the attempt
-        sim::Duration predicted = 0;     ///< engine quote for fl->sg
-        sim::EventQueue::EventId watchdog_id = sim::EventQueue::kInvalidEvent;
         /** Tenant the request (and its frame charge) belongs to. */
         std::uint32_t asid = 0;
         /** Daemon-originated (managed mode): frame charges go to the
@@ -864,9 +886,9 @@ class MemifDevice {
         bool daemon = false;
         /** Chained multi-hop migration (tiered_memory): the copy is
          *  staged through the middle tier by run_chain instead of one
-         *  DMA. tid stays kInvalidTransfer on the master record, so
-         *  the drain / reap / watchdog machinery never claims it; the
-         *  per-hop stages supervise themselves. */
+         *  DMA. The master's own xfer is never started, so no drain or
+         *  reap pass ever claims it; each hop stage runs the same
+         *  supervisor over a Transfer of its own. */
         bool chained = false;
         /** Chain failure latch: set by the first batch whose hop
          *  ladder ran dry; sibling batches then stop starting hops. */
@@ -932,12 +954,15 @@ class MemifDevice {
      *  @p cost and bumps the ranged-flush counter. */
     void issue_flush_plan(const FlushPlan &plan, sim::Duration &cost);
 
-    /** Ops 1-3 for one request; on success the DMA is running and
-     *  @p out (if given) receives the in-flight record. @p moderated
-     *  asks for a moderated completion IRQ (irq_mode only). Every
-     *  early rejection leaves through one exit here. */
+    /** Ops 1-3 for one request; on success the transfer is running
+     *  and @p out receives its supervisor — an interrupt-driven one for
+     *  the caller to spawn(), a polled one (!irq_mode) for the kernel
+     *  thread to co_await. @p out stays empty when no transfer started
+     *  (a rejection, or a chained move whose master runs on its own).
+     *  @p moderated asks for a moderated completion IRQ (irq_mode
+     *  only). Every early rejection leaves through one exit here. */
     sim::Task serve_request(std::uint32_t idx, sim::ExecContext ctx,
-                            bool irq_mode, InFlightPtr *out = nullptr,
+                            bool irq_mode, sim::Task *out,
                             bool moderated = false);
     /** Why execute_ops stopped early, and what the flight holds that
      *  serve_request's reject exit must hand back. */
@@ -949,22 +974,13 @@ class MemifDevice {
     /** The executor behind serve_request: Prep, Remap, lowering, DMA
      *  config and trigger. Sets @p rj on an early rejection. */
     sim::Task execute_ops(std::uint32_t idx, sim::ExecContext ctx,
-                          bool irq_mode, InFlightPtr *out, bool moderated,
+                          bool irq_mode, sim::Task *out, bool moderated,
                           Reject *rj);
     /** Ops 4-5. With @p shared_plan, a kPrevent migration's release
      *  accumulates its TLB work there instead of flushing per page —
      *  the caller issues one ranged shootdown for the whole batch. */
     sim::Task do_release(InFlightPtr fl, sim::ExecContext ctx,
                          FlushPlan *shared_plan = nullptr);
-    /** Interrupt handler body for one completed transfer. */
-    sim::Task irq_complete(InFlightPtr fl);
-    /** Completion-drain handler: claims every completed interrupt-mode
-     *  transfer synchronously (so sibling callbacks of a coalesced IRQ
-     *  bail out) and retires them all under one IRQ-entry charge and
-     *  one kthread wakeup. */
-    sim::Task drain_completions(InFlightPtr first);
-
-    sim::Task reap_moderated();
     /** Feed a finished first-attempt transfer to the EWMA controller. */
     void observe_completion(const InFlightPtr &fl);
     /** The worker (§5.4 kernel-thread path). */
@@ -987,31 +1003,70 @@ class MemifDevice {
     /** Roll back an in-flight migration (recover policy). */
     void abort_migration(const InFlightPtr &fl);
 
-    // ----- DMA error recovery -----------------------------------------
-    /** Start (or restart) @p fl's transfer; arms the watchdog in irq
-     *  mode. The prepared chain must match fl->sg. */
-    void trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p);
-    /** Completion-interrupt dispatcher: routes to irq_complete or, on a
-     *  TC error, into the recovery ladder. */
-    sim::Task on_dma_complete(InFlightPtr fl);
-    void arm_watchdog(const InFlightPtr &fl);
-    void disarm_watchdog(const InFlightPtr &fl);
-    /** Watchdog callback: decides stuck vs. lost-interrupt and feeds
-     *  the recovery ladder. */
-    sim::Task watchdog_expired(InFlightPtr fl);
-    /** The recovery ladder: retry w/ backoff → CPU copy → rollback. */
-    sim::Task handle_dma_failure(InFlightPtr fl, sim::ExecContext ctx,
-                                 MovError reason);
-    /** Re-prepare and re-trigger fl->sg after backoff. */
-    sim::Task restart_dma(InFlightPtr fl, sim::ExecContext ctx);
-    /** Degraded path: copy fl->sg with the CPU, then Release/Notify. */
-    sim::Task fallback_copy(InFlightPtr fl, sim::ExecContext ctx);
+    // ----- Transfer supervision and DMA error recovery ----------------
+    /** Everything that differs between the supervisor's three users:
+     *  interrupt-driven flights, polled flights and chain hops. */
+    struct Supervision {
+        Transfer *x = nullptr;  ///< &fl->xfer, or the hop's own
+        /** What the transfer copies: fl->sg, or the hop's list. */
+        const std::vector<dma::SgEntry> *sg = nullptr;
+        /** Abort latch: fl->aborted (young-fault rollback) or
+         *  fl->chain_failed (a sibling batch's ladder ran dry). */
+        const bool *latch = nullptr;
+        /** Where IRQ entries and the ladder run: kIrq for interrupt-
+         *  driven flights, kKthread for polled flights and hops. */
+        sim::ExecContext ctx = sim::ExecContext::kIrq;
+        bool polled = false;     ///< woken by the worker's tick sleep
+        bool *landed = nullptr;  ///< hops: set once the bytes are in
+    };
+    /**
+     * The one supervisor of a started transfer. Starts @p first (the
+     * chain the caller programmed; null = reserve and program s.sg
+     * here), parks until exactly one waker settles it, classifies the
+     * outcome, then retires a clean completion or runs the one ladder:
+     * retry with backoff, then CPU replay, then fail. @p first is
+     * consumed before the first suspension.
+     */
+    sim::Task supervise(InFlightPtr fl, Supervision s,
+                        dma::DmaDriver::Prepared *first);
+    /** Deadline = now + remaining quote × watchdog_margin + slack. */
+    void arm_deadline(Transfer &x);
+    /** Resume @p x's parked supervisor inline, settled by @p w (a
+     *  supervisor that is not parked cannot be settled). */
+    void settle(Transfer &x, Wake w);
+    /** Take @p x from its waker's hands before any suspension:
+     *  unregister it, disarm its deadline, drop a delivery moderation
+     *  still holds (reported through @p held), return its lease, and
+     *  classify it — kNone, kDmaError, kXlateFault, or kTimeout for a
+     *  hung chain, which the caller must cancel. */
+    MovError claim_transfer(Transfer &x, bool *held = nullptr);
+    /** Take and settle every parked supervisor whose transfer completed
+     *  cleanly (only moderated ones with @p moderated_only), appending
+     *  its flight to @p batch: the drain and reap passes' one scan. */
+    void claim_completed(std::vector<InFlightPtr> &batch,
+                         bool moderated_only);
+    /** Retire @p first from interrupt context under one IRQ entry and
+     *  one kthread wakeup — with @p sweep (completion drain), together
+     *  with every sibling claim_completed() finds. */
+    sim::Task retire_irq(InFlightPtr first, bool sweep);
+    /** Release @p batch from the kernel thread under one shared ranged
+     *  shootdown; @p reaped completions are traced and sampled first. */
+    sim::Task release_batch(std::vector<InFlightPtr> batch, bool reaped);
+    /** CPU replay of @p sg, row geometry preserved (the degraded floor
+     *  of the ladder); charged to @p ctx. */
+    sim::Task fallback_copy(InFlightPtr fl,
+                            const std::vector<dma::SgEntry> *sg,
+                            sim::ExecContext ctx);
     /** No recovery left: roll back (migrations) and fail the request. */
     void fail_unrecoverable(const InFlightPtr &fl, sim::ExecContext ctx,
                             MovError reason);
     /** Restore old PTEs and free new frames (shared by abort_migration
      *  and fail_unrecoverable). */
     void rollback_remap(const InFlightPtr &fl, sim::ExecContext ctx);
+    /** Keep @p t (if any) on the device; finished tasks are dropped
+     *  lazily. Teardown destroys every suspended supervisor and chain
+     *  frame, so nothing the device spawned can resume into it. */
+    void spawn(sim::Task t);
 
     // ----- Tiered memory (chained multi-hop eviction) -----------------
     /** Shared state of one chain: the batch-join counter the master
@@ -1029,23 +1084,18 @@ class MemifDevice {
      *  node is strictly closer to both endpoints than they are to
      *  each other. */
     mem::NodeId chain_mid_node(mem::NodeId src, mem::NodeId dst) const;
-    /** The chain master (spawned where single-hop moves trigger their
-     *  DMA): splits @p fl into bounded batches, runs them pipelined
+    /** The chain master (spawned where single-hop moves start their
+     *  supervisor): splits @p fl into bounded batches, runs them pipelined
      *  (or store-and-forward), then releases the migration — or rolls
      *  the whole remap back if any batch ran its ladder dry. */
     sim::Task run_chain(InFlightPtr fl, mem::NodeId mid);
     /** One batch: staging acquire → hop 1 (old→staging) → hop 2
-     *  (staging→new) → staging release; decrements cs->batches_left
-     *  and notifies the master when done. */
+     *  (staging→new) → staging release, each hop under its own
+     *  supervisor; decrements cs->batches_left and notifies the master
+     *  when done. */
     sim::Task run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                               mem::NodeId mid, std::uint32_t first,
                               std::uint32_t count);
-    /** One hop stage: its own DMA chain on a load-balanced TC,
-     *  self-supervised (completion event + timeout, no watchdog /
-     *  flight-table machinery), with the retry → CPU-copy ladder.
-     *  Sets *ok false when the ladder ran dry. */
-    sim::Task run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
-                      bool *ok);
     /** Lease @p pages' worth of staging frames (order-@p order blocks)
      *  on @p mid from the bounded pool, waiting for peers when the
      *  pool is saturated. False = the middle node itself is exhausted
@@ -1265,6 +1315,10 @@ class MemifDevice {
     bool kthread_masked_ = false;
     sim::Task kthread_task_;
     std::vector<InFlightPtr> in_flight_;
+    /** Every transfer started and not yet taken back (flights' and
+     *  hops'); teardown cancels them so no engine callback or deadline
+     *  outlives the device. */
+    std::vector<Transfer *> transfers_;
     /** Per-submit-CPU flight shards (percpu_rings only): the sharded
      *  flight table concurrent submitters touch without contending. */
     std::array<std::vector<InFlightPtr>, kMaxSubmitRings> flight_shards_;
@@ -1312,11 +1366,10 @@ class MemifDevice {
     sim::WaitQueue staging_wq_;
     /** Hop stages currently in flight (the overlap census). */
     std::uint32_t active_hop_stages_ = 0;
-    /** Chain-master frames. Owned by the device (not kernel_.spawn) so
-     *  teardown destroys every suspended batch/hop frame with the
-     *  master — nothing kernel-owned can resume into a dead device.
-     *  Finished masters are reaped lazily at the next chain launch. */
-    std::vector<sim::Task> chain_tasks_;
+    /** Interrupt-driven supervisors and chain masters (see spawn()).
+     *  Owned by the device, not kernel_.spawn: teardown destroys every
+     *  suspended frame — batch and hop frames with their master. */
+    std::vector<sim::Task> tasks_;
     DeviceStats stats_;
 };
 

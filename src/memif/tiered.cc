@@ -12,16 +12,17 @@
  * batch k's slow far hop — so a large eviction approaches the far
  * tier's bandwidth instead of the sum of both hops' serial times.
  *
- * Recovery is per hop: each stage supervises its own transfer
- * (completion callback + deadline timer; the flight-table watchdog
- * machinery never sees hop transfers) and runs the PR 1 ladder —
- * bounded retries with exponential backoff, then the CPU byte-copy
- * fallback. A stage whose ladder runs dry fails the chain: sibling
- * batches stop before their next hop, and the master rolls the remap
- * back. Mid-chain state is recoverable by construction — completed
- * hops only wrote staging or new frames that no PTE points at yet
- * (chained flights migrate behind blocking migration PTEs), so the
- * old frames stay authoritative until Release.
+ * Recovery is per hop: each stage runs the driver's one transfer
+ * supervisor (the one every flight runs) over a transfer of its own —
+ * completion interrupt or deadline, then the ladder of bounded retries
+ * with exponential backoff and the CPU byte-copy fallback. No drain or
+ * reap pass sees hop transfers: they are not in the flight table. A
+ * stage whose ladder runs dry fails the chain: sibling batches stop
+ * before their next hop, and the master rolls the remap back.
+ * Mid-chain state is recoverable by construction — completed hops only
+ * wrote staging or new frames that no PTE points at yet (chained
+ * flights migrate behind blocking migration PTEs), so the old frames
+ * stay authoritative until Release.
  */
 #include "memif/device.h"
 
@@ -150,120 +151,27 @@ MemifDevice::staging_release(std::vector<mem::Pfn> &frames, unsigned order)
 }
 
 sim::Task
-MemifDevice::run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
-                     bool *ok)
-{
-    const sim::CostModel &cm = kernel_.costs();
-    sim::Cpu &cpu = kernel_.cpu();
-    dma::DmaDriver &drv = kernel_.dma();
-    *ok = false;
-    std::uint64_t bytes = 0;
-    for (const dma::SgEntry &e : *sg) bytes += e.bytes;
-
-    for (std::uint32_t attempt = 1;; ++attempt) {
-        if (fl->chain_failed || stopping_) co_return;
-        co_await drv.reserve_descriptors(
-            static_cast<std::uint32_t>(sg->size()), &fl->chain_failed,
-            &stopping_);
-        if (fl->chain_failed || stopping_) co_return;
-        dma::DmaDriver::Prepared prepared = drv.prepare(*sg);
-        co_await cpu.busy(ExecContext::kKthread, Op::kDmaConfig,
-                          prepared.cpu_time);
-        if (fl->chain_failed || stopping_) {
-            drv.abandon(std::move(prepared));
-            co_return;
-        }
-        const unsigned tc = config_.multi_tc_dispatch ? drv.pick_tc() : tc_;
-        ++stats_.tc_dispatches[tc];
-        ++stats_.hop_stages_issued;
-        if (++active_hop_stages_ > 1) ++stats_.hop_overlap_events;
-        // Self-supervised completion: the stage waits on its own event,
-        // set by the completion callback or by a deadline timer at the
-        // watchdog margin — the latter covers stuck transfers and lost
-        // IRQs without the flight-table watchdog (whose scans key off
-        // fl->tid, which a chained master never populates). The shared
-        // event outlives the frame, so a late engine callback after a
-        // timeout (or teardown) sets a flag nobody reads instead of
-        // resuming freed memory.
-        auto done = std::make_shared<sim::SimEvent>(kernel_.eq());
-        const sim::SimTime started = kernel_.eq().now();
-        const dma::TransferId tid =
-            drv.start(std::move(prepared), /*irq_mode=*/true,
-                      [done](dma::TransferId) { done->set(); }, tc,
-                      /*moderated=*/false, nullptr);
-        const sim::SimTime quote = drv.completion_time(tid);
-        const sim::Duration remaining =
-            quote > started ? quote - started : 0;
-        const auto padded = static_cast<sim::Duration>(
-            static_cast<double>(remaining) * config_.watchdog_margin);
-        const sim::EventQueue::EventId timer = kernel_.eq().schedule_at(
-            started + padded + config_.watchdog_slack,
-            [done] { done->set(); });
-        co_await done->wait();
-        kernel_.eq().cancel(timer);
-        --active_hop_stages_;
-        // Inspect the transfer before any suspension: once the recovery
-        // path yields, the engine may purge an errored record and the
-        // stale id would read as a clean completion.
-        bool success = false;
-        if (drv.is_complete(tid)) {
-            if (drv.status(tid) == dma::TransferStatus::kOk) {
-                // If the completion IRQ was lost the retiring callback
-                // never ran; return the lease ourselves (harmless when
-                // it did run).
-                drv.reclaim(tid);
-                success = true;
-            } else {
-                // TC bus error: completion moved zero bytes.
-                ++stats_.dma_errors;
-                drv.reclaim(tid);
-            }
-        } else {
-            // Stuck: the deadline passed with the transfer still
-            // running. Cancel returns the lease and feeds the ladder.
-            ++stats_.watchdog_timeouts;
-            drv.cancel(tid);
-        }
-        co_await cpu.busy(ExecContext::kKthread, Op::kSched,
-                          cm.irq_overhead);
-        if (success) {
-            ++stats_.hop_stages_completed;
-            *ok = true;
-            co_return;
-        }
-        // The per-hop ladder: bounded retries with exponential backoff,
-        // then the CPU byte-copy floor. Only the failed hop is redone —
-        // earlier hops' copies are already safe in staging/new frames.
-        if (attempt <= config_.dma_max_retries) {
-            ++stats_.hop_retries;
-            ++stats_.dma_retries;
-            co_await sim::Delay{kernel_.eq(), config_.dma_retry_backoff
-                                                 << (attempt - 1)};
-            continue;
-        }
-        if (config_.cpu_copy_fallback) {
-            mem::PhysicalMemory &pm = kernel_.phys();
-            for (const dma::SgEntry &e : *sg)
-                pm.copy(e.dst_addr >> mem::kPageShift,
-                        e.src_addr >> mem::kPageShift, e.bytes);
-            co_await cpu.busy(ExecContext::kKthread, Op::kCopy,
-                              cm.cpu_copy_time(bytes));
-            ++stats_.hop_fallback_copies;
-            ++stats_.fallback_copies;
-            ++stats_.hop_stages_completed;
-            *ok = true;
-        }
-        co_return;
-    }
-}
-
-sim::Task
 MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                              mem::NodeId mid, std::uint32_t first,
                              std::uint32_t count)
 {
     ++stats_.chain_batches;
+    // One hop stage: a supervisor over a fresh transfer, in kernel-
+    // thread context, latched by the chain's failure flag. ok turns
+    // false when its ladder runs dry.
     bool ok = true;
+    Transfer x;
+    const auto hop = [&](const std::vector<dma::SgEntry> *sg) {
+        ok = false;
+        x = Transfer{};
+        return supervise(fl,
+                         Supervision{.x = &x,
+                                     .sg = sg,
+                                     .latch = &fl->chain_failed,
+                                     .ctx = ExecContext::kKthread,
+                                     .landed = &ok},
+                         nullptr);
+    };
     if (!fl->chain_failed && !stopping_) {
         std::vector<mem::Pfn> staging;
         bool have_staging = false;
@@ -286,9 +194,9 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                     append_merged(hop2, st, dst, fl->page_bytes);
                 }
                 stats_.sg_entries_emitted += hop1.size() + hop2.size();
-                co_await run_hop(fl, &hop1, &ok);
+                co_await hop(&hop1);
                 if (ok && !fl->chain_failed && !stopping_)
-                    co_await run_hop(fl, &hop2, &ok);
+                    co_await hop(&hop2);
             } else if (!stopping_) {
                 // Middle tier exhausted: degrade this batch to one
                 // direct end-to-end hop — correct, just unstaged (the
@@ -303,7 +211,7 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                         fl->new_pfns[first + i] << mem::kPageShift,
                         fl->page_bytes);
                 stats_.sg_entries_emitted += direct.size();
-                co_await run_hop(fl, &direct, &ok);
+                co_await hop(&direct);
             }
         }
         if (!staging.empty()) staging_release(staging, fl->order);
@@ -331,7 +239,7 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
             ? std::max<std::uint32_t>(config_.tiered_max_batches, 1)
             : 1;
     // Batch frames are owned here: destroying the master (device
-    // teardown destroys chain_tasks_) destroys every suspended batch
+    // teardown destroys tasks_) destroys every suspended batch
     // and hop frame with it, so nothing kernel-owned can resume into a
     // dead device.
     std::vector<sim::Task> batches;

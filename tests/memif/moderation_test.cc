@@ -22,6 +22,7 @@
 #include "os/kernel.h"
 #include "os/process.h"
 #include "sim/cost_model.h"
+#include "sim/cpu.h"
 #include "sim/event_queue.h"
 #include "sim/types.h"
 
@@ -509,6 +510,11 @@ TEST(Moderation, LostIrqStillCaughtByWatchdogUnderModeration)
     EXPECT_TRUE(f.check(dst, 16 * 4096, 55));
     EXPECT_EQ(f.dev.stats().watchdog_timeouts, 1u);
     EXPECT_EQ(f.dev.stats().dma_retries, 0u);
+    // One IRQ entry — the deadline's own — plus the Notify and the
+    // kernel-thread wakeup, as without moderation.
+    const sim::CostModel &cm = f.kernel.costs();
+    EXPECT_EQ(f.kernel.cpu().accounting().context(sim::ExecContext::kIrq),
+              cm.irq_overhead + cm.queue_op + cm.kthread_wakeup);
 }
 
 TEST(Moderation, PreventPolicyStreamDrainsWithSharedShootdown)

@@ -15,6 +15,8 @@
 #include "memif/user_api.h"
 #include "os/kernel.h"
 #include "os/process.h"
+#include "sim/cost_model.h"
+#include "sim/cpu.h"
 #include "sim/types.h"
 
 namespace memif::core {
@@ -227,6 +229,12 @@ TEST(Recovery, LostInterruptIsCaughtByWatchdog)
     EXPECT_EQ(f.dev.stats().dma_retries, 0u);
     EXPECT_EQ(f.kernel.dma_engine().stats().interrupts_lost, 1u);
     EXPECT_EQ(f.kernel.dma_engine().stats().transfers_started, 1u);
+    // One IRQ entry — the deadline's own; no second entry is charged
+    // for an interrupt that never arrived. The rest of the interrupt-
+    // context time is the Notify and the kernel-thread wakeup.
+    const sim::CostModel &cm = f.kernel.costs();
+    EXPECT_EQ(f.kernel.cpu().accounting().context(sim::ExecContext::kIrq),
+              cm.irq_overhead + cm.queue_op + cm.kthread_wakeup);
 }
 
 TEST(Recovery, StuckTransferTimesOutAndRetries)
@@ -282,6 +290,49 @@ TEST(Recovery, PolledStuckTransferIsSupervisedByKthread)
     EXPECT_EQ(f.dev.stats().watchdog_timeouts, 1u);
     EXPECT_EQ(f.dev.stats().dma_retries, 1u);
     EXPECT_EQ(f.dev.stats().polled_completions, 1u);
+}
+
+TEST(Recovery, LostErrorInterruptIsRetriedNotReleased)
+{
+    // Every transfer is interrupt-driven. The second one fails with a
+    // TC error AND its error interrupt is lost. Before its deadline the
+    // kernel thread starts the third request and goes to sleep — where
+    // it drops finished engine records. A purged id reads as a clean
+    // completion, so the deadline must still find the real status: it
+    // retries the copy instead of releasing bytes that never moved.
+    MemifConfig cfg;
+    cfg.poll_threshold_bytes = 0;
+    cfg.watchdog_margin = 20.0;  // the deadline lands after that sleep
+    Fixture f(cfg);
+    const vm::VAddr src = f.proc.mmap(48 * 4096, vm::PageSize::k4K);
+    const vm::VAddr dst =
+        f.proc.mmap(48 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+    f.fill(src, 48 * 4096, 23);
+    f.faults().arm_nth(dma::kFaultTcError, 2);
+    f.faults().arm_nth(dma::kFaultLostIrq, 2);
+
+    std::uint32_t idx[3] = {kNoRequest, kNoRequest, kNoRequest};
+    auto app = [&]() -> sim::Task {
+        for (int r = 0; r < 3; ++r) {
+            idx[r] = f.user.alloc_request();
+            MovReq &req = f.user.request(idx[r]);
+            req.op = MovOp::kReplicate;
+            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
+            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
+            req.num_pages = 16;
+            co_await f.user.submit(idx[r]);
+        }
+    };
+    f.kernel.spawn(app());
+    f.kernel.run();
+
+    for (const std::uint32_t i : idx)
+        EXPECT_EQ(f.user.request(i).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 48 * 4096, 23));
+    EXPECT_EQ(f.dev.stats().dma_errors, 1u);
+    EXPECT_EQ(f.dev.stats().dma_retries, 1u);
+    EXPECT_EQ(f.dev.stats().watchdog_timeouts, 1u);
+    EXPECT_EQ(f.kernel.dma_engine().stats().interrupts_lost, 1u);
 }
 
 TEST(Recovery, FallbackUnderRacePreventionDefersRelease)
