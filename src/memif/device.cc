@@ -20,48 +20,6 @@ using sim::ExecContext;
 using sim::Op;
 using sim::TracePoint;
 
-namespace {
-
-/** Cap on one coalesced run: a descriptor packs large transfers as
- *  4 KB x BCNT arrays and BCNT is 16-bit, so stay well below the
- *  0xFFFF * 4 KB ceiling (and keep runs page-aligned multiples). */
-constexpr std::uint64_t kMaxCoalescedRunBytes = 64ull << 20;
-
-/** Merge adjacent SG entries whose src AND dst runs are contiguous. */
-std::vector<dma::SgEntry>
-coalesce_sg(const std::vector<dma::SgEntry> &sg)
-{
-    std::vector<dma::SgEntry> out;
-    out.reserve(sg.size());
-    for (const dma::SgEntry &e : sg) {
-        if (!out.empty()) {
-            dma::SgEntry &last = out.back();
-            // Only flat entries merge: a 2D entry's extent is pitched,
-            // so byte-contiguity of its endpoints says nothing about
-            // the next run, and folding one away would lose geometry.
-            if (!last.strided() && !e.strided() &&
-                last.src_addr + last.bytes == e.src_addr &&
-                last.dst_addr + last.bytes == e.dst_addr &&
-                last.bytes + e.bytes <= kMaxCoalescedRunBytes) {
-                last.bytes += e.bytes;
-                continue;
-            }
-        }
-        out.push_back(e);
-    }
-    return out;
-}
-
-/** True when the row [@p va, @p va + @p bytes) lies inside @p vma
- *  (@p va comes from user memory: no wrap-around arithmetic on it). */
-bool
-row_in_vma(const vm::Vma &vma, vm::VAddr va, std::uint64_t bytes)
-{
-    return va >= vma.base() && va <= vma.end() && bytes <= vma.end() - va;
-}
-
-}  // namespace
-
 MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
                          MemifConfig config)
     : kernel_(kernel),
@@ -72,6 +30,7 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
               config.percpu_rings
                   ? std::min(config.num_submit_cpus, kMaxSubmitRings)
                   : 0),
+      quota_holder_(region_.capacity()),
       completion_ctl_(kernel.costs(), config.poll_threshold_bytes,
                       config.ewma_alpha),
       completion_event_(kernel.eq()),
@@ -291,8 +250,8 @@ MemifDevice::check_quiesced(std::string *why) const
     // Managed mode: the daemon has no mov between submission and its
     // terminal handling, its frame charges are returned, and no bucket
     // is marked busy with nothing in flight for it.
-    if (daemon_outstanding_ != 0 || !daemon_movs_.empty())
-        fail("daemon still has " + std::to_string(daemon_outstanding_) +
+    if (!daemon_movs_.empty())
+        fail("daemon still has " + std::to_string(daemon_movs_.size()) +
              " mov(s) outstanding");
     if (daemon_tenant_.stats.frames_charged != 0)
         fail("daemon still charged " +
@@ -345,10 +304,10 @@ MemifDevice::tenant_for(std::uint32_t asid) const
 }
 
 vm::AddressSpace &
-MemifDevice::request_as(const MovReq &req) const
+MemifDevice::request_as(std::uint32_t asid) const
 {
-    if (config_.multi_tenant && req.asid < tenants_.size())
-        return tenants_[req.asid].proc->as();
+    if (config_.multi_tenant && asid < tenants_.size())
+        return tenants_[asid].proc->as();
     return const_cast<os::Process &>(proc_).as();
 }
 
@@ -604,8 +563,7 @@ MemifDevice::charge_frames(const InFlightPtr &fl)
     // app's frame quota.
     Tenant *t = fl->daemon ? &daemon_tenant_ : tenant_for(fl->asid);
     if (!t) return;
-    fl->frames_charged =
-        std::uint64_t{fl->num_pages} << fl->order;
+    fl->frames_charged = fl->plan.src.pages << fl->order;
     t->stats.frames_charged += fl->frames_charged;
 }
 
@@ -643,8 +601,9 @@ bool
 MemifDevice::admit_request(std::uint32_t idx)
 {
     if (!config_.multi_tenant) return true;
-    MovReq &req = region_.request(idx);
-    Tenant *t = tenant_for(req.asid);
+    const MovReq &req = region_.request(idx);
+    const std::uint32_t asid = req.asid;
+    Tenant *t = tenant_for(asid);
     if (!t) {
         // Unknown ASID: not a quota matter — a malformed request.
         notify(idx, MovStatus::kFailed, MovError::kBadRequest);
@@ -678,7 +637,9 @@ MemifDevice::admit_request(std::uint32_t idx)
             }
         }
     }
-    req.admitted = 1;
+    // The quota slot is recorded driver-side, with the tenant it was
+    // charged to: notify returns it there whatever the slot says later.
+    quota_holder_[idx] = asid;
     ++t->stats.outstanding;
     ++t->stats.admitted;
     return true;
@@ -693,15 +654,14 @@ MemifDevice::route_to_pending(bool take_staging)
             MEMIF_WARN("memif: dropping corrupt request index %u", idx);
             return;
         }
-        MovReq &req = region_.request(idx);
-        if (req.daemon) {
+        if (daemon_movs_.contains(idx)) {
             // Daemon movs have their own service class and are already
             // bounded by the backlog limit and the epoch budget — the
             // shedding bound below is for unthrottled app tenants.
             daemon_tenant_.pending.push_back(idx);
             return;
         }
-        Tenant *t = tenant_for(req.asid);
+        Tenant *t = tenant_for(region_.request(idx).asid);
         if (!t) {
             notify(idx, MovStatus::kFailed, MovError::kBadRequest);
             return;
@@ -803,11 +763,12 @@ MemifDevice::dequeue_deposit(std::uint32_t *out, bool take_staging)
 }
 
 // --------------------------------------------------------------------
-// Validation (§4.2 safety: the driver trusts nothing in the region).
+// Validation (§4.2 safety: the driver trusts nothing in the region, so
+// it validates the one snapshot Prep takes of the request).
 // --------------------------------------------------------------------
 
 MovError
-MemifDevice::validate(const MovReq &req, vm::Vma **src_vma,
+MemifDevice::validate(const ReqSnapshot &s, vm::Vma **src_vma,
                       vm::Vma **dst_vma) const
 {
     *src_vma = nullptr;
@@ -815,22 +776,22 @@ MemifDevice::validate(const MovReq &req, vm::Vma **src_vma,
     // Strided geometry rides in dedicated fields, so the branch comes
     // before the flat num_pages checks (a strided request leaves
     // num_pages zero on purpose).
-    if (req.rows != 0) return validate_strided(req, src_vma, dst_vma);
-    if (req.num_pages == 0 ||
-        req.num_pages > dma::DescriptorRam::kEntries)
+    if (s.rows != 0) return validate_strided(s, src_vma, dst_vma);
+    if (s.num_pages == 0 ||
+        s.num_pages > dma::DescriptorRam::kEntries)
         return MovError::kBadRequest;
 
-    vm::AddressSpace &as = request_as(req);
-    vm::Vma *src = as.find_vma(req.src_base);
+    vm::AddressSpace &as = request_as(s.asid);
+    vm::Vma *src = as.find_vma(s.src_base);
     if (!src) return MovError::kBadAddress;
     const std::uint64_t pb = vm::page_bytes(src->page_size());
-    if (req.src_base % pb != 0) return MovError::kBadAddress;
-    if (req.src_base + req.num_pages * pb > src->end())
+    const std::uint64_t bytes = s.num_pages * pb;
+    if (s.src_base % pb != 0 || s.src_base + bytes > src->end())
         return MovError::kBadAddress;
     *src_vma = src;
 
-    if (req.op == MovOp::kMigrate) {
-        if (req.dst_node >= kernel_.phys().node_count())
+    if (s.op == MovOp::kMigrate) {
+        if (s.dst_node >= kernel_.phys().node_count())
             return MovError::kBadNode;
         if (src->is_file_backed() && !config_.allow_file_backed)
             return MovError::kFileBacked;  // the prototype's §6.7 limit
@@ -842,82 +803,77 @@ MemifDevice::validate(const MovReq &req, vm::Vma **src_vma,
     // vice versa — and must not overlap the source. Chunks are emitted
     // at the finer of the two granularities, so their count (not the
     // source page count) is what the PaRAM bounds.
-    vm::Vma *dst = as.find_vma(req.dst_base);
+    vm::Vma *dst = as.find_vma(s.dst_base);
     if (!dst) return MovError::kBadAddress;
-    const std::uint64_t dst_pb = vm::page_bytes(dst->page_size());
-    const std::uint64_t align = pb < dst_pb ? pb : dst_pb;
-    if (req.dst_base % align != 0) return MovError::kBadAddress;
-    if (req.num_pages * pb / align > dma::DescriptorRam::kEntries)
+    const std::uint64_t align =
+        std::min(pb, vm::page_bytes(dst->page_size()));
+    if (s.dst_base % align != 0) return MovError::kBadAddress;
+    if (bytes / align > dma::DescriptorRam::kEntries)
         return MovError::kBadRequest;
-    if (req.dst_base + req.num_pages * pb > dst->end())
-        return MovError::kBadAddress;
-    const std::uint64_t src_end = req.src_base + req.num_pages * pb;
-    const std::uint64_t dst_end = req.dst_base + req.num_pages * pb;
-    if (req.src_base < dst_end && req.dst_base < src_end)
+    if (s.dst_base + bytes > dst->end()) return MovError::kBadAddress;
+    if (s.src_base < s.dst_base + bytes &&
+        s.dst_base < s.src_base + bytes)
         return MovError::kBadRequest;
     *dst_vma = dst;
     return MovError::kNone;
 }
 
 MovError
-MemifDevice::validate_strided(const MovReq &req, vm::Vma **src_vma,
+MemifDevice::validate_strided(const ReqSnapshot &s, vm::Vma **src_vma,
                               vm::Vma **dst_vma) const
 {
     if (!config_.strided_dma) return MovError::kBadRequest;
     // Strided moves are replication-shaped: migrations relocate whole
     // pages, for which 2D geometry is meaningless.
-    if (req.op != MovOp::kReplicate) return MovError::kBadRequest;
-    if (req.num_pages != 0) return MovError::kBadRequest;
-    if (req.row_bytes == 0 || req.row_bytes > 0xFFFF)
+    if (s.op != MovOp::kReplicate) return MovError::kBadRequest;
+    if (s.num_pages != 0) return MovError::kBadRequest;
+    if (s.row_bytes == 0 || s.row_bytes > 0xFFFF)
         return MovError::kBadRequest;
-    if (req.rows > dma::DescriptorRam::kEntries)
+    if (s.rows > dma::DescriptorRam::kEntries)
         return MovError::kBadRequest;
     // Pitches are bounded by the descriptor's signed 32-bit BIDX;
     // together with the rows bound this also makes every extent
     // computation below overflow-free (rows * pitch < 2^40).
-    if (req.src_pitch > 0x7FFFFFFF || req.dst_pitch > 0x7FFFFFFF)
+    if (s.src_pitch > 0x7FFFFFFF || s.dst_pitch > 0x7FFFFFFF)
         return MovError::kBadRequest;
-    if (req.dst_pitch < req.row_bytes) return MovError::kBadRequest;
-    const bool gather = req.gather_list != 0;
-    if (!gather && req.src_pitch < req.row_bytes)
+    if (s.dst_pitch < s.row_bytes) return MovError::kBadRequest;
+    const bool gather = s.gather_list != 0;
+    if (!gather && s.src_pitch < s.row_bytes)
         return MovError::kBadRequest;
     // A misaligned list would make its u64 reads straddle frames.
-    if (gather && req.gather_list % 8 != 0) return MovError::kBadRequest;
+    if (gather && s.gather_list % 8 != 0) return MovError::kBadRequest;
 
-    vm::AddressSpace &as = request_as(req);
-    vm::Vma *src = as.find_vma(req.src_base);
+    vm::AddressSpace &as = request_as(s.asid);
+    vm::Vma *src = as.find_vma(s.src_base);
     if (!src) return MovError::kBadAddress;
     const std::uint64_t src_extent =
         gather ? 0
-               : (std::uint64_t{req.rows} - 1) * req.src_pitch +
-                     req.row_bytes;
-    if (!gather && req.src_base + src_extent > src->end())
-        return MovError::kBadAddress;
+               : (std::uint64_t{s.rows} - 1) * s.src_pitch +
+                     s.row_bytes;
     if (gather) {
         // The row-address list itself must be mapped; the per-row
         // addresses it holds are read (and bounds-checked against the
         // source vma) at serve time.
-        vm::Vma *lv = as.find_vma(req.gather_list);
+        vm::Vma *lv = as.find_vma(s.gather_list);
         if (!lv ||
-            req.gather_list + std::uint64_t{req.rows} * 8 > lv->end())
+            s.gather_list + std::uint64_t{s.rows} * 8 > lv->end())
             return MovError::kBadAddress;
+    } else if (s.src_base + src_extent > src->end()) {
+        return MovError::kBadAddress;
     }
     *src_vma = src;
 
-    vm::Vma *dst = as.find_vma(req.dst_base);
+    vm::Vma *dst = as.find_vma(s.dst_base);
     if (!dst) return MovError::kBadAddress;
     const std::uint64_t dst_extent =
-        (std::uint64_t{req.rows} - 1) * req.dst_pitch + req.row_bytes;
-    if (req.dst_base + dst_extent > dst->end())
+        (std::uint64_t{s.rows} - 1) * s.dst_pitch + s.row_bytes;
+    if (s.dst_base + dst_extent > dst->end())
         return MovError::kBadAddress;
     // Envelope overlap check (non-gather): pitched reads from inside
     // the write window would see half-written rows.
-    if (!gather) {
-        const std::uint64_t src_hi = req.src_base + src_extent;
-        const std::uint64_t dst_hi = req.dst_base + dst_extent;
-        if (req.src_base < dst_hi && req.dst_base < src_hi)
-            return MovError::kBadRequest;
-    }
+    if (!gather && s.src_base < s.dst_base + dst_extent &&
+        s.dst_base < s.src_base + src_extent)
+        return MovError::kBadRequest;
     *dst_vma = dst;
     return MovError::kNone;
 }
@@ -930,31 +886,26 @@ void
 MemifDevice::notify(std::uint32_t idx, MovStatus status, MovError error)
 {
     MovReq &req = region_.request(idx);
-    if (req.daemon) {
+    req.error = error;
+    req.complete_time = kernel_.eq().now();
+    req.store_status(status);
+    if (daemon_movs_.contains(idx)) {
         // Daemon movs never surface on the application's completion
         // queues and hold no tenant quota slot: the daemon recycles
         // the request slot itself and absorbs the outcome (a failed
         // promotion is dropped into a cooldown, not retried here).
-        req.error = error;
-        req.complete_time = kernel_.eq().now();
-        req.store_status(status);
-        daemon_request_done(idx, status);
+        daemon_request_done(idx, status, error);
         return;
     }
-    req.error = error;
-    req.complete_time = kernel_.eq().now();
-    req.store_status(status);
     wake_scanner();
     // Return the tenant's in-flight quota slot exactly once per
-    // admitted request (rejections never held one).
-    if (config_.multi_tenant && req.admitted) {
-        req.admitted = 0;
-        if (Tenant *t = tenant_for(req.asid)) {
-            MEMIF_ASSERT(t->stats.outstanding > 0,
-                         "tenant in-flight quota underflow");
-            --t->stats.outstanding;
-            ++t->stats.completed;
-        }
+    // admitted request (rejections never held one), to the tenant
+    // admission charged.
+    if (const auto holder = std::exchange(quota_holder_[idx], std::nullopt)) {
+        TenantStats &ts = tenants_[*holder].stats;
+        MEMIF_ASSERT(ts.outstanding > 0, "tenant in-flight quota underflow");
+        --ts.outstanding;
+        ++ts.completed;
     }
     if (status == MovStatus::kDone)
         region_.completion_ok_queue().enqueue(idx);
@@ -1009,7 +960,7 @@ MemifDevice::xlate_writethrough(const InFlightPtr &fl, ExecContext ctx)
     // next move over the region starts from a hit.
     XlateCache *const xcache = xlate_for(fl->asid);
     if (!xcache) return;
-    xcache->record(fl->vma, fl->first_page, fl->num_pages);
+    xcache->record(fl->vma, fl->plan.src.first, fl->plan.src.pages);
     kernel_.cpu().charge(ctx, Op::kRelease, kernel_.costs().xlate_probe);
 }
 
@@ -1103,6 +1054,7 @@ MemifDevice::drain_magazines()
 void
 MemifDevice::add_in_flight(const InFlightPtr &fl)
 {
+    region_.request(fl->req_idx).store_status(MovStatus::kInFlight);
     in_flight_.push_back(fl);
     if (config_.percpu_rings && region_.num_rings() > 0)
         flight_shards_[fl->submit_cpu % region_.num_rings()].push_back(fl);
@@ -1372,87 +1324,6 @@ MemifDevice::revalidate_stream(const InFlightPtr &fl)
 }
 
 // --------------------------------------------------------------------
-// The replication lowering: one row walk for flat, strided and gather.
-// --------------------------------------------------------------------
-
-Lowering
-lower_rows(const RowWalk &w)
-{
-    Lowering out;
-    const std::uint64_t spb = vm::page_bytes(w.src_vma->page_size());
-    const std::uint64_t dpb = vm::page_bytes(w.dst_vma->page_size());
-    const std::uint64_t src_first = w.src_vma->page_index(w.src_base);
-    const bool gather = !w.row_srcs.empty();
-    out.sg.reserve(w.rows + w.row_bytes / std::min(spb, dpb));
-    for (std::uint32_t r = 0; r < w.rows; ++r) {
-        const vm::VAddr row_src = gather ? w.row_srcs[r]
-                                         : w.src_base + r * w.src_pitch;
-        const vm::VAddr row_dst = w.dst_base + r * w.dst_pitch;
-        if (gather && !row_in_vma(*w.src_vma, row_src, w.row_bytes)) {
-            out.error = MovError::kBadAddress;
-            return out;
-        }
-        std::uint64_t done = 0;
-        unsigned segs = 0;
-        while (done < w.row_bytes) {
-            const vm::VAddr sva = row_src + done;
-            const vm::VAddr dva = row_dst + done;
-            const std::uint64_t sidx = w.src_vma->page_index(sva);
-            const std::uint64_t didx = w.dst_vma->page_index(dva);
-            const vm::Pte spte =
-                w.src_frames.empty()
-                    ? w.src_vma->pte(sidx)
-                    : vm::Pte{.pfn = w.src_frames[sidx - src_first],
-                              .present = true};
-            const vm::Pte dpte = w.dst_vma->pte(didx);
-            if (!spte.present || !dpte.present) {
-                out.error = MovError::kBadAddress;
-                return out;
-            }
-            if (spte.migration || dpte.migration) {
-                // A page mid-migration abandons its old frame at
-                // Release: bytes copied from or to it would be lost.
-                out.error = MovError::kBusy;
-                return out;
-            }
-            const std::uint64_t s_off = sva - w.src_vma->page_vaddr(sidx);
-            const std::uint64_t d_off = dva - w.dst_vma->page_vaddr(didx);
-            const std::uint64_t seg =
-                std::min({w.row_bytes - done, spb - s_off, dpb - d_off});
-            const std::uint64_t spa = (spte.pfn << mem::kPageShift) + s_off;
-            const std::uint64_t dpa = (dpte.pfn << mem::kPageShift) + d_off;
-            dma::SgEntry *last = out.sg.empty() ? nullptr : &out.sg.back();
-            if (w.fold_2d && segs == 0 && seg == w.row_bytes && last &&
-                last->bytes == w.row_bytes && last->rows < 0xFFFF &&
-                spa == last->src_addr +
-                           std::uint64_t{last->rows} * w.src_pitch &&
-                dpa == last->dst_addr +
-                           std::uint64_t{last->rows} * w.dst_pitch) {
-                // Whole row, physically in line with the previous
-                // entry's pitch train: fold into its B-count.
-                ++last->rows;
-            } else {
-                out.sg.push_back(dma::SgEntry{spa, dpa, seg, 1, w.src_pitch,
-                                              w.dst_pitch});
-            }
-            if (w.sva_slots)
-                out.slots.push_back(
-                    {.src_va = sva, .dst_va = dva, .bytes = seg});
-            done += seg;
-            ++segs;
-        }
-        if (segs > 1) ++out.row_splits;
-    }
-    for (const dma::SgEntry &e : out.sg)
-        if (e.strided()) ++out.descriptors_2d;
-    // Page-boundary splitting may blow past the PaRAM; reject rather
-    // than deadlock on a reservation that cannot fit.
-    if (out.sg.size() > dma::DescriptorRam::kEntries)
-        out.error = MovError::kBadRequest;
-    return out;
-}
-
-// --------------------------------------------------------------------
 // Ops 1-3: Prep, Remap, DMA config + trigger.
 // --------------------------------------------------------------------
 
@@ -1488,8 +1359,13 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
     mem::PhysicalMemory &pm = kernel_.phys();
-    MovReq &req = region_.request(idx);
     sim::Tracer &tr = kernel_.tracer();
+    // §4.2: the driver trusts nothing in the region, so it reads the
+    // request exactly once, here. Validation, the plan and every step
+    // past a suspension point work on this copy: rewriting the slot
+    // mid-serve changes nothing the driver does.
+    const ReqSnapshot snap = ReqSnapshot::of(region_.request(idx));
+    vm::AddressSpace &req_as = request_as(snap.asid);
     tr.record(kernel_.eq().now(), TracePoint::kServeBegin, ctx, idx);
 
     // ---- 1. Prep: validate + locate every physical page -------------
@@ -1497,7 +1373,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                       cm.request_validate + cm.request_admin);
     vm::Vma *src_vma = nullptr;
     vm::Vma *dst_vma = nullptr;
-    rj->error = validate(req, &src_vma, &dst_vma);
+    rj->error = validate(snap, &src_vma, &dst_vma);
     if (rj->error != MovError::kNone) {
         ++stats_.validation_failures;
         co_return;
@@ -1506,44 +1382,15 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     auto fl = std::make_shared<InFlight>();
     rj->fl = fl;
     fl->req_idx = idx;
-    fl->op = req.op;
-    fl->asid = req.asid;
-    fl->daemon = req.daemon != 0;
-    fl->submit_cpu = req.submit_cpu;
+    fl->op = snap.op;
+    fl->asid = snap.asid;
+    fl->daemon = daemon_movs_.contains(idx);
+    fl->submit_cpu = snap.submit_cpu;
     fl->vma = src_vma;
-    fl->num_pages = req.num_pages;
+    fl->plan = plan_move(snap, *src_vma, dst_vma);
     fl->order = vm::page_order(src_vma->page_size());
-    fl->page_bytes = vm::page_bytes(src_vma->page_size());
-    fl->total_bytes = fl->page_bytes * req.num_pages;
-    fl->first_page = src_vma->page_index(req.src_base);
-
-    // Strided geometry (validated above): the flight's page envelope
-    // covers the whole pitched extent — pitch gaps included — so the
-    // in-flight overlap checks stay conservative; total_bytes is the
-    // payload only (rows * row_bytes), which is what the completion
-    // controller, fallback copy, and byte counters care about.
-    const bool strided = req.rows != 0;
-    const bool gather = strided && req.gather_list != 0;
-    std::uint64_t dst_span_bytes = fl->total_bytes;
-    if (strided) {
-        fl->total_bytes = std::uint64_t{req.rows} * req.row_bytes;
-        dst_span_bytes = (std::uint64_t{req.rows} - 1) * req.dst_pitch +
-                         req.row_bytes;
-        if (gather) {
-            // Gather rows may sit anywhere in the source vma; the
-            // envelope is the vma itself.
-            fl->first_page = 0;
-            fl->num_pages =
-                static_cast<std::uint32_t>(src_vma->num_pages());
-        } else {
-            const std::uint64_t src_extent =
-                (std::uint64_t{req.rows} - 1) * req.src_pitch +
-                req.row_bytes;
-            fl->num_pages = static_cast<std::uint32_t>(
-                src_vma->page_index(req.src_base + src_extent - 1) -
-                fl->first_page + 1);
-        }
-    }
+    const bool strided = snap.rows != 0;
+    const bool gather = strided && snap.gather_list != 0;
 
     if (config_.auto_migrate) {
         // Managed mode adds device-originated movs that the app cannot
@@ -1551,15 +1398,9 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // Prep second fails fast with kBusy: the daemon absorbs it
         // (cooldown), the app retries like any transient rejection.
         const bool daemon_only = !fl->daemon;
-        bool busy = page_run_in_flight(src_vma, fl->first_page,
-                                       fl->num_pages, daemon_only);
-        if (!busy && dst_vma) {
-            const std::uint64_t dpb = vm::page_bytes(dst_vma->page_size());
-            busy = page_run_in_flight(
-                dst_vma, dst_vma->page_index(req.dst_base),
-                (dst_span_bytes + dpb - 1) / dpb, daemon_only);
-        }
-        if (busy) {
+        if (page_run_in_flight(src_vma, fl->plan.src, daemon_only) ||
+            (dst_vma &&
+             page_run_in_flight(dst_vma, fl->plan.dst, daemon_only))) {
             rj->error = MovError::kBusy;
             co_return;
         }
@@ -1571,21 +1412,11 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // destination walk of a replication uses the *destination* VMA's
     // geometry: its page size may differ from the source's, so the
     // same byte range spans a different number of its pages.
-    struct LookupRegion {
-        const vm::Vma *vma = nullptr;
-        std::uint64_t first = 0, pages = 0;  ///< page-index run
-    };
-    LookupRegion lookups[2] = {{src_vma, fl->first_page, fl->num_pages}, {}};
-    std::uint64_t lookup_regions = 1;
-    if (req.op == MovOp::kReplicate) {
-        const std::uint64_t dfirst = dst_vma->page_index(req.dst_base);
-        const std::uint64_t dlast =
-            dst_vma->page_index(req.dst_base + dst_span_bytes - 1);
-        lookups[lookup_regions++] = {dst_vma, dfirst, dlast - dfirst + 1};
-    }
+    const std::pair<const vm::Vma *, PageRun> lookups[2] = {
+        {src_vma, fl->plan.src}, {dst_vma, fl->plan.dst}};
     sim::Duration lookup_cost = 0;
-    vm::PageTable &table = request_as(req).page_table();
-    XlateCache *const xcache = xlate_for(req.asid);
+    vm::PageTable &table = req_as.page_table();
+    XlateCache *const xcache = xlate_for(snap.asid);
     // Source translations snapshotted from a gang-cache hit; validated
     // against the cache generation after the Prep charge below (any
     // invalidation in between falls back to live PTE reads).
@@ -1598,48 +1429,48 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // virtual span for the gate to re-resolve (a row may precede
     // src_base entirely), so it takes the classic translated path.
     const bool sva_stream =
-        config_.sva_dma && req.op == MovOp::kReplicate && !gather;
-    for (std::uint64_t r = 0; r < lookup_regions; ++r) {
-        const LookupRegion &lr = lookups[r];
+        config_.sva_dma && snap.op == MovOp::kReplicate && !gather;
+    for (unsigned r = 0; r < (dst_vma ? 2u : 1u); ++r) {
+        const auto &[vma, run] = lookups[r];
         if (sva_stream) {
             lookup_cost += cm.xlate_probe;
             continue;
         }
-        std::uint64_t walk_pages = lr.pages;
+        std::uint64_t walk_pages = run.pages;
         if (xcache) {
             // One hashed probe against the per-VMA generation, hit or
             // miss (the cache's only cost on the submission path).
             lookup_cost += cm.xlate_probe;
             const XlateCache::Entry *e =
-                xcache->lookup(lr.vma, lr.first, lr.pages);
+                xcache->lookup(vma, run.first, run.pages);
             if (e) {
-                stats_.xlate_hits += lr.pages;
+                stats_.xlate_hits += run.pages;
                 if (r == 0) {
-                    const std::uint64_t off = lr.first - e->first_page;
+                    const std::uint64_t off = run.first - e->first_page;
                     cached_src.assign(
                         e->ptes.begin() + static_cast<std::ptrdiff_t>(off),
                         e->ptes.begin() +
-                            static_cast<std::ptrdiff_t>(off + lr.pages));
+                            static_cast<std::ptrdiff_t>(off + run.pages));
                     cached_src_gen = xcache->generation();
                 }
                 continue;  // walk skipped entirely (§5.1 eliminated)
             }
-            stats_.xlate_misses += lr.pages;
+            stats_.xlate_misses += run.pages;
             // Miss: gang-prefetch the next translations while the walk
             // is down here anyway (clamped to the Vma).
-            const std::uint64_t room = lr.vma->num_pages() - lr.first;
+            const std::uint64_t room = vma->num_pages() - run.first;
             walk_pages = std::min<std::uint64_t>(
-                lr.pages + config_.xlate_prefetch, room);
-            stats_.xlate_gang_prefetched += walk_pages - lr.pages;
+                run.pages + config_.xlate_prefetch, room);
+            stats_.xlate_gang_prefetched += walk_pages - run.pages;
         }
         const vm::WalkCost wc =
             config_.gang_lookup
-                ? table.gang_lookup(lr.vma->page_vaddr(lr.first), walk_pages,
-                                    lr.vma->page_size()).cost
+                ? table.gang_lookup(vma->page_vaddr(run.first), walk_pages,
+                                    vma->page_size()).cost
                 : vm::PageTable::per_page_cost(walk_pages);
         lookup_cost += wc.full_descents * cm.page_walk_full +
                        wc.adjacent_steps * cm.page_walk_adjacent;
-        if (xcache) xcache->record(lr.vma, lr.first, walk_pages);
+        if (xcache) xcache->record(vma, run.first, walk_pages);
     }
     co_await cpu.busy(ctx, Op::kPrep, lookup_cost);
     tr.record(kernel_.eq().now(), TracePoint::kPrepDone, ctx, idx);
@@ -1647,11 +1478,11 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     const bool use_cached_src =
         !cached_src.empty() && xcache &&
         xcache->generation() == cached_src_gen;
-    fl->old_pfns.reserve(req.num_pages);
-    for (std::uint32_t i = 0; i < req.num_pages; ++i) {
+    fl->old_pfns.reserve(snap.num_pages);
+    for (std::uint32_t i = 0; i < snap.num_pages; ++i) {
         const vm::Pte pte = use_cached_src
                                 ? cached_src[i]
-                                : src_vma->pte(fl->first_page + i);
+                                : src_vma->pte(fl->plan.src.first + i);
         if (!pte.present || pte.migration) {
             // Under race *prevention* an in-flight page is marked by
             // the migration bit while the PTE still names the old
@@ -1667,44 +1498,34 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // (SRAM ↔ far; the SLIT distances encode adjacency) is *chained*
     // through the middle tier. Decided before Remap because chained
     // flights install blocking migration PTEs (flight_prevents) rather
-    // than semi-final ones. Mixed source residency falls back to the
-    // classic single-hop path.
-    mem::NodeId chain_mid = mem::kInvalidNode;
-    if (config_.tiered_memory && kernel_.has_far_node() &&
-        req.op == MovOp::kMigrate && !fl->old_pfns.empty()) {
-        mem::NodeId src_node = pm.node_of(fl->old_pfns[0]);
-        for (const mem::Pfn pfn : fl->old_pfns) {
-            if (pm.node_of(pfn) != src_node) {
-                src_node = mem::kInvalidNode;
-                break;
-            }
-        }
-        if (src_node != mem::kInvalidNode)
-            chain_mid = chain_mid_node(src_node, req.dst_node);
-        fl->chained = chain_mid != mem::kInvalidNode;
-    }
+    // than semi-final ones.
+    const mem::NodeId chain_mid =
+        config_.tiered_memory && kernel_.has_far_node() &&
+                snap.op == MovOp::kMigrate
+            ? chain_route(pm, fl->old_pfns, snap.dst_node)
+            : mem::kInvalidNode;
+    fl->chained = chain_mid != mem::kInvalidNode;
 
     std::vector<dma::SgEntry> sg;
-    if (req.op == MovOp::kMigrate) {
+    if (snap.op == MovOp::kMigrate) {
         // ---- 2. Remap (migration only) -------------------------------
         sim::Duration remap_cost = 0;
-        sg.reserve(req.num_pages);
-        fl->new_pfns.reserve(req.num_pages);
+        fl->new_pfns.reserve(snap.num_pages);
         bool exhausted = false;
         if (config_.bulk_alloc) {
             // One magazine pass for the whole gang: pops at list-op
             // cost, one allocate_bulk call per refill. All-or-nothing,
             // so the exhausted path has nothing to undo.
-            exhausted = !magazine_alloc(req.dst_node, fl->order,
-                                        req.num_pages, fl->new_pfns,
+            exhausted = !magazine_alloc(snap.dst_node, fl->order,
+                                        snap.num_pages, fl->new_pfns,
                                         remap_cost);
         } else {
-            for (std::uint32_t i = 0; i < req.num_pages; ++i) {
+            for (std::uint32_t i = 0; i < snap.num_pages; ++i) {
                 remap_cost += cm.page_alloc_time(fl->order);
                 const mem::Pfn new_pfn =
                     kernel_.faults().should_fire(kFaultAllocFail)
                         ? mem::kInvalidPfn
-                        : pm.allocate(req.dst_node, fl->order);
+                        : pm.allocate(snap.dst_node, fl->order);
                 if (new_pfn == mem::kInvalidPfn) {
                     exhausted = true;
                     break;
@@ -1724,12 +1545,12 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // Collect every mapping of every page from the reverse-map
         // chains (shared anonymous pages have several, §6.7) — the
         // caller's own mapping is forced to the front.
-        fl->mappings.reserve(req.num_pages);
-        fl->mapping_begin.reserve(req.num_pages + 1);
+        fl->mappings.reserve(snap.num_pages);
+        fl->mapping_begin.reserve(snap.num_pages + 1);
         fl->mapping_begin.push_back(0);
-        fl->cache_refs.resize(req.num_pages);
+        fl->cache_refs.resize(snap.num_pages);
         bool busy = false;
-        for (std::uint32_t i = 0; i < req.num_pages && !busy; ++i) {
+        for (std::uint32_t i = 0; i < snap.num_pages && !busy; ++i) {
             const mem::PageFrame &frame = pm.frame(fl->old_pfns[i]);
             if (frame.mapcount() == 0) {
                 // The PTE points at a frame with no reverse mapping yet:
@@ -1756,7 +1577,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                 m.vma = mvma;
                 m.page_idx = mvma->page_index(re.vaddr);
                 m.old_pte = mvma->pte(m.page_idx).pack();
-                if (as == &request_as(req) && mvma == src_vma)
+                if (as == &req_as && mvma == src_vma)
                     fl->mappings.insert(fl->mappings.begin() + page_begin, m);
                 else
                     fl->mappings.push_back(m);
@@ -1769,7 +1590,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // A kBusy exit leaves the remaining pages uncaptured: give them
         // empty runs so page_mappings() stays valid for every page.
         fl->mapping_begin.resize(
-            req.num_pages + 1,
+            snap.num_pages + 1,
             static_cast<std::uint32_t>(fl->mappings.size()));
         // The admission-gate collision check ran before Prep — several
         // suspension points ago. A racing mov (say a replication whose
@@ -1779,8 +1600,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // stretch as the PTE stores and the registration below, so the
         // verdict cannot go stale before this flight becomes visible.
         if (!busy && config_.auto_migrate)
-            busy = page_run_in_flight(src_vma, fl->first_page,
-                                      req.num_pages, !fl->daemon);
+            busy = page_run_in_flight(src_vma, fl->plan.src, !fl->daemon);
         if (busy) {
             rj->error = MovError::kBusy;
             co_return;
@@ -1792,7 +1612,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // suspension point and its time is charged afterwards, exactly
         // as the per-page variant's.
         FlushPlan flush_spans;
-        for (std::uint32_t i = 0; i < req.num_pages; ++i) {
+        for (std::uint32_t i = 0; i < snap.num_pages; ++i) {
             for (const Mapping &m : fl->page_mappings(i)) {
                 const vm::Pte old_pte = vm::Pte::unpack(m.old_pte);
                 vm::Pte next = old_pte;
@@ -1816,9 +1636,6 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                     remap_cost += cm.pte_update + cm.tlb_flush_page;
                 }
             }
-            sg.push_back(dma::SgEntry{
-                fl->old_pfns[i] << mem::kPageShift,
-                fl->new_pfns[i] << mem::kPageShift, fl->page_bytes});
         }
         issue_flush_plan(flush_spans, remap_cost);
         // The semi-final/migration PTEs are live the moment the store
@@ -1828,7 +1645,6 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // concurrent serve could pass its own collision re-check while
         // this flight is live but still invisible to the table.
         ++stats_.migrations;
-        req.store_status(MovStatus::kInFlight);
         add_in_flight(fl);
         co_await cpu.busy(ctx, Op::kRemap, remap_cost);
         tr.record(kernel_.eq().now(), TracePoint::kRemapDone, ctx, idx);
@@ -1846,21 +1662,20 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         if (strided) {
             ++stats_.strided_requests;
             if (gather) ++stats_.gather_requests;
-            stats_.strided_rows_moved += req.rows;
+            stats_.strided_rows_moved += snap.rows;
         }
         if (gather) {
             // The per-row source addresses live in user memory;
             // validate pinned the list's span, each address is bounds-
             // checked against the source vma before the list read is
             // charged.
-            vm::AddressSpace &as = request_as(req);
-            row_srcs.reserve(req.rows);
-            for (std::uint32_t r = 0; r < req.rows; ++r) {
+            row_srcs.reserve(snap.rows);
+            for (std::uint32_t r = 0; r < snap.rows; ++r) {
                 const std::byte *p =
-                    as.translate(req.gather_list + std::uint64_t{r} * 8);
+                    req_as.translate(snap.gather_list + std::uint64_t{r} * 8);
                 vm::VAddr row = 0;
                 if (p) std::memcpy(&row, p, sizeof(row));
-                if (!p || !row_in_vma(*src_vma, row, req.row_bytes)) {
+                if (!p || !row_in_vma(*src_vma, row, snap.row_bytes)) {
                     rj->error = MovError::kBadAddress;
                     co_return;
                 }
@@ -1868,19 +1683,19 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             }
             // One list-sized read charged as prep work.
             co_await cpu.busy(ctx, Op::kPrep,
-                              (std::uint64_t{req.rows} * 8 / 64 + 1) *
+                              (std::uint64_t{snap.rows} * 8 / 64 + 1) *
                                   cm.queue_op);
         }
         // (A strided request captured no flat frames: num_pages is 0.)
         Lowering low = lower_rows(RowWalk{
             .src_vma = src_vma,
             .dst_vma = dst_vma,
-            .src_base = req.src_base,
-            .dst_base = req.dst_base,
-            .rows = strided ? req.rows : 1u,
-            .row_bytes = strided ? req.row_bytes : fl->total_bytes,
-            .src_pitch = strided ? req.src_pitch : 0,
-            .dst_pitch = strided ? req.dst_pitch : 0,
+            .src_base = snap.src_base,
+            .dst_base = snap.dst_base,
+            .rows = strided ? snap.rows : 1u,
+            .row_bytes = strided ? snap.row_bytes : fl->plan.payload_bytes,
+            .src_pitch = strided ? snap.src_pitch : 0,
+            .dst_pitch = strided ? snap.dst_pitch : 0,
             .row_srcs = row_srcs,
             .src_frames = fl->old_pfns,
             .fold_2d = !sva_stream && !gather,
@@ -1897,7 +1712,6 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         fl->slots = std::move(low.slots);
         fl->dst_vma = dst_vma;
         ++stats_.replications;
-        req.store_status(MovStatus::kInFlight);
         add_in_flight(fl);
     }
 
@@ -1906,11 +1720,9 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // record registered; hand the copy to the chain master instead
         // of one end-to-end DMA. The master's own xfer is never
         // started, so no drain or reap pass claims it — each hop stage
-        // runs its own supervisor. fl->sg keeps the logical old→new
-        // list for bookkeeping; the hops build their own per-batch
-        // lists. The caller's @p out stays empty: there is no single
-        // transfer for the kernel thread to poll on.
-        fl->sg = std::move(sg);
+        // runs its own supervisor over its own page-pair lowering. The
+        // caller's @p out stays empty: there is no single transfer for
+        // the kernel thread to poll on.
         ++stats_.chained_migrations;
         spawn(run_chain(fl, chain_mid));
         tr.record(kernel_.eq().now(), TracePoint::kDmaStart, ctx, idx);
@@ -1918,6 +1730,9 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     }
 
     // ---- 3. DMA config + trigger -------------------------------------
+    if (snap.op == MovOp::kMigrate)
+        sg = lower_page_pairs(fl->old_pfns, fl->new_pfns, fl->order,
+                              /*merge=*/false);
     // Contiguous-run coalescing: the buddy allocator routinely hands
     // back adjacent frames, so physically contiguous old->new runs
     // collapse into one variable-size descriptor each. The list is
@@ -1946,8 +1761,8 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         fl->slots.reserve(fl->sg.size());
         std::uint64_t off = 0;
         for (const dma::SgEntry &e : fl->sg) {
-            fl->slots.push_back({.src_va = req.src_base + off,
-                                 .dst_va = req.dst_base + off,
+            fl->slots.push_back({.src_va = snap.src_base + off,
+                                 .dst_va = snap.dst_base + off,
                                  .bytes = e.bytes});
             off += e.bytes;
         }
@@ -1961,7 +1776,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             std::max<std::uint32_t>(config_.prefetch_window, 1),
             fl->slots.size());
         const SlotPages sp = slot_pages(*fl, 0, hi);
-        if (XlateCache *cache = xlate_for(req.asid)) {
+        if (XlateCache *cache = xlate_for(snap.asid)) {
             cache->record(src_vma, sp.s0, sp.sn);
             cache->record(dst_vma, sp.d0, sp.dn);
         }
@@ -2317,7 +2132,7 @@ MemifDevice::observe_completion(const InFlightPtr &fl)
     // Only clean first attempts teach the controller: a retry's span
     // covers backoff and watchdog slack, not DMA service time.
     if (!config_.adaptive_polling || fl->xfer.attempts != 1) return;
-    completion_ctl_.observe(fl->total_bytes, fl->xfer.predicted,
+    completion_ctl_.observe(fl->plan.payload_bytes, fl->xfer.predicted,
                             kernel_.eq().now() - fl->xfer.start_at);
 }
 
@@ -2452,7 +2267,7 @@ MemifDevice::rollback_remap(const InFlightPtr &fl, ExecContext ctx)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Duration cost = 0;
-    for (std::uint32_t i = 0; i < fl->num_pages; ++i) {
+    for (std::uint32_t i = 0; i < fl->plan.src.pages; ++i) {
         for (const Mapping &m : fl->page_mappings(i)) {
             m.vma->pte_slot(m.page_idx)
                 .store(m.old_pte, std::memory_order_release);
@@ -2488,7 +2303,7 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
     bool raced = false;
     if (fl->op == MovOp::kMigrate) {
         sim::Duration release_cost = 0;
-        for (std::uint32_t i = 0; i < fl->num_pages; ++i) {
+        for (std::uint32_t i = 0; i < fl->plan.src.pages; ++i) {
             bool page_raced = false;
             for (const Mapping &m : fl->page_mappings(i)) {
                 vm::PteSlot &slot = m.vma->pte_slot(m.page_idx);
@@ -2596,12 +2411,12 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
     co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kNotifyDone,
                             ctx, fl->req_idx);
-    stats_.pages_moved += fl->num_pages;
-    stats_.bytes_moved += fl->total_bytes;
+    stats_.pages_moved += fl->plan.src.pages;
+    stats_.bytes_moved += fl->plan.payload_bytes;
     if (config_.multi_tenant && !raced) {
         if (Tenant *t = tenant_for(fl->asid)) {
-            t->stats.pages_moved += fl->num_pages;
-            t->stats.bytes_moved += fl->total_bytes;
+            t->stats.pages_moved += fl->plan.src.pages;
+            t->stats.bytes_moved += fl->plan.payload_bytes;
         }
     }
     if (raced)
@@ -2700,7 +2515,7 @@ MemifDevice::kthread_loop()
                 continue;
             }
             MovReq &req = region_.request(next);
-            const vm::Vma *vma = request_as(req).find_vma(req.src_base);
+            const vm::Vma *vma = request_as(req.asid).find_vma(req.src_base);
             const std::uint64_t bytes =
                 vma ? req.num_pages * vm::page_bytes(vma->page_size()) : 0;
             // Completion-mode decision. The static rule is the paper's:
@@ -2724,12 +2539,6 @@ MemifDevice::kthread_loop()
                 if (mode == CompletionMode::kModerated &&
                     !config_.irq_moderation)
                     mode = CompletionMode::kInterrupt;
-                if (mode == CompletionMode::kPolled)
-                    ++stats_.adaptive_polled;
-                else if (mode == CompletionMode::kModerated)
-                    ++stats_.adaptive_moderated;
-                else
-                    ++stats_.adaptive_irq;
             } else {
                 const bool below =
                     !config_.multi_tc_dispatch && bytes > 0 &&

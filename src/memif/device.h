@@ -53,6 +53,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -62,6 +63,7 @@
 #include "memif/completion_ctl.h"
 #include "memif/heat_policy.h"
 #include "memif/mov_req.h"
+#include "memif/move_plan.h"
 #include "memif/shared_region.h"
 #include "memif/xlate_cache.h"
 #include "os/kernel.h"
@@ -507,10 +509,6 @@ struct DeviceStats {
     /** Moderated completions the kernel thread retired directly from
      *  the flight table, cancelling the held IRQ before it fired. */
     std::uint64_t reaped_completions = 0;
-    /** Adaptive-controller decisions (mirrors CompletionController). */
-    std::uint64_t adaptive_polled = 0;
-    std::uint64_t adaptive_irq = 0;
-    std::uint64_t adaptive_moderated = 0;
     std::uint64_t dma_errors = 0;         ///< TC-error completions seen
     std::uint64_t dma_retries = 0;        ///< transfers restarted
     std::uint64_t fallback_copies = 0;    ///< degraded to CPU byte-copy
@@ -618,61 +616,6 @@ struct DeviceStats {
      *  A/B-count descriptor instead of per-row entries). */
     std::uint64_t strided_descriptors = 0;
 };
-
-/** One SVA-routed descriptor's virtual span: what the engine's
- *  translation gate re-resolves through the live page tables at
- *  consumption time (sva_dma replication streams only). */
-struct XlateSlot {
-    vm::VAddr src_va = 0;
-    vm::VAddr dst_va = 0;
-    std::uint64_t bytes = 0;
-    /** When the covering prefetch walk completes (prefetch-ahead
-     *  only; 0 = no prefetch covers this slot). */
-    sim::SimTime ready_at = 0;
-    bool prefetched = false;
-};
-
-/** A replication as the row walk sees it: row r of row_bytes is read
- *  from src_base + r * src_pitch (or row_srcs[r], a gather) and written
- *  to dst_base + r * dst_pitch. A flat replication is one row. */
-struct RowWalk {
-    const vm::Vma *src_vma = nullptr;
-    const vm::Vma *dst_vma = nullptr;
-    vm::VAddr src_base = 0;
-    vm::VAddr dst_base = 0;
-    std::uint32_t rows = 1;
-    std::uint64_t row_bytes = 0;
-    std::uint64_t src_pitch = 0;
-    std::uint64_t dst_pitch = 0;
-    /** Gather: per-row source addresses (empty = pitched rows). */
-    std::span<const vm::VAddr> row_srcs = {};
-    /** Source frames already captured and checked, one per source page
-     *  from src_base's page on; empty = read the live source PTEs. */
-    std::span<const mem::Pfn> src_frames = {};
-    /** Fold whole rows in line with the previous entry's pitch train
-     *  into its B-count (true 2D descriptors). */
-    bool fold_2d = false;
-    /** Emit one XlateSlot per SG entry (SVA-routed strided streams). */
-    bool sva_slots = false;
-};
-
-/** What lower_rows() produced. On error, sg and slots are partial. */
-struct Lowering {
-    std::vector<dma::SgEntry> sg;
-    std::vector<XlateSlot> slots;
-    std::uint64_t row_splits = 0;  ///< rows split, up to an error
-    std::uint64_t descriptors_2d = 0;  ///< 2D entries of a complete walk
-    MovError error = MovError::kNone;
-};
-
-/**
- * The replication lowering: walk each row into segments split at page
- * boundaries on BOTH sides (a segment is then physically contiguous).
- * Synchronous and device-free; reads only the two Vmas' PTEs. Errors:
- * kBadAddress (absent page, gather row outside the source Vma), kBusy
- * (page mid-migration), kBadRequest (more segments than the PaRAM).
- */
-Lowering lower_rows(const RowWalk &w);
 
 class MemifDevice {
   public:
@@ -853,19 +796,18 @@ class MemifDevice {
     struct InFlight {
         std::uint32_t req_idx = 0;
         MovOp op = MovOp::kReplicate;
-        vm::Vma *vma = nullptr;          ///< migration: region's vma
-        std::uint64_t first_page = 0;    ///< migration: first page index
-        std::uint32_t num_pages = 0;
-        unsigned order = 0;
-        std::uint64_t page_bytes = 0;
-        std::uint64_t total_bytes = 0;
+        vm::Vma *vma = nullptr;          ///< source region's vma
+        /** The validated request's page runs and payload; nothing
+         *  after Prep re-derives them from the request slot. */
+        MovePlan plan;
+        unsigned order = 0;  ///< of the source pages (and the new frames)
         std::vector<mem::Pfn> old_pfns;  ///< migration: replaced frames
         std::vector<mem::Pfn> new_pfns;  ///< migration: new frames
         /** Migration: every mapping of every page, via the rmap
          *  chains, grouped by page (see page_mappings()). */
         std::vector<Mapping> mappings;
         /** Page i's mappings are mappings[mapping_begin[i],
-         *  mapping_begin[i + 1]); num_pages + 1 entries once captured,
+         *  mapping_begin[i + 1]); plan.src.pages + 1 entries once captured,
          *  with empty runs for pages a kBusy reject left uncaptured. */
         std::vector<std::uint32_t> mapping_begin;
         /** Migration: page-cache reference per page (backing == nullptr
@@ -987,11 +929,11 @@ class MemifDevice {
     sim::Task kthread_loop();
     void wake_kthread();
 
-    /** Validation of one user-supplied request (§4.2 safety). */
-    MovError validate(const MovReq &req, vm::Vma **src_vma,
+    /** Validation of one request's snapshot (§4.2 safety). */
+    MovError validate(const ReqSnapshot &s, vm::Vma **src_vma,
                       vm::Vma **dst_vma) const;
     /** Validation of a strided/gather request (rows != 0). */
-    MovError validate_strided(const MovReq &req, vm::Vma **src_vma,
+    MovError validate_strided(const ReqSnapshot &s, vm::Vma **src_vma,
                               vm::Vma **dst_vma) const;
 
     /** Post a completion notification (op 5). */
@@ -1077,13 +1019,6 @@ class MemifDevice {
         std::uint32_t batches_left = 0;
     };
     using ChainStatePtr = std::shared_ptr<ChainState>;
-    /** Middle (staging) node for a chained move between @p src and
-     *  @p dst, or kInvalidNode when the endpoints are adjacent (the
-     *  move then runs single-hop exactly as before). Non-adjacency is
-     *  read off the SLIT distances: a pair is chained when some third
-     *  node is strictly closer to both endpoints than they are to
-     *  each other. */
-    mem::NodeId chain_mid_node(mem::NodeId src, mem::NodeId dst) const;
     /** The chain master (spawned where single-hop moves start their
      *  supervisor): splits @p fl into bounded batches, runs them pipelined
      *  (or store-and-forward), then releases the migration — or rolls
@@ -1126,8 +1061,9 @@ class MemifDevice {
     void drain_magazines();
     /** Free one block on the lever-appropriate path. */
     void free_frames(mem::Pfn head, unsigned order, sim::Duration &cost);
-    /** Register / retire an in-flight record (mirrors into the
-     *  per-submit-CPU flight shard when rings are on). */
+    /** Register (marking its request kInFlight) / retire an in-flight
+     *  record (mirrors into the per-submit-CPU flight shard when rings
+     *  are on). */
     void add_in_flight(const InFlightPtr &fl);
     void remove_in_flight(const InFlightPtr &fl);
 
@@ -1184,9 +1120,9 @@ class MemifDevice {
     /** Tenant record for @p asid, or null (lever off / unknown ASID). */
     Tenant *tenant_for(std::uint32_t asid);
     const Tenant *tenant_for(std::uint32_t asid) const;
-    /** The address space serving @p req (the owner's when the lever is
-     *  off or the ASID is unknown — validation then rejects cleanly). */
-    vm::AddressSpace &request_as(const MovReq &req) const;
+    /** The address space of tenant @p asid (the owner's when the lever
+     *  is off or the ASID is unknown — validation then rejects cleanly). */
+    vm::AddressSpace &request_as(std::uint32_t asid) const;
     /** Per-ASID gang translation cache (null when the lever is off). */
     XlateCache *xlate_for(std::uint32_t asid);
     /** Drop (vma, range) from every tenant's cache (rmap chains may
@@ -1281,20 +1217,20 @@ class MemifDevice {
                               bool promote, mem::NodeId dst);
     /** Terminal handling of a daemon mov (diverted from notify()):
      *  recycle the slot, clear the bucket, count, wake the daemon. */
-    void daemon_request_done(std::uint32_t idx, MovStatus status);
+    void daemon_request_done(std::uint32_t idx, MovStatus status,
+                             MovError error);
     /** Wake the scanner if it parked (device-activity signal). */
     void wake_scanner();
-    /** True when [first, first+n) of @p vma overlaps an in-flight
-     *  request's source or destination span. With @p daemon_only only
+    /** True when @p run of @p vma overlaps an in-flight request's
+     *  source or destination run. With @p daemon_only only
      *  daemon-originated flights count (app-side Prep gate); the
      *  scanner passes false so it never samples under ANY move. */
-    bool page_run_in_flight(const vm::Vma *vma, std::uint64_t first,
-                            std::uint64_t n, bool daemon_only = false);
-    /** Does bucket @p b of @p mr currently live on the fast node? */
-    bool bucket_resident_fast(const ManagedRegion &mr,
-                              std::uint64_t bucket) const;
-    /** Which tier bucket @p b of @p mr currently lives on (judged by
-     *  the bucket's first page, like bucket_resident_fast). */
+    bool page_run_in_flight(const vm::Vma *vma, PageRun run,
+                            bool daemon_only = false);
+    /** Which tier bucket @p b of @p mr currently lives on, judged by
+     *  its first page: the daemon moves whole buckets, so a bucket's
+     *  pages straddle nodes only mid-migration (which the scanner
+     *  skips anyway). */
     HeatTier bucket_tier(const ManagedRegion &mr,
                          std::uint64_t bucket) const;
     /** True when the daemon places across three tiers (tiered_memory
@@ -1307,6 +1243,11 @@ class MemifDevice {
     /** Transfer controller this instance submits on. */
     unsigned tc_;
     SharedRegion region_;
+    /** Per request slot: the tenant whose in-flight quota slot the
+     *  request holds, from admission to its terminal notify. Kept out
+     *  of the application-writable MovReq, so no scribble can forge or
+     *  redirect an admission. */
+    std::vector<std::optional<std::uint32_t>> quota_holder_;
     CompletionController completion_ctl_;
     sim::SimEvent completion_event_;
     sim::WaitQueue kthread_wq_;
@@ -1349,9 +1290,9 @@ class MemifDevice {
     std::uint32_t scan_quiet_epochs_ = 0;
     /** Pages the daemon may still move this epoch (scanner refills). */
     std::uint32_t daemon_budget_ = 0;
-    /** Daemon movs between submission and terminal handling. */
-    std::uint32_t daemon_outstanding_ = 0;
-    /** Outstanding daemon movs by request-slot index. */
+    /** Daemon movs between submission and terminal handling, by
+     *  request-slot index: the driver-side mark of a daemon request
+     *  (notify diverts exactly these slots to the daemon). */
     std::map<std::uint32_t, DaemonMov> daemon_movs_;
     /** The daemon's dedicated service class: NOT in tenants_ (its index
      *  is no ASID); WRR and frame accounting special-case it. */

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/cost_model.h"
 #include "sim/log.h"
@@ -156,54 +155,21 @@ MemifDevice::wake_scanner()
 }
 
 bool
-MemifDevice::page_run_in_flight(const vm::Vma *vma, std::uint64_t first,
-                                std::uint64_t n, bool daemon_only)
+MemifDevice::page_run_in_flight(const vm::Vma *vma, PageRun run,
+                                bool daemon_only)
 {
-    const std::uint64_t hi = first + n;
     auto overlaps = [&](const InFlightPtr &fl) {
         // App-vs-app overlap keeps its pre-managed semantics (the
         // migration PTE check in Prep; replications may legitimately
         // share read-only source pages) — the gate only arbitrates
         // collisions that involve a daemon mov.
         if (daemon_only && !fl->daemon) return false;
-        if (fl->vma == vma && fl->first_page < hi &&
-            first < fl->first_page + fl->num_pages)
-            return true;
-        if (fl->op == MovOp::kReplicate && fl->dst_vma == vma) {
-            const MovReq &req = region_.request(fl->req_idx);
-            const std::uint64_t dpb =
-                vm::page_bytes(fl->dst_vma->page_size());
-            const std::uint64_t dfirst =
-                fl->dst_vma->page_index(req.dst_base);
-            // Strided flights write a pitched window, gaps included —
-            // wider than their payload byte count.
-            const std::uint64_t dspan =
-                req.rows != 0
-                    ? (std::uint64_t{req.rows} - 1) * req.dst_pitch +
-                          req.row_bytes
-                    : fl->total_bytes;
-            const std::uint64_t dpages = (dspan + dpb - 1) / dpb;
-            if (dfirst < hi && first < dfirst + dpages) return true;
-        }
-        return false;
+        return (fl->vma == vma && fl->plan.src.overlaps(run)) ||
+               (fl->op == MovOp::kReplicate && fl->dst_vma == vma &&
+                fl->plan.dst.overlaps(run));
     };
-    for (const InFlightPtr &fl : in_flight_)
-        if (overlaps(fl)) return true;
-    for (const InFlightPtr &fl : pending_release_)
-        if (overlaps(fl)) return true;
-    return false;
-}
-
-bool
-MemifDevice::bucket_resident_fast(const ManagedRegion &mr,
-                                  std::uint64_t bucket) const
-{
-    // Residency is judged by the bucket's first page: the daemon moves
-    // whole buckets, so pages of one bucket only straddle nodes
-    // transiently (mid-migration, which the scanner skips anyway).
-    const vm::Pte pte = mr.vma->pte(mr.heat.first_page(bucket));
-    if (!pte.present) return false;
-    return kernel_.phys().node_of(pte.pfn) == kernel_.fast_node();
+    return std::ranges::any_of(in_flight_, overlaps) ||
+           std::ranges::any_of(pending_release_, overlaps);
 }
 
 HeatTier
@@ -233,7 +199,7 @@ MemifDevice::scan_epoch(bool *any_accessed, bool *has_work,
             if (mr.cooldown[b] > 0) --mr.cooldown[b];
             const std::uint64_t first = mr.heat.first_page(b);
             const std::uint32_t pages = mr.heat.pages_in(b);
-            if (mr.busy[b] || page_run_in_flight(mr.vma, first, pages)) {
+            if (mr.busy[b] || page_run_in_flight(mr.vma, {first, pages})) {
                 // A bucket with a move in flight is the driver's, not
                 // the scanner's. Decay must not stall: fold zeros.
                 stats_.heat_pages_skipped += pages;
@@ -302,7 +268,8 @@ MemifDevice::scan_epoch(bool *any_accessed, bool *has_work,
                 daemon_tiered()
                     ? mr.heat.classify_tiered(b, bucket_tier(mr, b)) ==
                           TierVerdict::kStay
-                    : mr.heat.classify(b, bucket_resident_fast(mr, b)) ==
+                    : mr.heat.classify(b, bucket_tier(mr, b) ==
+                                              HeatTier::kFast) ==
                           HeatVerdict::kStay;
             if (!stay) *has_work = true;
             // Settling: epochs with no placement work extend the
@@ -375,21 +342,8 @@ MemifDevice::scan_loop()
         // does not roll over (the cap is a rate, not a credit line).
         daemon_budget_ = config_.migrate_pages_per_epoch;
         if (has_work && daemon_parked_) daemon_wq_.notify_one();
-        if (std::getenv("MEMIF_DEBUG_MANAGED"))
-            std::fprintf(stderr,
-                         "scan now=%llu scans=%llu acc=%d work=%d hot=%d "
-                         "out=%llu p=%llu/%llu d=%llu/%llu drop=%llu\n",
-                         (unsigned long long)k.eq().now(),
-                         (unsigned long long)stats_.heat_scans,
-                         (int)any_accessed, (int)has_work, (int)still_hot,
-                         (unsigned long long)daemon_outstanding_,
-                         (unsigned long long)stats_.promotions_issued,
-                         (unsigned long long)stats_.promotions_completed,
-                         (unsigned long long)stats_.demotions_issued,
-                         (unsigned long long)stats_.demotions_completed,
-                         (unsigned long long)stats_.daemon_movs_dropped);
         if (!any_accessed && !has_work && !still_hot &&
-            daemon_outstanding_ == 0)
+            daemon_movs_.empty())
             ++scan_quiet_epochs_;
         else
             scan_quiet_epochs_ = 0;
@@ -444,7 +398,8 @@ MemifDevice::daemon_issue_pass()
                               (v == TierVerdict::kToSlow &&
                                tier == HeatTier::kFar);
                 } else {
-                    const bool fast = bucket_resident_fast(mr, b);
+                    const bool fast =
+                        bucket_tier(mr, b) == HeatTier::kFast;
                     if (mr.heat.classify(b, fast) != want) continue;
                     promote = want == HeatVerdict::kPromote;
                     dst = promote ? kernel_.fast_node()
@@ -503,19 +458,19 @@ MemifDevice::daemon_submit_bucket(ManagedRegion &mr, std::uint64_t bucket,
     req.submit_cpu = 0;
     req.asid = mr.asid;  // translations resolve in the target's tables
     req.retry_after_us = 0;
-    req.admitted = 0;    // never holds an app tenant's quota slot
-    req.daemon = 1;
     req.submit_time = kernel_.eq().now();
-    req.store_status(MovStatus::kSubmitted);
-    region_.submission_queue().enqueue(d.value);
-    kernel_.cpu().charge(ExecContext::kKthread, Op::kQueue,
-                         cm.queue_op * 2);
+    // The driver-side record marks the slot as the daemon's before the
+    // request becomes visible: routing, Prep and notify consult it,
+    // never the slot.
     daemon_movs_[d.value] =
         DaemonMov{mr.vma, bucket, promote, pages,
                   kernel_.has_far_node() && dst == kernel_.far_node(),
                   src_tier == HeatTier::kFar};
+    req.store_status(MovStatus::kSubmitted);
+    region_.submission_queue().enqueue(d.value);
+    kernel_.cpu().charge(ExecContext::kKthread, Op::kQueue,
+                         cm.queue_op * 2);
     mr.busy[bucket] = true;
-    ++daemon_outstanding_;
     daemon_budget_ -= pages;
     ++daemon_tenant_.stats.admitted;
     if (promote)
@@ -527,17 +482,10 @@ MemifDevice::daemon_submit_bucket(ManagedRegion &mr, std::uint64_t bucket,
 }
 
 void
-MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status)
+MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status,
+                                 MovError error)
 {
-    auto it = daemon_movs_.find(idx);
-    if (it == daemon_movs_.end()) {
-        MEMIF_WARN("memif: daemon completion for unknown request %u", idx);
-        return;
-    }
-    const DaemonMov dm = it->second;
-    daemon_movs_.erase(it);
-    MEMIF_ASSERT(daemon_outstanding_ > 0, "daemon outstanding underflow");
-    --daemon_outstanding_;
+    const DaemonMov dm = daemon_movs_.extract(idx).mapped();
     ++daemon_tenant_.stats.completed;
 
     // The region may have been unmanaged while the mov was in flight.
@@ -576,16 +524,9 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status)
         // epoch — while resource failures get the full cooldown so the
         // daemon cannot hammer an exhausted fast node.
         ++stats_.daemon_movs_dropped;
-        const MovReq &failed = region_.request(idx);
         const bool transient = status == MovStatus::kRaceDetected ||
                                status == MovStatus::kAborted ||
-                               failed.error == MovError::kBusy;
-        if (std::getenv("MEMIF_DEBUG_MANAGED"))
-            std::fprintf(stderr,
-                         "daemon drop bucket=%llu status=%u error=%u "
-                         "transient=%d\n",
-                         (unsigned long long)dm.bucket, (unsigned)status,
-                         (unsigned)failed.error, (int)transient);
+                               error == MovError::kBusy;
         if (mr)
             mr->cooldown[dm.bucket] =
                 transient ? 1 : kDaemonFailCooldown;
@@ -594,9 +535,7 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status)
 
     // Recycle the slot straight back to the free queue — daemon movs
     // never surface on the completion queues.
-    MovReq &req = region_.request(idx);
-    req.daemon = 0;
-    req.store_status(MovStatus::kFree);
+    region_.request(idx).store_status(MovStatus::kFree);
     region_.free_queue().enqueue(idx);
 
     if (daemon_parked_) daemon_wq_.notify_one();

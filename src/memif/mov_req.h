@@ -54,7 +54,11 @@ enum class MovError : std::uint32_t {
  * One move request. Lives in the shared region; referenced everywhere
  * by its index. The application populates the parameter fields after
  * AllocRequest() and must not touch them again until the completion
- * notification returns the request (paper §4.1).
+ * notification returns the request (paper §4.1). The driver does not
+ * rely on that: it copies the parameters once, at the top of Prep
+ * (ReqSnapshot), and never reads them again, so a later rewrite changes
+ * nothing. What the driver keeps about a request — its admission, its
+ * daemon origin — lives driver-side, where no scribble can forge it.
  */
 struct MovReq {
     std::atomic<std::uint32_t> status{
@@ -109,15 +113,6 @@ struct MovReq {
      *  the rejection is permanent — the request's frame estimate alone
      *  exceeds the tenant's whole quota — and retrying is pointless. */
     std::uint32_t retry_after_us = 0;
-    /** Driver-internal: request passed admission and holds a slot in
-     *  its tenant's in-flight quota (cleared at terminal notify). */
-    std::uint8_t admitted = 0;
-    /** Driver-internal: originated by the migration daemon (managed
-     *  mode). Completion is diverted to the daemon — never surfaces on
-     *  the application's completion queues — and resource accounting
-     *  charges the daemon's dedicated service class, not the tenant
-     *  whose pages move (asid still names the target address space). */
-    std::uint8_t daemon = 0;
 
     /** Diagnostics (virtual time): set by the library/driver. */
     std::uint64_t submit_time = 0;

@@ -35,55 +35,6 @@ namespace memif::core {
 using sim::ExecContext;
 using sim::Op;
 
-namespace {
-
-/** Append a run to @p sg, merging into the previous entry when both
- *  sides are contiguous (bulk-allocated staging frames usually are —
- *  the hop-level analogue of the sg_coalescing lever). */
-void
-append_merged(std::vector<dma::SgEntry> &sg, std::uint64_t src,
-              std::uint64_t dst, std::uint64_t bytes)
-{
-    if (!sg.empty()) {
-        dma::SgEntry &last = sg.back();
-        if (last.src_addr + last.bytes == src &&
-            last.dst_addr + last.bytes == dst) {
-            last.bytes += bytes;
-            return;
-        }
-    }
-    sg.push_back(dma::SgEntry{src, dst, bytes});
-}
-
-}  // namespace
-
-mem::NodeId
-MemifDevice::chain_mid_node(mem::NodeId src, mem::NodeId dst) const
-{
-    if (src == dst) return mem::kInvalidNode;
-    mem::PhysicalMemory &pm = kernel_.phys();
-    const std::uint32_t direct = pm.distance(src, dst);
-    mem::NodeId best = mem::kInvalidNode;
-    std::uint32_t best_worst = 0;
-    const auto count = static_cast<mem::NodeId>(pm.node_count());
-    for (mem::NodeId n = 0; n < count; ++n) {
-        if (n == src || n == dst) continue;
-        const std::uint32_t a = pm.distance(src, n);
-        const std::uint32_t b = pm.distance(n, dst);
-        // "Between" in SLIT terms: strictly closer to both endpoints
-        // than they are to each other. With the default topology only
-        // DDR sits between SRAM and the far tier; SRAM is not between
-        // DDR and far (its far leg is longer than the direct path).
-        if (a >= direct || b >= direct) continue;
-        const std::uint32_t worst = a > b ? a : b;
-        if (best == mem::kInvalidNode || worst < best_worst) {
-            best = n;
-            best_worst = worst;
-        }
-    }
-    return best;
-}
-
 sim::Task
 MemifDevice::staging_acquire(mem::NodeId mid, unsigned order,
                              std::uint32_t pages,
@@ -173,43 +124,34 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                          nullptr);
     };
     if (!fl->chain_failed && !stopping_) {
+        // This batch's pages of the flight.
+        const auto old_pfns =
+            std::span<const mem::Pfn>(fl->old_pfns).subspan(first, count);
+        const auto new_pfns =
+            std::span<const mem::Pfn>(fl->new_pfns).subspan(first, count);
         std::vector<mem::Pfn> staging;
         bool have_staging = false;
         co_await staging_acquire(mid, fl->order, count, &staging,
                                  &have_staging);
         if (!fl->chain_failed && !stopping_) {
             if (have_staging) {
-                std::vector<dma::SgEntry> hop1;
-                std::vector<dma::SgEntry> hop2;
-                hop1.reserve(count);
-                hop2.reserve(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    const std::uint64_t src = fl->old_pfns[first + i]
-                                              << mem::kPageShift;
-                    const std::uint64_t st = staging[i]
-                                             << mem::kPageShift;
-                    const std::uint64_t dst = fl->new_pfns[first + i]
-                                              << mem::kPageShift;
-                    append_merged(hop1, src, st, fl->page_bytes);
-                    append_merged(hop2, st, dst, fl->page_bytes);
-                }
+                // Bulk-allocated staging frames are usually contiguous,
+                // so each hop merges its runs (the sg_coalescing rule).
+                const std::vector<dma::SgEntry> hop1 = lower_page_pairs(
+                    old_pfns, staging, fl->order, /*merge=*/true);
+                const std::vector<dma::SgEntry> hop2 = lower_page_pairs(
+                    staging, new_pfns, fl->order, /*merge=*/true);
                 stats_.sg_entries_emitted += hop1.size() + hop2.size();
                 co_await hop(&hop1);
                 if (ok && !fl->chain_failed && !stopping_)
                     co_await hop(&hop2);
-            } else if (!stopping_) {
+            } else {
                 // Middle tier exhausted: degrade this batch to one
                 // direct end-to-end hop — correct, just unstaged (the
                 // far latency rides on every descriptor, and nothing
                 // overlaps inside the batch).
-                std::vector<dma::SgEntry> direct;
-                direct.reserve(count);
-                for (std::uint32_t i = 0; i < count; ++i)
-                    append_merged(
-                        direct,
-                        fl->old_pfns[first + i] << mem::kPageShift,
-                        fl->new_pfns[first + i] << mem::kPageShift,
-                        fl->page_bytes);
+                const std::vector<dma::SgEntry> direct = lower_page_pairs(
+                    old_pfns, new_pfns, fl->order, /*merge=*/true);
                 stats_.sg_entries_emitted += direct.size();
                 co_await hop(&direct);
             }
@@ -226,7 +168,8 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
 {
     const std::uint32_t bp =
         std::max<std::uint32_t>(config_.tiered_batch_pages, 1);
-    const std::uint32_t nb = (fl->num_pages + bp - 1) / bp;
+    const auto pages = static_cast<std::uint32_t>(fl->plan.src.pages);
+    const std::uint32_t nb = (pages + bp - 1) / bp;
     auto cs = std::make_shared<ChainState>(kernel_.eq());
     cs->batches_left = nb;
     // Pipelined: keep up to tiered_max_batches batches in flight; their
@@ -250,7 +193,7 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
         if (stopping_) co_return;
         const std::uint32_t first = b * bp;
         const std::uint32_t count =
-            std::min<std::uint32_t>(bp, fl->num_pages - first);
+            std::min<std::uint32_t>(bp, pages - first);
         std::erase_if(batches, [](const sim::Task &t) {
             if (!t.done()) return false;
             t.rethrow_if_failed();

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the replication lowering (lower_rows), called directly
- * on real page tables with no MemifDevice, no engine and no event queue:
+ * Unit tests for the pure move plan (move_plan.h), called directly on
+ * real page tables with no MemifDevice, no engine and no event queue.
+ * The replication lowering (lower_rows):
  * flat replication across mixed page sizes, 2D rows split at page
  * boundaries and folded into B-count entries, gather, the SVA slot map,
  * the PaRAM bound, and a seeded random-geometry sweep in which copying
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "mem/phys.h"
@@ -482,6 +484,301 @@ TEST(Lowering, RandomGeometriesReproduceThePerRowOracle)
                 expect_page_bounded(w, low);
             }
             f.expect_oracle(w);
+        }
+    }
+}
+
+
+// ---------------------------------------------------------------------
+// The move plan: page runs and payload of a validated snapshot.
+// ---------------------------------------------------------------------
+
+/** Pages [first, first + pages) of @p vma that the slots' @p side
+ *  (0 = source, 1 = destination) spans: the hull the plan must match. */
+PageRun
+slot_hull(const vm::Vma &vma, const std::vector<XlateSlot> &slots, int side)
+{
+    std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+    for (const XlateSlot &s : slots) {
+        const vm::VAddr va = side == 0 ? s.src_va : s.dst_va;
+        lo = std::min(lo, vma.page_index(va));
+        hi = std::max(hi, vma.page_index(va + s.bytes - 1));
+    }
+    return {lo, hi - lo + 1};
+}
+
+void
+expect_run(const PageRun &got, const PageRun &want)
+{
+    EXPECT_EQ(got.first, want.first);
+    EXPECT_EQ(got.pages, want.pages);
+}
+
+TEST(MovePlan, DestinationRunCountsAStraddledLastPage)
+{
+    Fixture f;
+    vm::Vma *sv = f.map(16 * 4096, vm::PageSize::k4K, 1);
+    vm::Vma *dv = f.map(16 * 4096, vm::PageSize::k4K, 2);
+    // One 2 KB row written at offset 3 KB: bytes [3 KB, 5 KB) touch
+    // destination pages 0 and 1, though 2 KB fits in one page.
+    ReqSnapshot s{.src_base = sv->base(),
+                  .dst_base = dv->base() + 3072,
+                  .rows = 1,
+                  .row_bytes = 2048,
+                  .src_pitch = 2048,
+                  .dst_pitch = 2048};
+    MovePlan p = plan_move(s, *sv, dv);
+    expect_run(p.dst, {0, 2});
+    expect_run(p.src, {0, 1});
+    EXPECT_EQ(p.payload_bytes, 2048u);
+
+    // A flat 4 KB-page replication into 64 KB pages at a 4 KB-aligned
+    // base: 256 KB from offset 4 KB spans five destination pages.
+    vm::Vma *big = f.map(5 * 65536, vm::PageSize::k64K, 3);
+    vm::Vma *flat_src = f.map(64 * 4096, vm::PageSize::k4K, 4);
+    s = ReqSnapshot{.src_base = flat_src->base(),
+                    .dst_base = big->base() + 4096,
+                    .num_pages = 64};
+    p = plan_move(s, *flat_src, big);
+    expect_run(p.dst, {0, 5});
+    expect_run(p.src, {0, 64});
+    EXPECT_EQ(p.payload_bytes, 64u * 4096);
+
+    // A migration plans its source run alone.
+    s = ReqSnapshot{.op = MovOp::kMigrate,
+                    .src_base = flat_src->base() + 8 * 4096,
+                    .num_pages = 3};
+    p = plan_move(s, *flat_src, nullptr);
+    expect_run(p.src, {8, 3});
+    expect_run(p.dst, {0, 0});
+    EXPECT_EQ(p.payload_bytes, 3u * 4096);
+}
+
+TEST(MovePlan, RandomGeometriesPlanTheHullOfTheirLowering)
+{
+    // Oracle: the plan's runs are the hull of the pages the row walk
+    // touches (its SVA slots name every segment's virtual span), and
+    // its payload is the walk's byte total; a gather's source run is
+    // its whole vma.
+    const vm::PageSize sizes[] = {vm::PageSize::k4K, vm::PageSize::k64K};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Fixture f;
+        sim::Rng rng(seed);
+        for (int round = 0; round < 24; ++round) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " round " << round);
+            const vm::PageSize sps = sizes[rng.next_below(2)];
+            const vm::PageSize dps = sizes[rng.next_below(2)];
+            const std::uint64_t spb = vm::page_bytes(sps);
+            const std::uint64_t dpb = vm::page_bytes(dps);
+            const int shape = static_cast<int>(rng.next_below(3));
+            ReqSnapshot s;
+            std::vector<vm::VAddr> row_srcs;
+            vm::Vma *sv = nullptr;
+            vm::Vma *dv = nullptr;
+            if (shape == 0) {
+                // Flat: page-aligned source, destination aligned to the
+                // finer page size (validate's rule).
+                s.num_pages = static_cast<std::uint32_t>(
+                    1 + rng.next_below(spb == 4096 ? 64 : 4));
+                const std::uint64_t bytes = s.num_pages * spb;
+                sv = f.map(bytes + 2 * spb, sps, seed * 100 + round);
+                dv = f.map(bytes + 2 * dpb, dps, seed * 100 + round + 50);
+                s.src_base = sv->base() + rng.next_below(2) * spb;
+                s.dst_base = dv->base() +
+                             rng.next_below(dpb / std::min(spb, dpb) + 1) *
+                                 std::min(spb, dpb);
+            } else {
+                s.rows = static_cast<std::uint32_t>(1 + rng.next_below(48));
+                s.row_bytes =
+                    static_cast<std::uint32_t>(1 + rng.next_below(6000));
+                s.src_pitch = s.row_bytes + rng.next_below(5000);
+                s.dst_pitch = s.row_bytes + rng.next_below(5000);
+                sv = f.map(s.rows * s.src_pitch + 8192, sps,
+                           seed * 100 + round);
+                dv = f.map(s.rows * s.dst_pitch + 8192, dps,
+                           seed * 100 + round + 50);
+                s.src_base = sv->base() + rng.next_below(4096);
+                s.dst_base = dv->base() + rng.next_below(4096);
+                if (shape == 2) {
+                    s.gather_list = 8;  // any non-zero list address
+                    for (std::uint32_t r = 0; r < s.rows; ++r)
+                        row_srcs.push_back(
+                            sv->base() +
+                            rng.next_below(sv->bytes() - s.row_bytes));
+                }
+            }
+            const MovePlan p = plan_move(s, *sv, dv);
+            const bool strided = s.rows != 0;
+            const Lowering low = lower_rows(RowWalk{
+                .src_vma = sv,
+                .dst_vma = dv,
+                .src_base = s.src_base,
+                .dst_base = s.dst_base,
+                .rows = strided ? s.rows : 1u,
+                .row_bytes = strided ? s.row_bytes : p.payload_bytes,
+                .src_pitch = s.src_pitch,
+                .dst_pitch = s.dst_pitch,
+                .row_srcs = row_srcs,
+                .sva_slots = true});
+            // Past-the-PaRAM walks still emit every segment.
+            ASSERT_TRUE(low.error == MovError::kNone ||
+                        low.error == MovError::kBadRequest);
+            std::uint64_t bytes = 0;
+            for (const XlateSlot &slot : low.slots) bytes += slot.bytes;
+            EXPECT_EQ(p.payload_bytes, bytes);
+            expect_run(p.dst, slot_hull(*dv, low.slots, 1));
+            if (shape == 2)
+                expect_run(p.src, {0, sv->num_pages()});
+            else
+                expect_run(p.src, slot_hull(*sv, low.slots, 0));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The route: direct, or chained through the nearest in-between node.
+// ---------------------------------------------------------------------
+
+TEST(ChainRoute, KeystoneTiersChainOnlySramAndFar)
+{
+    // The kernel's three-tier SLIT: DDR-SRAM 20, DDR-far 30, SRAM-far
+    // 40. Only DDR sits strictly between SRAM and the far tier.
+    mem::PhysicalMemory pm;
+    const std::vector<mem::NodeId> n = mem::KeystoneMemory::build(
+        pm, {{.name = "ddr", .bytes = 1 << 20},
+             {.name = "sram", .bytes = 1 << 20, .is_fast = true},
+             {.name = "far", .bytes = 1 << 20}});
+    pm.set_distance(n[0], n[2], 30);
+    pm.set_distance(n[1], n[2], 40);
+    const auto frames = [&](mem::NodeId node) {
+        return std::vector<mem::Pfn>{pm.allocate(node, 0),
+                                     pm.allocate(node, 0)};
+    };
+    EXPECT_EQ(chain_route(pm, frames(n[1]), n[2]), n[0]);
+    EXPECT_EQ(chain_route(pm, frames(n[2]), n[1]), n[0]);
+    EXPECT_EQ(chain_route(pm, frames(n[0]), n[2]), mem::kInvalidNode);
+    EXPECT_EQ(chain_route(pm, frames(n[2]), n[0]), mem::kInvalidNode);
+    EXPECT_EQ(chain_route(pm, frames(n[0]), n[1]), mem::kInvalidNode);
+    EXPECT_EQ(chain_route(pm, frames(n[1]), n[1]), mem::kInvalidNode);
+    // Mixed residency and an empty run stay direct.
+    std::vector<mem::Pfn> mixed = frames(n[1]);
+    mixed.push_back(pm.allocate(n[0], 0));
+    EXPECT_EQ(chain_route(pm, mixed, n[2]), mem::kInvalidNode);
+    EXPECT_EQ(chain_route(pm, {}, n[2]), mem::kInvalidNode);
+}
+
+TEST(ChainRoute, RandomDistancesPickTheNearestInBetweenNode)
+{
+    // Oracle: a route through m is valid when both legs are strictly
+    // shorter than the direct distance; the chosen one has the
+    // smallest longer leg (lowest id on a tie), and "direct" means no
+    // node is valid. Frames spread over two nodes are always direct.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        sim::Rng rng(seed);
+        mem::PhysicalMemory pm;
+        const auto count = static_cast<mem::NodeId>(3 + rng.next_below(3));
+        std::vector<mem::NodeConfig> cfgs(count);
+        for (mem::NodeId i = 0; i < count; ++i)
+            cfgs[i] = {.name = "n" + std::to_string(i), .bytes = 1 << 20};
+        mem::KeystoneMemory::build(pm, cfgs);
+        for (mem::NodeId a = 0; a < count; ++a)
+            for (mem::NodeId b = a + 1; b < count; ++b)
+                pm.set_distance(a, b, static_cast<std::uint32_t>(
+                                          11 + rng.next_below(50)));
+        for (int round = 0; round < 32; ++round) {
+            const auto src = static_cast<mem::NodeId>(rng.next_below(count));
+            const auto dst = static_cast<mem::NodeId>(rng.next_below(count));
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " " << src
+                                            << " -> " << dst);
+            std::vector<mem::Pfn> frames;
+            for (std::uint64_t i = 0; i < 1 + rng.next_below(4); ++i)
+                frames.push_back(pm.allocate(src, 0));
+            mem::NodeId want = mem::kInvalidNode;
+            std::uint32_t want_leg = 0;
+            const std::uint32_t direct = pm.distance(src, dst);
+            for (mem::NodeId m = 0; m < count && src != dst; ++m) {
+                const std::uint32_t a = pm.distance(src, m);
+                const std::uint32_t b = pm.distance(m, dst);
+                if (m == src || m == dst || a >= direct || b >= direct)
+                    continue;
+                if (want == mem::kInvalidNode || std::max(a, b) < want_leg) {
+                    want = m;
+                    want_leg = std::max(a, b);
+                }
+            }
+            EXPECT_EQ(chain_route(pm, frames, dst), want);
+            const auto other = static_cast<mem::NodeId>((src + 1) % count);
+            frames.push_back(pm.allocate(other, 0));
+            EXPECT_EQ(chain_route(pm, frames, dst), mem::kInvalidNode);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The page-pair lowering: migrations and chain hops.
+// ---------------------------------------------------------------------
+
+TEST(PagePairs, RandomPairsCopyEveryPageAndMergeOnlyContiguousRuns)
+{
+    // Oracle: copying the list moves from[i]'s block to to[i] for every
+    // i; the unmerged list is one entry per pair; the merged list is
+    // coalesce_sg of the unmerged one, with one entry per maximal run
+    // contiguous on both sides.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Fixture f;
+        sim::Rng rng(seed);
+        for (int round = 0; round < 16; ++round) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " round " << round);
+            const auto order = static_cast<unsigned>(rng.next_below(5));
+            const std::uint64_t pb = mem::kPageSize << order;
+            const std::size_t n = 1 + rng.next_below(24);
+            // Blocks allocated back to back are mostly contiguous;
+            // random swaps break some of the runs.
+            std::vector<mem::Pfn> from, to;
+            for (std::size_t i = 0; i < n; ++i)
+                from.push_back(f.pm.allocate(f.slow, order));
+            for (std::size_t i = 0; i < n; ++i)
+                to.push_back(f.pm.allocate(f.slow, order));
+            for (int k = 0; k < 3; ++k) {
+                std::swap(from[rng.next_below(n)], from[rng.next_below(n)]);
+                std::swap(to[rng.next_below(n)], to[rng.next_below(n)]);
+            }
+            for (const mem::Pfn pfn : from) {
+                std::byte *p = f.pm.span(pfn, pb);
+                for (std::uint64_t b = 0; b < pb; ++b)
+                    p[b] = static_cast<std::byte>(rng.next());
+            }
+
+            const std::vector<dma::SgEntry> flat =
+                lower_page_pairs(from, to, order, /*merge=*/false);
+            ASSERT_EQ(flat.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(flat[i].src_addr, from[i] << mem::kPageShift);
+                EXPECT_EQ(flat[i].dst_addr, to[i] << mem::kPageShift);
+                EXPECT_EQ(flat[i].bytes, pb);
+            }
+            const std::vector<dma::SgEntry> merged =
+                lower_page_pairs(from, to, order, /*merge=*/true);
+            expect_same_sg(merged, coalesce_sg(flat));
+            std::size_t runs = 1;
+            for (std::size_t i = 1; i < n; ++i)
+                if (from[i] != from[i - 1] + (mem::Pfn{1} << order) ||
+                    to[i] != to[i - 1] + (mem::Pfn{1} << order))
+                    ++runs;
+            EXPECT_EQ(merged.size(), runs);
+
+            f.copy_sg(merged);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(std::memcmp(f.pm.span(to[i], pb),
+                                      f.pm.span(from[i], pb), pb),
+                          0)
+                    << "pair " << i;
+            for (std::size_t i = 0; i < n; ++i) {
+                f.pm.free(from[i], order);
+                f.pm.free(to[i], order);
+            }
         }
     }
 }

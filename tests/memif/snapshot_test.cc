@@ -1,0 +1,293 @@
+/**
+ * @file
+ * The driver trusts nothing in the shared region (§4.2): it copies a
+ * request's parameters once, at the top of Prep, and keeps what only it
+ * may know about a request — its tenant quota slot, its daemon origin —
+ * driver-side. Each test here has the application scribble over its
+ * request slot where it must not, and checks that the driver serves
+ * exactly what it validated and still quiesces. The last test pins the
+ * destination page run of a replication whose base is not aligned to
+ * the destination's page size.
+ */
+#include "memif/device.h"
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "memif/user_api.h"
+#include "os/kernel.h"
+#include "os/process.h"
+#include "sim/trace.h"
+#include "sim/types.h"
+
+namespace memif::core {
+namespace {
+
+using sim::TracePoint;
+
+constexpr std::uint64_t kPage = 4096;
+
+struct Bed {
+    os::Kernel kernel;
+    os::Process &proc;
+    std::unique_ptr<MemifDevice> dev;
+    MemifUser user;
+
+    explicit Bed(const MemifConfig &cfg)
+        : proc(kernel.create_process()),
+          dev(std::make_unique<MemifDevice>(kernel, proc, cfg)),
+          user(*dev)
+    {
+        kernel.tracer().enable();
+    }
+
+    vm::VAddr
+    region(std::uint64_t bytes, mem::NodeId node, std::uint8_t seed,
+           vm::PageSize psize = vm::PageSize::k4K)
+    {
+        const vm::VAddr base = proc.mmap(bytes, psize, node);
+        EXPECT_NE(base, 0u);
+        std::vector<std::uint8_t> fill(bytes);
+        for (std::size_t i = 0; i < fill.size(); ++i)
+            fill[i] = static_cast<std::uint8_t>(seed + i * 13);
+        EXPECT_TRUE(proc.as().write(base, fill.data(), fill.size()));
+        return base;
+    }
+
+    std::vector<std::uint8_t>
+    read(vm::VAddr va, std::uint64_t bytes)
+    {
+        std::vector<std::uint8_t> out(bytes);
+        EXPECT_TRUE(proc.as().read(va, out.data(), bytes));
+        return out;
+    }
+
+    std::uint32_t
+    prepare(MovOp op, vm::VAddr src, std::uint32_t pages,
+            std::uint64_t dst_or_node)
+    {
+        const std::uint32_t idx = user.alloc_request();
+        EXPECT_NE(idx, kNoRequest);
+        MovReq &req = user.request(idx);
+        req.op = op;
+        req.src_base = src;
+        req.num_pages = pages;
+        if (op == MovOp::kReplicate)
+            req.dst_base = dst_or_node;
+        else
+            req.dst_node = static_cast<std::uint32_t>(dst_or_node);
+        return idx;
+    }
+
+    /** Time of the first trace record of @p p for request @p idx. */
+    bool
+    traced(TracePoint p, std::uint32_t idx, sim::SimTime *at = nullptr)
+    {
+        for (const sim::TraceRecord &r : kernel.tracer().records()) {
+            if (r.point != p || r.req != idx) continue;
+            if (at) *at = r.time;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    expect_quiesced()
+    {
+        std::string why;
+        EXPECT_TRUE(dev->check_quiesced(&why)) << why;
+    }
+};
+
+/** The application writes @p v over every byte of @p req past its last
+ *  parameter field that the driver answers through: retry_after_us and
+ *  the padding up to submit_time. */
+void
+scribble_tail(MovReq &req, std::uint8_t v)
+{
+    auto *lo = reinterpret_cast<std::byte *>(&req.retry_after_us);
+    auto *hi = reinterpret_cast<std::byte *>(&req.submit_time);
+    std::memset(lo, v, static_cast<std::size_t>(hi - lo));
+}
+
+// ---------------------------------------------------------------------
+// The request is read once: a rewrite after validation changes nothing.
+// ---------------------------------------------------------------------
+
+TEST(RequestSnapshot, PageCountRewrittenAfterValidationIsIgnored)
+{
+    const MemifConfig cfg;
+    for (const MovOp op : {MovOp::kMigrate, MovOp::kReplicate}) {
+        for (const std::uint32_t forged : {4u, 512u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "op " << static_cast<int>(op) << ", 8 -> "
+                         << forged << " pages");
+            Bed b(cfg);
+            const sim::CostModel &cm = b.kernel.costs();
+            const mem::NodeId fast = b.kernel.fast_node();
+            const vm::VAddr src =
+                b.region(8 * kPage, b.kernel.slow_node(), 7);
+            const vm::VAddr dst = op == MovOp::kReplicate
+                                      ? b.region(8 * kPage, fast, 99)
+                                      : 0;
+            const std::vector<std::uint8_t> want = b.read(src, 8 * kPage);
+            const std::uint32_t idx = b.prepare(
+                op, src, 8, op == MovOp::kReplicate ? dst : fast);
+            MovReq &req = b.user.request(idx);
+            b.kernel.spawn(b.user.submit(idx));
+
+            // Validation runs request_validate + request_admin after
+            // kServeBegin; rewrite the count 1 ns later, well before
+            // the page lookup's charge ends at kPrepDone.
+            sim::SimTime begin = 0;
+            while (!b.traced(TracePoint::kServeBegin, idx, &begin))
+                ASSERT_TRUE(b.kernel.eq().step());
+            const sim::SimTime rewrite =
+                begin + cm.request_validate + cm.request_admin + 1;
+            b.kernel.eq().schedule_at(
+                rewrite, [&req, forged] { req.num_pages = forged; });
+            b.kernel.run();
+
+            sim::SimTime prep_done = 0;
+            ASSERT_TRUE(b.traced(TracePoint::kPrepDone, idx, &prep_done));
+            EXPECT_GT(prep_done, rewrite);
+            EXPECT_EQ(req.num_pages, forged);
+            EXPECT_EQ(req.load_status(), MovStatus::kDone);
+            EXPECT_EQ(req.error, MovError::kNone);
+            if (op == MovOp::kMigrate) {
+                // All 8 validated pages moved, and nothing else.
+                const vm::Vma *vma = b.proc.as().find_vma(src);
+                ASSERT_NE(vma, nullptr);
+                for (std::uint64_t i = 0; i < vma->num_pages(); ++i)
+                    EXPECT_EQ(b.kernel.phys().node_of(vma->pte(i).pfn),
+                              fast)
+                        << "page " << i;
+                EXPECT_EQ(b.read(src, 8 * kPage), want);
+            } else {
+                EXPECT_EQ(b.read(dst, 8 * kPage), want);
+            }
+            EXPECT_EQ(b.dev->stats().pages_moved, 8u);
+            b.expect_quiesced();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Driver-side state: a scribbled slot forges no admission, no daemon.
+// ---------------------------------------------------------------------
+
+TEST(RequestSnapshot, ScribbledSlotForgesNoQuotaSlot)
+{
+    MemifConfig cfg;
+    cfg.multi_tenant = true;
+    cfg.tenant_inflight_quota = 1;
+    Bed b(cfg);
+    const mem::NodeId fast = b.kernel.fast_node();
+    const vm::VAddr a_src = b.region(8 * kPage, b.kernel.slow_node(), 1);
+    const vm::VAddr b_src = b.region(8 * kPage, b.kernel.slow_node(), 2);
+    const std::uint32_t a = b.prepare(MovOp::kMigrate, a_src, 8, fast);
+    const std::uint32_t r = b.prepare(MovOp::kMigrate, b_src, 8, fast);
+    b.kernel.spawn(b.user.submit(a));
+    // a holds the tenant's only quota slot, so r is rejected at
+    // admission — whatever its slot claims about holding one.
+    scribble_tail(b.user.request(r), 0x01);
+    b.kernel.spawn(b.user.submit(r));
+    b.kernel.run();
+
+    EXPECT_EQ(b.user.request(a).load_status(), MovStatus::kDone);
+    EXPECT_EQ(b.user.request(r).load_status(), MovStatus::kFailed);
+    EXPECT_EQ(b.user.request(r).error, MovError::kNoSpace);
+    std::vector<std::uint32_t> done;
+    for (std::uint32_t i; (i = b.user.retrieve_completed()) != kNoRequest;)
+        done.push_back(i);
+    EXPECT_EQ(done.size(), 2u);
+    const TenantStats &ts = b.dev->tenant_stats(0);
+    EXPECT_EQ(ts.outstanding, 0u);
+    EXPECT_EQ(ts.admitted, 1u);
+    EXPECT_EQ(ts.completed, 1u);
+    EXPECT_EQ(ts.rejected, 1u);
+    b.expect_quiesced();
+}
+
+TEST(RequestSnapshot, ScribbledSlotForgesNoDaemonMov)
+{
+    MemifConfig cfg;
+    cfg.multi_tenant = true;
+    Bed b(cfg);
+    const vm::VAddr src = b.region(8 * kPage, b.kernel.slow_node(), 3);
+    const std::vector<std::uint8_t> want = b.read(src, 8 * kPage);
+    const std::uint32_t idx =
+        b.prepare(MovOp::kMigrate, src, 8, b.kernel.fast_node());
+    b.kernel.spawn(b.user.submit(idx));
+    // Queued and admitted; the application now scribbles its slot.
+    scribble_tail(b.user.request(idx), 0x01);
+    b.kernel.run();
+
+    // Served and completed as the application's own request: on its
+    // completion queue, with its tenant's quota slot returned.
+    EXPECT_EQ(b.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_EQ(b.user.retrieve_completed(), idx);
+    EXPECT_EQ(b.read(src, 8 * kPage), want);
+    const TenantStats &ts = b.dev->tenant_stats(0);
+    EXPECT_EQ(ts.outstanding, 0u);
+    EXPECT_EQ(ts.completed, 1u);
+    EXPECT_EQ(b.dev->stats().promotions_completed +
+                  b.dev->stats().demotions_completed,
+              0u);
+    b.expect_quiesced();
+}
+
+// ---------------------------------------------------------------------
+// The destination page run counts a straddled last page.
+// ---------------------------------------------------------------------
+
+TEST(RequestSnapshot, ScannerSkipsEveryPageAReplicationWrites)
+{
+    // 256 KB of 4 KB source pages replicated to offset 4 KB of a
+    // region of 64 KB pages: the bytes [4 KB, 260 KB) touch five destination
+    // pages, one more than 256 KB / 64 KB. With one page per heat
+    // bucket, every scan epoch that runs while the copy is in flight
+    // must skip all five buckets — sampling the fifth would read heat
+    // off a page the engine is still writing.
+    MemifConfig cfg;
+    cfg.auto_migrate = true;
+    cfg.heat_bucket_pages = 1;
+    cfg.heat_scan_interval = sim::microseconds(2);
+    cfg.scan_idle_park_epochs = 1u << 30;  // keep scanning throughout
+    Bed b(cfg);
+    const mem::NodeId slow = b.kernel.slow_node();
+    const vm::VAddr src = b.region(64 * kPage, slow, 5);
+    const vm::VAddr dst =
+        b.region(5 * 16 * kPage, slow, 6, vm::PageSize::k64K);
+    ASSERT_TRUE(b.dev->manage_region(dst));
+    const std::vector<std::uint8_t> want = b.read(src, 64 * kPage);
+    const std::uint32_t idx =
+        b.prepare(MovOp::kReplicate, src, 64, dst + kPage);
+    const MovReq &req = b.user.request(idx);
+    b.kernel.spawn(b.user.submit(idx));
+
+    const DeviceStats &s = b.dev->stats();
+    std::uint64_t epochs_in_flight = 0;
+    while (req.load_status() != MovStatus::kDone) {
+        const bool before = req.load_status() == MovStatus::kInFlight;
+        const std::uint64_t scans = s.heat_scans;
+        const std::uint64_t skipped = s.heat_pages_skipped;
+        ASSERT_TRUE(b.kernel.eq().step());
+        if (!before || req.load_status() != MovStatus::kInFlight ||
+            s.heat_scans == scans)
+            continue;
+        ++epochs_in_flight;
+        EXPECT_EQ(s.heat_pages_skipped - skipped, 5u)
+            << "epoch " << s.heat_scans;
+    }
+    EXPECT_GT(epochs_in_flight, 0u);
+    EXPECT_EQ(b.read(dst + kPage, 64 * kPage), want);
+    b.expect_quiesced();
+}
+
+}  // namespace
+}  // namespace memif::core
