@@ -94,7 +94,7 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place,
                                ? core::MemifConfig::managed()
                                : core::MemifConfig::mmu_aware();
     if (place == Placement::kManaged) {
-        mc.migrate_policy = policy;
+        mc.heat.policy = policy;
         // The cell's hot set is hundreds of pages; the default trickle
         // budget would spend the whole run converging.
         mc.migrate_pages_per_epoch = 512;
@@ -105,7 +105,7 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place,
         // Two consecutive accessed epochs to promote (0x80 >> 1 | 0x80):
         // the cold rotation touches each cold page once per cycle and
         // must never trigger a promotion off that single touch.
-        mc.heat_promote_threshold = 0xC0;
+        mc.heat.aging_promote_threshold = 0xC0;
         // Settle fast and sleep long: the hot set is steady by
         // construction, so two matching epochs are enough to put a
         // bucket to sleep, and a long dormancy cap keeps probes (and

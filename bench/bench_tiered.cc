@@ -7,8 +7,8 @@
  *
  *   demotion burst   one large SRAM→far migration, decomposed by the
  *                    tiered lever into per-batch SRAM→DDR→far hop
- *                    chains. Pipelined (up to tiered_max_batches
- *                    batches in flight, hop stages out of order across
+ *                    chains. Pipelined (up to four batches in
+ *                    flight, hop stages out of order across
  *                    the engine's TCs) against sequential
  *                    store-and-forward (one batch at a time, its hops
  *                    in series) at several burst sizes.

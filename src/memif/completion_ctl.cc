@@ -2,20 +2,14 @@
 
 #include <cmath>
 
-#include "sim/log.h"
-
 namespace memif {
 
 CompletionController::CompletionController(const sim::CostModel &cm,
-                                           std::uint64_t static_threshold,
-                                           double alpha)
+                                           std::uint64_t static_threshold)
     : cm_(cm),
       static_threshold_(static_threshold),
-      alpha_(alpha),
       irq_path_ns_(static_cast<double>(cm.irq_overhead + cm.kthread_wakeup))
 {
-    MEMIF_ASSERT(alpha_ > 0.0 && alpha_ <= 1.0,
-                 "EWMA alpha out of (0, 1]");
 }
 
 std::size_t
@@ -80,8 +74,8 @@ CompletionController::observe(std::uint64_t bytes, sim::Duration predicted,
         b.ewma_ns = actual_ns;
         b.ewma_err_ns = err_ns;
     } else {
-        b.ewma_ns = alpha_ * actual_ns + (1.0 - alpha_) * b.ewma_ns;
-        b.ewma_err_ns = alpha_ * err_ns + (1.0 - alpha_) * b.ewma_err_ns;
+        b.ewma_ns = kAlpha * actual_ns + (1.0 - kAlpha) * b.ewma_ns;
+        b.ewma_err_ns = kAlpha * err_ns + (1.0 - kAlpha) * b.ewma_err_ns;
     }
     ++b.samples;
 }

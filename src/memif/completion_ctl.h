@@ -44,6 +44,8 @@ class CompletionController {
   public:
     /** Observations before a bucket's prediction is trusted. */
     static constexpr std::uint32_t kWarmupSamples = 3;
+    /** EWMA smoothing factor: higher adapts faster, lower smooths more. */
+    static constexpr double kAlpha = 0.25;
 
     /**
      * @param cm                the platform cost model (for the
@@ -52,12 +54,9 @@ class CompletionController {
      * @param static_threshold  fallback poll threshold in bytes (the
      *                          paper's poll_threshold_bytes) used while
      *                          a bucket is cold
-     * @param alpha             EWMA smoothing factor in (0, 1]; higher
-     *                          adapts faster, lower smooths more
      */
     CompletionController(const sim::CostModel &cm,
-                         std::uint64_t static_threshold,
-                         double alpha = 0.25);
+                         std::uint64_t static_threshold);
 
     /**
      * Pick the completion mode for a transfer of @p bytes given
@@ -110,7 +109,6 @@ class CompletionController {
 
     const sim::CostModel &cm_;
     std::uint64_t static_threshold_;
-    double alpha_;
     /** Cost of the interrupt completion path the poll decision competes
      *  against (IRQ entry + kthread wakeup), in ns. */
     double irq_path_ns_;

@@ -20,6 +20,29 @@ using sim::ExecContext;
 using sim::Op;
 using sim::TracePoint;
 
+namespace {
+
+/** Retry n of a failed transfer first sleeps kDmaRetryBackoff << (n-1). */
+constexpr sim::Duration kDmaRetryBackoff = sim::microseconds(5);
+/** Gang translation cache capacity, in (vma, range) entries. */
+constexpr std::size_t kXlateCacheEntries = 64;
+/** On a cache miss, walk (and cache) this many pages beyond the
+ *  requested run: the gang-prefetch of the next translations. */
+constexpr std::uint64_t kXlateGangPrefetch = 8;
+/** Frames parked per magazine before frees spill to the buddy. */
+constexpr std::size_t kMagazineCapacity = 128;
+/** Stream prefetch (xlate_prefetch_ahead): descriptors walked
+ *  synchronously at Prep, and the batch of each asynchronous walk. */
+constexpr std::uint32_t kPrefetchWindow = 8;
+/** Cap on requests dispatched to the engines at once under
+ *  multi_tenant; further backlog waits in the per-tenant pending
+ *  lists, where the WRR can still re-rank it. A bit above the
+ *  engine's TC count keeps the hardware fed without flooding the
+ *  FIFO TC queues, whose bandwidth sharing ignores tenant weights. */
+constexpr std::size_t kDispatchWindow = dma::Edma3Engine::kNumTcs + 2;
+
+}  // namespace
+
 MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
                          MemifConfig config)
     : kernel_(kernel),
@@ -31,18 +54,15 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
                   ? std::min(config.num_submit_cpus, kMaxSubmitRings)
                   : 0),
       quota_holder_(region_.capacity()),
-      completion_ctl_(kernel.costs(), config.poll_threshold_bytes,
-                      config.ewma_alpha),
+      completion_ctl_(kernel.costs(), config.poll_threshold_bytes),
       completion_event_(kernel.eq()),
       kthread_wq_(kernel.eq()),
       scan_wq_(kernel.eq()),
       daemon_wq_(kernel.eq()),
       staging_wq_(kernel.eq())
 {
-    if (config_.irq_moderation &&
-        (config_.moderation_batch || config_.moderation_holdoff))
-        kernel_.dma().configure_moderation(config_.moderation_batch,
-                                           config_.moderation_holdoff);
+    if (config_.irq_moderation && config_.moderation_holdoff)
+        kernel_.dma().configure_moderation(0, config_.moderation_holdoff);
     // The young-fault hook serves two masters: kRecover's rollback
     // machinery, and (managed mode) the scanner's activity signal — a
     // trap on a scanner-armed page means the working set moved, so a
@@ -55,8 +75,7 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
             });
     }
     if (config_.xlate_cache) {
-        xlate_cache_ =
-            std::make_unique<XlateCache>(config_.xlate_cache_entries);
+        xlate_cache_ = std::make_unique<XlateCache>(kXlateCacheEntries);
         proc_.as().set_xlate_invalidate_hook(
             [this](const vm::Vma *vma, std::uint64_t first,
                    std::uint64_t n) {
@@ -69,17 +88,10 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
         // xlate invalidation) were just installed above.
         Tenant t;
         t.proc = &proc_;
-        t.stats.weight = std::max<std::uint32_t>(
-            config_.tenant_default_weight, 1);
         tenants_.push_back(std::move(t));
     }
     kthread_task_ = kthread_loop();
     if (config_.auto_migrate) {
-        // The daemon's service class: a WRR participant with its own
-        // weight and frame accounting, deliberately NOT in tenants_
-        // (its index would collide with a real ASID).
-        daemon_tenant_.stats.weight =
-            std::max<std::uint32_t>(config_.daemon_weight, 1);
         scan_task_ = scan_loop();
         daemon_task_ = daemon_loop();
     }
@@ -154,10 +166,6 @@ MemifDevice::check_quiesced(std::string *why) const
     if (!in_flight_.empty())
         fail("flight table holds " + std::to_string(in_flight_.size()) +
              " record(s)");
-    for (std::uint32_t s = 0; s < kMaxSubmitRings; ++s)
-        if (!flight_shards_[s].empty())
-            fail("flight shard " + std::to_string(s) + " holds " +
-                 std::to_string(flight_shards_[s].size()) + " record(s)");
     if (!pending_release_.empty())
         fail("pending-release list holds " +
              std::to_string(pending_release_.size()) + " record(s)");
@@ -192,7 +200,7 @@ MemifDevice::check_quiesced(std::string *why) const
 
     mem::PhysicalMemory &pm = kernel_.phys();
     for (const auto &[key, mag] : magazines_) {
-        if (mag.size() > config_.magazine_capacity)
+        if (mag.size() > kMagazineCapacity)
             fail("magazine (" + std::to_string(key.first) + ", order " +
                  std::to_string(key.second) + ") over capacity");
         for (const mem::Pfn head : mag) {
@@ -340,10 +348,7 @@ MemifDevice::register_tenant(os::Process &proc, std::uint32_t weight)
     const auto asid = static_cast<std::uint32_t>(tenants_.size());
     Tenant t;
     t.proc = &proc;
-    t.stats.weight = weight != 0
-                         ? weight
-                         : std::max<std::uint32_t>(
-                               config_.tenant_default_weight, 1);
+    t.stats.weight = std::max<std::uint32_t>(weight, 1);
     if (config_.race_policy == RacePolicy::kRecover ||
         config_.auto_migrate) {
         proc.as().set_young_fault_hook(
@@ -352,7 +357,7 @@ MemifDevice::register_tenant(os::Process &proc, std::uint32_t weight)
             });
     }
     if (config_.xlate_cache) {
-        t.xcache = std::make_unique<XlateCache>(config_.xlate_cache_entries);
+        t.xcache = std::make_unique<XlateCache>(kXlateCacheEntries);
         XlateCache *cache = t.xcache.get();
         proc.as().set_xlate_invalidate_hook(
             [this, cache](const vm::Vma *vma, std::uint64_t first,
@@ -444,8 +449,7 @@ MemifDevice::print_stats(std::FILE *out) const
         std::fprintf(out, "  prefetch_fills_dropped%12llu\n",
                      static_cast<unsigned long long>(
                          s.prefetch_fills_dropped));
-        std::fprintf(out, "  consumer_stalls       %12llu (%.1f us)\n",
-                     static_cast<unsigned long long>(s.consumer_stalls),
+        std::fprintf(out, "  consumer_stall_us     %12.1f\n",
                      static_cast<double>(s.consumer_stall_time) / 1000.0);
         std::fprintf(
             out, "  sva res/walk/rexl/flt %6llu/%llu/%llu/%llu\n",
@@ -482,15 +486,9 @@ MemifDevice::print_stats(std::FILE *out) const
         std::fprintf(out, "  daemon_movs_dropped   %12llu\n",
                      static_cast<unsigned long long>(
                          s.daemon_movs_dropped));
-        std::fprintf(out, "  daemon_busy_backoffs  %12llu\n",
-                     static_cast<unsigned long long>(
-                         s.daemon_busy_backoffs));
         std::fprintf(out, "  daemon_budget_exhaust %12llu\n",
                      static_cast<unsigned long long>(
                          s.daemon_budget_exhausted));
-        std::fprintf(out, "  promotions_skip_full  %12llu\n",
-                     static_cast<unsigned long long>(
-                         s.promotions_skipped_full));
         std::fprintf(out, "  heat_ping_pongs       %12llu\n",
                      static_cast<unsigned long long>(heat_ping_pongs()));
         if (std::getenv("MEMIF_HEAT_HISTOGRAM"))
@@ -516,10 +514,6 @@ MemifDevice::print_stats(std::FILE *out) const
         std::fprintf(out, "  staging hwm/waits     %8llu/%llu\n",
                      static_cast<unsigned long long>(s.staging_frames_hwm),
                      static_cast<unsigned long long>(s.staging_pool_waits));
-        std::fprintf(out, "  far demote/promote    %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.demotions_to_far),
-                     static_cast<unsigned long long>(
-                         s.promotions_from_far));
     }
     if (!config_.multi_tenant) return;
     // kErrNoSpace used to vanish from the caller's view; the admission
@@ -661,11 +655,16 @@ MemifDevice::route_to_pending(bool take_staging)
             daemon_tenant_.pending.push_back(idx);
             return;
         }
-        Tenant *t = tenant_for(region_.request(idx).asid);
-        if (!t) {
+        // The tenant admission charged, never the slot's asid field: a
+        // slot rewritten after admission cannot move into another
+        // tenant's queue (or page tables). A request deposited without
+        // admission has no tenant at all.
+        const std::optional<std::uint32_t> asid = quota_holder_[idx];
+        if (!asid) {
             notify(idx, MovStatus::kFailed, MovError::kBadRequest);
             return;
         }
+        Tenant *t = &tenants_[*asid];
         // Graceful degradation: a tenant whose unserved queue outgrows
         // its weight-scaled bound is shed instead of letting it stall
         // everyone behind a fault storm or frame exhaustion.
@@ -733,13 +732,23 @@ MemifDevice::next_request(std::uint32_t *out, bool take_staging)
         // window (a kicking tenant could otherwise push past the WRR's
         // standing queue); the request stays deposited and completion
         // interrupts wake the worker as slots free up.
-        if (config_.tenant_dispatch_window != 0 &&
-            in_flight_.size() >= config_.tenant_dispatch_window)
-            return false;
+        if (in_flight_.size() >= kDispatchWindow) return false;
         route_to_pending(take_staging);
         return wrr_pick(out);
     }
     return dequeue_deposit(out, take_staging);
+}
+
+ReqSnapshot
+MemifDevice::snapshot(std::uint32_t idx) const
+{
+    if (const auto it = daemon_movs_.find(idx); it != daemon_movs_.end())
+        return it->second.snap;
+    ReqSnapshot s = ReqSnapshot::of(region_.request(idx));
+    // Routing turned away every unadmitted request under multi_tenant;
+    // with the lever off every request resolves in the owner's tables.
+    if (config_.multi_tenant) s.asid = quota_holder_[idx].value_or(0);
+    return s;
 }
 
 bool
@@ -1018,7 +1027,7 @@ MemifDevice::magazine_free(mem::Pfn head, unsigned order,
     const sim::CostModel &cm = kernel_.costs();
     std::vector<mem::Pfn> &mag = magazines_[{kernel_.phys().node_of(head),
                                              order}];
-    if (mag.size() < config_.magazine_capacity) {
+    if (mag.size() < kMagazineCapacity) {
         MEMIF_ASSERT(kernel_.phys().frame(head).rmaps.empty(),
                      "parking a still-mapped frame");
         mag.push_back(head);
@@ -1056,17 +1065,12 @@ MemifDevice::add_in_flight(const InFlightPtr &fl)
 {
     region_.request(fl->req_idx).store_status(MovStatus::kInFlight);
     in_flight_.push_back(fl);
-    if (config_.percpu_rings && region_.num_rings() > 0)
-        flight_shards_[fl->submit_cpu % region_.num_rings()].push_back(fl);
 }
 
 void
 MemifDevice::remove_in_flight(const InFlightPtr &fl)
 {
     std::erase(in_flight_, fl);
-    if (config_.percpu_rings && region_.num_rings() > 0)
-        std::erase(flight_shards_[fl->submit_cpu % region_.num_rings()],
-                   fl);
     // An SVA stream may retire with prefetch walks still in flight
     // (gate fault, rollback); drop them and their pending tokens.
     if (!fl->prefetch_events.empty() || !fl->prefetch_tokens.empty())
@@ -1143,12 +1147,10 @@ void
 MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
                                    std::uint64_t batch)
 {
-    const std::uint32_t w =
-        std::max<std::uint32_t>(config_.prefetch_window, 1);
-    const std::uint64_t lo = batch * w;
+    const std::uint64_t lo = batch * kPrefetchWindow;
     if (lo >= fl->slots.size()) return;
     const std::uint64_t hi =
-        std::min<std::uint64_t>(lo + w, fl->slots.size());
+        std::min<std::uint64_t>(lo + kPrefetchWindow, fl->slots.size());
     const SlotPages sp = slot_pages(*fl, lo, hi);
     // The asynchronous walker, elapsed as walker time on the event
     // queue — no CPU is charged, which is the whole point: the walk
@@ -1209,17 +1211,16 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
     const sim::CostModel &cm = kernel_.costs();
     const sim::SimTime now = kernel_.eq().now();
     XlateSlot &slot = fl->slots[idx];
-    const std::uint32_t w =
-        std::max<std::uint32_t>(config_.prefetch_window, 1);
 
     // Keep the prefetcher running ahead of the consumption stream:
     // entering a new window triggers the walk two windows out, so the
     // walker (~page_walk_adjacent per page) stays ahead of the copy
     // stream (~dma_stream_time per page) after the first window.
-    if (config_.xlate_prefetch_ahead && idx % w == 0) {
-        const std::uint64_t target = idx / w + 2;
+    if (config_.xlate_prefetch_ahead && idx % kPrefetchWindow == 0) {
+        const std::uint64_t target = idx / kPrefetchWindow + 2;
         while (fl->next_prefetch_batch <= target &&
-               fl->next_prefetch_batch * w < fl->slots.size()) {
+               fl->next_prefetch_batch * kPrefetchWindow <
+                   fl->slots.size()) {
             issue_stream_prefetch(fl, fl->next_prefetch_batch);
             ++fl->next_prefetch_batch;
         }
@@ -1266,7 +1267,6 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
             // covering walk lands (and then proceeds off its result).
             v.stall = slot.ready_at - now;
             ++stats_.stream_prefetch_late;
-            ++stats_.consumer_stalls;
             stats_.consumer_stall_time += v.stall;
         } else if (covered) {
             // Prefetched translation ready and live: the walk fully
@@ -1328,14 +1328,15 @@ MemifDevice::revalidate_stream(const InFlightPtr &fl)
 // --------------------------------------------------------------------
 
 sim::Task
-MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
-                           sim::Task *out, bool moderated)
+MemifDevice::serve_request(std::uint32_t idx, ReqSnapshot snap,
+                           ExecContext ctx, bool irq_mode, sim::Task *out,
+                           bool moderated)
 {
     // Awaiting the executor adds no event (a Task join is a symmetric
     // transfer), so the exit below runs in the same synchronous stretch
     // as the rejection that sent the request here.
     Reject rj;
-    co_await execute_ops(idx, ctx, irq_mode, out, moderated, &rj);
+    co_await execute_ops(idx, snap, ctx, irq_mode, out, moderated, &rj);
     if (rj.error == MovError::kNone) co_return;
     // The one reject exit. A flight rejected during Remap hands back
     // what it holds: its frame charge and any new frames (uncharged
@@ -1353,18 +1354,18 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
 }
 
 sim::Task
-MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
-                         sim::Task *out, bool moderated, Reject *rj)
+MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
+                         ExecContext ctx, bool irq_mode, sim::Task *out,
+                         bool moderated, Reject *rj)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
     mem::PhysicalMemory &pm = kernel_.phys();
     sim::Tracer &tr = kernel_.tracer();
-    // §4.2: the driver trusts nothing in the region, so it reads the
-    // request exactly once, here. Validation, the plan and every step
-    // past a suspension point work on this copy: rewriting the slot
-    // mid-serve changes nothing the driver does.
-    const ReqSnapshot snap = ReqSnapshot::of(region_.request(idx));
+    // §4.2: the driver trusts nothing in the region, so it read the
+    // request exactly once, at dequeue. Validation, the plan and every
+    // step past a suspension point work on that copy: rewriting the
+    // slot mid-serve changes nothing the driver does.
     vm::AddressSpace &req_as = request_as(snap.asid);
     tr.record(kernel_.eq().now(), TracePoint::kServeBegin, ctx, idx);
 
@@ -1385,7 +1386,6 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     fl->op = snap.op;
     fl->asid = snap.asid;
     fl->daemon = daemon_movs_.contains(idx);
-    fl->submit_cpu = snap.submit_cpu;
     fl->vma = src_vma;
     fl->plan = plan_move(snap, *src_vma, dst_vma);
     fl->order = vm::page_order(src_vma->page_size());
@@ -1460,7 +1460,7 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             // is down here anyway (clamped to the Vma).
             const std::uint64_t room = vma->num_pages() - run.first;
             walk_pages = std::min<std::uint64_t>(
-                run.pages + config_.xlate_prefetch, room);
+                run.pages + kXlateGangPrefetch, room);
             stats_.xlate_gang_prefetched += walk_pages - run.pages;
         }
         const vm::WalkCost wc =
@@ -1772,9 +1772,8 @@ MemifDevice::execute_ops(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // it is walked by asynchronous prefetch events that run ahead
         // of the consumption stream (two windows of lead, sustained by
         // the gate as the stream advances).
-        const std::uint64_t hi = std::min<std::uint64_t>(
-            std::max<std::uint32_t>(config_.prefetch_window, 1),
-            fl->slots.size());
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(kPrefetchWindow, fl->slots.size());
         const SlotPages sp = slot_pages(*fl, 0, hi);
         if (XlateCache *cache = xlate_for(snap.asid)) {
             cache->record(src_vma, sp.s0, sp.sn);
@@ -2025,7 +2024,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
             if (fl->chained) ++stats_.hop_retries;
             trace(TracePoint::kDmaRetry);
             co_await sim::Delay{
-                eq, config_.dma_retry_backoff << (x.attempts - 1)};
+                eq, kDmaRetryBackoff << (x.attempts - 1)};
             if (*s.latch || stopping_) break;
             continue;
         }
@@ -2514,10 +2513,14 @@ MemifDevice::kthread_loop()
                            next);
                 continue;
             }
-            MovReq &req = region_.request(next);
-            const vm::Vma *vma = request_as(req.asid).find_vma(req.src_base);
+            const ReqSnapshot snap = snapshot(next);
+            // The byte estimate counts num_pages only, so a strided
+            // request (num_pages 0) estimates 0 bytes and takes the
+            // interrupt or moderated path, never the polled one.
+            const vm::Vma *vma =
+                request_as(snap.asid).find_vma(snap.src_base);
             const std::uint64_t bytes =
-                vma ? req.num_pages * vm::page_bytes(vma->page_size()) : 0;
+                vma ? snap.num_pages * vm::page_bytes(vma->page_size()) : 0;
             // Completion-mode decision. The static rule is the paper's:
             // poll below the threshold — and never under multi-TC
             // dispatch, where parking the worker on THIS transfer would
@@ -2550,7 +2553,7 @@ MemifDevice::kthread_loop()
             }
             const bool polled = mode == CompletionMode::kPolled;
             sim::Task supervisor;
-            co_await serve_request(next, ExecContext::kKthread,
+            co_await serve_request(next, snap, ExecContext::kKthread,
                                    /*irq_mode=*/!polled, &supervisor,
                                    mode == CompletionMode::kModerated);
             // §5.4: a small request's supervisor is this thread — it
@@ -2664,7 +2667,7 @@ MemifDevice::ioctl_mov_one()
     // Serve exactly one request in the caller's context, interrupt-
     // driven, and return as soon as the DMA is started.
     sim::Task supervisor;
-    co_await serve_request(next, ExecContext::kSyscall,
+    co_await serve_request(next, snapshot(next), ExecContext::kSyscall,
                            /*irq_mode=*/true, &supervisor,
                            /*moderated=*/config_.irq_moderation);
     // If no transfer started (validation/resource failure), there is no

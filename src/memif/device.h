@@ -112,15 +112,14 @@ struct MemifConfig {
      * The watchdog deadline is the transfer's remaining predicted time
      * × margin, plus a fixed slack absorbing interrupt latency. On a
      * TC error or expiry the driver retries with exponential backoff
-     * (retry n sleeps backoff << (n-1)), then falls back to a CPU
-     * byte-copy; with the fallback disabled the request fails instead
-     * (migrations roll back to their old frames).
+     * (retry n sleeps kDmaRetryBackoff << (n-1)), then falls back to a
+     * CPU byte-copy; with the fallback disabled the request fails
+     * instead (migrations roll back to their old frames).
      */
     ///@{
     double watchdog_margin = 4.0;
     sim::Duration watchdog_slack = sim::microseconds(20);
     std::uint32_t dma_max_retries = 3;
-    sim::Duration dma_retry_backoff = sim::microseconds(5);
     bool cpu_copy_fallback = true;
     ///@}
     /**
@@ -151,12 +150,12 @@ struct MemifConfig {
      */
     ///@{
     /** Hold completion IRQs in the engine's per-TC moderation batch:
-     *  one coalesced IRQ retires up to moderation_batch chains (or
-     *  whatever finished within moderation_holdoff of the first). */
+     *  one coalesced IRQ retires up to the cost model's
+     *  dma_moderation_batch chains (or whatever finished within the
+     *  holdoff of the first). */
     bool irq_moderation = false;
-    /** Overrides for the cost model's moderation parameters (0 = keep
-     *  the cost-model default). */
-    std::uint32_t moderation_batch = 0;
+    /** Override for the cost model's moderation holdoff (0 = keep the
+     *  cost-model default). */
     sim::Duration moderation_holdoff = 0;
     /** Multi-request completion drain: the first handler of a coalesced
      *  IRQ claims every completed interrupt-mode transfer and retires
@@ -168,8 +167,6 @@ struct MemifConfig {
      *  learns per-size completion times online and switches each
      *  transfer between polled / interrupt / moderated-interrupt. */
     bool adaptive_polling = false;
-    /** Smoothing factor for the controller's EWMAs. */
-    double ewma_alpha = 0.25;
     ///@}
 
     /**
@@ -182,11 +179,6 @@ struct MemifConfig {
      *  the driver, invalidated through the AddressSpace hook, so
      *  repeated moves over hot regions skip the radix walk. */
     bool xlate_cache = false;
-    /** On a miss, walk (and cache) this many extra pages beyond the
-     *  requested run — the gang-prefetch of the next translations. */
-    std::uint32_t xlate_prefetch = 8;
-    /** Cache capacity in (vma, range) entries. */
-    std::uint32_t xlate_cache_entries = 64;
     /** Bulk frame allocation: fill a per-(node, order) free-frame
      *  magazine (Linux pcp-list analogue) with one Buddy::allocate_bulk
      *  call per refill instead of one allocator round trip per page;
@@ -195,11 +187,8 @@ struct MemifConfig {
     /** Blocks fetched per magazine refill (floor; a gang needing more
      *  gets exactly what it needs). */
     std::uint32_t magazine_refill = 32;
-    /** Frames parked per magazine before frees spill to the buddy. */
-    std::uint32_t magazine_capacity = 128;
     /** Per-CPU submission rings: one red-blue deposit ring per
-     *  simulated CPU plus a sharded flight table, so concurrent
-     *  clients never contend on submit. */
+     *  simulated CPU, so concurrent clients never contend on submit. */
     bool percpu_rings = false;
     /** Rings to format (capped at kMaxSubmitRings). */
     std::uint32_t num_submit_cpus = 4;
@@ -225,16 +214,6 @@ struct MemifConfig {
     /** Bound on a tenant's dispatched-but-unserved queue, scaled by its
      *  weight; excess is shed with kNoSpace. 0 = unbounded. */
     std::uint32_t tenant_queue_depth = 64;
-    /** WRR weight given to tenants registered without an explicit one
-     *  (and to the owning process, tenant 0). */
-    std::uint32_t tenant_default_weight = 1;
-    /** Cap on requests dispatched to the engines at once; further
-     *  backlog waits in the per-tenant pending lists where the WRR
-     *  can re-rank it. 0 = unbounded — overload then drains straight
-     *  into the FIFO TC queues, whose bandwidth sharing ignores
-     *  tenant weights. A bit above the engine's 6 TCs keeps the
-     *  hardware fed without flooding it. */
-    std::uint32_t tenant_dispatch_window = 8;
     ///@}
 
     /**
@@ -244,7 +223,7 @@ struct MemifConfig {
      */
     ///@{
     /** Translation prefetch ahead of TC consumption: walk only the
-     *  first prefetch_window descriptors synchronously at chain prep,
+     *  first kPrefetchWindow descriptors synchronously at chain prep,
      *  then issue asynchronous translation-prefetch walks (EventQueue
      *  events at page-walk cost) that run ahead of the consumption
      *  stream, so walks overlap in-flight DMA instead of serialising
@@ -252,9 +231,6 @@ struct MemifConfig {
      *  it outruns the prefetcher. Effective on SVA-routed streams
      *  (sva_dma), where translation actually happens at consumption. */
     bool xlate_prefetch_ahead = false;
-    /** Descriptors walked synchronously at prep; also the batch size
-     *  of each asynchronous prefetch walk. */
-    std::uint32_t prefetch_window = 8;
     /** SVA-routed DMA (IOMMU-SVA framing): replication streams drop
      *  the pre-pinned physical SG contract — the engine resolves each
      *  descriptor through the per-tenant XlateCache / page walk at
@@ -281,8 +257,10 @@ struct MemifConfig {
     ///@{
     /** Master switch for the scan + daemon kthreads. */
     bool auto_migrate = false;
-    /** Placement policy sub-lever (aging vs. EWMA; heat_policy.h). */
-    MigratePolicy migrate_policy = MigratePolicy::kAging;
+    /** Placement policy (aging vs. EWMA), bucket size and the kAging
+     *  promote threshold; the other bands are heat_policy.h's
+     *  constants. */
+    HeatConfig heat{};
     /** Scan epoch: the interval between heat-sampling passes. */
     sim::Duration heat_scan_interval = sim::microseconds(500);
     /** Per-bucket adaptive dormancy (DAMON-style): after this many
@@ -296,23 +274,8 @@ struct MemifConfig {
     /** Longest sleep (in scan epochs) a settled bucket may take; also
      *  bounds how stale a settled verdict can get. */
     std::uint32_t heat_dormant_cap = 16;
-    /** Pages per heat bucket (the migration unit). */
-    std::uint32_t heat_bucket_pages = 8;
     /** Per-epoch cap on daemon-migrated pages (promotions+demotions). */
     std::uint32_t migrate_pages_per_epoch = 64;
-    /** kAging promote/demote thresholds (hysteresis band between). */
-    std::uint8_t heat_promote_threshold = 0x60;
-    std::uint8_t heat_demote_threshold = 0x10;
-    /** kEwma decay factor and hot-enter / cold-exit bands. */
-    double heat_ewma_alpha = 0.4;
-    double heat_hot_enter = 0.6;
-    double heat_cold_exit = 0.2;
-    /** WRR weight of the daemon's dedicated service class (its movs
-     *  never consume app tenants' quotas). */
-    std::uint32_t daemon_weight = 1;
-    /** Engine-backlog backoff: the daemon stops issuing when this many
-     *  requests are already in flight (so it never starves apps). */
-    std::uint32_t daemon_backlog_limit = 6;
     /** Scanner parks after this many consecutive epochs with no
      *  accessed page and no daemon work (woken by device activity). */
     std::uint32_t scan_idle_park_epochs = 2;
@@ -327,36 +290,17 @@ struct MemifConfig {
      * the non-adjacent SRAM/far pair is *chained*: staged through DDR
      * in bounded batches, each hop its own DMA chain with its own
      * retry / CPU-fallback ladder, behind blocking migration PTEs.
-     * pipelined_eviction lets up to tiered_max_batches batches run
+     * pipelined_eviction lets a bounded window of batches run
      * concurrently with their hops out of order across TCs (batch
      * k+1's DDR→far hop overlaps batch k's SRAM→DDR hop); off, the
-     * chain runs store-and-forward, one stage at a time.
+     * chain runs store-and-forward, one stage at a time. The batch
+     * size, the window and the staging-pool cap are tiered.cc's
+     * constants; the daemon's three-way hot/warm/cold verdict uses
+     * heat_policy.h's cold band.
      */
     ///@{
     bool tiered_memory = false;
     bool pipelined_eviction = false;
-    /** Pages (of the request's order) per chained batch — the
-     *  pipelining grain. */
-    std::uint32_t tiered_batch_pages = 16;
-    /** Concurrent in-flight batches per chain (bounds staging demand
-     *  and the out-of-order window). */
-    std::uint32_t tiered_max_batches = 4;
-    /** Cap on middle-tier staging frames (4 KB) leased across all
-     *  chains; a batch that cannot get its frames waits for a peer's
-     *  release. Single batches larger than the cap borrow past it
-     *  alone (progress guarantee). */
-    std::uint32_t staging_pool_pages = 128;
-    /** Third hysteresis band for the three-way hot/warm/cold daemon
-     *  verdict (tiered_memory only; the two-way bands above are
-     *  untouched). kAging: a bucket enters cold at/below
-     *  heat_cold_threshold and leaves at/above heat_warm_threshold;
-     *  kEwma: enters at/below heat_far_enter, leaves at/above
-     *  heat_far_exit. Cold buckets demote to the far tier; warm ones
-     *  stop at DDR. */
-    std::uint8_t heat_cold_threshold = 0x02;
-    std::uint8_t heat_warm_threshold = 0x08;
-    double heat_far_enter = 0.05;
-    double heat_far_exit = 0.12;
     ///@}
 
     /**
@@ -557,8 +501,8 @@ struct DeviceStats {
     /** Prefetch fills discarded by the generation check (invalidation
      *  landed between issue and fill). */
     std::uint64_t prefetch_fills_dropped = 0;
-    /** TC-side consumer stalls (late prefetch) and their total time. */
-    std::uint64_t consumer_stalls = 0;
+    /** Total TC-side stall time behind late prefetches (the count is
+     *  stream_prefetch_late). */
     sim::Duration consumer_stall_time = 0;
     /** SVA-routed descriptors resolved through the MMU at consumption. */
     std::uint64_t sva_resolved = 0;
@@ -583,12 +527,8 @@ struct DeviceStats {
     /** Daemon movs that failed (any reason) and were absorbed: the
      *  bucket enters a cooldown instead of being retried on a fault. */
     std::uint64_t daemon_movs_dropped = 0;
-    /** Daemon issue passes cut short by the engine-backlog backoff. */
-    std::uint64_t daemon_busy_backoffs = 0;
     /** Daemon issue passes cut short by the per-epoch page budget. */
     std::uint64_t daemon_budget_exhausted = 0;
-    /** Promotions skipped because the fast node could not fit them. */
-    std::uint64_t promotions_skipped_full = 0;
     // ----- Tiered memory (third tier + chained multi-hop eviction) ----
     std::uint64_t chained_migrations = 0;  ///< movs staged through DDR
     std::uint64_t chain_batches = 0;       ///< bounded batches executed
@@ -603,8 +543,6 @@ struct DeviceStats {
     std::uint64_t chain_rollbacks = 0;     ///< chains failed, remap undone
     std::uint64_t staging_frames_hwm = 0;  ///< staging-pool high-water
     std::uint64_t staging_pool_waits = 0;  ///< batches that waited for frames
-    std::uint64_t demotions_to_far = 0;    ///< daemon movs targeting far
-    std::uint64_t promotions_from_far = 0; ///< daemon movs leaving far
     // ----- Strided DMA (2D descriptors + gather) ----------------------
     std::uint64_t strided_requests = 0;    ///< strided movs served
     std::uint64_t gather_requests = 0;     ///< ... whose source was a gather
@@ -643,8 +581,8 @@ class MemifDevice {
      * tenant's page tables, quotas, and WRR weight.
      */
     ///@{
-    /** Register @p proc as a tenant; @p weight 0 takes the config
-     *  default. Returns the new ASID. */
+    /** Register @p proc as a tenant at WRR @p weight (0 counts as 1).
+     *  Returns the new ASID. */
     std::uint32_t register_tenant(os::Process &proc,
                                   std::uint32_t weight = 0);
     /** Retune one tenant's WRR weight (takes effect on the next pick). */
@@ -699,8 +637,7 @@ class MemifDevice {
      * Debug quiesce check: verifies every driver invariant that must
      * hold once the instance has gone idle —
      *
-     *  - the flight table (and every per-CPU flight shard) is empty and
-     *    no deferred release is pending;
+     *  - the flight table is empty and no deferred release is pending;
      *  - the staging, submission, and per-CPU ring queues are drained;
      *  - no request slot is stuck in kSubmitted / kInFlight;
      *  - every DMA descriptor lease has been returned to the chain
@@ -816,8 +753,6 @@ class MemifDevice {
         /** The flight's transfer (never started on a chain master). */
         Transfer xfer;
         bool aborted = false;            ///< recover-mode rollback done
-        /** Depositing CPU (per-CPU rings: the flight-table shard). */
-        std::uint32_t submit_cpu = 0;
         /** Scatter-gather list, kept for retries and the CPU fallback. */
         std::vector<dma::SgEntry> sg;
         bool moderated = false;          ///< IRQ held in the TC batch
@@ -903,9 +838,9 @@ class MemifDevice {
      *  (a rejection, or a chained move whose master runs on its own).
      *  @p moderated asks for a moderated completion IRQ (irq_mode
      *  only). Every early rejection leaves through one exit here. */
-    sim::Task serve_request(std::uint32_t idx, sim::ExecContext ctx,
-                            bool irq_mode, sim::Task *out,
-                            bool moderated = false);
+    sim::Task serve_request(std::uint32_t idx, ReqSnapshot snap,
+                            sim::ExecContext ctx, bool irq_mode,
+                            sim::Task *out, bool moderated = false);
     /** Why execute_ops stopped early, and what the flight holds that
      *  serve_request's reject exit must hand back. */
     struct Reject {
@@ -915,9 +850,9 @@ class MemifDevice {
     };
     /** The executor behind serve_request: Prep, Remap, lowering, DMA
      *  config and trigger. Sets @p rj on an early rejection. */
-    sim::Task execute_ops(std::uint32_t idx, sim::ExecContext ctx,
-                          bool irq_mode, sim::Task *out, bool moderated,
-                          Reject *rj);
+    sim::Task execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
+                          sim::ExecContext ctx, bool irq_mode,
+                          sim::Task *out, bool moderated, Reject *rj);
     /** Ops 4-5. With @p shared_plan, a kPrevent migration's release
      *  accumulates its TLB work there instead of flushing per page —
      *  the caller issues one ranged shootdown for the whole batch. */
@@ -1062,8 +997,7 @@ class MemifDevice {
     /** Free one block on the lever-appropriate path. */
     void free_frames(mem::Pfn head, unsigned order, sim::Duration &cost);
     /** Register (marking its request kInFlight) / retire an in-flight
-     *  record (mirrors into the per-submit-CPU flight shard when rings
-     *  are on). */
+     *  record. */
     void add_in_flight(const InFlightPtr &fl);
     void remove_in_flight(const InFlightPtr &fl);
 
@@ -1075,7 +1009,7 @@ class MemifDevice {
     static bool resolve_span(const vm::Vma *vma, vm::VAddr va,
                              std::uint64_t bytes, std::uint64_t *out);
     /** Issue the asynchronous translation-prefetch walk for batch
-     *  @p batch of @p fl's stream (prefetch_window descriptors): marks
+     *  @p batch of @p fl's stream (kPrefetchWindow descriptors): marks
      *  the slots' ready_at, registers pending-prefetch tokens, and
      *  schedules the fill at walker (not CPU) cost. */
     void issue_stream_prefetch(const InFlightPtr &fl, std::uint64_t batch);
@@ -1143,6 +1077,11 @@ class MemifDevice {
      *  single-tenant order with the lever off, route + WRR with it on
      *  (false while the tenant dispatch window is full). */
     bool next_request(std::uint32_t *out, bool take_staging);
+    /** The one read of request @p idx's parameters, taken right where
+     *  either serve path dequeues it (no suspension lies between the
+     *  dequeue and Prep): a daemon mov's own snapshot, or the slot's
+     *  parameters with the admitted ASID. */
+    ReqSnapshot snapshot(std::uint32_t idx) const;
     /** Pop the next deposited index: submission queue, then (with
      *  @p take_staging) the staging queue, then the per-CPU rings. */
     bool dequeue_deposit(std::uint32_t *out, bool take_staging);
@@ -1194,12 +1133,10 @@ class MemifDevice {
         vm::Vma *vma = nullptr;      ///< identifies the region (stable)
         std::uint64_t bucket = 0;
         bool promote = false;
-        std::uint32_t pages = 0;
-        bool to_far = false;         ///< demotion targeting the far tier
-        bool from_far = false;       ///< promotion leaving the far tier
+        /** The mov itself: the daemon writes no parameter into the
+         *  slot, so nothing a previous user left there can leak in. */
+        ReqSnapshot snap;
     };
-    /** The HeatConfig snapshot regions are attached with. */
-    HeatConfig heat_config() const;
     /** The periodic heat-sampling kthread (parks when idle). */
     sim::Task scan_loop();
     /** One synchronous sampling pass over every managed region; returns
@@ -1244,8 +1181,9 @@ class MemifDevice {
     unsigned tc_;
     SharedRegion region_;
     /** Per request slot: the tenant whose in-flight quota slot the
-     *  request holds, from admission to its terminal notify. Kept out
-     *  of the application-writable MovReq, so no scribble can forge or
+     *  request holds, from admission to its terminal notify — and so
+     *  the ASID routing and Prep resolve the request in. Kept out of
+     *  the application-writable MovReq, so no scribble can forge or
      *  redirect an admission. */
     std::vector<std::optional<std::uint32_t>> quota_holder_;
     CompletionController completion_ctl_;
@@ -1260,9 +1198,6 @@ class MemifDevice {
      *  hops'); teardown cancels them so no engine callback or deadline
      *  outlives the device. */
     std::vector<Transfer *> transfers_;
-    /** Per-submit-CPU flight shards (percpu_rings only): the sharded
-     *  flight table concurrent submitters touch without contending. */
-    std::array<std::vector<InFlightPtr>, kMaxSubmitRings> flight_shards_;
     /** kPrevent: releases deferred from the interrupt handler. */
     std::vector<InFlightPtr> pending_release_;
     /** Gang translation cache (xlate_cache lever; null when off).

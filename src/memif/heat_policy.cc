@@ -32,8 +32,7 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
         sampled > 0 ? static_cast<double>(accessed) / sampled : 0.0;
 
     b.age = static_cast<std::uint8_t>((b.age >> 1) | (any ? 0x80 : 0));
-    b.rate = config_.ewma_alpha * fraction +
-             (1.0 - config_.ewma_alpha) * b.rate;
+    b.rate = kEwmaAlpha * fraction + (1.0 - kEwmaAlpha) * b.rate;
     if (any) ++b.accessed_epochs;
     if (sampled > 0 && written > 0) ++b.written_epochs;
 
@@ -41,17 +40,17 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
     if (config_.policy == MigratePolicy::kAging) {
         if (b.age >= config_.aging_promote_threshold)
             hot = true;
-        else if (b.age < config_.aging_demote_threshold)
+        else if (b.age < kAgingDemoteThreshold)
             hot = false;
         // In between: keep the previous classification (hysteresis).
     } else {
-        if (b.rate >= config_.ewma_hot_enter)
+        if (b.rate >= kEwmaHotEnter)
             hot = true;
-        else if (b.rate <= config_.ewma_cold_exit)
+        else if (b.rate <= kEwmaColdExit)
             hot = false;
     }
     if (hot != b.hot) {
-        if (b.epochs_since_flip < config_.pingpong_window) ++ping_pongs_;
+        if (b.epochs_since_flip < kPingPongWindow) ++ping_pongs_;
         b.hot = hot;
         b.epochs_since_flip = 0;
     } else if (b.epochs_since_flip < ~0u) {
@@ -63,14 +62,14 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
     // cold, whatever the thresholds say — the bands must not overlap.
     bool cold = b.cold;
     if (config_.policy == MigratePolicy::kAging) {
-        if (b.age <= config_.aging_cold_enter)
+        if (b.age <= kAgingColdEnter)
             cold = true;
-        else if (b.age >= config_.aging_cold_exit)
+        else if (b.age >= kAgingColdExit)
             cold = false;
     } else {
-        if (b.rate <= config_.ewma_far_enter)
+        if (b.rate <= kEwmaFarEnter)
             cold = true;
-        else if (b.rate >= config_.ewma_far_exit)
+        else if (b.rate >= kEwmaFarExit)
             cold = false;
     }
     b.cold = cold && !b.hot;

@@ -8,20 +8,20 @@
  * those samples — no simulator, device or clock dependencies — so the
  * decay math and hysteresis bands are unit-testable in isolation.
  *
- * Two policies ship behind MemifConfig::migrate_policy:
+ * Two policies ship behind MemifConfig::heat.policy:
  *
  *  - kAging: LRU-ish aging vector per bucket. Each epoch shifts the
  *    vector right and ORs the new sample into the MSB, so recency
  *    dominates and one idle epoch halves a bucket's score. Promote at
  *    or above aging_promote_threshold, demote strictly below
- *    aging_demote_threshold; the gap between the two thresholds is the
+ *    kAgingDemoteThreshold; the gap between the two thresholds is the
  *    hysteresis band.
  *
  *  - kEwma: decayed access-rate estimate. rate' = alpha * sample +
  *    (1 - alpha) * rate with sample = accessed fraction of the
  *    bucket's sampled pages. A bucket turns hot when the rate crosses
- *    ewma_hot_enter from below and turns cold only when it falls to
- *    ewma_cold_exit — the band between the two absorbs oscillating
+ *    kEwmaHotEnter from below and turns cold only when it falls to
+ *    kEwmaColdExit — the band between the two absorbs oscillating
  *    patterns (no ping-pong on a 50% duty cycle).
  */
 #pragma once
@@ -31,42 +31,44 @@
 
 namespace memif::core {
 
-/** Placement policy selector (MemifConfig::migrate_policy sub-lever). */
+/** Placement policy selector (MemifConfig::heat.policy sub-lever). */
 enum class MigratePolicy : std::uint8_t {
     kAging = 0,  ///< aging bit-vector, recency-weighted
     kEwma = 1,   ///< decayed frequency estimate with hysteresis bands
 };
 
-/** Tuning knobs for RegionHeat (copied from MemifConfig at attach). */
+/** The settable heat-policy parameters (MemifConfig::heat). */
 struct HeatConfig {
     MigratePolicy policy = MigratePolicy::kAging;
     /** Pages aggregated into one heat bucket (the migration unit). */
     std::uint32_t bucket_pages = 8;
     /** kAging: promote when the aging vector reaches this value. */
     std::uint8_t aging_promote_threshold = 0x60;
-    /** kAging: demote when the aging vector falls strictly below. */
-    std::uint8_t aging_demote_threshold = 0x10;
-    /** kEwma: decay factor applied to the new sample. */
-    double ewma_alpha = 0.4;
-    /** kEwma: rate at or above which a bucket enters the hot set. */
-    double ewma_hot_enter = 0.6;
-    /** kEwma: rate at or below which a bucket leaves the hot set. */
-    double ewma_cold_exit = 0.2;
-    /** Hot-state flips closer than this many epochs count as ping-pong. */
-    std::uint32_t pingpong_window = 4;
-    // Third band (tiered_memory): the cold set, placed on the far
-    // tier. Its hysteresis is independent of the hot band's — a bucket
-    // is cold only while far below the warm floor, so the warm middle
-    // band (neither hot nor cold) rests on DDR.
-    /** kAging: enter the cold set at or below this aging value. */
-    std::uint8_t aging_cold_enter = 0x02;
-    /** kAging: leave the cold set at or above this aging value. */
-    std::uint8_t aging_cold_exit = 0x08;
-    /** kEwma: rate at or below which a bucket enters the cold set. */
-    double ewma_far_enter = 0.05;
-    /** kEwma: rate at or above which a bucket leaves the cold set. */
-    double ewma_far_exit = 0.12;
 };
+
+/** kAging: demote when the aging vector falls strictly below (idle
+ *  for four epochs). */
+inline constexpr std::uint8_t kAgingDemoteThreshold = 0x10;
+/** kEwma: decay factor applied to the new sample. */
+inline constexpr double kEwmaAlpha = 0.4;
+/** kEwma: rate at or above which a bucket enters the hot set. */
+inline constexpr double kEwmaHotEnter = 0.6;
+/** kEwma: rate at or below which a bucket leaves the hot set. */
+inline constexpr double kEwmaColdExit = 0.2;
+/** Hot-state flips closer than this many epochs count as ping-pong. */
+inline constexpr std::uint32_t kPingPongWindow = 4;
+// Third band (tiered_memory): the cold set, placed on the far tier.
+// Its hysteresis is independent of the hot band's — a bucket is cold
+// only while far below the warm floor, so the warm middle band
+// (neither hot nor cold) rests on DDR.
+/** kAging: enter the cold set at or below this aging value. */
+inline constexpr std::uint8_t kAgingColdEnter = 0x02;
+/** kAging: leave the cold set at or above this aging value. */
+inline constexpr std::uint8_t kAgingColdExit = 0x08;
+/** kEwma: rate at or below which a bucket enters the cold set. */
+inline constexpr double kEwmaFarEnter = 0.05;
+/** kEwma: rate at or above which a bucket leaves the cold set. */
+inline constexpr double kEwmaFarExit = 0.12;
 
 /** What the daemon should do with one bucket this epoch. */
 enum class HeatVerdict : std::uint8_t { kStay = 0, kPromote, kDemote };
@@ -163,7 +165,7 @@ class RegionHeat {
         }
     }
 
-    /** Hot-state flips inside pingpong_window epochs (stability metric). */
+    /** Hot-state flips inside kPingPongWindow epochs (stability metric). */
     std::uint64_t ping_pongs() const { return ping_pongs_; }
 
     /**

@@ -12,7 +12,7 @@
  * migration requests: demotions first (freeing fast-node frames for
  * the promotions that follow), bounded per epoch by
  * migrate_pages_per_epoch and backed off whenever the engine backlog
- * reaches daemon_backlog_limit, so background placement can never
+ * reaches kDaemonBacklogLimit, so background placement can never
  * starve application traffic — daemon movs also compete through the
  * WRR at their own weight rather than jumping the queue.
  *
@@ -43,25 +43,12 @@ namespace {
  *  node could not fit its promotion). */
 constexpr std::uint32_t kDaemonFailCooldown = 8;
 
-}  // namespace
+/** Engine-backlog backoff: the daemon stops issuing once this many
+ *  requests are in flight or pending for it — one per transfer
+ *  controller — so it never starves application traffic. */
+constexpr std::size_t kDaemonBacklogLimit = dma::Edma3Engine::kNumTcs;
 
-HeatConfig
-MemifDevice::heat_config() const
-{
-    HeatConfig hc;
-    hc.policy = config_.migrate_policy;
-    hc.bucket_pages = std::max<std::uint32_t>(config_.heat_bucket_pages, 1);
-    hc.aging_promote_threshold = config_.heat_promote_threshold;
-    hc.aging_demote_threshold = config_.heat_demote_threshold;
-    hc.ewma_alpha = config_.heat_ewma_alpha;
-    hc.ewma_hot_enter = config_.heat_hot_enter;
-    hc.ewma_cold_exit = config_.heat_cold_exit;
-    hc.aging_cold_enter = config_.heat_cold_threshold;
-    hc.aging_cold_exit = config_.heat_warm_threshold;
-    hc.ewma_far_enter = config_.heat_far_enter;
-    hc.ewma_far_exit = config_.heat_far_exit;
-    return hc;
-}
+}  // namespace
 
 bool
 MemifDevice::daemon_tiered() const
@@ -86,8 +73,8 @@ MemifDevice::manage_region(vm::VAddr base, std::uint32_t asid)
     if (!vma) return false;
     for (const auto &mr : managed_)
         if (mr->vma == vma) return true;  // already managed
-    managed_.push_back(std::make_unique<ManagedRegion>(heat_config(), asid,
-                                                       &as, vma));
+    managed_.push_back(
+        std::make_unique<ManagedRegion>(config_.heat, asid, &as, vma));
     // Arm every page up front: a fresh PTE carries young == 0, which
     // the first scan would read as "the whole region was just
     // accessed" and promote-storm cold pages into the fast node.
@@ -411,13 +398,11 @@ MemifDevice::daemon_issue_pass()
                     ++stats_.daemon_budget_exhausted;
                     return;  // next epoch refills the budget
                 }
+                // Engine saturated with (mostly app) work: back off
+                // entirely; a completion wakes us again.
                 if (in_flight_.size() + daemon_tenant_.pending.size() >=
-                    config_.daemon_backlog_limit) {
-                    // Engine saturated with (mostly app) work: back
-                    // off entirely; a completion wakes us again.
-                    ++stats_.daemon_busy_backoffs;
+                    kDaemonBacklogLimit)
                     return;
-                }
                 if (promote) {
                     const unsigned ord =
                         vm::page_order(mr.vma->page_size());
@@ -426,7 +411,6 @@ MemifDevice::daemon_issue_pass()
                         // No room: don't burn the recovery ladder on a
                         // mov that must fail — cool the bucket down and
                         // let demotions open space first.
-                        ++stats_.promotions_skipped_full;
                         mr.cooldown[b] = kDaemonFailCooldown;
                         continue;
                     }
@@ -445,27 +429,22 @@ MemifDevice::daemon_submit_bucket(ManagedRegion &mr, std::uint64_t bucket,
     const lockfree::DequeueResult d = region_.free_queue().dequeue();
     if (!d.ok) return false;  // the app owns every request slot
     const std::uint32_t pages = mr.heat.pages_in(bucket);
-    const HeatTier src_tier = bucket_tier(mr, bucket);
     MovReq &req = region_.request(d.value);
-    req.store_status(MovStatus::kOwned);
-    req.op = MovOp::kMigrate;
-    req.src_base = mr.vma->page_vaddr(mr.heat.first_page(bucket));
-    req.dst_base = 0;
-    req.dst_node = dst;
-    req.num_pages = pages;
     req.error = MovError::kNone;
-    req.user_tag = 0;
-    req.submit_cpu = 0;
-    req.asid = mr.asid;  // translations resolve in the target's tables
-    req.retry_after_us = 0;
     req.submit_time = kernel_.eq().now();
-    // The driver-side record marks the slot as the daemon's before the
-    // request becomes visible: routing, Prep and notify consult it,
-    // never the slot.
-    daemon_movs_[d.value] =
-        DaemonMov{mr.vma, bucket, promote, pages,
-                  kernel_.has_far_node() && dst == kernel_.far_node(),
-                  src_tier == HeatTier::kFar};
+    // The driver-side record marks the slot as the daemon's and carries
+    // the mov itself, before the request becomes visible: routing, Prep
+    // and notify consult it, never the slot, whose parameter fields
+    // still hold whatever its last user left there.
+    daemon_movs_[d.value] = DaemonMov{
+        .vma = mr.vma,
+        .bucket = bucket,
+        .promote = promote,
+        .snap = {.op = MovOp::kMigrate,
+                 .src_base = mr.vma->page_vaddr(mr.heat.first_page(bucket)),
+                 .dst_node = dst,
+                 .num_pages = pages,
+                 .asid = mr.asid}};  // resolves in the target's tables
     req.store_status(MovStatus::kSubmitted);
     region_.submission_queue().enqueue(d.value);
     kernel_.cpu().charge(ExecContext::kKthread, Op::kQueue,
@@ -486,6 +465,7 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status,
                                  MovError error)
 {
     const DaemonMov dm = daemon_movs_.extract(idx).mapped();
+    const std::uint32_t pages = dm.snap.num_pages;
     ++daemon_tenant_.stats.completed;
 
     // The region may have been unmanaged while the mov was in flight.
@@ -500,12 +480,10 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status,
             ++stats_.promotions_completed;
         else
             ++stats_.demotions_completed;
-        if (dm.to_far) ++stats_.demotions_to_far;
-        if (dm.from_far) ++stats_.promotions_from_far;
-        daemon_tenant_.stats.pages_moved += dm.pages;
+        daemon_tenant_.stats.pages_moved += pages;
         if (mr) {
             daemon_tenant_.stats.bytes_moved +=
-                std::uint64_t{dm.pages} *
+                std::uint64_t{pages} *
                 vm::page_bytes(mr->vma->page_size());
             // Re-arm the bucket right away: migration installs fresh
             // PTEs with young clear, which the next scan would misread
@@ -513,7 +491,7 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status,
             // and move again, forever. Arming now means only a real
             // touch can make it look accessed.
             const std::uint64_t first = mr->heat.first_page(dm.bucket);
-            for (std::uint32_t i = 0; i < dm.pages; ++i)
+            for (std::uint32_t i = 0; i < pages; ++i)
                 mr->as->heat_sample(*mr->vma, first + i);
         }
     } else {

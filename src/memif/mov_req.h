@@ -55,10 +55,11 @@ enum class MovError : std::uint32_t {
  * by its index. The application populates the parameter fields after
  * AllocRequest() and must not touch them again until the completion
  * notification returns the request (paper §4.1). The driver does not
- * rely on that: it copies the parameters once, at the top of Prep
- * (ReqSnapshot), and never reads them again, so a later rewrite changes
- * nothing. What the driver keeps about a request — its admission, its
- * daemon origin — lives driver-side, where no scribble can forge it.
+ * rely on that: it copies the parameters once, where it dequeues the
+ * request (ReqSnapshot), and never reads them again, so a later rewrite
+ * changes nothing. What the driver keeps about a request — its
+ * admission and admitted ASID, its daemon origin and the daemon's own
+ * parameters — lives driver-side, where no scribble can forge it.
  */
 struct MovReq {
     std::atomic<std::uint32_t> status{
@@ -101,11 +102,12 @@ struct MovReq {
     /** Opaque application cookie, returned untouched. */
     std::uint64_t user_tag = 0;
     /** Simulated CPU the request was deposited from (per-CPU rings:
-     *  selects the ring and the flight-table shard). */
+     *  selects the ring). */
     std::uint32_t submit_cpu = 0;
 
     /** Tenant address-space id; 0 is the device owner. Stamped by the
-     *  submitting MemifUser; ignored unless multi_tenant is on. */
+     *  submitting MemifUser and read once, at admission; ignored unless
+     *  multi_tenant is on. */
     std::uint32_t asid = 0;
     /** Set on admission rejection (error == kNoSpace): a hint, in
      *  virtual microseconds, for how long the caller should back off
@@ -117,6 +119,21 @@ struct MovReq {
     /** Diagnostics (virtual time): set by the library/driver. */
     std::uint64_t submit_time = 0;
     std::uint64_t complete_time = 0;
+
+    /** Blank every parameter field (and the cookie and the retry
+     *  hint): what a recycled slot's last user left there must not
+     *  leak into the next request allocated on it. */
+    void
+    clear_params()
+    {
+        op = MovOp::kReplicate;
+        src_base = dst_base = 0;
+        dst_node = num_pages = 0;
+        rows = row_bytes = 0;
+        src_pitch = dst_pitch = gather_list = 0;
+        user_tag = 0;
+        retry_after_us = 0;
+    }
 
     MovStatus
     load_status() const

@@ -21,7 +21,8 @@
 namespace memif::core {
 
 /** A request's parameters as the driver acts on them: copied once out
- *  of the application-writable MovReq, before validation. */
+ *  of the application-writable MovReq where the request is dequeued,
+ *  before validation. */
 struct ReqSnapshot {
     MovOp op = MovOp::kReplicate;
     vm::VAddr src_base = 0;
@@ -33,15 +34,18 @@ struct ReqSnapshot {
     std::uint64_t src_pitch = 0;
     std::uint64_t dst_pitch = 0;
     vm::VAddr gather_list = 0;
-    std::uint32_t submit_cpu = 0;
+    /** The tenant whose page tables the request resolves in. Never the
+     *  slot's asid field: the driver fills it from its own records
+     *  (the admitted ASID, or the managed region's). */
     std::uint32_t asid = 0;
 
+    /** The slot's parameters, asid left 0 for the caller to fill. */
     static ReqSnapshot
     of(const MovReq &r)
     {
-        return {r.op,        r.src_base,  r.dst_base,   r.dst_node,
-                r.num_pages, r.rows,      r.row_bytes,  r.src_pitch,
-                r.dst_pitch, r.gather_list, r.submit_cpu, r.asid};
+        return {r.op,        r.src_base,  r.dst_base,  r.dst_node,
+                r.num_pages, r.rows,      r.row_bytes, r.src_pitch,
+                r.dst_pitch, r.gather_list};
     }
 };
 

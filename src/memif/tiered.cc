@@ -6,7 +6,7 @@
  * the middle (DDR) tier: the request is split into bounded batches,
  * each batch leases staging frames from a capped pool, copies
  * old→staging (hop 1) then staging→new (hop 2), and returns the
- * frames. With pipelined_eviction on, up to tiered_max_batches batches
+ * frames. With pipelined_eviction on, up to kChainWindow batches
  * are in flight at once and their stages execute out of order across
  * the engine's transfer controllers — batch k+1's fast hop overlaps
  * batch k's slow far hop — so a large eviction approaches the far
@@ -35,6 +35,19 @@ namespace memif::core {
 using sim::ExecContext;
 using sim::Op;
 
+namespace {
+
+/** Pages (of the request's order) per chained batch: the pipelining
+ *  grain. */
+constexpr std::uint32_t kChainBatchPages = 16;
+/** Batches a pipelined chain keeps in flight (bounds its staging
+ *  demand and the out-of-order window). */
+constexpr std::uint32_t kChainWindow = 4;
+/** Cap on middle-tier staging frames (4 KB) leased across all chains. */
+constexpr std::uint64_t kStagingPoolPages = 128;
+
+}  // namespace
+
 sim::Task
 MemifDevice::staging_acquire(mem::NodeId mid, unsigned order,
                              std::uint32_t pages,
@@ -47,7 +60,7 @@ MemifDevice::staging_acquire(mem::NodeId mid, unsigned order,
     // guarantee); everyone else waits for a peer's release.
     bool waited = false;
     while (staging_frames_out_ != 0 &&
-           staging_frames_out_ + frames > config_.staging_pool_pages) {
+           staging_frames_out_ + frames > kStagingPoolPages) {
         if (!waited) {
             waited = true;
             ++stats_.staging_pool_waits;
@@ -166,21 +179,16 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
 sim::Task
 MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
 {
-    const std::uint32_t bp =
-        std::max<std::uint32_t>(config_.tiered_batch_pages, 1);
     const auto pages = static_cast<std::uint32_t>(fl->plan.src.pages);
-    const std::uint32_t nb = (pages + bp - 1) / bp;
+    const std::uint32_t nb = (pages + kChainBatchPages - 1) / kChainBatchPages;
     auto cs = std::make_shared<ChainState>(kernel_.eq());
     cs->batches_left = nb;
-    // Pipelined: keep up to tiered_max_batches batches in flight; their
+    // Pipelined: keep up to kChainWindow batches in flight; their
     // hop stages land on whichever TC frees up first, so batch k+1's
     // hop 1 runs while batch k's hop 2 is still copying. Sequential
     // (store-and-forward, the bench baseline): a window of one batch,
     // each batch's hops in series.
-    const std::uint32_t window =
-        config_.pipelined_eviction
-            ? std::max<std::uint32_t>(config_.tiered_max_batches, 1)
-            : 1;
+    const std::uint32_t window = config_.pipelined_eviction ? kChainWindow : 1;
     // Batch frames are owned here: destroying the master (device
     // teardown destroys tasks_) destroys every suspended batch
     // and hop frame with it, so nothing kernel-owned can resume into a
@@ -191,9 +199,9 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
         while (launched - (nb - cs->batches_left) >= window)
             co_await cs->join.wait();
         if (stopping_) co_return;
-        const std::uint32_t first = b * bp;
+        const std::uint32_t first = b * kChainBatchPages;
         const std::uint32_t count =
-            std::min<std::uint32_t>(bp, pages - first);
+            std::min<std::uint32_t>(kChainBatchPages, pages - first);
         std::erase_if(batches, [](const sim::Task &t) {
             if (!t.done()) return false;
             t.rethrow_if_failed();

@@ -24,6 +24,7 @@ MemifUser::alloc_request()
     MovReq &req = region_.request(d.value);
     req.store_status(MovStatus::kOwned);
     req.error = MovError::kNone;
+    req.clear_params();
     return d.value;
 }
 

@@ -93,7 +93,7 @@ TEST(HeatPolicy, EwmaHysteresisAbsorbsAFiftyPercentDutyCycle)
     // A long genuinely-idle stretch does demote it.
     for (int e = 0; e < 8; ++e) heat.fold(0, 0, 0, 8);
     EXPECT_FALSE(heat.bucket(0).hot);
-    EXPECT_LE(heat.bucket(0).rate, hc.ewma_cold_exit);
+    EXPECT_LE(heat.bucket(0).rate, kEwmaColdExit);
     EXPECT_EQ(heat.classify(0, /*resident_fast=*/true),
               HeatVerdict::kDemote);
 }
@@ -181,13 +181,14 @@ test_managed()
     return c;
 }
 
-/** One read touch on every page of [base, base + pages) at t=0. */
+/** One touch on every page of [base, base + pages) at t=0: a read, or
+ *  a write with @p write. */
 sim::Task
-touch_all(Fixture &f, vm::VAddr base, std::uint32_t pages)
+touch_all(Fixture &f, vm::VAddr base, std::uint32_t pages, bool write = false)
 {
     for (std::uint32_t p = 0; p < pages; ++p) {
         os::TouchOutcome t;
-        co_await f.proc.touch(base + std::uint64_t{p} * 4096, false, &t);
+        co_await f.proc.touch(base + std::uint64_t{p} * 4096, write, &t);
     }
 }
 
@@ -215,6 +216,8 @@ TEST(Managed, PromoteStormThenCoolDownDemotesAndQuiesces)
     EXPECT_EQ(ds.demotions_issued, 4u);
     EXPECT_EQ(ds.demotions_completed, 4u);
     EXPECT_EQ(ds.daemon_movs_dropped, 0u);
+    EXPECT_EQ(ds.heat_pages_accessed, pages);
+    EXPECT_EQ(ds.heat_pages_written, 0u);
     // Fully cooled: everything migrated back where it started, with
     // the contents intact across both round trips.
     for (std::uint32_t p = 0; p < pages; ++p)
@@ -223,6 +226,30 @@ TEST(Managed, PromoteStormThenCoolDownDemotesAndQuiesces)
     EXPECT_TRUE(f.check(base, pages * 4096, 17));
     EXPECT_GT(f.proc.as().stats().heat_samples, 0u);
     EXPECT_GT(f.proc.as().stats().heat_rearms, 0u);
+}
+
+TEST(Managed, ScannerCountsEachTouchOnceAndTellsWritesFromReads)
+{
+    Fixture f(test_managed());
+    const std::uint32_t pages = 16;  // 2 buckets of 8
+    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
+                                       f.kernel.slow_node());
+    f.fill(base, pages * 4096, 29);
+    ASSERT_TRUE(f.dev.manage_region(base));
+
+    // Bucket 0 is written, bucket 1 only read, each page once at t=0.
+    f.kernel.spawn(touch_all(f, base, 8, /*write=*/true));
+    f.kernel.spawn(touch_all(f, base + 8 * 4096, 8));
+    f.kernel.run();
+
+    // The first epoch sees every touch; the daemon re-arms what it
+    // moves, so no later epoch reads its own migration as a touch.
+    const DeviceStats &ds = f.dev.stats();
+    EXPECT_EQ(ds.heat_pages_accessed, pages);
+    EXPECT_EQ(ds.heat_pages_written, 8u);
+    EXPECT_GT(ds.heat_pages_sampled, ds.heat_pages_accessed);
+    EXPECT_EQ(ds.promotions_completed, 2u);
+    EXPECT_TRUE(f.check(base, pages * 4096, 29));
 }
 
 TEST(Managed, EpochBudgetBoundsTheDaemonsRate)

@@ -4,10 +4,11 @@
  * request's parameters once, at the top of Prep, and keeps what only it
  * may know about a request — its tenant quota slot, its daemon origin —
  * driver-side. Each test here has the application scribble over its
- * request slot where it must not, and checks that the driver serves
- * exactly what it validated and still quiesces. The last test pins the
- * destination page run of a replication whose base is not aligned to
- * the destination's page size.
+ * request slot where it must not — or reuse a slot a strided move left
+ * its geometry in — and checks that the driver serves exactly what it
+ * validated and still quiesces. The last test pins the destination page
+ * run of a replication whose base is not aligned to the destination's
+ * page size.
  */
 #include "memif/device.h"
 
@@ -177,7 +178,8 @@ TEST(RequestSnapshot, PageCountRewrittenAfterValidationIsIgnored)
 }
 
 // ---------------------------------------------------------------------
-// Driver-side state: a scribbled slot forges no admission, no daemon.
+// Driver-side state: a scribbled slot forges no admission, no daemon,
+// no tenant; a recycled slot leaks nothing into a daemon mov.
 // ---------------------------------------------------------------------
 
 TEST(RequestSnapshot, ScribbledSlotForgesNoQuotaSlot)
@@ -241,6 +243,93 @@ TEST(RequestSnapshot, ScribbledSlotForgesNoDaemonMov)
     b.expect_quiesced();
 }
 
+TEST(RequestSnapshot, AsidRewrittenAfterAdmissionStaysWithTheAdmittedTenant)
+{
+    MemifConfig cfg;
+    cfg.multi_tenant = true;
+    Bed b(cfg);
+    os::Process &other = b.kernel.create_process();
+    ASSERT_EQ(b.dev->register_tenant(other), 1u);
+    const mem::NodeId slow = b.kernel.slow_node();
+    const mem::NodeId fast = b.kernel.fast_node();
+    const vm::VAddr mine = b.region(8 * kPage, slow, 4);
+    const vm::VAddr theirs = other.mmap(8 * kPage, vm::PageSize::k4K, slow);
+    ASSERT_EQ(theirs, mine) << "the two regions must share a VA";
+    const std::vector<std::uint8_t> want = b.read(mine, 8 * kPage);
+    const std::uint32_t idx = b.prepare(MovOp::kMigrate, mine, 8, fast);
+    b.kernel.spawn(b.user.submit(idx));
+    // Admitted as tenant 0 and queued; the slot now names tenant 1,
+    // whose address space maps the same VA.
+    b.user.request(idx).asid = 1;
+    b.kernel.run();
+
+    EXPECT_EQ(b.user.request(idx).load_status(), MovStatus::kDone);
+    auto expect_on = [&](os::Process &p, mem::NodeId node) {
+        const vm::Vma *vma = p.as().find_vma(mine);
+        ASSERT_NE(vma, nullptr);
+        for (std::uint64_t i = 0; i < vma->num_pages(); ++i)
+            EXPECT_EQ(b.kernel.phys().node_of(vma->pte(i).pfn), node)
+                << "page " << i;
+    };
+    // Only the admitting tenant's pages moved.
+    expect_on(b.proc, fast);
+    expect_on(other, slow);
+    EXPECT_EQ(b.read(mine, 8 * kPage), want);
+    EXPECT_EQ(b.dev->tenant_stats(0).pages_moved, 8u);
+    EXPECT_EQ(b.dev->tenant_stats(1).pages_moved, 0u);
+    b.expect_quiesced();
+}
+
+TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
+{
+    // One request slot: the daemon's movs reuse the very slot a strided
+    // replication just returned, rows and pitches still filled in.
+    MemifConfig cfg;
+    cfg.capacity = 1;
+    cfg.strided_dma = true;
+    cfg.auto_migrate = true;
+    cfg.heat_scan_interval = sim::microseconds(100);
+    Bed b(cfg);
+    const mem::NodeId slow = b.kernel.slow_node();
+    const vm::VAddr src = b.region(4 * kPage, slow, 8);
+    const vm::VAddr dst = b.region(4 * kPage, b.kernel.fast_node(), 9);
+    const std::uint32_t idx = b.user.alloc_request();
+    ASSERT_NE(idx, kNoRequest);
+    MovReq &req = b.user.request(idx);
+    req.src_base = src;
+    req.dst_base = dst;
+    req.rows = 4;
+    req.row_bytes = 512;
+    req.src_pitch = kPage;
+    req.dst_pitch = 1024;
+    b.kernel.spawn(b.user.submit(idx));
+    b.kernel.run();
+    ASSERT_EQ(b.user.retrieve_completed(), idx);
+    ASSERT_EQ(req.load_status(), MovStatus::kDone);
+    b.user.free_request(idx);
+    ASSERT_EQ(req.rows, 4u);
+
+    // One bucket, touched once: the daemon promotes it, then demotes it.
+    const vm::VAddr hot = b.region(8 * kPage, slow, 10);
+    const std::vector<std::uint8_t> want = b.read(hot, 8 * kPage);
+    ASSERT_TRUE(b.dev->manage_region(hot));
+    auto touch = [&]() -> sim::Task {
+        for (std::uint64_t p = 0; p < 8; ++p) {
+            os::TouchOutcome t;
+            co_await b.proc.touch(hot + p * kPage, false, &t);
+        }
+    };
+    b.kernel.spawn(touch());
+    b.kernel.run();
+
+    const DeviceStats &s = b.dev->stats();
+    EXPECT_EQ(s.daemon_movs_dropped, 0u);
+    EXPECT_EQ(s.promotions_completed, 1u);
+    EXPECT_EQ(s.demotions_completed, 1u);
+    EXPECT_EQ(b.read(hot, 8 * kPage), want);
+    b.expect_quiesced();
+}
+
 // ---------------------------------------------------------------------
 // The destination page run counts a straddled last page.
 // ---------------------------------------------------------------------
@@ -255,7 +344,7 @@ TEST(RequestSnapshot, ScannerSkipsEveryPageAReplicationWrites)
     // off a page the engine is still writing.
     MemifConfig cfg;
     cfg.auto_migrate = true;
-    cfg.heat_bucket_pages = 1;
+    cfg.heat.bucket_pages = 1;
     cfg.heat_scan_interval = sim::microseconds(2);
     cfg.scan_idle_park_epochs = 1u << 30;  // keep scanning throughout
     Bed b(cfg);

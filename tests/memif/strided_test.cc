@@ -465,6 +465,58 @@ TEST(StridedCApi, MalformedGeometryFailsOnCompletionQueue)
     task.rethrow_if_failed();
 }
 
+TEST(StridedCApi, FlatRequestOnARecycledStridedSlotIsServedFlat)
+{
+    // One request slot: the flat request is allocated on the very slot
+    // the strided move used, and AllocRequest must hand it out blank.
+    MemifConfig cfg = strided_cfg();
+    cfg.capacity = 1;
+    Fixture f(cfg);
+    DevFile df(f.dev);
+    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
+    const vm::VAddr dst =
+        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
+    f.fill(src, 8 * kPb, 5);
+    f.fill(dst, 8 * kPb, 6);
+
+    auto app = [&]() -> sim::Task {
+        const int fd = MemifOpen("/dev/memif0");
+        EXPECT_GE(fd, 0);
+        int rc = -1;
+        mov_req *strided = nullptr;
+        co_await memif_mov_strided(fd, dst, src, 512, 4, kPb, 1024, &rc,
+                                   &strided);
+        EXPECT_EQ(rc, kOk);
+        mov_req *done = nullptr;
+        while (!(done = RetrieveCompleted(fd))) co_await Poll(fd);
+        EXPECT_EQ(done, strided);
+        EXPECT_EQ(done->load_status(), MovStatus::kDone);
+        FreeRequest(fd, done);
+
+        mov_req *flat = AllocRequest(fd);
+        EXPECT_EQ(flat, strided);
+        if (!flat) co_return;
+        flat->op = MovOp::kReplicate;
+        flat->src_base = src + 4 * kPb;
+        flat->dst_base = dst + 4 * kPb;
+        flat->num_pages = 4;
+        co_await SubmitRequest(fd, flat, &rc);
+        EXPECT_EQ(rc, kOk);
+        while (!(done = RetrieveCompleted(fd))) co_await Poll(fd);
+        EXPECT_EQ(done, flat);
+        EXPECT_EQ(done->load_status(), MovStatus::kDone);
+        EXPECT_EQ(done->error, MovError::kNone);
+        FreeRequest(fd, done);
+        EXPECT_EQ(MemifClose(fd), kOk);
+    };
+    auto task = app();
+    f.kernel.run();
+    ASSERT_TRUE(task.done());
+    task.rethrow_if_failed();
+    EXPECT_EQ(f.snap(dst + 4 * kPb, 4 * kPb), f.snap(src + 4 * kPb, 4 * kPb));
+    EXPECT_EQ(f.dev.stats().strided_requests, 1u);
+}
+
 TEST(StridedCApi, LeverOffRejectsValidGeometry)
 {
     Fixture f{MemifConfig{}};  // strided_dma off

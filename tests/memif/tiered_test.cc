@@ -123,7 +123,7 @@ TEST(Tiered, DemotionToFarChainsThroughDdr)
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     EXPECT_TRUE(f.check(base, 8 * 4096, 42));
     f.expect_on_node(base, 8, f.kernel.far_node());
-    // One chain, one batch (8 <= tiered_batch_pages), two hop stages.
+    // One chain, one batch (8 <= 16-page batches), two hop stages.
     EXPECT_EQ(f.dev.stats().chained_migrations, 1u);
     EXPECT_EQ(f.dev.stats().chain_batches, 1u);
     EXPECT_EQ(f.dev.stats().hop_stages_issued, 2u);

@@ -179,7 +179,7 @@ TEST(Differential, MinimizerShrinksAnInjectedDivergence)
 // preset (src/check/differential.cc) and updating both expectations.
 TEST(Differential, EveryConfigLeverAppearsInAPreset)
 {
-    EXPECT_EQ(sizeof(core::MemifConfig), 280u)
+    EXPECT_EQ(sizeof(core::MemifConfig), 152u)
         << "MemifConfig changed shape: add the new lever to a preset "
            "in src/check/differential.cc, then update this size";
 
