@@ -1,22 +1,51 @@
 #include "mem/phys.h"
 
+#include <sys/mman.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "sim/log.h"
 
 namespace memif::mem {
 
-MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
-    : id_(id),
-      base_(base_pfn),
-      cfg_(cfg),
-      backing_(new std::byte[cfg.bytes]()),
-      buddy_(cfg.bytes >> kPageShift),
-      frames_(cfg.bytes >> kPageShift)
+AnonMapping::AnonMapping(const std::string &owner, std::uint64_t bytes)
+    : bytes_(bytes)
+{
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        MEMIF_FATAL("node '%s': cannot map %llu bytes of backing: %s",
+                    owner.c_str(), (unsigned long long)bytes,
+                    std::strerror(errno));
+    data_ = static_cast<std::byte *>(p);
+}
+
+AnonMapping::~AnonMapping() { ::munmap(data_, bytes_); }
+
+namespace {
+
+/** @p cfg, once its capacity is known to be a nonzero page multiple
+ *  (checked before anything is sized from it; mmap(0) would fail). */
+const NodeConfig &
+checked_capacity(const NodeConfig &cfg)
 {
     if (cfg.bytes == 0 || (cfg.bytes & (kPageSize - 1)) != 0)
         MEMIF_FATAL("node '%s': capacity must be a nonzero page multiple",
                     cfg.name.c_str());
+    return cfg;
+}
+
+}  // namespace
+
+MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
+    : id_(id),
+      base_(base_pfn),
+      cfg_(checked_capacity(cfg)),
+      backing_(cfg_.name, cfg_.bytes),
+      buddy_(cfg_.bytes >> kPageShift),
+      frames_(cfg_.bytes >> kPageShift)
+{
 }
 
 NodeId

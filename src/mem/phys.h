@@ -2,8 +2,14 @@
  * @file
  * Physical memory for the simulated platform: heterogeneous memory
  * nodes (paper Table 2: 6 MB on-chip SRAM + DDR3) with *real* host
- * backing buffers, page-frame descriptors, and per-node buddy
+ * backing bytes, page-frame descriptors, and per-node buddy
  * allocators.
+ *
+ * First-touch rule: a node's backing is an anonymous host mapping, so
+ * modelled capacity costs address space, not host memory. An untouched
+ * frame reads as zero, and a host page is committed on its first
+ * write. Frames are never scrubbed on allocation: a freed frame that is
+ * allocated again still holds its old bytes.
  *
  * The module is purely functional: it moves real bytes and tracks real
  * allocation state but never advances virtual time. All timing is
@@ -118,8 +124,33 @@ struct NodeConfig {
 };
 
 /**
- * One memory node: a contiguous physical frame range with a real
- * backing buffer and its own buddy allocator.
+ * A private anonymous host mapping (`MAP_NORESERVE`), unmapped on
+ * destruction. It reserves address space only: the host commits a page
+ * when it is first written, and an untouched page reads as zero.
+ */
+class AnonMapping {
+  public:
+    /** Map @p bytes; a failed mapping is fatal and names @p owner. */
+    AnonMapping(const std::string &owner, std::uint64_t bytes);
+    ~AnonMapping();
+    AnonMapping(const AnonMapping &) = delete;
+    AnonMapping &operator=(const AnonMapping &) = delete;
+
+    std::byte *data() const { return data_; }
+
+  private:
+    std::byte *data_ = nullptr;
+    std::uint64_t bytes_ = 0;
+};
+
+/**
+ * One memory node: a contiguous physical frame range with real backing
+ * bytes and its own buddy allocator.
+ *
+ * The backing follows the first-touch rule: an untouched frame reads as
+ * zero, and host pages are committed on first write, so a node costs
+ * host memory only for the frames a workload has written. Allocation
+ * never scrubs a frame.
  */
 class MemoryNode {
   public:
@@ -151,14 +182,14 @@ class MemoryNode {
     std::byte *
     frame_data(Pfn pfn)
     {
-        return backing_.get() + ((pfn - base_) << kPageShift);
+        return backing_.data() + ((pfn - base_) << kPageShift);
     }
 
   private:
     NodeId id_;
     Pfn base_;
     NodeConfig cfg_;
-    std::unique_ptr<std::byte[]> backing_;
+    AnonMapping backing_;
     BuddyAllocator buddy_;
     std::vector<PageFrame> frames_;
 };
@@ -254,8 +285,9 @@ class PhysicalMemory {
  * (CPU-local), node 1 = fast on-chip SRAM — matching the paper's §6.1
  * pseudo-NUMA layout (cores+DRAM on one node, SRAM on the other).
  *
- * @param slow_bytes DDR capacity to actually back (default 256 MB; the
- *        real board has 8 GB but no experiment needs it).
+ * @param slow_bytes DDR capacity to model (default 256 MB; the real
+ *        board has 8 GB but no experiment needs it). Capacity costs host
+ *        memory only where it is written (see MemoryNode).
  */
 struct KeystoneMemory {
     static constexpr std::uint64_t kDefaultSlowBytes = 256ull << 20;

@@ -29,8 +29,9 @@ class Process;
 
 /** Machine + kernel configuration. */
 struct KernelConfig {
-    /** DDR capacity to back (the real board has 8 GB; experiments need
-     *  far less, and this is host memory). */
+    /** DDR capacity to model (the real board has 8 GB; experiments need
+     *  far less). The backing is committed on first write, so host
+     *  memory follows the frames a run writes, not this capacity. */
     std::uint64_t slow_bytes = mem::KeystoneMemory::kDefaultSlowBytes;
     /** Far/remote tier capacity. Zero (the default) builds the classic
      *  two-node machine, byte-identical to every prior PR; nonzero adds

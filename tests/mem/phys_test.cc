@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for physical memory nodes: PFN resolution, allocation
- * bookkeeping, real byte movement, and the KeyStone II default layout.
+ * bookkeeping, real byte movement, first-touch backing, capacity
+ * checks, and the KeyStone II default layout.
  */
 #include "mem/phys.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 
 namespace memif::mem {
 namespace {
@@ -108,6 +111,74 @@ TEST(Phys, FreshMemoryIsZeroed)
     const std::byte *d = pm.span(p, kPageSize);
     for (std::uint64_t i = 0; i < kPageSize; ++i)
         ASSERT_EQ(d[i], std::byte{0});
+}
+
+/** This process's resident set in bytes, from /proc/self/statm. */
+std::uint64_t
+resident_bytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Phys, BackingIsCommittedOnFirstWrite)
+{
+    const std::uint64_t before = resident_bytes();
+    PhysicalMemory pm;
+    pm.add_node(NodeConfig{.name = "big", .bytes = 512ull << 20,
+                           .bandwidth_bps = 6.2e9, .is_fast = false});
+    // Modelled capacity is address space, not host memory (the bound
+    // leaves room for transparent huge pages and the frame table).
+    EXPECT_LT(resident_bytes(), before + (64ull << 20));
+
+    const Pfn p = pm.allocate(0, 0);
+    ASSERT_NE(p, kInvalidPfn);
+    std::byte *d = pm.span(p, kPageSize);
+    for (std::uint64_t i = 0; i < kPageSize; ++i)
+        ASSERT_EQ(d[i], std::byte{0}) << "untouched frame byte " << i;
+    for (std::uint64_t i = 0; i < kPageSize; ++i)
+        d[i] = static_cast<std::byte>(i * 13 + 5);
+    for (std::uint64_t i = 0; i < kPageSize; ++i)
+        ASSERT_EQ(d[i], static_cast<std::byte>(i * 13 + 5));
+
+    // No scrub on allocation: the frame comes back with its old bytes.
+    pm.free(p, 0);
+    ASSERT_EQ(pm.allocate(0, 0), p);
+    d = pm.span(p, kPageSize);
+    for (std::uint64_t i = 0; i < kPageSize; ++i)
+        ASSERT_EQ(d[i], static_cast<std::byte>(i * 13 + 5));
+    EXPECT_LT(resident_bytes(), before + (64ull << 20));
+}
+
+TEST(PhysDeathTest, CapacityMustBeANonzeroPageMultiple)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const std::uint64_t bytes : {std::uint64_t{0}, kPageSize + 1}) {
+        EXPECT_EXIT(
+            {
+                PhysicalMemory pm;
+                pm.add_node(NodeConfig{.name = "odd", .bytes = bytes,
+                                       .bandwidth_bps = 1e9});
+            },
+            ::testing::ExitedWithCode(1),
+            "node 'odd': capacity must be a nonzero page multiple")
+            << bytes << " bytes";
+    }
+}
+
+TEST(PhysDeathTest, UnmappableCapacityNamesTheNode)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            PhysicalMemory pm;
+            pm.add_node(NodeConfig{.name = "huge", .bytes = 1ull << 62,
+                                   .bandwidth_bps = 1e9});
+        },
+        ::testing::ExitedWithCode(1),
+        "node 'huge': cannot map 4611686018427387904 bytes");
 }
 
 TEST(Phys, KeystoneLayoutMatchesTable2)

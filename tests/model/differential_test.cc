@@ -11,7 +11,8 @@
  * the workload's own requests.
  *
  * Seed count scales with the MEMIF_CHECK_SEEDS environment variable
- * (default 16; CI quick mode runs 64, nightly can run thousands).
+ * (default kDefaultSeeds; CI quick mode runs 1024, nightly can run
+ * more).
  * Every failure message leads with the (workload_seed, schedule_seed)
  * pair that reproduces it; the minimizer shrinks the op list for the
  * pair before the test reports it.
@@ -29,13 +30,17 @@
 namespace memif::check {
 namespace {
 
+/** Seeds per sweep when MEMIF_CHECK_SEEDS is unset: the largest power
+ *  of two that keeps the tier-1 suite within its wall-time budget. */
+constexpr std::uint64_t kDefaultSeeds = 512;
+
 std::uint64_t
-seeds_from_env(std::uint64_t fallback)
+seeds_from_env()
 {
     const char *env = std::getenv("MEMIF_CHECK_SEEDS");
-    if (!env) return fallback;
+    if (!env) return kDefaultSeeds;
     const long long v = std::atoll(env);
-    return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
+    return v > 0 ? static_cast<std::uint64_t>(v) : kDefaultSeeds;
 }
 
 /** On failure: shrink the workload and report the repro coordinates. */
@@ -52,7 +57,7 @@ diagnose(const Workload &w, const RunOptions &opt)
 
 TEST(Differential, AllPresetsMatchTheModel)
 {
-    const std::uint64_t nseeds = seeds_from_env(16);
+    const std::uint64_t nseeds = seeds_from_env();
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
         std::uint64_t mem_digest = 0;
@@ -81,7 +86,7 @@ TEST(Differential, AllPresetsMatchTheModel)
 
 TEST(Differential, FuzzedSchedulesMatchTheModel)
 {
-    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
         for (const Preset &p : presets()) {
@@ -107,7 +112,7 @@ TEST(Differential, FuzzedSchedulesMatchTheModel)
 
 TEST(Differential, FaultedRunsMatchTheModel)
 {
-    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
         for (const Preset &p : presets()) {
@@ -221,7 +226,7 @@ TEST(Differential, EveryConfigLeverAppearsInAPreset)
 // stays byte-identical across every preset.
 TEST(Differential, InvalidationStormsMatchTheModel)
 {
-    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w =
             generate_workload(seed, /*invalidation_storm=*/true);
@@ -260,7 +265,7 @@ TEST(Differential, StridedWorkloadsMatchTheModel)
 {
     const Preset &p = presets().back();
     ASSERT_STREQ(p.name, "strided");
-    const std::uint64_t nseeds = seeds_from_env(16);
+    const std::uint64_t nseeds = seeds_from_env();
     std::uint64_t strided_requests = 0, strided_descriptors = 0;
     std::uint64_t row_splits = 0;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
@@ -307,7 +312,7 @@ TEST(Differential, StridedFaultedRunsMatchTheModel)
 {
     const Preset &p = presets().back();
     ASSERT_STREQ(p.name, "strided");
-    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w =
             generate_workload(seed, /*invalidation_storm=*/false,
@@ -333,7 +338,7 @@ TEST(Differential, StridedFaultedRunsMatchTheModel)
 // sweep), and across the seed set it must have actually moved pages.
 TEST(Differential, HeatChurnDrivesTheManagedDaemon)
 {
-    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
     std::uint64_t daemon_movs = 0, heat_scans = 0;
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(
