@@ -46,7 +46,6 @@ constexpr std::size_t kDispatchWindow = dma::Edma3Engine::kNumTcs + 2;
 MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
                          MemifConfig config)
     : kernel_(kernel),
-      proc_(proc),
       config_(config),
       tc_(kernel.assign_transfer_controller()),
       region_(config.capacity,
@@ -63,33 +62,8 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
 {
     if (config_.irq_moderation && config_.moderation_holdoff)
         kernel_.dma().configure_moderation(0, config_.moderation_holdoff);
-    // The young-fault hook serves two masters: kRecover's rollback
-    // machinery, and (managed mode) the scanner's activity signal — a
-    // trap on a scanner-armed page means the working set moved, so a
-    // parked scanner must wake. handle_young_fault routes both.
-    if (config_.race_policy == RacePolicy::kRecover ||
-        config_.auto_migrate) {
-        proc_.as().set_young_fault_hook(
-            [this](vm::Vma &vma, std::uint64_t idx) {
-                return handle_young_fault(vma, idx);
-            });
-    }
-    if (config_.xlate_cache) {
-        xlate_cache_ = std::make_unique<XlateCache>(kXlateCacheEntries);
-        proc_.as().set_xlate_invalidate_hook(
-            [this](const vm::Vma *vma, std::uint64_t first,
-                   std::uint64_t n) {
-                stats_.xlate_invalidations +=
-                    xlate_cache_->invalidate(vma, first, n);
-            });
-    }
-    if (config_.multi_tenant) {
-        // The owning process is tenant 0; its hooks (young-fault,
-        // xlate invalidation) were just installed above.
-        Tenant t;
-        t.proc = &proc_;
-        tenants_.push_back(std::move(t));
-    }
+    // The owning process is tenant 0, with or without the lever.
+    add_tenant(proc, 1);
     kthread_task_ = kthread_loop();
     if (config_.auto_migrate) {
         scan_task_ = scan_loop();
@@ -113,19 +87,13 @@ MemifDevice::~MemifDevice()
     for (const InFlightPtr &fl : in_flight_)
         if (!fl->prefetch_events.empty() || !fl->prefetch_tokens.empty())
             cancel_stream_prefetch(fl);
-    if (config_.race_policy == RacePolicy::kRecover ||
-        config_.auto_migrate)
-        proc_.as().set_young_fault_hook(nullptr);
-    if (config_.xlate_cache)
-        proc_.as().set_xlate_invalidate_hook(nullptr);
     // Tenant address spaces outlive the device (the kernel owns the
     // processes); unhook them so no dangling callback survives.
-    for (std::size_t i = 1; i < tenants_.size(); ++i) {
+    for (Tenant &t : tenants_) {
         if (config_.race_policy == RacePolicy::kRecover ||
             config_.auto_migrate)
-            tenants_[i].proc->as().set_young_fault_hook(nullptr);
-        if (config_.xlate_cache)
-            tenants_[i].proc->as().set_xlate_invalidate_hook(nullptr);
+            t.proc->as().set_young_fault_hook(nullptr);
+        if (t.xcache) t.proc->as().set_xlate_invalidate_hook(nullptr);
     }
     drain_magazines();
     // The kernel thread may be destroyed mid-suspension while holding
@@ -235,7 +203,6 @@ MemifDevice::check_quiesced(std::string *why) const
             }
         }
     };
-    if (xlate_cache_) check_cache(*xlate_cache_);
 
     // Per-ASID quiesce: every tenant has returned its quota charges and
     // drained its pending queue, and its private cache is consistent.
@@ -314,26 +281,21 @@ MemifDevice::tenant_for(std::uint32_t asid) const
 vm::AddressSpace &
 MemifDevice::request_as(std::uint32_t asid) const
 {
-    if (config_.multi_tenant && asid < tenants_.size())
-        return tenants_[asid].proc->as();
-    return const_cast<os::Process &>(proc_).as();
+    const Tenant *t = tenant_for(asid);
+    return (t ? *t : tenants_.front()).proc->as();
 }
 
 XlateCache *
 MemifDevice::xlate_for(std::uint32_t asid)
 {
-    if (Tenant *t = tenant_for(asid); t && t->xcache)
-        return t->xcache.get();
-    return xlate_cache_.get();
+    Tenant *t = tenant_for(asid);
+    return t ? t->xcache.get() : nullptr;
 }
 
 void
 MemifDevice::invalidate_xlate(const vm::Vma *vma, std::uint64_t first,
                               std::uint64_t n)
 {
-    if (xlate_cache_)
-        stats_.xlate_invalidations +=
-            xlate_cache_->invalidate(vma, first, n);
     for (Tenant &t : tenants_)
         if (t.xcache)
             stats_.xlate_invalidations +=
@@ -345,10 +307,20 @@ MemifDevice::register_tenant(os::Process &proc, std::uint32_t weight)
 {
     MEMIF_ASSERT(config_.multi_tenant,
                  "register_tenant requires the multi_tenant lever");
+    return add_tenant(proc, weight);
+}
+
+std::uint32_t
+MemifDevice::add_tenant(os::Process &proc, std::uint32_t weight)
+{
     const auto asid = static_cast<std::uint32_t>(tenants_.size());
     Tenant t;
     t.proc = &proc;
     t.stats.weight = std::max<std::uint32_t>(weight, 1);
+    // The young-fault hook serves two masters: kRecover's rollback
+    // machinery, and (managed mode) the scanner's activity signal — a
+    // trap on a scanner-armed page means the working set moved, so a
+    // parked scanner must wake. handle_young_fault routes both.
     if (config_.race_policy == RacePolicy::kRecover ||
         config_.auto_migrate) {
         proc.as().set_young_fault_hook(
@@ -746,8 +718,9 @@ MemifDevice::snapshot(std::uint32_t idx) const
         return it->second.snap;
     ReqSnapshot s = ReqSnapshot::of(region_.request(idx));
     // Routing turned away every unadmitted request under multi_tenant;
-    // with the lever off every request resolves in the owner's tables.
-    if (config_.multi_tenant) s.asid = quota_holder_[idx].value_or(0);
+    // with the lever off nothing is admitted, so every request resolves
+    // in the owner's tables (ASID 0) whatever the slot's asid says.
+    s.asid = quota_holder_[idx].value_or(0);
     return s;
 }
 

@@ -568,14 +568,15 @@ class MemifDevice {
     MemifDevice &operator=(const MemifDevice &) = delete;
 
     os::Kernel &kernel() { return kernel_; }
-    os::Process &owner() { return proc_; }
+    os::Process &owner() { return *tenants_.front().proc; }
     SharedRegion &region() { return region_; }
     const MemifConfig &config() const { return config_; }
     const DeviceStats &stats() const { return stats_; }
 
     /**
      * @name Tenancy (multi_tenant lever).
-     * The owning process is tenant 0, registered implicitly; every
+     * The owning process is tenant 0, registered implicitly with or
+     * without the lever; with the lever on, every
      * further address space joins through register_tenant(). A
      * MemifUser bound to the returned ASID then submits against that
      * tenant's page tables, quotas, and WRR weight.
@@ -587,7 +588,7 @@ class MemifDevice {
                                   std::uint32_t weight = 0);
     /** Retune one tenant's WRR weight (takes effect on the next pick). */
     void set_tenant_weight(std::uint32_t asid, std::uint32_t weight);
-    /** Registered tenants (0 with the lever off). */
+    /** Registered tenants, the owner included (1 with the lever off). */
     std::uint32_t num_tenants() const
     {
         return static_cast<std::uint32_t>(tenants_.size());
@@ -969,7 +970,7 @@ class MemifDevice {
     /** Lease @p pages' worth of staging frames (order-@p order blocks)
      *  on @p mid from the bounded pool, waiting for peers when the
      *  pool is saturated. False = the middle node itself is exhausted
-     *  (the batch then fails; callers treat it like a dry ladder). */
+     *  (the batch then degrades to one direct end-to-end hop). */
     sim::Task staging_acquire(mem::NodeId mid, unsigned order,
                               std::uint32_t pages,
                               std::vector<mem::Pfn> *out, bool *ok);
@@ -1042,8 +1043,8 @@ class MemifDevice {
      *  PR 4 sharding extends per ASID instead of adding locks. */
     struct Tenant {
         os::Process *proc = nullptr;
-        /** Per-ASID translation cache (tenant 0 keeps the device-level
-         *  xlate_cache_, so this stays null for it). */
+        /** Per-ASID translation cache (xlate_cache lever; null when
+         *  off). */
         std::unique_ptr<XlateCache> xcache;
         /** Dispatched-but-unserved request indices (WRR input). */
         std::vector<std::uint32_t> pending;
@@ -1051,11 +1052,14 @@ class MemifDevice {
         std::int64_t wrr_credit = 0;
         TenantStats stats;
     };
-    /** Tenant record for @p asid, or null (lever off / unknown ASID). */
+    /** Append @p proc to the registry at WRR @p weight (0 counts as 1)
+     *  and install its hooks and translation cache. Returns its ASID. */
+    std::uint32_t add_tenant(os::Process &proc, std::uint32_t weight);
+    /** Tenant record for @p asid, or null (unknown ASID). */
     Tenant *tenant_for(std::uint32_t asid);
     const Tenant *tenant_for(std::uint32_t asid) const;
-    /** The address space of tenant @p asid (the owner's when the lever
-     *  is off or the ASID is unknown — validation then rejects cleanly). */
+    /** The address space of tenant @p asid (the owner's when the ASID
+     *  is unknown — validation then rejects cleanly). */
     vm::AddressSpace &request_as(std::uint32_t asid) const;
     /** Per-ASID gang translation cache (null when the lever is off). */
     XlateCache *xlate_for(std::uint32_t asid);
@@ -1167,7 +1171,7 @@ class MemifDevice {
     /** Which tier bucket @p b of @p mr currently lives on, judged by
      *  its first page: the daemon moves whole buckets, so a bucket's
      *  pages straddle nodes only mid-migration (which the scanner
-     *  skips anyway). */
+     *  skips anyway). kFar only when daemon_tiered(). */
     HeatTier bucket_tier(const ManagedRegion &mr,
                          std::uint64_t bucket) const;
     /** True when the daemon places across three tiers (tiered_memory
@@ -1175,7 +1179,6 @@ class MemifDevice {
     bool daemon_tiered() const;
 
     os::Kernel &kernel_;
-    os::Process &proc_;
     MemifConfig config_;
     /** Transfer controller this instance submits on. */
     unsigned tc_;
@@ -1200,11 +1203,9 @@ class MemifDevice {
     std::vector<Transfer *> transfers_;
     /** kPrevent: releases deferred from the interrupt handler. */
     std::vector<InFlightPtr> pending_release_;
-    /** Gang translation cache (xlate_cache lever; null when off).
-     *  Tenant 0's cache; further tenants carry their own. */
-    std::unique_ptr<XlateCache> xlate_cache_;
-    /** Tenant registry (multi_tenant only; index == ASID, entry 0 is
-     *  the owning process). Empty with the lever off. */
+    /** Tenant registry (index == ASID). Entry 0 is the owning process,
+     *  with or without the multi_tenant lever; only the lever adds
+     *  more. */
     std::vector<Tenant> tenants_;
     /** Per-(node, order) free-frame magazines (bulk_alloc lever). */
     std::map<std::pair<mem::NodeId, unsigned>, std::vector<mem::Pfn>>

@@ -57,7 +57,7 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
         ++b.epochs_since_flip;
     }
 
-    // Third band (only classify_tiered() reads it): independent
+    // Third band (only a far-tier classify() reads it): independent
     // hysteresis at the bottom of the scale. A hot bucket is never
     // cold, whatever the thresholds say — the bands must not overlap.
     bool cold = b.cold;
@@ -76,26 +76,18 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
 }
 
 TierVerdict
-RegionHeat::classify_tiered(std::uint64_t bucket, HeatTier resident) const
+RegionHeat::classify(std::uint64_t bucket, HeatTier resident,
+                     bool far_tier) const
 {
     const HeatBucket &b = buckets_[bucket];
     if (b.hot)
         return resident == HeatTier::kFast ? TierVerdict::kStay
                                            : TierVerdict::kToFast;
-    if (b.cold)
+    if (b.cold && far_tier)
         return resident == HeatTier::kFar ? TierVerdict::kStay
                                           : TierVerdict::kToFar;
     return resident == HeatTier::kSlow ? TierVerdict::kStay
                                        : TierVerdict::kToSlow;
-}
-
-HeatVerdict
-RegionHeat::classify(std::uint64_t bucket, bool resident_fast) const
-{
-    const HeatBucket &b = buckets_[bucket];
-    if (b.hot && !resident_fast) return HeatVerdict::kPromote;
-    if (!b.hot && resident_fast) return HeatVerdict::kDemote;
-    return HeatVerdict::kStay;
 }
 
 double

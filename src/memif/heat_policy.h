@@ -70,15 +70,12 @@ inline constexpr double kEwmaFarEnter = 0.05;
 /** kEwma: rate at or above which a bucket leaves the cold set. */
 inline constexpr double kEwmaFarExit = 0.12;
 
-/** What the daemon should do with one bucket this epoch. */
-enum class HeatVerdict : std::uint8_t { kStay = 0, kPromote, kDemote };
-
-/** Which tier a bucket currently lives on (tiered_memory mode). */
+/** Which tier a bucket currently lives on. */
 enum class HeatTier : std::uint8_t { kFast = 0, kSlow = 1, kFar = 2 };
 
-/** Three-way placement verdict (tiered_memory mode): hot buckets
- *  belong on the fast tier, warm buckets stop at DDR, cold buckets
- *  sink to the far tier. */
+/** Placement verdict: hot buckets belong on the fast tier, warm
+ *  buckets stop at DDR, cold buckets sink to the far tier (or rest on
+ *  DDR with the warm ones when there is none). */
 enum class TierVerdict : std::uint8_t { kStay = 0, kToFast, kToSlow, kToFar };
 
 /** Per-bucket decayed heat state. */
@@ -87,8 +84,8 @@ struct HeatBucket {
     double rate = 0.0;             ///< kEwma access-rate estimate
     bool hot = false;              ///< hysteresis state (classification)
     /** Third-band hysteresis state. Maintained by every fold() but only
-     *  consulted by classify_tiered(), so two-tier callers are
-     *  unaffected. Mutually exclusive with hot. */
+     *  consulted by classify() when there is a far tier. Mutually
+     *  exclusive with hot. */
     bool cold = false;
     /** Starts saturated so the first flip (initial classification)
      *  never counts as a ping-pong. */
@@ -129,20 +126,13 @@ class RegionHeat {
               std::uint32_t written, std::uint32_t sampled);
 
     /**
-     * The policy's desired action for @p bucket given where it lives
-     * now. Pure read of the hysteresis state updated by fold().
+     * The policy's desired move for @p bucket given the tier it lives
+     * on now. Pure read of the hysteresis state updated by fold(): hot
+     * buckets head for the fast tier, cold buckets for the far tier
+     * when @p far_tier says there is one, and the rest rests on DDR.
      */
-    HeatVerdict classify(std::uint64_t bucket, bool resident_fast) const;
-
-    /**
-     * Three-way verdict for @p bucket given the tier it lives on now
-     * (tiered_memory mode). Same hysteresis reads as classify() for
-     * the hot band, plus the cold band maintained by fold(): hot
-     * buckets head for the fast tier, cold buckets for the far tier,
-     * and the warm remainder rests on DDR.
-     */
-    TierVerdict classify_tiered(std::uint64_t bucket,
-                                HeatTier resident) const;
+    TierVerdict classify(std::uint64_t bucket, HeatTier resident,
+                         bool far_tier) const;
 
     const HeatBucket &bucket(std::uint64_t i) const { return buckets_[i]; }
 

@@ -60,15 +60,9 @@ bool
 MemifDevice::manage_region(vm::VAddr base, std::uint32_t asid)
 {
     if (!config_.auto_migrate) return false;
-    os::Process *proc = &proc_;
-    if (config_.multi_tenant) {
-        Tenant *t = tenant_for(asid);
-        if (!t) return false;
-        proc = t->proc;
-    } else if (asid != 0) {
-        return false;
-    }
-    vm::AddressSpace &as = proc->as();
+    Tenant *t = tenant_for(asid);
+    if (!t) return false;
+    vm::AddressSpace &as = t->proc->as();
     vm::Vma *vma = as.find_vma(base);
     if (!vma) return false;
     for (const auto &mr : managed_)
@@ -167,8 +161,9 @@ MemifDevice::bucket_tier(const ManagedRegion &mr,
     if (!pte.present) return HeatTier::kSlow;
     const mem::NodeId n = kernel_.phys().node_of(pte.pfn);
     if (n == kernel_.fast_node()) return HeatTier::kFast;
-    if (kernel_.has_far_node() && n == kernel_.far_node())
-        return HeatTier::kFar;
+    // Without the tiered daemon a far-resident page is just "not
+    // fast": the verdict it gets is the two-tier one.
+    if (daemon_tiered() && n == kernel_.far_node()) return HeatTier::kFar;
     return HeatTier::kSlow;
 }
 
@@ -247,17 +242,12 @@ MemifDevice::scan_epoch(bool *any_accessed, bool *has_work,
             // down rather than park with stale pages on the fast node.
             if (mr.heat.bucket(b).hot) *still_hot = true;
             if (mr.cooldown[b] > 0) continue;
-            // Tiered mode asks the three-way classifier: a warm-band
-            // bucket parked on the far tier (or a cold one on DDR) is
-            // work the two-way verdict cannot see, and a parked scanner
-            // would strand it there.
-            const bool stay =
-                daemon_tiered()
-                    ? mr.heat.classify_tiered(b, bucket_tier(mr, b)) ==
-                          TierVerdict::kStay
-                    : mr.heat.classify(b, bucket_tier(mr, b) ==
-                                              HeatTier::kFast) ==
-                          HeatVerdict::kStay;
+            // Tiered mode's verdict sees the far tier: a warm-band
+            // bucket parked there (or a cold one on DDR) is work too,
+            // and a parked scanner would strand it.
+            const bool stay = mr.heat.classify(b, bucket_tier(mr, b),
+                                               daemon_tiered()) ==
+                              TierVerdict::kStay;
             if (!stay) *has_work = true;
             // Settling: epochs with no placement work extend the
             // streak; enough of them put the bucket to sleep, and each
@@ -360,39 +350,27 @@ MemifDevice::daemon_issue_pass()
     if (stopping_ || managed_.empty()) return;
     // Demotions first: they free the very fast-node frames the
     // promotions that follow want to land in.
-    const HeatVerdict order[2] = {HeatVerdict::kDemote,
-                                  HeatVerdict::kPromote};
-    for (const HeatVerdict want : order) {
+    const bool far_tier = daemon_tiered();
+    for (const bool promote_leg : {false, true}) {
         for (const auto &mrp : managed_) {
             ManagedRegion &mr = *mrp;
             for (std::uint64_t b = 0; b < mr.heat.num_buckets(); ++b) {
                 if (mr.busy[b] || mr.cooldown[b] > 0) continue;
-                bool promote;
-                mem::NodeId dst;
-                if (daemon_tiered()) {
-                    const HeatTier tier = bucket_tier(mr, b);
-                    const TierVerdict v = mr.heat.classify_tiered(b, tier);
-                    if (v == TierVerdict::kStay) continue;
-                    dst = v == TierVerdict::kToFast ? kernel_.fast_node()
-                          : v == TierVerdict::kToSlow
-                              ? kernel_.slow_node()
-                              : kernel_.far_node();
-                    // Anything moving toward the CPU is a promotion —
-                    // far→slow included: it allocates in the very space
-                    // the demotion sweep just freed, so it must run in
-                    // the second leg of the pass like every promotion.
-                    promote = v == TierVerdict::kToFast ||
-                              (v == TierVerdict::kToSlow &&
-                               tier == HeatTier::kFar);
-                } else {
-                    const bool fast =
-                        bucket_tier(mr, b) == HeatTier::kFast;
-                    if (mr.heat.classify(b, fast) != want) continue;
-                    promote = want == HeatVerdict::kPromote;
-                    dst = promote ? kernel_.fast_node()
-                                  : kernel_.slow_node();
-                }
-                if ((want == HeatVerdict::kPromote) != promote) continue;
+                const HeatTier tier = bucket_tier(mr, b);
+                const TierVerdict v = mr.heat.classify(b, tier, far_tier);
+                if (v == TierVerdict::kStay) continue;
+                const mem::NodeId dst =
+                    v == TierVerdict::kToFast   ? kernel_.fast_node()
+                    : v == TierVerdict::kToSlow ? kernel_.slow_node()
+                                                : kernel_.far_node();
+                // Anything moving toward the CPU is a promotion —
+                // far→slow included: it allocates in the very space
+                // the demotion sweep just freed, so it must run in
+                // the second leg of the pass like every promotion.
+                const bool promote =
+                    v == TierVerdict::kToFast ||
+                    (v == TierVerdict::kToSlow && tier == HeatTier::kFar);
+                if (promote != promote_leg) continue;
                 const std::uint32_t pages = mr.heat.pages_in(b);
                 if (daemon_budget_ < pages) {
                     ++stats_.daemon_budget_exhausted;

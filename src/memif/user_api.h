@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lockfree/link.h"
@@ -40,7 +41,6 @@ inline constexpr std::uint32_t kNoRequest = lockfree::kNil;
 struct UserStats {
     std::uint64_t submits = 0;
     std::uint64_t kicks = 0;         ///< ioctls actually issued
-    std::uint64_t flush_moves = 0;   ///< staging->submission transfers
     std::uint64_t completions = 0;
     std::uint64_t polls = 0;
     std::uint64_t batch_submits = 0; ///< submit_many() calls
@@ -124,7 +124,15 @@ class MemifUser {
 
   private:
     /** Charge one user-side lock-free queue operation. */
-    void charge_queue_op(std::uint64_t n = 1);
+    void charge_queue_op();
+
+    /**
+     * The one deposit path behind submit() and submit_many(): admit
+     * and deposit @p idxs in order into this handle's ring (or the
+     * shared staging queue), then run the §4.4 flush-and-kick at most
+     * once for the whole call.
+     */
+    sim::Task deposit(std::span<const std::uint32_t> idxs, bool *kicked);
 
     /** Ring this handle deposits into (rings enabled only). */
     std::uint32_t my_ring() const { return cpu_id_ % region_.num_rings(); }

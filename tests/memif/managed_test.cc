@@ -45,15 +45,17 @@ TEST(HeatPolicy, AgingPromotesOnRecencyAndDecaysToDemote)
     // One fully-accessed epoch shifts 0x80 into the vector: hot.
     heat.fold(0, 8, 2, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x80);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/false),
-              HeatVerdict::kPromote);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/true), HeatVerdict::kStay);
+    EXPECT_EQ(heat.classify(0, HeatTier::kSlow, /*far_tier=*/false),
+              TierVerdict::kToFast);
+    EXPECT_EQ(heat.classify(0, HeatTier::kFast, /*far_tier=*/false),
+              TierVerdict::kStay);
 
     // Idle epochs halve the score; inside the hysteresis band the
     // bucket keeps its hot classification (0x40, 0x20, 0x10 >= 0x10).
     heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x40);
-    EXPECT_EQ(heat.classify(0, false), HeatVerdict::kPromote);
+    EXPECT_EQ(heat.classify(0, HeatTier::kSlow, false),
+              TierVerdict::kToFast);
     heat.fold(0, 0, 0, 8);
     heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x10);
@@ -62,10 +64,10 @@ TEST(HeatPolicy, AgingPromotesOnRecencyAndDecaysToDemote)
     // One more idle epoch drops below the demote threshold: cold.
     heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x08);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/true),
-              HeatVerdict::kDemote);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/false),
-              HeatVerdict::kStay);
+    EXPECT_EQ(heat.classify(0, HeatTier::kFast, /*far_tier=*/false),
+              TierVerdict::kToSlow);
+    EXPECT_EQ(heat.classify(0, HeatTier::kSlow, /*far_tier=*/false),
+              TierVerdict::kStay);
 
     // The untouched second bucket never classified as anything but
     // cold, and epoch accounting tracked the first one's activity.
@@ -94,8 +96,8 @@ TEST(HeatPolicy, EwmaHysteresisAbsorbsAFiftyPercentDutyCycle)
     for (int e = 0; e < 8; ++e) heat.fold(0, 0, 0, 8);
     EXPECT_FALSE(heat.bucket(0).hot);
     EXPECT_LE(heat.bucket(0).rate, kEwmaColdExit);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/true),
-              HeatVerdict::kDemote);
+    EXPECT_EQ(heat.classify(0, HeatTier::kFast, /*far_tier=*/false),
+              TierVerdict::kToSlow);
 }
 
 TEST(HeatPolicy, BucketGeometryAndHistogram)

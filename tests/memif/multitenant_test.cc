@@ -14,11 +14,13 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dma/engine.h"
 #include "memif/user_api.h"
 #include "os/kernel.h"
+#include "os/page_migration.h"
 #include "os/process.h"
 #include "sim/types.h"
 
@@ -128,7 +130,8 @@ TEST(MultiTenant, LeverOffTenancyIsInert)
 {
     MemifConfig cfg;  // multi_tenant = false
     MtFixture f(cfg, 0);
-    EXPECT_EQ(f.dev.num_tenants(), 0u);
+    // The owner is tenant 0 with or without the lever.
+    EXPECT_EQ(f.dev.num_tenants(), 1u);
 
     const vm::VAddr src = f.owner.mmap(4 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst =
@@ -143,6 +146,73 @@ TEST(MultiTenant, LeverOffTenancyIsInert)
     EXPECT_EQ(f.dev.stats().wrr_dispatches, 0u);
     EXPECT_EQ(f.dev.stats().shed_requests, 0u);
     EXPECT_EQ(f.dev.fairness_ratio(), 1.0);
+}
+
+/**
+ * Teardown: every address space the device hooked — the owner's and
+ * each registered tenant's — must be unhooked when it goes, since the
+ * processes outlive it. Runs one migration per address space (filling
+ * the translation caches), destroys the device, then touches, remaps
+ * and unmaps pages in every address space. A hook left behind would
+ * call into the dead device (a use-after-free under ASan).
+ */
+void
+remap_after_teardown(bool multi_tenant)
+{
+    os::Kernel kernel;
+    os::Process &owner = kernel.create_process();
+    std::vector<os::Process *> procs = {&owner};
+    MemifConfig cfg;
+    cfg.race_policy = RacePolicy::kRecover;
+    cfg.xlate_cache = true;
+    cfg.multi_tenant = multi_tenant;
+    auto dev = std::make_unique<MemifDevice>(kernel, owner, cfg);
+    if (multi_tenant) {
+        procs.push_back(&kernel.create_process());
+        ASSERT_EQ(dev->register_tenant(*procs[1]), 1u);
+    }
+
+    std::vector<vm::VAddr> bases;
+    for (std::uint32_t asid = 0; asid < procs.size(); ++asid) {
+        bases.push_back(procs[asid]->mmap(8 * 4096, vm::PageSize::k4K));
+        MemifUser user(*dev, asid, asid);
+        const std::uint32_t idx = user.alloc_request();
+        MovReq &req = user.request(idx);
+        req.op = MovOp::kMigrate;
+        req.src_base = bases[asid];
+        req.num_pages = 8;
+        req.dst_node = kernel.fast_node();
+        kernel.spawn(user.submit(idx));
+        kernel.run();
+        EXPECT_EQ(req.load_status(), MovStatus::kDone) << "asid " << asid;
+    }
+    EXPECT_GT(dev->stats().xlate_misses, 0u);
+    std::string why;
+    EXPECT_TRUE(dev->check_quiesced(&why)) << why;
+    dev.reset();
+
+    for (std::uint32_t asid = 0; asid < procs.size(); ++asid) {
+        os::Process &p = *procs[asid];
+        os::TouchOutcome out;
+        kernel.spawn(p.touch(bases[asid], /*write=*/true, &out));
+        os::MigrationResult moved;
+        kernel.spawn(os::migrate_pages_sync(p, bases[asid], 8,
+                                            kernel.slow_node(), &moved));
+        kernel.run();
+        EXPECT_EQ(out.result, vm::AccessResult::kOk) << "asid " << asid;
+        EXPECT_EQ(moved.pages_moved, 8u) << "asid " << asid;
+        p.as().munmap(bases[asid]);
+    }
+}
+
+TEST(MultiTenant, TeardownUnhooksOwnerAndTenants)
+{
+    remap_after_teardown(/*multi_tenant=*/true);
+}
+
+TEST(MultiTenant, LeverOffTeardownUnhooksTheOwner)
+{
+    remap_after_teardown(/*multi_tenant=*/false);
 }
 
 TEST(MultiTenant, PerAsidAddressSpacesAreIsolated)

@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dma/engine.h"
+#include "mem/buddy.h"
+#include "mem/phys.h"
 #include "memif/user_api.h"
 #include "os/kernel.h"
 #include "os/process.h"
@@ -322,6 +326,40 @@ TEST(Tiered, LeverOffNeverChains)
     f.expect_on_node(base, 8, f.kernel.far_node());
     EXPECT_EQ(f.dev.stats().chained_migrations, 0u);
     EXPECT_EQ(f.dev.stats().hop_stages_issued, 0u);
+}
+
+TEST(Tiered, ExhaustedMiddleTierDegradesEachBatchToOneDirectHop)
+{
+    // Every DDR frame is taken, so no batch can lease staging frames:
+    // each one degrades to a single direct SRAM→far hop instead of
+    // failing, and the move still lands intact.
+    Fixture f;
+    const vm::VAddr base =
+        f.proc.mmap(32 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+    f.fill(base, 32 * 4096, 27);
+    mem::PhysicalMemory &pm = f.kernel.phys();
+    std::vector<std::pair<mem::Pfn, unsigned>> held;
+    for (unsigned order = mem::BuddyAllocator::kMaxOrder + 1; order-- > 0;)
+        for (mem::Pfn pfn; (pfn = pm.allocate(f.kernel.slow_node(),
+                                              order)) != mem::kInvalidPfn;)
+            held.emplace_back(pfn, order);
+    ASSERT_FALSE(
+        pm.node(f.kernel.slow_node()).buddy().can_allocate(0));
+
+    const std::uint32_t idx = f.migrate(base, 32, f.kernel.far_node());
+    f.kernel.run();
+
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(base, 32 * 4096, 27));
+    f.expect_on_node(base, 32, f.kernel.far_node());
+    EXPECT_EQ(f.dev.stats().chained_migrations, 1u);
+    EXPECT_EQ(f.dev.stats().chain_batches, 2u);  // 32 / 16
+    EXPECT_EQ(f.dev.stats().hop_stages_issued,
+              f.dev.stats().chain_batches);
+    EXPECT_EQ(f.dev.stats().chain_rollbacks, 0u);
+    std::string why;
+    EXPECT_TRUE(f.dev.check_quiesced(&why)) << why;
+    for (const auto &[pfn, order] : held) pm.free(pfn, order);
 }
 
 // ---------------------------------------------------------------------

@@ -212,5 +212,121 @@ TEST(UserApi, PollReturnsImmediatelyWhenCompletionPending)
     EXPECT_EQ(f.user.retrieve_completed(), idx);
 }
 
+TEST(UserApi, AllRejectedBatchChargesNoContention)
+{
+    // The shared staging queue's tail-CAS contention penalty is paid by
+    // a call that deposits something. A batch whose every request is
+    // refused at admission never reaches the queue: no penalty, no
+    // retry counted, no kick.
+    MemifConfig cfg;
+    cfg.multi_tenant = true;
+    cfg.tenant_inflight_quota = 1;
+    Fixture f(cfg);
+    MemifUser other(f.dev, /*cpu_id=*/1);
+    const vm::VAddr src = f.proc.mmap(12 * 4096, vm::PageSize::k4K);
+    const vm::VAddr dst =
+        f.proc.mmap(12 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+    auto prepare = [&](MemifUser &u, std::uint32_t i) {
+        const std::uint32_t idx = u.alloc_request();
+        MovReq &req = u.request(idx);
+        req.op = MovOp::kReplicate;
+        req.src_base = src + i * 4 * 4096ull;
+        req.dst_base = dst + i * 4 * 4096ull;
+        req.num_pages = 4;
+        return idx;
+    };
+
+    // CPU 0 takes the owner's one in-flight slot (tasks start eagerly,
+    // so the deposit has happened when spawn returns).
+    f.kernel.spawn(f.user.submit(prepare(f.user, 0)));
+    ASSERT_EQ(f.dev.tenant_stats(0).outstanding, 1u);
+
+    // CPU 1, inside the contention window: both requests bounce.
+    const std::vector<std::uint32_t> idxs = {prepare(other, 1),
+                                             prepare(other, 2)};
+    const sim::CpuAccounting before = f.kernel.cpu().accounting();
+    const std::uint64_t retries = f.dev.stats().shared_submit_retries;
+    bool kicked = true;
+    f.kernel.spawn(other.submit_many(idxs, &kicked));
+    const sim::CpuAccounting &after = f.kernel.cpu().accounting();
+
+    EXPECT_EQ(other.stats().rejected, 2u);
+    EXPECT_EQ(after.context(sim::ExecContext::kUser),
+              before.context(sim::ExecContext::kUser));
+    EXPECT_EQ(f.dev.stats().shared_submit_retries, retries);
+    EXPECT_FALSE(kicked);
+    EXPECT_EQ(other.stats().kicks, 0u);
+    EXPECT_EQ(other.stats().batch_submits, 1u);
+
+    f.kernel.run();
+    for (const std::uint32_t idx : idxs)
+        EXPECT_EQ(other.request(idx).error, MovError::kNoSpace);
+}
+
+/** What one run of SubmitAndSingletonBatchAgree observed. */
+struct SubmitTrace {
+    sim::SimTime end = 0;
+    sim::Duration user_time = 0;
+    std::uint64_t kicks = 0;
+    std::uint64_t completions = 0;
+    std::uint64_t shared_retries = 0;
+
+    bool operator==(const SubmitTrace &) const = default;
+};
+
+/** Two CPUs each submit four replications, one request per call,
+ *  through submit() or through a one-element submit_many(). */
+SubmitTrace
+run_singletons(bool rings, bool batch)
+{
+    MemifConfig cfg;
+    cfg.percpu_rings = rings;
+    Fixture f(cfg);
+    MemifUser other(f.dev, /*cpu_id=*/1);
+    const vm::VAddr src = f.proc.mmap(32 * 4096, vm::PageSize::k4K);
+    const vm::VAddr dst =
+        f.proc.mmap(32 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+    auto worker = [&](MemifUser &u, std::uint32_t id) -> sim::Task {
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            const std::uint32_t idx = u.alloc_request();
+            MovReq &req = u.request(idx);
+            req.op = MovOp::kReplicate;
+            req.src_base = src + (id * 4 + i) * 4 * 4096ull;
+            req.dst_base = dst + (id * 4 + i) * 4 * 4096ull;
+            req.num_pages = 4;
+            const std::vector<std::uint32_t> one = {idx};
+            if (batch)
+                co_await u.submit_many(one);
+            else
+                co_await u.submit(idx);
+            co_await sim::Delay{f.kernel.eq(), sim::nanoseconds(150)};
+        }
+    };
+    auto a = worker(f.user, 0);
+    auto b = worker(other, 1);
+    f.kernel.run();
+    SubmitTrace t;
+    t.end = f.kernel.eq().now();
+    t.user_time =
+        f.kernel.cpu().accounting().context(sim::ExecContext::kUser);
+    t.kicks = f.user.stats().kicks + other.stats().kicks;
+    t.shared_retries = f.dev.stats().shared_submit_retries;
+    while (f.user.retrieve_completed() != kNoRequest) ++t.completions;
+    EXPECT_EQ(t.completions, 8u);
+    return t;
+}
+
+TEST(UserApi, SubmitAndSingletonBatchAgree)
+{
+    for (const bool rings : {false, true}) {
+        const SubmitTrace one = run_singletons(rings, /*batch=*/false);
+        const SubmitTrace many = run_singletons(rings, /*batch=*/true);
+        EXPECT_EQ(one, many) << (rings ? "rings" : "shared");
+        if (!rings) {
+            EXPECT_GT(one.shared_retries, 0u);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace memif::core
