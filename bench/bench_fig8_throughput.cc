@@ -110,7 +110,11 @@ pipelined_sweep(BenchReport &report,
                        vm::PageSize::k4K, pages, requests);
         std::printf("%6u %9.2f %10.2f %9.2fx\n", pages, mig, pip, pip / mig);
         report.add("memif-pip-4KB", pages, pip);
+        report.add("pip-speedup-4KB", pages, pip / mig);
     }
+    // The levers must pay off wherever a request spans enough pages to
+    // pipeline: >= 1.25x the paper default at every point from 16 pages.
+    report.gate({.series = "pip-speedup-4KB", .x_min = 16, .min = 1.25});
 }
 
 }  // namespace
@@ -132,5 +136,5 @@ main()
         "\npaper: memif >= 1.4x migspeed for small pages (except 1x4KB),\n"
         "up to ~3x for large pages; replication >= migration throughput.\n");
     pipelined_sweep(report, {4, 16, 64, 256}, target);
-    return 0;
+    return report.write() ? 0 : 1;
 }

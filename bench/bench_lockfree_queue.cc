@@ -11,11 +11,12 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <deque>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "lockfree/cell.h"
@@ -46,57 +47,74 @@ struct Region {
     }
 };
 
+// State the threads of one run share. Setup/Teardown run once per run,
+// before its threads start and after they all stop; allocating it from
+// thread 0 inside the body instead lets the other threads read it before
+// thread 0 has written it.
+std::unique_ptr<Region> shared_region;
+std::vector<std::unique_ptr<Region>> rings;
+std::mutex mu;
+std::deque<std::uint32_t> dq;
+
+template <std::uint32_t kCells>
+void
+make_shared_region(const benchmark::State &)
+{
+    shared_region = std::make_unique<Region>(kCells);
+}
+
+void
+make_rings(const benchmark::State &state)
+{
+    for (int i = 0; i < state.threads(); ++i)
+        rings.push_back(std::make_unique<Region>(4096));
+}
+
+void
+drop_shared_state(const benchmark::State &)
+{
+    shared_region.reset();
+    rings.clear();
+    dq.clear();
+}
+
 void
 BM_RedBlueEnqueueDequeue(benchmark::State &state)
 {
-    static Region *region = nullptr;
-    if (state.thread_index() == 0) region = new Region(4096);
-    RedBlueQueue q = region->queue();
+    RedBlueQueue q = shared_region->queue();
     for (auto _ : state) {
         q.enqueue(42);
         benchmark::DoNotOptimize(q.dequeue());
     }
     state.SetItemsProcessed(state.iterations() * 2);
-    if (state.thread_index() == 0) {
-        delete region;
-        region = nullptr;
-    }
 }
-BENCHMARK(BM_RedBlueEnqueueDequeue)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_RedBlueEnqueueDequeue)
+    ->Threads(1)->Threads(2)->Threads(4)
+    ->Setup(make_shared_region<4096>)->Teardown(drop_shared_state);
 
 void
 BM_MutexQueueEnqueueDequeue(benchmark::State &state)
 {
-    static std::mutex *mu = nullptr;
-    static std::deque<std::uint32_t> *dq = nullptr;
-    if (state.thread_index() == 0) {
-        mu = new std::mutex;
-        dq = new std::deque<std::uint32_t>;
-    }
     for (auto _ : state) {
         {
-            std::lock_guard<std::mutex> lock(*mu);
-            dq->push_back(42);
+            std::lock_guard<std::mutex> lock(mu);
+            dq.push_back(42);
         }
         std::uint32_t v = 0;
         {
-            std::lock_guard<std::mutex> lock(*mu);
-            if (!dq->empty()) {
-                v = dq->front();
-                dq->pop_front();
+            std::lock_guard<std::mutex> lock(mu);
+            if (!dq.empty()) {
+                v = dq.front();
+                dq.pop_front();
             }
         }
         benchmark::DoNotOptimize(v);
     }
     state.SetItemsProcessed(state.iterations() * 2);
-    if (state.thread_index() == 0) {
-        delete mu;
-        delete dq;
-        mu = nullptr;
-        dq = nullptr;
-    }
 }
-BENCHMARK(BM_MutexQueueEnqueueDequeue)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_MutexQueueEnqueueDequeue)
+    ->Threads(1)->Threads(2)->Threads(4)
+    ->Teardown(drop_shared_state);
 
 void
 BM_RedBlueMultiProducerBurst(benchmark::State &state)
@@ -105,21 +123,17 @@ BM_RedBlueMultiProducerBurst(benchmark::State &state)
     // per iteration, every producer on ONE shared queue. All threads
     // hammer the same tail CAS — the contention the per-CPU submission
     // rings are designed to remove.
-    static Region *region = nullptr;
-    if (state.thread_index() == 0) region = new Region(1 << 16);
-    RedBlueQueue q = region->queue();
+    RedBlueQueue q = shared_region->queue();
     for (auto _ : state) {
         for (std::uint32_t i = 0; i < 16; ++i) q.enqueue(i);
         for (std::uint32_t i = 0; i < 16; ++i)
             benchmark::DoNotOptimize(q.dequeue());
     }
     state.SetItemsProcessed(state.iterations() * 32);
-    if (state.thread_index() == 0) {
-        delete region;
-        region = nullptr;
-    }
 }
-BENCHMARK(BM_RedBlueMultiProducerBurst)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_RedBlueMultiProducerBurst)
+    ->Threads(1)->Threads(2)->Threads(4)
+    ->Setup(make_shared_region<(1 << 16)>)->Teardown(drop_shared_state);
 
 void
 BM_RedBluePerProducerRings(benchmark::State &state)
@@ -128,25 +142,17 @@ BM_RedBluePerProducerRings(benchmark::State &state)
     // but each producer owns a private ring, so no CAS ever crosses
     // threads. The items/s gap versus MultiProducerBurst at 2/4
     // producers is the modeled contention win.
-    static std::vector<std::unique_ptr<Region>> *rings = nullptr;
-    if (state.thread_index() == 0) {
-        rings = new std::vector<std::unique_ptr<Region>>;
-        for (int i = 0; i < state.threads(); ++i)
-            rings->push_back(std::make_unique<Region>(4096));
-    }
-    RedBlueQueue q = (*rings)[state.thread_index()]->queue();
+    RedBlueQueue q = rings[state.thread_index()]->queue();
     for (auto _ : state) {
         for (std::uint32_t i = 0; i < 16; ++i) q.enqueue(i);
         for (std::uint32_t i = 0; i < 16; ++i)
             benchmark::DoNotOptimize(q.dequeue());
     }
     state.SetItemsProcessed(state.iterations() * 32);
-    if (state.thread_index() == 0) {
-        delete rings;
-        rings = nullptr;
-    }
 }
-BENCHMARK(BM_RedBluePerProducerRings)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_RedBluePerProducerRings)
+    ->Threads(1)->Threads(2)->Threads(4)
+    ->Setup(make_rings)->Teardown(drop_shared_state);
 
 void
 BM_RedBlueSetColorProbe(benchmark::State &state)
@@ -188,22 +194,27 @@ BENCHMARK(BM_RedBlueFlushCycle);
 
 }  // namespace
 
-// Custom main: besides the console tables, always emit
+// Custom main: besides the console tables, write
 // BENCH_lockfree_queue.json (google-benchmark's JSON schema) so the CI
 // smoke job can collect the queue numbers alongside the figure
-// harnesses' reports.
+// harnesses' reports. An explicit --benchmark_out=<file> overrides it.
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    std::ofstream json("BENCH_lockfree_queue.json");
-    benchmark::ConsoleReporter console;
-    benchmark::JSONReporter json_reporter;
-    json_reporter.SetOutputStream(&json);
-    json_reporter.SetErrorStream(&std::cerr);
-    benchmark::RunSpecifiedBenchmarks(&console,
-                                      json ? &json_reporter : nullptr);
+    std::string out = "--benchmark_out=BENCH_lockfree_queue.json";
+    std::string format = "--benchmark_out_format=json";
+    std::vector<char *> args(argv, argv + argc);
+    if (std::none_of(args.begin(), args.end(), [](const char *a) {
+            return std::string_view(a).starts_with("--benchmark_out=");
+        })) {
+        args.push_back(out.data());
+        args.push_back(format.data());
+    }
+    int n = static_cast<int>(args.size());
+    args.push_back(nullptr);
+    benchmark::Initialize(&n, args.data());
+    if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
 }

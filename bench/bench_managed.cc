@@ -21,7 +21,7 @@
  *                 it — measured after a warmup window, under both
  *                 placement policies (aging, EWMA).
  *
- * Gates (scripts/check_bench_regression.py): at 2x oversubscription
+ * Gated by bench_managed's BenchReport gates: at 2x oversubscription
  * the better managed policy reaches >= 1.3x static-worst and >= 0.70x
  * static-best throughput on at least one mix.  The static-best bound
  * is loose on purpose: the oracle pays no discovery ramp or sampling
@@ -306,8 +306,25 @@ main()
             rule();
         }
     }
+    // The daemon starts from an all-on-DDR placement and must discover
+    // and move the hot set: at 2x oversubscription the better policy has
+    // to clearly beat leaving everything on DDR. The static-best bound is
+    // looser because that oracle is strictly stronger than any sampler
+    // can be (see the file comment). Measured: managed reaches 0.77-0.91x
+    // of it at 2x; gate at 0.70 with margin. Quick mode shrinks only the
+    // epochs, not the 2x row. Both mixes must report the 2x point.
+    std::vector<std::vector<Gate>> some_mix;
+    for (const Mix &mix : kMixes) {
+        const std::string worst = std::string(mix.name) + "-managed-vs-worst";
+        const std::string best = std::string(mix.name) + "-managed-vs-best";
+        report.gate({.series = worst, .x = 2.0});
+        report.gate({.series = best, .x = 2.0});
+        some_mix.push_back({{.series = worst, .x = 2.0, .min = 1.3},
+                            {.series = best, .x = 2.0, .min = 0.70}});
+    }
+    report.any_of(std::move(some_mix));
     std::printf("gates: at 2x oversubscription, best managed policy >= "
                 "1.3x static-worst and >= 0.70x static-best on at least "
                 "one mix\n");
-    return 0;
+    return report.write() ? 0 : 1;
 }

@@ -12,8 +12,8 @@
  * retried after the driver's retry-after hint, the way a real client
  * would; they are counted, not dropped.
  *
- * JSON series (BENCH_multitenant.json, gated by
- * scripts/check_bench_regression.py):
+ * JSON series (BENCH_multitenant.json, gated by bench_multitenant's
+ * BenchReport gates):
  *   p50_us / p99_us     aggregate request latency vs tenant count
  *   throughput_gbps     aggregate goodput vs tenant count
  *   fairness            max/min per-tenant throughput vs tenant count
@@ -286,6 +286,9 @@ main()
         report.add("throughput_gbps", n, out.gb_per_sec());
         report.add("fairness", n, fair);
     }
+    // The WRR dispatcher must keep 16 equal-weight tenants within 2x of
+    // each other.
+    report.gate({.series = "fairness", .x = 16, .max = 2.0});
     rule();
     std::printf("\nexpected: every tenant makes progress at every count "
                 "(fairness stays near 1,\ngated <= 2.0 at 16 tenants); "
@@ -319,6 +322,10 @@ main()
         std::printf("observed split: %.2f : 1 (configured 4 : 1)\n",
                     split);
         report.add("weighted_split", 4.0, split);
+        // A 4:1 weight pair must split bandwidth roughly 4:1 while both
+        // still compete.
+        report.gate(
+            {.series = "weighted_split", .x = 4, .min = 3.0, .max = 5.0});
     }
-    return 0;
+    return report.write() ? 0 : 1;
 }

@@ -163,6 +163,10 @@ main()
                        static_cast<double>(ncpu), total / kDeposits);
         }
     }
+    // 4 submitting CPUs over per-CPU rings must sustain >= 2x the 1-CPU
+    // deposit throughput (measured 3.82x full / 3.40x quick).
+    report.gate({.series = "submit-scaling-rings", .x = 1});
+    report.gate({.series = "submit-scaling-rings", .x = 4, .min = 2.0});
 
     // ---- Section 2: repeated-region stream, moderated vs scaled -------
     header("Repeated-region 256x4KB stream: moderated vs scaled");
@@ -209,9 +213,15 @@ main()
         }
     }
     report.add("xlate-hit-ratio", 1, hit_ratio);
+    report.add("scaled-speedup", 1, gbps_scaled / gbps_moderated);
+    // The scaled() levers must beat moderated() by >= 1.20x (measured
+    // 1.23x full / 1.21x quick) with the translation cache serving >= 90%
+    // of the stream's pages (measured 0.984 full / 0.938 quick).
+    report.gate({.series = "scaled-speedup", .x = 1, .min = 1.20});
+    report.gate({.series = "xlate-hit-ratio", .x = 1, .min = 0.90});
     rule();
     std::printf("scaled vs moderated: %.2fx   xlate hit ratio: %.3f "
                 "(gates: >= 1.20x, >= 0.90)\n",
                 gbps_scaled / gbps_moderated, hit_ratio);
-    return 0;
+    return report.write() ? 0 : 1;
 }

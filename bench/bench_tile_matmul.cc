@@ -15,7 +15,7 @@
  * every strategy must produce the identical checksum, which is the
  * end-to-end proof that pitched descriptors deliver byte-exact tiles.
  *
- * gates (scripts/check_bench_regression.py): at T = 64, staging-only
+ * Gated by bench_tile_matmul's BenchReport gates: at T = 64, staging-only
  * strided throughput >= 1.3x per-row flat, double-buffered overlap
  * ratio >= 0.5, and every checksum-match point == 1.
  */
@@ -122,6 +122,12 @@ main()
         report.add("strided-speedup", t, speedup);
         report.add("staging-checksum-match", t, match ? 1.0 : 0.0);
     }
+    // One pitched request per 64x64 tile vs 64 flat rows x 2 tiles per
+    // step: measured 17.9x full / 17.7x quick, gated at 1.3x with margin.
+    // The checksums compare the bytes each strategy staged and must agree
+    // exactly (1 means match).
+    report.gate({.series = "strided-speedup", .x = 64, .min = 1.3});
+    report.gate({.series = "staging-checksum-match", .min = 1, .max = 1});
     rule();
 
     header("Full matmul: staged compute, double buffering, CPU baseline");
@@ -153,9 +159,12 @@ main()
         report.add("overlap", t, db.r.overlap_ratio());
         report.add("compute-checksum-match", t, match ? 1.0 : 0.0);
     }
+    // Double-buffered overlap measured 0.79 full / 0.68 quick; gate 0.5.
+    report.gate({.series = "overlap", .x = 64, .min = 0.5});
+    report.gate({.series = "compute-checksum-match", .min = 1, .max = 1});
     rule();
     std::printf("gates: staging strided >= 1.3x per-row flat at 64x64 "
                 "tiles; double-buffered overlap >= 0.5; every checksum "
                 "column must read match\n");
-    return 0;
+    return report.write() ? 0 : 1;
 }

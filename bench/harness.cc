@@ -1,6 +1,8 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdarg>
 #include <cstdlib>
 
 #include "sim/log.h"
@@ -20,6 +22,23 @@ window_for(std::uint64_t request_bytes, std::uint32_t num_requests)
     if (w > 8) w = 8;
     if (w > num_requests) w = num_requests;
     return static_cast<std::uint32_t>(w);
+}
+
+/** Append printf-formatted text to @p out. */
+[[gnu::format(printf, 2, 3)]] void
+appendf(std::string &out, const char *fmt, ...)
+{
+    std::va_list ap, again;
+    va_start(ap, fmt);
+    va_copy(again, ap);
+    const auto n =
+        static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, ap));
+    va_end(ap);
+    const std::size_t at = out.size();
+    out.resize(at + n + 1);
+    std::vsnprintf(out.data() + at, n + 1, fmt, again);
+    va_end(again);
+    out.resize(at + n);
 }
 
 }  // namespace
@@ -196,13 +215,78 @@ BenchReport::add(const std::string &series, double x, double y)
     series_.push_back(Series{series, {{x, y}}});
 }
 
-void
+bool
+BenchReport::holds(const Gate &g, std::string &json, std::string &why) const
+{
+    std::size_t points = 0;
+    bool pass = true;
+    for (const Series &s : series_) {
+        if (s.name != g.series) continue;
+        for (const auto &[x, y] : s.points) {
+            if (g.x ? x != *g.x : x < g.x_min) continue;
+            ++points;
+            if (y >= g.min && y <= g.max) continue;
+            pass = false;
+            appendf(why, "  %s at x=%.15g: %.6g outside [%.15g, %.15g]\n",
+                    g.series.c_str(), x, y, g.min, g.max);
+        }
+    }
+    if (points < g.min_points) {
+        pass = false;
+        appendf(why, "  %s: %zu points selected, %zu needed\n",
+                g.series.c_str(), points, g.min_points);
+    }
+    appendf(json, "{\"series\": \"%s\"", g.series.c_str());
+    if (g.x)
+        appendf(json, ", \"x\": %.15g", *g.x);
+    else if (std::isfinite(g.x_min))
+        appendf(json, ", \"x_min\": %.15g", g.x_min);
+    if (std::isfinite(g.min)) appendf(json, ", \"min\": %.15g", g.min);
+    if (std::isfinite(g.max)) appendf(json, ", \"max\": %.15g", g.max);
+    appendf(json,
+            ", \"min_points\": %zu, \"points\": %zu, \"pass\": %s}",
+            g.min_points, points, pass ? "true" : "false");
+    return pass;
+}
+
+bool
 BenchReport::write()
 {
-    if (written_) return;
+    if (written_) return pass_;
+    written_ = true;
+    pass_ = true;
+    std::string gates;  // the "gates" array's entries, one per line
+    for (const Claim &claim : claims_) {
+        std::string json, why;
+        bool pass = false;
+        if (claim.size() == 1 && claim[0].size() == 1) {
+            pass = holds(claim[0][0], json, why);
+        } else {
+            json = "{\"any_of\": [";
+            for (std::size_t a = 0; a < claim.size(); ++a) {
+                json += a ? ",\n      [" : "\n      [";
+                bool all = true;
+                for (std::size_t i = 0; i < claim[a].size(); ++i) {
+                    if (i) json += ", ";
+                    all = holds(claim[a][i], json, why) && all;
+                }
+                json += "]";
+                pass = pass || all;
+            }
+            appendf(json, "], \"pass\": %s}", pass ? "true" : "false");
+        }
+        gates += (gates.empty() ? "\n    " : ",\n    ") + json;
+        if (pass) continue;
+        pass_ = false;
+        std::fprintf(stderr, "bench %s: gate failed%s\n%s", name_.c_str(),
+                     claim.size() > 1 ? " (no any_of alternative holds)"
+                                      : "",
+                     why.c_str());
+    }
+
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) return;  // read-only cwd: stdout tables remain the record
+    if (!f) return pass_;  // read-only cwd: stdout tables remain the record
     std::fprintf(f, "{\n  \"name\": \"%s\",\n  \"series\": {", name_.c_str());
     for (std::size_t i = 0; i < series_.size(); ++i) {
         const Series &s = series_[i];
@@ -212,9 +296,10 @@ BenchReport::write()
                          s.points[j].first, s.points[j].second);
         std::fprintf(f, "]");
     }
-    std::fprintf(f, "\n  }\n}\n");
+    std::fprintf(f, "\n  },\n  \"gates\": [%s%s]\n}\n", gates.c_str(),
+                 gates.empty() ? "" : "\n  ");
     std::fclose(f);
-    written_ = true;
+    return pass_;
 }
 
 void

@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,12 +117,30 @@ void header(const std::string &title);
 bool quick_mode();
 
 /**
+ * One claim a bench makes about one of its series. The gate selects the
+ * points at exactly `x` when that is set, else every point with
+ * x >= `x_min`; each selected y must lie in [`min`, `max`] (NaN never
+ * does), and at least `min_points` points must be selected, so a
+ * missing series or an empty selection fails.
+ */
+struct Gate {
+    std::string series;
+    std::optional<double> x = std::nullopt;
+    double x_min = -std::numeric_limits<double>::infinity();
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+    std::size_t min_points = 1;
+};
+
+/**
  * Machine-readable companion to a bench's stdout tables: named (x, y)
- * series written to BENCH_<name>.json in the working directory. The CI
- * smoke job collects these as artifacts and gates on them (e.g. the
- * pipelined series must not regress below the paper-default one).
+ * series written to BENCH_<name>.json in the working directory, plus
+ * the gates the bench declares on them. The bench exits with write()'s
+ * verdict, so a run that breaks one of its claims fails on its own.
  *
- * JSON shape: {"name": ..., "series": {"<series>": [[x, y], ...], ...}}
+ * JSON shape: {"name": ..., "series": {"<series>": [[x, y], ...], ...},
+ *              "gates": [{<gate fields>, "points": n, "pass": b}
+ *                        | {"any_of": [[<gate>, ...], ...], "pass": b}]}
  */
 class BenchReport {
   public:
@@ -132,17 +152,45 @@ class BenchReport {
     /** Append one point; series appear in first-touch order. */
     void add(const std::string &series, double x, double y);
 
-    /** Write BENCH_<name>.json now (idempotent; destructor calls it). */
-    void write();
+    /** Declare a claim that holds when @p g does. */
+    void
+    gate(Gate g)
+    {
+        claims_.push_back(Claim{std::vector<Gate>{std::move(g)}});
+    }
+
+    /** Declare a claim that holds when every gate of at least one of
+     *  @p alternatives does. */
+    void
+    any_of(std::vector<std::vector<Gate>> alternatives)
+    {
+        claims_.push_back(std::move(alternatives));
+    }
+
+    /**
+     * Evaluate every gate, print each failing point to stderr and write
+     * BENCH_<name>.json (a read-only cwd skips only the file). Returns
+     * true when every claim holds. Idempotent; the destructor calls it.
+     */
+    bool write();
 
   private:
     struct Series {
         std::string name;
         std::vector<std::pair<double, double>> points;
     };
+    /** Alternatives, each a set of gates that must all hold. */
+    using Claim = std::vector<std::vector<Gate>>;
+
+    /** Evaluate @p g: append its "gates" entry to @p json and a line
+     *  per failing point to @p why. */
+    bool holds(const Gate &g, std::string &json, std::string &why) const;
+
     std::string name_;
     std::vector<Series> series_;
+    std::vector<Claim> claims_;
     bool written_ = false;
+    bool pass_ = false;
 };
 
 }  // namespace memif::bench

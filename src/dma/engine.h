@@ -225,13 +225,6 @@ class Edma3Engine {
     /** Virtual-time cost of the chain at @p head (excl. queueing). */
     sim::Duration chain_duration(DescIndex head) const;
 
-    /** Time at which @p tc finishes its currently queued chains. */
-    sim::SimTime
-    tc_busy_until(unsigned tc) const
-    {
-        return tc_busy_until_.at(tc);
-    }
-
     /** The transfer controller that frees up first (ties break toward
      *  the lowest TC number, keeping runs deterministic). */
     unsigned

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -463,8 +462,6 @@ MemifDevice::print_stats(std::FILE *out) const
                          s.daemon_budget_exhausted));
         std::fprintf(out, "  heat_ping_pongs       %12llu\n",
                      static_cast<unsigned long long>(heat_ping_pongs()));
-        if (std::getenv("MEMIF_HEAT_HISTOGRAM"))
-            print_heat_histogram(out);
     }
     if (config_.tiered_memory) {
         std::fprintf(out, "  chained_migrations    %12llu\n",
@@ -1815,11 +1812,7 @@ struct Park {
 void
 MemifDevice::spawn(sim::Task t)
 {
-    std::erase_if(tasks_, [](const sim::Task &done) {
-        if (!done.done()) return false;
-        done.rethrow_if_failed();
-        return true;
-    });
+    sim::reap_finished(tasks_);
     if (t.done())
         t.rethrow_if_failed();
     else if (!t.empty())

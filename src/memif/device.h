@@ -684,9 +684,6 @@ class MemifDevice {
     /** Hot-state flips within the ping-pong window, summed over all
      *  managed regions (placement-stability tripwire). */
     std::uint64_t heat_ping_pongs() const;
-    /** Dump each managed region's heat histogram (8 score octiles) —
-     *  also triggered by print_stats when MEMIF_HEAT_HISTOGRAM is set. */
-    void print_heat_histogram(std::FILE *out) const;
     ///@}
 
   private:

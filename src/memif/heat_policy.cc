@@ -90,24 +90,4 @@ RegionHeat::classify(std::uint64_t bucket, HeatTier resident,
                                        : TierVerdict::kToSlow;
 }
 
-double
-RegionHeat::score(const HeatBucket &b) const
-{
-    if (config_.policy == MigratePolicy::kAging)
-        return static_cast<double>(b.age) / 255.0;
-    return b.rate > 1.0 ? 1.0 : b.rate;
-}
-
-std::vector<std::uint64_t>
-RegionHeat::histogram() const
-{
-    std::vector<std::uint64_t> h(8, 0);
-    for (const HeatBucket &b : buckets_) {
-        auto octile = static_cast<std::size_t>(score(b) * 8.0);
-        if (octile > 7) octile = 7;
-        ++h[octile];
-    }
-    return h;
-}
-
 }  // namespace memif::core

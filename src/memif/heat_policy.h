@@ -158,15 +158,7 @@ class RegionHeat {
     /** Hot-state flips inside kPingPongWindow epochs (stability metric). */
     std::uint64_t ping_pongs() const { return ping_pongs_; }
 
-    /**
-     * Histogram of the current heat distribution: bucket counts in 8
-     * score octiles (score = age/255 or EWMA rate, by policy).
-     */
-    std::vector<std::uint64_t> histogram() const;
-
   private:
-    double score(const HeatBucket &b) const;
-
     HeatConfig config_;
     std::uint64_t num_pages_ = 0;
     std::vector<HeatBucket> buckets_;

@@ -100,35 +100,6 @@ MemifDevice::heat_ping_pongs() const
 }
 
 void
-MemifDevice::print_heat_histogram(std::FILE *out) const
-{
-    for (std::size_t r = 0; r < managed_.size(); ++r) {
-        const ManagedRegion &mr = *managed_[r];
-        const std::vector<std::uint64_t> h = mr.heat.histogram();
-        std::fprintf(out,
-                     "  heat region %zu (asid %u, %llu buckets):",
-                     r, mr.asid,
-                     static_cast<unsigned long long>(
-                         mr.heat.num_buckets()));
-        for (const std::uint64_t n : h)
-            std::fprintf(out, " %llu", static_cast<unsigned long long>(n));
-        if (daemon_tiered()) {
-            // Per-tier residency: where the region's buckets actually
-            // live right now (placement, not heat — the pair together
-            // shows whether the daemon has caught up with the policy).
-            std::uint64_t per[3] = {0, 0, 0};
-            for (std::uint64_t b = 0; b < mr.heat.num_buckets(); ++b)
-                ++per[static_cast<std::size_t>(bucket_tier(mr, b))];
-            std::fprintf(out, " | tiers fast=%llu slow=%llu far=%llu",
-                         static_cast<unsigned long long>(per[0]),
-                         static_cast<unsigned long long>(per[1]),
-                         static_cast<unsigned long long>(per[2]));
-        }
-        std::fprintf(out, "\n");
-    }
-}
-
-void
 MemifDevice::wake_scanner()
 {
     if (!config_.auto_migrate || !scan_parked_ || managed_.empty()) return;

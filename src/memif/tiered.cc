@@ -202,11 +202,7 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
         const std::uint32_t first = b * kChainBatchPages;
         const std::uint32_t count =
             std::min<std::uint32_t>(kChainBatchPages, pages - first);
-        std::erase_if(batches, [](const sim::Task &t) {
-            if (!t.done()) return false;
-            t.rethrow_if_failed();
-            return true;
-        });
+        sim::reap_finished(batches);
         batches.push_back(run_chain_batch(fl, cs, mid, first, count));
         ++launched;
     }

@@ -1,7 +1,5 @@
 #include "os/kernel.h"
 
-#include <algorithm>
-
 #include "os/process.h"
 #include "sim/log.h"
 
@@ -52,21 +50,11 @@ Kernel::create_process()
 void
 Kernel::spawn(sim::Task task)
 {
-    reap_finished_tasks();
+    sim::reap_finished(tasks_);
     if (!task.done()) tasks_.push_back(std::move(task));
     // else: finished synchronously; rethrow any stored error and drop.
     else
         task.rethrow_if_failed();
-}
-
-void
-Kernel::reap_finished_tasks()
-{
-    std::erase_if(tasks_, [](const sim::Task &t) {
-        if (!t.done()) return false;
-        t.rethrow_if_failed();
-        return true;
-    });
 }
 
 }  // namespace memif::os

@@ -140,8 +140,6 @@ class Kernel {
     void run_until(sim::SimTime deadline) { eq_.run_until(deadline); }
 
   private:
-    void reap_finished_tasks();
-
     KernelConfig cfg_;
     sim::EventQueue eq_;
     sim::Tracer tracer_;

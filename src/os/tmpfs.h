@@ -73,7 +73,6 @@ class TmpFs {
      *  must no longer be mapped anywhere. */
     bool unlink(const std::string &name);
 
-    std::size_t file_count() const { return files_.size(); }
     Kernel &kernel() { return kernel_; }
 
   private:

@@ -300,6 +300,20 @@ class [[nodiscard]] Task {
     Handle handle_;
 };
 
+/**
+ * Drop the finished tasks in @p tasks, rethrowing the first failure one
+ * of them stored. Unfinished tasks keep their frames in place.
+ */
+inline void
+reap_finished(std::vector<Task> &tasks)
+{
+    std::erase_if(tasks, [](const Task &t) {
+        if (!t.done()) return false;
+        t.rethrow_if_failed();
+        return true;
+    });
+}
+
 namespace detail {
 
 /**
