@@ -127,8 +127,7 @@ run_workload(const Workload &w, const RunOptions &opt)
             return res;
         }
         std::vector<std::uint8_t> buf(r.pages * pb);
-        for (std::uint64_t i = 0; i < buf.size(); ++i)
-            buf[i] = pat_byte(r.pattern, i);
+        fill_pattern(r.pattern, buf);
         if (!rp.as().write(base, buf.data(), buf.size())) {
             fail("initial fill failed during setup");
             return res;

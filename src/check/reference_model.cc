@@ -1,8 +1,20 @@
 #include "check/reference_model.h"
 
+#include <array>
 #include <cstring>
 
 namespace memif::check {
+
+void
+fill_pattern(std::uint8_t pattern, std::span<std::uint8_t> out)
+{
+    std::array<std::uint8_t, 256> period;
+    for (std::size_t i = 0; i < period.size(); ++i)
+        period[i] = pat_byte(pattern, i);
+    for (std::size_t at = 0; at < out.size(); at += period.size())
+        std::memcpy(out.data() + at, period.data(),
+                    std::min(period.size(), out.size() - at));
+}
 
 using core::MovError;
 using core::MovOp;
@@ -34,8 +46,7 @@ ReferenceModel::ReferenceModel(const Workload &w) : w_(w)
     for (const RegionSpec &r : w.regions) {
         const std::uint64_t bytes = r.pages * vm::page_bytes(r.psize);
         std::vector<std::uint8_t> mem(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            mem[i] = pat_byte(r.pattern, i);
+        fill_pattern(r.pattern, mem);
         mem_.push_back(std::move(mem));
     }
 

@@ -52,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,11 @@ pat_byte(std::uint8_t pattern, std::uint64_t i)
 {
     return static_cast<std::uint8_t>(pattern + i * 13);
 }
+
+/** Fill @p out with pat_byte(@p pattern, i) for every offset i. The
+ *  pattern repeats every 256 bytes, so one period is built and copied
+ *  (the runner's fill and the model's, byte for byte the same). */
+void fill_pattern(std::uint8_t pattern, std::span<std::uint8_t> out);
 
 /** Run-wide facts the allowed-outcome computation depends on. */
 struct OutcomeContext {

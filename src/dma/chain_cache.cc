@@ -33,21 +33,29 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
                  "wait on DmaDriver::capacity_wait()");
     ChainLease lease;
     lease.chunk_bytes = chunk_bytes;
-    lease.descs.reserve(count);
     std::uint32_t need = count;
 
     if (enabled_) {
         auto it = chains_.find(chunk_bytes);
         while (need > 0 && it != chains_.end() && !it->second.empty()) {
             std::vector<DescIndex> &chain = it->second.front();
-            if (chain.size() <= need) {
+            if (need == count && chain.size() == count) {
+                // Exact fit of the whole lease: the cached chain
+                // becomes the lease, storage and all.
+                lease.descs = std::move(chain);
+                lease.reused = count;
+                need = 0;
+                it->second.pop_front();
+            } else if (chain.size() <= need) {
                 need -= static_cast<std::uint32_t>(chain.size());
                 lease.reused += static_cast<std::uint32_t>(chain.size());
+                lease.descs.reserve(count);
                 lease.descs.insert(lease.descs.end(), chain.begin(),
                                    chain.end());
                 it->second.pop_front();
             } else {
                 // Split: take a prefix, keep the suffix cached.
+                lease.descs.reserve(count);
                 lease.descs.insert(lease.descs.end(), chain.begin(),
                                    chain.begin() + need);
                 chain.erase(chain.begin(), chain.begin() + need);
@@ -57,6 +65,7 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
         }
     }
 
+    lease.descs.reserve(count);
     while (need > 0) {
         if (free_.empty()) evict_one();
         lease.descs.push_back(free_.back());

@@ -136,15 +136,20 @@ DmaDriver::start(Prepared prepared, bool irq_mode, CompletionFn on_complete,
     const DescIndex head = prepared.lease.head();
     MEMIF_ASSERT(head != kNullLink, "starting an empty chain");
 
-    // Stash the lease; it returns to the cache on retirement or cancel.
-    const TransferId id = engine_.start_chain(
-        head, tc, irq_mode,
-        [this, cb = std::move(on_complete)](TransferId tid) {
-            retire(tid);
-            if (cb) cb(tid);
-        },
-        moderated, std::move(gate));
-    leases_.emplace(id, std::move(prepared.lease));
+    // Stash the lease; it returns to the cache on retirement (the
+    // engine's retire hook) or cancel.
+    const TransferId id =
+        engine_.start_chain(head, tc, irq_mode, std::move(on_complete),
+                            moderated, std::move(gate));
+    if (spare_leases_.empty()) {
+        leases_.emplace(id, std::move(prepared.lease));
+    } else {
+        auto node = std::move(spare_leases_.back());
+        spare_leases_.pop_back();
+        node.key() = id;
+        node.mapped() = std::move(prepared.lease);
+        leases_.insert(std::move(node));
+    }
     return id;
 }
 
@@ -153,8 +158,10 @@ DmaDriver::retire(TransferId id)
 {
     auto it = leases_.find(id);
     if (it == leases_.end()) return;  // already cancelled
-    cache_.release(std::move(it->second));
-    leases_.erase(it);
+    // The node (its lease moved out) is kept for the next start().
+    auto node = leases_.extract(it);
+    cache_.release(std::move(node.mapped()));
+    spare_leases_.push_back(std::move(node));
     capacity_wq_.notify_all();
 }
 

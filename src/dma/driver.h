@@ -79,7 +79,11 @@ class DmaDriver {
           cache_(engine.param_ram(), opts.reuse_chains),
           capacity_wq_(engine.eq())
     {
+        // A finished transfer's lease returns just before its
+        // on_complete runs.
+        engine_.set_retire_hook([this](TransferId id) { retire(id); });
     }
+    ~DmaDriver() { engine_.set_retire_hook(nullptr); }
     DmaDriver(const DmaDriver &) = delete;
     DmaDriver &operator=(const DmaDriver &) = delete;
 
@@ -228,6 +232,9 @@ class DmaDriver {
     ChainCache cache_;
     sim::WaitQueue capacity_wq_;
     std::unordered_map<TransferId, ChainLease> leases_;
+    /** Nodes of retired leases, reused by start(). */
+    std::vector<std::unordered_map<TransferId, ChainLease>::node_type>
+        spare_leases_;
     /** Outstanding reserve_descriptors() tickets, oldest first. */
     std::deque<std::shared_ptr<std::uint32_t>> capacity_fifo_;
 };

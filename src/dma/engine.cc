@@ -103,7 +103,16 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         flight.next_desc = head;
         ++stats_.gated_transfers;
     }
-    flights_.emplace(id, std::move(flight));
+    if (spare_flights_.empty()) {
+        flights_.emplace(id, std::move(flight));
+    } else {
+        // Reuse a purged record's node: no allocation per transfer.
+        auto node = std::move(spare_flights_.back());
+        spare_flights_.pop_back();
+        node.key() = id;
+        node.mapped() = std::move(flight);
+        flights_.insert(std::move(node));
+    }
     ++stats_.transfers_started;
     stats_.busy_time += duration;
 
@@ -140,7 +149,7 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
             return;
         }
         if (fl.raise_irq) ++stats_.interrupts_raised;
-        if (fl.on_complete) fl.on_complete(id);
+        deliver(id, fl);
     });
     return id;
 }
@@ -177,7 +186,7 @@ Edma3Engine::step_chain(TransferId id)
         ++stats_.transfers_failed;
         ++stats_.gate_faults;
         if (fl.raise_irq) ++stats_.interrupts_raised;
-        if (fl.on_complete) fl.on_complete(id);
+        deliver(id, fl);
         return;
     }
     if (v.stall > 0) {
@@ -224,6 +233,13 @@ Edma3Engine::finish_flight(TransferId id)
         return;
     }
     if (fl.raise_irq) ++stats_.interrupts_raised;
+    deliver(id, fl);
+}
+
+void
+Edma3Engine::deliver(TransferId id, Flight &fl)
+{
+    if (retire_hook_) retire_hook_(id);
     if (fl.on_complete) fl.on_complete(id);
 }
 
@@ -279,7 +295,7 @@ Edma3Engine::flush_moderated(unsigned tc)
             continue;  // discarded (watchdog or teardown) meanwhile
         it->second.delivery_pending = false;
         ++stats_.moderated_completions;
-        if (it->second.on_complete) it->second.on_complete(id);
+        deliver(id, it->second);
     }
 }
 
@@ -374,12 +390,23 @@ Edma3Engine::completion_time(TransferId id) const
 std::size_t
 Edma3Engine::purge_finished()
 {
-    return std::erase_if(flights_, [](const auto &kv) {
+    std::size_t purged = 0;
+    for (auto it = flights_.begin(); it != flights_.end();) {
+        const Flight &fl = it->second;
         // A moderated completion whose delivery is still held must keep
         // its record (and callback) alive until the batch flushes.
-        return (kv.second.completed && !kv.second.delivery_pending) ||
-               kv.second.cancelled;
-    });
+        if ((fl.completed && !fl.delivery_pending) || fl.cancelled) {
+            // Park the node (record reset, callbacks dropped now) for
+            // the next start_chain().
+            auto node = flights_.extract(it++);
+            node.mapped() = Flight{};
+            spare_flights_.push_back(std::move(node));
+            ++purged;
+        } else {
+            ++it;
+        }
+    }
+    return purged;
 }
 
 bool

@@ -35,6 +35,7 @@
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
 #include "sim/fault.h"
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace memif::dma {
@@ -175,6 +176,20 @@ class Edma3Engine {
                            CompletionFn on_complete, bool moderated = false,
                            XlateGate gate = nullptr);
 
+    /**
+     * Install @p hook (null to remove), called with a transfer's id
+     * wherever its on_complete runs, just before it, and also when
+     * on_complete is empty: the one driver on this engine retires its
+     * descriptor lease there.
+     */
+    void
+    set_retire_hook(CompletionFn hook)
+    {
+        MEMIF_ASSERT(!hook || !retire_hook_,
+                     "an engine serves one driver at a time");
+        retire_hook_ = std::move(hook);
+    }
+
     /** True if @p id terminated on an XlateGate fault (an SVA walk
      *  fault, reported as a TC-error completion). Purged ids report
      *  false. */
@@ -309,6 +324,8 @@ class Edma3Engine {
     /** Shared completion delivery for stepped transfers (lost-IRQ,
      *  moderation, and callback semantics match the monolithic path). */
     void finish_flight(TransferId id);
+    /** Run the retire hook, then @p fl's on_complete. */
+    void deliver(TransferId id, Flight &fl);
     /** Park @p id's completion in @p tc's moderation batch. */
     void hold_completion(TransferId id, unsigned tc);
     /** Deliver one coalesced IRQ retiring everything held on @p tc. */
@@ -321,6 +338,10 @@ class Edma3Engine {
     DescriptorRam ram_;
     std::vector<sim::SimTime> tc_busy_until_;
     std::unordered_map<TransferId, Flight> flights_;
+    /** Nodes of purged records, reused by start_chain(). */
+    std::vector<std::unordered_map<TransferId, Flight>::node_type>
+        spare_flights_;
+    CompletionFn retire_hook_;
     std::array<Moderation, kNumTcs> moderation_;
     std::uint32_t moderation_batch_;
     sim::Duration moderation_holdoff_;

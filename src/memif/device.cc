@@ -913,13 +913,25 @@ MemifDevice::accumulate_flush(FlushPlan &plan, vm::AddressSpace *as,
 }
 
 void
+MemifDevice::accumulate_run(FlushPlan &plan, vm::AddressSpace *as,
+                            vm::Vma *vma, std::uint64_t page_idx)
+{
+    for (FlushSpan &s : plan) {
+        if (s.vma == vma && s.hi + 1 == page_idx) {
+            s.hi = page_idx;
+            return;
+        }
+    }
+    plan.push_back(FlushSpan{as, vma, page_idx, page_idx});
+}
+
+void
 MemifDevice::issue_flush_plan(const FlushPlan &plan, sim::Duration &cost)
 {
     const sim::CostModel &cm = kernel_.costs();
     for (const FlushSpan &s : plan) {
         const std::uint64_t span_pages = s.hi - s.lo + 1;
-        s.as->flush_tlb_range(s.vma->page_vaddr(s.lo), span_pages,
-                              s.vma->page_size());
+        s.as->flush_tlb_range(*s.vma, s.lo, span_pages);
         cost += cm.tlb_flush_range_time(span_pages);
         ++stats_.ranged_tlb_flushes;
     }
@@ -1028,6 +1040,14 @@ MemifDevice::drain_magazines()
             kernel_.phys().free(head, key.second);
         mag.clear();
     }
+}
+
+std::weak_ptr<const void>
+MemifDevice::flight_handle(std::uint32_t idx) const
+{
+    for (const InFlightPtr &fl : in_flight_)
+        if (fl->req_idx == idx) return fl;
+    return {};
 }
 
 void
@@ -1350,7 +1370,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         co_return;
     }
 
-    auto fl = std::make_shared<InFlight>();
+    InFlightPtr fl = flight_pool_.make();
     rj->fl = fl;
     fl->req_idx = idx;
     fl->op = snap.op;
@@ -1387,10 +1407,11 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
     sim::Duration lookup_cost = 0;
     vm::PageTable &table = req_as.page_table();
     XlateCache *const xcache = xlate_for(snap.asid);
-    // Source translations snapshotted from a gang-cache hit; validated
-    // against the cache generation after the Prep charge below (any
-    // invalidation in between falls back to live PTE reads).
-    std::vector<vm::Pte> cached_src;
+    // Source translations snapshotted from a gang-cache hit (into
+    // fl->cached_src); validated against the cache generation after the
+    // Prep charge below (any invalidation in between falls back to live
+    // PTE reads).
+    std::vector<vm::Pte> &cached_src = fl->cached_src;
     std::uint64_t cached_src_gen = 0;
     // SVA-routed streams defer translation to consumption time (the
     // engine's per-descriptor gate): prep pays only the submission-side
@@ -1540,7 +1561,11 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
                     continue;
                 }
                 auto *as = static_cast<vm::AddressSpace *>(re.owner);
-                vm::Vma *mvma = as->find_vma(re.vaddr);
+                // The request's own mapping lies in src_vma; only other
+                // mappers need a lookup.
+                vm::Vma *mvma = as == &req_as && src_vma->contains(re.vaddr)
+                                    ? src_vma
+                                    : as->find_vma(re.vaddr);
                 MEMIF_ASSERT(mvma != nullptr, "stale rmap entry");
                 Mapping m;
                 m.as = as;
@@ -1581,7 +1606,8 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         // No access can interleave — the whole loop runs without a
         // suspension point and its time is charged afterwards, exactly
         // as the per-page variant's.
-        FlushPlan flush_spans;
+        FlushPlan &flush_spans = flush_scratch_;
+        flush_spans.clear();
         for (std::uint32_t i = 0; i < snap.num_pages; ++i) {
             for (const Mapping &m : fl->page_mappings(i)) {
                 const vm::Pte old_pte = vm::Pte::unpack(m.old_pte);
@@ -1601,8 +1627,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
                     remap_cost += cm.pte_update;
                     accumulate_flush(flush_spans, m.as, m.vma, m.page_idx);
                 } else {
-                    m.as->flush_tlb_page(m.vma->page_vaddr(m.page_idx),
-                                         m.vma->page_size());
+                    m.as->flush_tlb_page(*m.vma, m.page_idx);
                     remap_cost += cm.pte_update + cm.tlb_flush_page;
                 }
             }
@@ -1700,26 +1725,28 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
     }
 
     // ---- 3. DMA config + trigger -------------------------------------
-    if (snap.op == MovOp::kMigrate)
-        sg = lower_page_pairs(fl->old_pfns, fl->new_pfns, fl->order,
-                              /*merge=*/false);
     // Contiguous-run coalescing: the buddy allocator routinely hands
     // back adjacent frames, so physically contiguous old->new runs
     // collapse into one variable-size descriptor each. The list is
     // coalesced once, here — retries and the CPU fallback then replay
-    // the coalesced SG verbatim.
-    if (config_.sg_coalescing && !(strided && sva_stream)) {
-        // (A strided SVA stream keeps its list verbatim: slots were
-        // built 1:1 with the per-segment entries above, and the gate
-        // depends on that alignment.)
-        const std::size_t raw_entries = sg.size();
-        sg = coalesce_sg(sg);
-        stats_.descriptor_writes_saved += raw_entries - sg.size();
-    }
-    stats_.sg_entries_emitted += sg.size();
+    // the coalesced SG verbatim. (A strided SVA stream keeps its list
+    // verbatim: slots were built 1:1 with the per-segment entries
+    // above, and the gate depends on that alignment.)
+    const bool coalesce = config_.sg_coalescing && !(strided && sva_stream);
     // The SG list is kept on the in-flight record: retries and the CPU
-    // fallback replay it after a transfer failure.
-    fl->sg = std::move(sg);
+    // fallback replay it after a transfer failure. A migration lowers
+    // straight into it, merging as it goes.
+    std::size_t raw_entries = sg.size();
+    if (snap.op == MovOp::kMigrate) {
+        raw_entries = fl->old_pfns.size();
+        lower_page_pairs(fl->old_pfns, fl->new_pfns, fl->order, coalesce,
+                         fl->sg);
+    } else {
+        fl->sg = coalesce ? coalesce_sg(sg) : std::move(sg);
+    }
+    if (coalesce)
+        stats_.descriptor_writes_saved += raw_entries - fl->sg.size();
+    stats_.sg_entries_emitted += fl->sg.size();
     if (sva_stream && !strided) {
         // SVA routing: one virtual span per descriptor; the engine's
         // gate re-resolves each through the live page tables at
@@ -2106,7 +2133,8 @@ MemifDevice::retire_irq(InFlightPtr first, bool sweep)
 {
     const sim::CostModel &cm = kernel_.costs();
     sim::Cpu &cpu = kernel_.cpu();
-    std::vector<InFlightPtr> batch{first};
+    std::vector<InFlightPtr> batch = take_batch();
+    batch.push_back(first);
     // The sweep runs before the first suspension, so when a coalesced
     // IRQ fans out into several callbacks, the first takes every
     // completed sibling while it is still parked.
@@ -2138,6 +2166,23 @@ MemifDevice::retire_irq(InFlightPtr first, bool sweep)
     // ... and one wakeup charge.
     cpu.charge(ExecContext::kIrq, Op::kSched, cm.kthread_wakeup);
     wake_kthread();
+    give_batch(std::move(batch));
+}
+
+std::vector<MemifDevice::InFlightPtr>
+MemifDevice::take_batch()
+{
+    if (batch_pool_.empty()) return {};
+    std::vector<InFlightPtr> batch = std::move(batch_pool_.back());
+    batch_pool_.pop_back();
+    return batch;
+}
+
+void
+MemifDevice::give_batch(std::vector<InFlightPtr> batch)
+{
+    batch.clear();
+    batch_pool_.push_back(std::move(batch));
 }
 
 sim::Task
@@ -2171,6 +2216,7 @@ MemifDevice::release_batch(std::vector<InFlightPtr> batch, bool reaped)
                 !fl->aborted)
                 xlate_writethrough(fl, ExecContext::kKthread);
     }
+    give_batch(std::move(batch));
 }
 
 sim::Task
@@ -2236,8 +2282,7 @@ MemifDevice::rollback_remap(const InFlightPtr &fl, ExecContext ctx)
         for (const Mapping &m : fl->page_mappings(i)) {
             m.vma->pte_slot(m.page_idx)
                 .store(m.old_pte, std::memory_order_release);
-            m.as->flush_tlb_page(m.vma->page_vaddr(m.page_idx),
-                                 m.vma->page_size());
+            m.as->flush_tlb_page(*m.vma, m.page_idx);
             cost += cm.pte_update + cm.tlb_flush_page;
         }
         // Batch-return the never-used new frames (magazine when the
@@ -2268,6 +2313,10 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
     bool raced = false;
     if (fl->op == MovOp::kMigrate) {
         sim::Duration release_cost = 0;
+        // Semi-final pages whose cached translations must go, as exact
+        // runs: one invalidation per run after the loop.
+        FlushPlan &stale = flush_scratch_;
+        stale.clear();
         for (std::uint32_t i = 0; i < fl->plan.src.pages; ++i) {
             bool page_raced = false;
             for (const Mapping &m : fl->page_mappings(i)) {
@@ -2288,9 +2337,7 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
                                          m.page_idx);
                         release_cost += cm.pte_update;
                     } else {
-                        m.as->flush_tlb_page(
-                            m.vma->page_vaddr(m.page_idx),
-                            m.vma->page_size());
+                        m.as->flush_tlb_page(*m.vma, m.page_idx);
                         release_cost += cm.pte_update + cm.tlb_flush_page;
                     }
                 } else {
@@ -2323,9 +2370,10 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
                     // no invalidate hook fires — but a concurrent gang
                     // walk may have cached the semi-final translation
                     // (prefetch reaches into neighbouring requests'
-                    // pages). Drop any such entry; the write-through
-                    // below re-records the final one for our own range.
-                    invalidate_xlate(m.vma, m.page_idx, 1);
+                    // pages). Drop any such entry (below, per run); the
+                    // write-through re-records the final one for our
+                    // own range.
+                    accumulate_run(stale, m.as, m.vma, m.page_idx);
                 }
                 // The new frame inherits this reverse mapping.
                 pm.frame(fl->new_pfns[i])
@@ -2352,6 +2400,10 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
             // or parked in its magazine under the bulk-alloc lever.
             free_frames(fl->old_pfns[i], fl->order, release_cost);
         }
+        // Nothing above reads the caches, so dropping the entries here,
+        // before the charge below suspends, is the per-page drop batched.
+        for (const FlushSpan &run : stale)
+            invalidate_xlate(run.vma, run.lo, run.hi - run.lo + 1);
         // The doubled-frame window closed with the old frames freed.
         uncharge_frames(fl);
         co_await cpu.busy(ctx, Op::kRelease, release_cost);
@@ -2440,11 +2492,13 @@ MemifDevice::kthread_loop()
         // Moderated completions whose held IRQ has not fired yet are
         // reaped while the worker is running anyway.
         if (reaping && !in_flight_.empty()) {
-            std::vector<InFlightPtr> reaped;
+            std::vector<InFlightPtr> reaped = take_batch();
             claim_completed(reaped, /*moderated_only=*/true);
             // One flight-table peek per pass, however much it nets.
             cpu.charge(ExecContext::kKthread, Op::kQueue, cm.queue_op);
-            if (!reaped.empty()) {
+            if (reaped.empty()) {
+                give_batch(std::move(reaped));
+            } else {
                 stats_.reaped_completions += reaped.size();
                 co_await release_batch(std::move(reaped), /*reaped=*/true);
             }
@@ -2455,8 +2509,9 @@ MemifDevice::kthread_loop()
             if (config_.completion_drain) {
                 // Drain every deferred release in one pass, sharing a
                 // single batched ranged shootdown across requests.
-                co_await release_batch(std::exchange(pending_release_, {}),
-                                       /*reaped=*/false);
+                co_await release_batch(
+                    std::exchange(pending_release_, take_batch()),
+                    /*reaped=*/false);
                 continue;
             }
             InFlightPtr fl = pending_release_.front();

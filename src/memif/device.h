@@ -68,6 +68,7 @@
 #include "memif/xlate_cache.h"
 #include "os/kernel.h"
 #include "os/process.h"
+#include "sim/recycle_pool.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "vm/vma.h"
@@ -620,6 +621,11 @@ class MemifDevice {
         return completion_ctl_;
     }
 
+    /** A weak handle on request @p idx's in-flight record, expired when
+     *  it has none (test/diag introspection: a retired record must stay
+     *  dead after the pool hands its storage to a new request). */
+    std::weak_ptr<const void> flight_handle(std::uint32_t idx) const;
+
     /**
      * The MOV_ONE ioctl (§4.2): dequeue one request from the submission
      * queue and run the driver for it, returning as the DMA starts.
@@ -784,12 +790,38 @@ class MemifDevice {
          *  (drained at retire so no pending entry outlives the move). */
         std::vector<std::uint64_t> prefetch_tokens;
 
+        /** Prep: the source PTEs a gang-cache hit returned. */
+        std::vector<vm::Pte> cached_src;
+
         /** Every mapping of page @p i; the caller's own comes first. */
         std::span<const Mapping>
         page_mappings(std::uint32_t i) const
         {
             return std::span<const Mapping>(mappings).subspan(
                 mapping_begin[i], mapping_begin[i + 1] - mapping_begin[i]);
+        }
+
+        /** Back to a default-constructed record, keeping the vectors'
+         *  capacity (flight_pool_ parks retired records). */
+        void
+        recycle()
+        {
+            InFlight fresh;
+            const auto keep = [](auto &from, auto &to) {
+                to = std::move(from);
+                to.clear();
+            };
+            keep(old_pfns, fresh.old_pfns);
+            keep(new_pfns, fresh.new_pfns);
+            keep(mappings, fresh.mappings);
+            keep(mapping_begin, fresh.mapping_begin);
+            keep(cache_refs, fresh.cache_refs);
+            keep(sg, fresh.sg);
+            keep(slots, fresh.slots);
+            keep(prefetch_events, fresh.prefetch_events);
+            keep(prefetch_tokens, fresh.prefetch_tokens);
+            keep(cached_src, fresh.cached_src);
+            *this = std::move(fresh);
         }
     };
     using InFlightPtr = std::shared_ptr<InFlight>;
@@ -825,6 +857,10 @@ class MemifDevice {
      *  @p page_idx. */
     static void accumulate_flush(FlushPlan &plan, vm::AddressSpace *as,
                                  vm::Vma *vma, std::uint64_t page_idx);
+    /** Extend the span of @p plan that ends just below @p page_idx of
+     *  @p vma, or open one: every span stays an exact page run. */
+    static void accumulate_run(FlushPlan &plan, vm::AddressSpace *as,
+                               vm::Vma *vma, std::uint64_t page_idx);
     /** Issue one ranged invalidation per span; adds the flush time to
      *  @p cost and bumps the ranged-flush counter. */
     void issue_flush_plan(const FlushPlan &plan, sim::Duration &cost);
@@ -927,6 +963,10 @@ class MemifDevice {
     /** Release @p batch from the kernel thread under one shared ranged
      *  shootdown; @p reaped completions are traced and sampled first. */
     sim::Task release_batch(std::vector<InFlightPtr> batch, bool reaped);
+    /** An empty batch vector, with the capacity of a returned one. */
+    std::vector<InFlightPtr> take_batch();
+    /** Return @p batch's storage (its flights dropped) for reuse. */
+    void give_batch(std::vector<InFlightPtr> batch);
     /** CPU replay of @p sg, row geometry preserved (the degraded floor
      *  of the ladder); charged to @p ctx. */
     sim::Task fallback_copy(InFlightPtr fl,
@@ -1193,6 +1233,8 @@ class MemifDevice {
     /** The kernel thread holds a moderation mask while awake (NAPI). */
     bool kthread_masked_ = false;
     sim::Task kthread_task_;
+    /** Retired flights, parked with their vectors' capacity. */
+    sim::RecyclePool<InFlight> flight_pool_;
     std::vector<InFlightPtr> in_flight_;
     /** Every transfer started and not yet taken back (flights' and
      *  hops'); teardown cancels them so no engine callback or deadline
@@ -1200,6 +1242,12 @@ class MemifDevice {
     std::vector<Transfer *> transfers_;
     /** kPrevent: releases deferred from the interrupt handler. */
     std::vector<InFlightPtr> pending_release_;
+    /** Storage of finished completion batches (take_batch()). */
+    std::vector<std::vector<InFlightPtr>> batch_pool_;
+    /** Scratch span list of Remap's shootdown and Release's xlate
+     *  invalidation; each fills and drains it in one synchronous
+     *  stretch. */
+    FlushPlan flush_scratch_;
     /** Tenant registry (index == ASID). Entry 0 is the owning process,
      *  with or without the multi_tenant lever; only the lever adds
      *  more. */

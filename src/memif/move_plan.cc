@@ -116,8 +116,17 @@ std::vector<dma::SgEntry>
 lower_page_pairs(std::span<const mem::Pfn> from, std::span<const mem::Pfn> to,
                  unsigned order, bool merge)
 {
-    const std::uint64_t page_bytes = mem::kPageSize << order;
     std::vector<dma::SgEntry> out;
+    lower_page_pairs(from, to, order, merge, out);
+    return out;
+}
+
+void
+lower_page_pairs(std::span<const mem::Pfn> from, std::span<const mem::Pfn> to,
+                 unsigned order, bool merge, std::vector<dma::SgEntry> &out)
+{
+    const std::uint64_t page_bytes = mem::kPageSize << order;
+    out.clear();
     out.reserve(from.size());
     for (std::size_t i = 0; i < from.size(); ++i) {
         const dma::SgEntry e{from[i] << mem::kPageShift,
@@ -127,7 +136,6 @@ lower_page_pairs(std::span<const mem::Pfn> from, std::span<const mem::Pfn> to,
         else
             out.push_back(e);
     }
-    return out;
 }
 
 Lowering

@@ -99,6 +99,11 @@ std::vector<dma::SgEntry> coalesce_sg(const std::vector<dma::SgEntry> &sg);
 std::vector<dma::SgEntry> lower_page_pairs(std::span<const mem::Pfn> from,
                                            std::span<const mem::Pfn> to,
                                            unsigned order, bool merge);
+/** lower_page_pairs() into @p out, replacing its contents (its capacity
+ *  is reused). */
+void lower_page_pairs(std::span<const mem::Pfn> from,
+                      std::span<const mem::Pfn> to, unsigned order,
+                      bool merge, std::vector<dma::SgEntry> &out);
 
 /** One SVA-routed descriptor's virtual span: what the engine's
  *  translation gate re-resolves through the live page tables at

@@ -25,6 +25,9 @@ XlateCache::record(const vm::Vma *vma, std::uint64_t first, std::uint64_t n)
                                  return e.vma == vma && e.first_page == first;
                              });
     if (slot == entries_.end()) {
+        // Storage comes from the evicted entry, or else from one an
+        // invalidation dropped (entries plus spares never exceed the
+        // capacity, so a full cache has no spares).
         std::vector<vm::Pte> storage;
         if (entries_.size() >= max_entries_) {
             const auto lru = std::min_element(
@@ -32,6 +35,9 @@ XlateCache::record(const vm::Vma *vma, std::uint64_t first, std::uint64_t n)
                 [](const Entry &x, const Entry &y) { return x.tick < y.tick; });
             storage = std::move(lru->ptes);
             entries_.erase(lru);
+        } else if (!spare_.empty()) {
+            storage = std::move(spare_.back());
+            spare_.pop_back();
         }
         slot = entries_.insert(entries_.end(),
                                Entry{vma, first, std::move(storage)});
@@ -55,6 +61,9 @@ XlateCache::invalidate(const vm::Vma *vma, std::uint64_t first,
         const bool overlaps = e.vma == vma && first < e.first_page + e.num_pages() &&
                               e.first_page < first + n;
         if (overlaps) {
+            // Keep the PTE storage for the next record(); erase (not
+            // swap-remove) so entries_ order stays as it was.
+            spare_.push_back(std::move(entries_[i].ptes));
             entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
             ++dropped;
         } else {

@@ -71,9 +71,12 @@ class XlateCache {
 
     /**
      * Drop every entry overlapping pages [first, first+n) of @p vma
-     * and bump the generation. Pending prefetches overlapping the range
-     * are marked killed so their eventual fill_prefetch() is discarded
-     * (the walk they snapshot may predate the PTE change).
+     * and bump the generation once. Pending prefetches overlapping the
+     * range are marked killed so their eventual fill_prefetch() is
+     * discarded (the walk they snapshot may predate the PTE change).
+     * One run drops exactly the entries, and kills exactly the
+     * prefetches, that n single-page calls would; only the generation
+     * advances less.
      * @return the number of entries dropped.
      */
     std::uint64_t invalidate(const vm::Vma *vma, std::uint64_t first,
@@ -133,6 +136,9 @@ class XlateCache {
     std::uint64_t tick_ = 0;
     std::uint64_t next_token_ = 0;
     std::vector<Entry> entries_;
+    /** PTE storage of entries invalidate() dropped, reused by the next
+     *  record() (capacity kept, contents dead). */
+    std::vector<std::vector<vm::Pte>> spare_;
     std::vector<Pending> pending_;
 };
 

@@ -109,7 +109,7 @@ move_pages(Process &proc, std::vector<vm::VAddr> pages,
         vm::Pte migration_pte = old_pte;
         migration_pte.migration = true;
         slot.store(migration_pte.pack(), std::memory_order_release);
-        as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+        as.flush_tlb_page(*vma, idx);
         co_await cpu.busy(ExecContext::kSyscall, Op::kRemap,
                           cm.pte_update + cm.tlb_flush_page +
                               cm.cache_flush_time(pb));
@@ -121,7 +121,7 @@ move_pages(Process &proc, std::vector<vm::VAddr> pages,
         vm::Pte final_pte = old_pte;
         final_pte.pfn = new_pfn;
         slot.store(final_pte.pack(), std::memory_order_release);
-        as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+        as.flush_tlb_page(*vma, idx);
         pm.frame(new_pfn).add_rmap(&as, vma->page_vaddr(idx));
         pm.frame(old_pte.pfn).remove_rmap(&as, vma->page_vaddr(idx));
         pm.free(old_pte.pfn, order);

@@ -71,7 +71,7 @@ migrate_pages_sync(Process &proc, vm::VAddr start, std::uint64_t npages,
         vm::Pte migration_pte = old_pte;
         migration_pte.migration = true;
         slot.store(migration_pte.pack(), std::memory_order_release);
-        as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+        as.flush_tlb_page(*vma, idx);
         co_await cpu.busy(ExecContext::kSyscall, Op::kRemap,
                           cm.pte_update + cm.tlb_flush_page +
                               cm.cache_flush_time(pb));
@@ -86,7 +86,7 @@ migrate_pages_sync(Process &proc, vm::VAddr start, std::uint64_t npages,
         final_pte.pfn = new_pfn;
         final_pte.migration = false;
         slot.store(final_pte.pack(), std::memory_order_release);
-        as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+        as.flush_tlb_page(*vma, idx);
 
         pm.frame(new_pfn).add_rmap(&as, vma->page_vaddr(idx));
         pm.frame(old_pte.pfn).remove_rmap(&as, vma->page_vaddr(idx));
@@ -140,7 +140,7 @@ mbind_lazy(Process &proc, vm::VAddr start, std::uint64_t npages,
         marked.lazy = true;
         marked.lazy_target = static_cast<std::uint8_t>(dst_node);
         slot.store(marked.pack(), std::memory_order_release);
-        as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+        as.flush_tlb_page(*vma, idx);
         // Marking is cheap: one PTE write + TLB flush per page.
         co_await cpu.busy(ExecContext::kSyscall, Op::kRemap,
                           cm.pte_update + cm.tlb_flush_page);
@@ -195,7 +195,7 @@ migrate_lazy_fault(Process &proc, vm::VAddr va)
     final_pte.pfn = new_pfn;
     final_pte.lazy = false;
     slot.store(final_pte.pack(), std::memory_order_release);
-    as.flush_tlb_page(vma->page_vaddr(idx), vma->page_size());
+    as.flush_tlb_page(*vma, idx);
     pm.frame(new_pfn).add_rmap(&as, vma->page_vaddr(idx));
     pm.frame(pte.pfn).remove_rmap(&as, vma->page_vaddr(idx));
     pm.free(pte.pfn, order);

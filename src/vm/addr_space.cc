@@ -1,5 +1,6 @@
 #include "vm/addr_space.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/log.h"
@@ -59,9 +60,19 @@ AddressSpace::mmap_policy(std::uint64_t bytes, PageSize psize,
         ++stats_.mapped_pages;
     }
 
-    next_base_ = base + num_pages * pb;
+    return add_vma(std::move(vma));
+}
+
+VAddr
+AddressSpace::add_vma(std::unique_ptr<Vma> vma)
+{
+    MEMIF_ASSERT(vmas_.empty() || vmas_.back()->end() <= vma->base(),
+                 "Vma at 0x%llx below the last one: find_vma needs vmas_ "
+                 "sorted by base",
+                 static_cast<unsigned long long>(vma->base()));
+    next_base_ = vma->end();
     vmas_.push_back(std::move(vma));
-    return base;
+    return vmas_.back()->base();
 }
 
 void
@@ -79,12 +90,17 @@ AddressSpace::munmap(VAddr base)
 }
 
 void
-AddressSpace::notify_xlate_invalidate(VAddr va, std::uint64_t num_pages)
+AddressSpace::flush_run(const Vma &vma, std::uint64_t first,
+                        std::uint64_t num_pages, bool ranged)
 {
-    if (!xlate_invalidate_hook_) return;
-    const Vma *vma = find_vma(va);
-    if (!vma) return;
-    xlate_invalidate_hook_(vma, vma->page_index(va), num_pages);
+    MEMIF_ASSERT(vma.owner() == this, "TLB flush of a foreign Vma");
+    for (std::uint64_t i = 0; i < num_pages; ++i)
+        tlb_.flush_page(vma.page_vaddr(first + i), vma.page_size());
+    if (ranged)
+        ++stats_.tlb_range_flushes;
+    else
+        ++stats_.tlb_page_flushes;
+    if (xlate_invalidate_hook_) xlate_invalidate_hook_(&vma, first, num_pages);
 }
 
 void
@@ -128,9 +144,7 @@ AddressSpace::mmap_file(FileBacking &backing,
                                std::memory_order_release);
         ++stats_.mapped_pages;
     }
-    next_base_ = base + num_pages * pb;
-    vmas_.push_back(std::move(vma));
-    return base;
+    return add_vma(std::move(vma));
 }
 
 VAddr
@@ -150,25 +164,27 @@ AddressSpace::mmap_shared(const Vma &source)
                                std::memory_order_release);
         ++stats_.mapped_pages;
     }
-    next_base_ = base + source.num_pages() * pb;
-    vmas_.push_back(std::move(vma));
-    return base;
+    return add_vma(std::move(vma));
 }
 
 Vma *
 AddressSpace::find_vma(VAddr va)
 {
-    for (auto &vma : vmas_)
-        if (vma->contains(va)) return vma.get();
-    return nullptr;
+    // The last Vma based at or below va is the only candidate.
+    const auto above = std::upper_bound(
+        vmas_.begin(), vmas_.end(), va,
+        [](VAddr v, const std::unique_ptr<Vma> &vma) {
+            return v < vma->base();
+        });
+    if (above == vmas_.begin()) return nullptr;
+    Vma *vma = std::prev(above)->get();
+    return vma->contains(va) ? vma : nullptr;
 }
 
 const Vma *
 AddressSpace::find_vma(VAddr va) const
 {
-    for (const auto &vma : vmas_)
-        if (vma->contains(va)) return vma.get();
-    return nullptr;
+    return const_cast<AddressSpace *>(this)->find_vma(va);
 }
 
 std::byte *
@@ -278,7 +294,7 @@ AddressSpace::heat_sample(Vma &vma, std::uint64_t page_idx)
         s.rearmed = true;
         ++stats_.heat_rearms;
         // The rewritten PTE invalidates any cached translation of it.
-        flush_tlb_page(vma.page_vaddr(page_idx), vma.page_size());
+        flush_tlb_page(vma, page_idx);
         return s;
     }
 }

@@ -117,7 +117,8 @@ class AddressSpace {
     /** Unmap the Vma starting exactly at @p base. */
     void munmap(VAddr base);
 
-    /** The Vma containing @p va, or nullptr. */
+    /** The Vma containing @p va, or nullptr. A binary search: vmas_ is
+     *  sorted by base, since every new Vma lands above the last. */
     Vma *find_vma(VAddr va);
     const Vma *find_vma(VAddr va) const;
 
@@ -162,31 +163,28 @@ class AddressSpace {
     const Tlb &tlb() const { return tlb_; }
 
     /**
-     * Invalidate one page's TLB entry after a PTE rewrite (the time
-     * cost is charged by the caller from the CostModel).
+     * Invalidate page @p page_idx of @p vma (a Vma of this address
+     * space) after a PTE rewrite (the time cost is charged by the
+     * caller from the CostModel). Every caller already holds the Vma,
+     * so the xlate hook gets it directly: no address lookup.
      */
     void
-    flush_tlb_page(VAddr va, PageSize psize)
+    flush_tlb_page(const Vma &vma, std::uint64_t page_idx)
     {
-        tlb_.flush_page(va, psize);
-        ++stats_.tlb_page_flushes;
-        notify_xlate_invalidate(va, 1);
+        flush_run(vma, page_idx, 1, /*ranged=*/false);
     }
 
     /**
-     * Invalidate a contiguous run of @p num_pages pages starting at
-     * @p va with one ranged operation (TLBI-range style): every
-     * covered entry is dropped, but the broadcast/barrier is issued —
-     * and charged, via CostModel::tlb_flush_range_time — only once.
+     * Invalidate pages [@p first, @p first + @p num_pages) of @p vma
+     * with one ranged operation (TLBI-range style): every covered entry
+     * is dropped, but the broadcast/barrier is issued — and charged,
+     * via CostModel::tlb_flush_range_time — only once.
      */
     void
-    flush_tlb_range(VAddr va, std::uint64_t num_pages, PageSize psize)
+    flush_tlb_range(const Vma &vma, std::uint64_t first,
+                    std::uint64_t num_pages)
     {
-        const std::uint64_t pb = page_bytes(psize);
-        for (std::uint64_t i = 0; i < num_pages; ++i)
-            tlb_.flush_page(va + i * pb, psize);
-        ++stats_.tlb_range_flushes;
-        notify_xlate_invalidate(va, num_pages);
+        flush_run(vma, first, num_pages, /*ranged=*/true);
     }
 
     /**
@@ -223,12 +221,18 @@ class AddressSpace {
 
   private:
     void release_vma(Vma &vma);
-    /** Route a VA run to the xlate hook (resolves the containing Vma). */
-    void notify_xlate_invalidate(VAddr va, std::uint64_t num_pages);
+    /** Append @p vma (above every existing one) and move next_base_
+     *  past it. */
+    VAddr add_vma(std::unique_ptr<Vma> vma);
+    /** Drop the run's TLB entries, count one page (or one ranged)
+     *  flush, and report the run to the xlate hook. */
+    void flush_run(const Vma &vma, std::uint64_t first,
+                   std::uint64_t num_pages, bool ranged);
 
     mem::PhysicalMemory &pm_;
     PageTable table_;
     Tlb tlb_;
+    /** Sorted by base (next_base_ only grows; add_vma() asserts it). */
     std::vector<std::unique_ptr<Vma>> vmas_;
     VAddr next_base_ = 0x0000'1000'0000ull;
     VmStats stats_;

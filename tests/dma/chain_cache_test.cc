@@ -57,6 +57,42 @@ TEST(ChainCache, PartialReuseSplitsChain)
     EXPECT_EQ(c.reused, 24u);
 }
 
+TEST(ChainCache, ExactFitReuseMatchesTheCopy)
+{
+    // Three same-size chains cached in order: 8, 8, 4 descriptors.
+    DescriptorRam ram;
+    ChainCache cache(ram);
+    ChainLease a = cache.acquire(8, 4096);
+    ChainLease b = cache.acquire(8, 4096);
+    ChainLease c = cache.acquire(4, 4096);
+    const std::vector<DescIndex> da = a.descs, db = b.descs, dc = c.descs;
+    cache.release(std::move(a));
+    cache.release(std::move(b));
+    cache.release(std::move(c));
+    const std::uint64_t fixups = cache.stats().link_fixups;
+
+    // An exact fit hands over the oldest chain as is: its links are
+    // already right, so no fix-up.
+    const ChainLease x = cache.acquire(8, 4096);
+    EXPECT_EQ(x.descs, da);
+    EXPECT_EQ(x.reused, 8u);
+    EXPECT_EQ(cache.stats().link_fixups, fixups);
+
+    // A lease spanning two chains copies both, in order, and splices
+    // the junction once.
+    const ChainLease y = cache.acquire(12, 4096);
+    std::vector<DescIndex> joined = db;
+    joined.insert(joined.end(), dc.begin(), dc.end());
+    EXPECT_EQ(y.descs, joined);
+    EXPECT_EQ(y.reused, 12u);
+    EXPECT_EQ(cache.stats().link_fixups, fixups + 1);
+
+    // Nothing is left cached: the next lease is all fresh.
+    const ChainLease z = cache.acquire(8, 4096);
+    EXPECT_EQ(z.reused, 0u);
+    EXPECT_EQ(cache.stats().descs_reused, 20u);
+}
+
 TEST(ChainCache, GrowingLeaseMixesReusedAndFresh)
 {
     DescriptorRam ram;

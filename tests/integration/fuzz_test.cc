@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "check/reference_model.h"
 #include "dma/engine.h"
 #include "memif/device.h"
 #include "memif/user_api.h"
@@ -229,17 +230,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,
 // the same seed.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint8_t pat_byte(std::uint8_t pattern, std::uint64_t i)
-{
-    return static_cast<std::uint8_t>(pattern + i * 13);
-}
+using check::pat_byte;
 
 void
 fill_pattern(os::Process &p, vm::VAddr base, std::uint64_t bytes,
              std::uint8_t pattern)
 {
     std::vector<std::uint8_t> buf(bytes);
-    for (std::uint64_t i = 0; i < bytes; ++i) buf[i] = pat_byte(pattern, i);
+    check::fill_pattern(pattern, buf);
     ASSERT_TRUE(p.as().write(base, buf.data(), bytes));
 }
 

@@ -222,9 +222,10 @@ TEST(MmuAware, ShootdownStormNeverCorruptsTheStream)
     // and consumption (prefetched entries wasted, demand re-walks).
     const std::uint32_t idx = f.replicate(src, pages, dst);
     auto storm = [&]() -> sim::Task {
+        const vm::Vma &vma = *f.proc.as().find_vma(src);
         for (std::uint32_t i = 0; i < 128; ++i) {
-            f.proc.as().flush_tlb_page(src + (i % pages) * 4096,
-                                       vm::PageSize::k4K);
+            f.proc.as().flush_tlb_page(vma,
+                                       vma.page_index(src) + i % pages);
             co_await sim::Delay{f.kernel.eq(), 400};
         }
     };

@@ -119,6 +119,48 @@ struct Fixture {
 };
 
 // --------------------------------------------------------------------
+// In-flight records come from a pool.
+// --------------------------------------------------------------------
+
+TEST(FlightPool, RetiredFlightStaysDeadWhenItsStorageIsReused)
+{
+    Fixture f{Fixture::cached()};
+    const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
+    // Step the machine until request idx has its in-flight record.
+    const auto in_flight = [&f](std::uint32_t idx) {
+        while (f.user.request(idx).load_status() != MovStatus::kInFlight)
+            if (!f.kernel.eq().step()) break;
+        return f.dev.flight_handle(idx);
+    };
+
+    const std::uint32_t a =
+        f.submit_migration(base, kPages, f.kernel.fast_node());
+    const std::weak_ptr<const void> first = in_flight(a);
+    const void *storage = first.lock().get();
+    ASSERT_NE(storage, nullptr);
+    f.kernel.run();
+    ASSERT_EQ(f.user.request(a).load_status(), MovStatus::kDone);
+    f.user.free_request(a);
+    // The record retires when its finished supervisor is reaped, at the
+    // next spawn: during the next request, after that one's record was
+    // made. So it is the request after next that reuses the storage.
+    ASSERT_EQ(f.migrate(base, kPages, f.kernel.slow_node()),
+              MovStatus::kDone);
+    EXPECT_TRUE(first.expired());
+
+    const std::uint32_t c =
+        f.submit_migration(base, kPages, f.kernel.fast_node());
+    const std::weak_ptr<const void> third = in_flight(c);
+    // The new request runs in the retired record's storage, and the
+    // handle taken before retirement still cannot reach it.
+    EXPECT_EQ(third.lock().get(), storage);
+    EXPECT_EQ(first.lock(), nullptr);
+    f.kernel.run();
+    EXPECT_EQ(f.user.request(c).load_status(), MovStatus::kDone);
+    f.user.free_request(c);
+}
+
+// --------------------------------------------------------------------
 // Levers-off defaults.
 // --------------------------------------------------------------------
 

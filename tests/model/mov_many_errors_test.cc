@@ -72,8 +72,7 @@ struct BatchRun {
         base = proc.mmap(kPages * kPb, vm::PageSize::k4K);
         EXPECT_NE(base, 0u);
         std::vector<std::uint8_t> buf(kPages * kPb);
-        for (std::uint64_t i = 0; i < buf.size(); ++i)
-            buf[i] = pat_byte(kPattern, i);
+        fill_pattern(kPattern, buf);
         EXPECT_TRUE(proc.as().write(base, buf.data(), buf.size()));
         core::RegisterDeviceFile("/dev/memif0", dev);
         baseline = kernel.phys().outstanding_pages();

@@ -20,6 +20,21 @@ using core::MovOp;
 using core::MovStatus;
 using core::RacePolicy;
 
+TEST(ReferenceModel, FillPatternIsPatByteAtEveryOffset)
+{
+    // The fill copies one 256-byte period; every byte must still be
+    // pat_byte, so no digest moves.
+    for (const std::uint8_t pattern : {0, 1, 13, 200, 255}) {
+        for (const std::size_t bytes : {0, 1, 255, 256, 257, 4096, 5000}) {
+            std::vector<std::uint8_t> buf(bytes, 0xAA);
+            fill_pattern(pattern, buf);
+            for (std::size_t i = 0; i < bytes; ++i)
+                ASSERT_EQ(buf[i], pat_byte(pattern, i))
+                    << "pattern " << int{pattern} << " offset " << i;
+        }
+    }
+}
+
 TEST(WorkloadGenerator, IsDeterministic)
 {
     for (std::uint64_t seed : {1ull, 7ull, 42ull, 0xDEADBEEFull}) {

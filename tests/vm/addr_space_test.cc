@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "mem/phys.h"
+#include "sim/random.h"
+#include "vm/file_backing.h"
 #include "vm/pte.h"
 #include "vm/vma.h"
 
@@ -185,6 +188,119 @@ TEST(AddressSpace, DestructorReleasesEverything)
         as.mmap(1 << 20, PageSize::k64K, f.slow);
     }
     EXPECT_EQ(f.pm.node(f.slow).free_frames(), before);
+}
+
+/** A page cache of frames allocated up front; its rmap entries keep the
+ *  frames alive across munmap, as a real file's cache would. */
+class StubFile : public FileBacking {
+  public:
+    StubFile(mem::PhysicalMemory &pm, mem::NodeId node, std::uint64_t pages)
+    {
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            pfns_.push_back(pm.allocate(node, 0));
+            pm.frame(pfns_.back())
+                .add_rmap(this, i, mem::RmapKind::kPageCache);
+        }
+    }
+    void
+    relocate(std::uint64_t page, mem::Pfn pfn) override
+    {
+        pfns_[page] = pfn;
+    }
+    mem::Pfn
+    cached_pfn(std::uint64_t page) const override
+    {
+        return pfns_[page];
+    }
+
+  private:
+    std::vector<mem::Pfn> pfns_;
+};
+
+TEST(AddressSpace, FindVmaMatchesALinearScanOverMixedMappings)
+{
+    Fixture f;
+    StubFile file(f.pm, f.slow, 16);
+    AddressSpace as(f.pm);
+    struct Span {
+        VAddr base, end;
+        bool large = false;
+    };
+    std::vector<Span> live;  // the oracle, in mapping order
+    const auto oracle = [&live](VAddr va) -> const Span * {
+        for (const Span &s : live)
+            if (va >= s.base && va < s.end) return &s;
+        return nullptr;
+    };
+    const auto check_probes = [&] {
+        std::vector<VAddr> probes = {0, 1};
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            const Span &s = live[i];
+            // Each base, each last byte, one past each end, one below
+            // each base — and the middle of the gap to the next span
+            // (alignment gaps and munmap holes).
+            probes.insert(probes.end(),
+                          {s.base, s.end - 1, s.end, s.base - 1});
+            if (i + 1 < live.size())
+                probes.push_back(s.end + (live[i + 1].base - s.end) / 2);
+        }
+        if (!live.empty()) probes.push_back(live.back().end + (64ull << 20));
+        for (const VAddr va : probes) {
+            const Span *want = oracle(va);
+            const Vma *got = as.find_vma(va);
+            const Vma *got_const = std::as_const(as).find_vma(va);
+            ASSERT_EQ(got, got_const);
+            if (!want) {
+                ASSERT_EQ(got, nullptr) << "va 0x" << std::hex << va;
+                continue;
+            }
+            ASSERT_NE(got, nullptr) << "va 0x" << std::hex << va;
+            ASSERT_EQ(got->base(), want->base);
+            ASSERT_EQ(got->end(), want->end);
+        }
+    };
+
+    sim::Rng rng(11);
+    int large_pages = 0;  // live 2 MB mappings
+    constexpr PageSize kSizes[] = {PageSize::k4K, PageSize::k64K,
+                                   PageSize::k2M};
+    for (int step = 0; step < 120; ++step) {
+        const std::uint64_t pick = rng.next_below(10);
+        if (pick < 4 || live.empty()) {
+            PageSize ps = kSizes[rng.next_below(3)];
+            // Keep the large pages within the node's 32 MB.
+            if (ps == PageSize::k2M && large_pages == 6) ps = PageSize::k4K;
+            large_pages += ps == PageSize::k2M;
+            const std::uint64_t pb = page_bytes(ps);
+            const std::uint64_t pages =
+                1 + rng.next_below(ps == PageSize::k2M ? 1 : 6);
+            // A partial last page still maps a whole one.
+            const std::uint64_t bytes = pages * pb - rng.next_below(pb);
+            const VAddr base = as.mmap(bytes, ps, f.slow);
+            ASSERT_NE(base, 0u);
+            live.push_back({base, base + pages * pb, ps == PageSize::k2M});
+        } else if (pick < 6) {
+            const std::uint64_t first = rng.next_below(8);
+            const std::uint64_t pages = 1 + rng.next_below(8);
+            const VAddr base = as.mmap_file(file, first, pages);
+            ASSERT_NE(base, 0u);
+            live.push_back({base, base + pages * 4096, false});
+        } else if (pick < 7) {
+            const Span src = live[rng.next_below(live.size())];
+            const Vma *vma = as.find_vma(src.base);
+            const VAddr base = as.mmap_shared(*vma);
+            ASSERT_NE(base, 0u);
+            live.push_back({base, base + (src.end - src.base), src.large});
+            large_pages += src.large;
+        } else {
+            const std::size_t victim = rng.next_below(live.size());
+            as.munmap(live[victim].base);
+            large_pages -= live[victim].large;
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        }
+        check_probes();
+    }
+    EXPECT_EQ(as.vma_count(), live.size());
 }
 
 TEST(Vma, GeometryHelpers)

@@ -86,7 +86,7 @@ TEST(TlbIntegration, TouchFillsAndRefillsAfterFlush)
     k.run();
     EXPECT_TRUE(p.as().tlb().contains(base, PageSize::k4K));
 
-    p.as().flush_tlb_page(base, PageSize::k4K);
+    p.as().flush_tlb_page(*p.as().find_vma(base), 0);
     EXPECT_FALSE(p.as().tlb().contains(base, PageSize::k4K));
     auto t2 = p.touch(base, false, &out);
     k.run();
