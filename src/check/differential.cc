@@ -47,26 +47,30 @@ seed_pair(const Workload &w, const RunOptions &opt)
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+/** One FNV-1a step over a whole 64-bit word. */
 void
-fnv(std::uint64_t &h, const void *data, std::size_t n)
+fold_word(std::uint64_t &h, std::uint64_t w)
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnv_u64(std::uint64_t &h, std::uint64_t v)
-{
-    fnv(h, &v, sizeof(v));
+    h = (h ^ w) * kFnvPrime;
 }
 
 }  // namespace
+
+std::uint64_t
+digest_bytes(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::size_t i = 0;
+    for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, sizeof(w));
+        fold_word(h, w);
+    }
+    for (; i < n; ++i) fold_word(h, p[i]);
+    return h;
+}
 
 RunResult
 run_workload(const Workload &w, const RunOptions &opt)
@@ -416,23 +420,23 @@ run_workload(const Workload &w, const RunOptions &opt)
     res.stats = dev.stats();
 
     // Digests (computed even for failed runs; useful in diagnostics).
-    std::uint64_t mem_h = kFnvOffset;
+    std::uint64_t mem_h = kDigestSeed;
     {
         std::vector<std::uint8_t> buf;
         for (std::uint32_t r = 0; r < w.regions.size(); ++r) {
             buf.resize(w.regions[r].pages * pbs[r]);
             if (proc_for_region(r).as().read(bases[r], buf.data(),
                                              buf.size()))
-                fnv(mem_h, buf.data(), buf.size());
+                mem_h = digest_bytes(mem_h, buf.data(), buf.size());
         }
     }
     res.mem_digest = mem_h;
     std::uint64_t full_h = mem_h;
-    fnv_u64(full_h, res.end_time);
-    fnv_u64(full_h, res.submitted);
+    fold_word(full_h, res.end_time);
+    fold_word(full_h, res.submitted);
     for (const Outcome &o : outcomes) {
-        fnv_u64(full_h, static_cast<std::uint64_t>(o.st));
-        fnv_u64(full_h, static_cast<std::uint64_t>(o.err));
+        fold_word(full_h, static_cast<std::uint64_t>(o.st));
+        fold_word(full_h, static_cast<std::uint64_t>(o.err));
     }
     res.full_digest = full_h;
     return res;

@@ -72,15 +72,26 @@ struct RunResult {
     std::uint64_t rejected = 0;
     /** Virtual end time of the run. */
     std::uint64_t end_time = 0;
-    /** FNV-1a over final region bytes only: must be identical across
-     *  presets and schedules for the same workload. */
+    /** digest_bytes() over final region bytes only: must be identical
+     *  across presets and schedules for the same workload. */
     std::uint64_t mem_digest = 0;
-    /** FNV-1a over bytes + per-request outcomes + end time: must be
+    /** digest_bytes() over bytes + per-request outcomes + end time
+     *  (each folded as one 64-bit word): must be
      *  identical across replays of the same (workload, schedule,
      *  preset) triple. */
     std::uint64_t full_digest = 0;
     core::DeviceStats stats{};
 };
+
+/** The digests' starting value (the FNV-1a 64-bit offset basis). */
+inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
+
+/**
+ * Fold @p n bytes into digest @p h: FNV-1a over 64-bit host-order
+ * words, then one step per byte of the tail. Each step is a bijection
+ * of the state, so changing any single byte changes the result.
+ */
+std::uint64_t digest_bytes(std::uint64_t h, const void *data, std::size_t n);
 
 /** Replay @p w through a fresh simulated machine under @p opt. */
 RunResult run_workload(const Workload &w, const RunOptions &opt);

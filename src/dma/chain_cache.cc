@@ -46,16 +46,20 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
                 lease.reused = count;
                 need = 0;
                 it->second.pop_front();
-            } else if (chain.size() <= need) {
+                break;
+            }
+            if (lease.descs.empty()) lease.descs = take_storage(count);
+            if (chain.size() <= need) {
+                // Join: the whole chain goes into the lease, and its
+                // storage is parked for a later lease.
                 need -= static_cast<std::uint32_t>(chain.size());
                 lease.reused += static_cast<std::uint32_t>(chain.size());
-                lease.descs.reserve(count);
                 lease.descs.insert(lease.descs.end(), chain.begin(),
                                    chain.end());
+                park_storage(std::move(chain));
                 it->second.pop_front();
             } else {
                 // Split: take a prefix, keep the suffix cached.
-                lease.descs.reserve(count);
                 lease.descs.insert(lease.descs.end(), chain.begin(),
                                    chain.begin() + need);
                 chain.erase(chain.begin(), chain.begin() + need);
@@ -65,7 +69,7 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
         }
     }
 
-    lease.descs.reserve(count);
+    if (lease.descs.empty()) lease.descs = take_storage(count);
     while (need > 0) {
         if (free_.empty()) evict_one();
         lease.descs.push_back(free_.back());
@@ -121,6 +125,7 @@ ChainCache::acquire_shape(std::vector<std::uint64_t> chunk_sizes)
             lease.reused = count;
         }
     }
+    if (lease.descs.empty()) lease.descs = take_storage(count);
     while (lease.descs.size() < count) {
         if (free_.empty()) evict_one();
         lease.descs.push_back(free_.back());
@@ -141,6 +146,25 @@ ChainCache::acquire_shape(std::vector<std::uint64_t> chunk_sizes)
     return lease;
 }
 
+std::vector<DescIndex>
+ChainCache::take_storage(std::uint32_t count)
+{
+    std::vector<DescIndex> v;
+    if (!spare_.empty()) {
+        v = std::move(spare_.back());
+        spare_.pop_back();
+    }
+    v.reserve(count);
+    return v;
+}
+
+void
+ChainCache::park_storage(std::vector<DescIndex> v)
+{
+    v.clear();
+    spare_.push_back(std::move(v));
+}
+
 void
 ChainCache::evict_one()
 {
@@ -148,6 +172,7 @@ ChainCache::evict_one()
         if (deq.empty()) continue;
         std::vector<DescIndex> &victim = deq.front();
         free_.insert(free_.end(), victim.begin(), victim.end());
+        park_storage(std::move(victim));
         deq.pop_front();
         ++stats_.evictions;
         return;
@@ -156,6 +181,7 @@ ChainCache::evict_one()
         if (deq.empty()) continue;
         std::vector<DescIndex> &victim = deq.front();
         free_.insert(free_.end(), victim.begin(), victim.end());
+        park_storage(std::move(victim));
         deq.pop_front();
         ++stats_.evictions;
         return;
@@ -171,6 +197,7 @@ ChainCache::release(ChainLease lease)
     outstanding_ -= lease.size();
     if (!enabled_) {
         free_.insert(free_.end(), lease.descs.begin(), lease.descs.end());
+        park_storage(std::move(lease.descs));
         return;
     }
     if (!lease.chunk_sizes.empty()) {

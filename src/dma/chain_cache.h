@@ -100,6 +100,13 @@ class ChainCache {
     /** Free the oldest cached chain (panics when nothing is cached). */
     void evict_one();
 
+    /** Empty storage for a lease of @p count descriptors: a parked
+     *  vector when there is one, so a split or joined lease allocates
+     *  nothing once the cache has warmed up. */
+    std::vector<DescIndex> take_storage(std::uint32_t count);
+    /** Park a consumed chain's storage for take_storage(). */
+    void park_storage(std::vector<DescIndex> v);
+
     DescriptorRam &ram_;
     bool enabled_;
     /** PaRAM entries in no cached chain. */
@@ -109,6 +116,8 @@ class ChainCache {
     /** Cached non-uniform chains keyed by their exact run shape. */
     std::map<std::vector<std::uint64_t>, std::deque<std::vector<DescIndex>>>
         shaped_;
+    /** Emptied chain vectors, kept for their capacity. */
+    std::vector<std::vector<DescIndex>> spare_;
     /** Driver-side knowledge of each entry's link (no I/O reads needed). */
     std::vector<DescIndex> shadow_links_;
     /** Descriptors in currently leased (not yet released) chains. */

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "mem/copier.h"
 #include "sim/log.h"
 
 namespace memif::dma {
@@ -327,16 +328,30 @@ Edma3Engine::discard_moderated(TransferId id)
 void
 Edma3Engine::execute_one(const TransferDescriptor &d)
 {
-    // Walk the 3D geometry; the common cases collapse to one memcpy.
+    // A packed frame (BIDX == ACNT on both sides: each array starts
+    // where the previous one ended) is one span, and it lands through
+    // one mem::copy_bytes, which splits a large span over the host's
+    // spare cores. A packed frame that straddles a node boundary on
+    // either side, and every other geometry, walks its arrays.
+    const bool packed = d.b_cnt > 1 && d.src_bidx == d.a_cnt &&
+                        d.dst_bidx == d.a_cnt;
+    const std::uint64_t frame_bytes = std::uint64_t{d.a_cnt} * d.b_cnt;
     for (std::uint32_t frame = 0; frame < (d.c_cnt ? d.c_cnt : 1);
          ++frame) {
+        const std::uint64_t src0 = d.src + frame * std::int64_t{d.src_cidx};
+        const std::uint64_t dst0 = d.dst + frame * std::int64_t{d.dst_cidx};
+        if (packed) {
+            std::byte *s = pm_.try_span_at(src0, frame_bytes);
+            std::byte *t = pm_.try_span_at(dst0, frame_bytes);
+            if (s != nullptr && t != nullptr) {
+                mem::copy_bytes(t, s, frame_bytes);
+                stats_.bytes_copied += frame_bytes;
+                continue;
+            }
+        }
         for (std::uint32_t arr = 0; arr < d.b_cnt; ++arr) {
-            const std::uint64_t src = d.src +
-                                      frame * std::int64_t{d.src_cidx} +
-                                      arr * std::int64_t{d.src_bidx};
-            const std::uint64_t dst = d.dst +
-                                      frame * std::int64_t{d.dst_cidx} +
-                                      arr * std::int64_t{d.dst_bidx};
+            const std::uint64_t src = src0 + arr * std::int64_t{d.src_bidx};
+            const std::uint64_t dst = dst0 + arr * std::int64_t{d.dst_bidx};
             std::byte *s = pm_.span(src >> mem::kPageShift,
                                     (src & (mem::kPageSize - 1)) + d.a_cnt) +
                            (src & (mem::kPageSize - 1));

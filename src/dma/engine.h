@@ -316,7 +316,8 @@ class Edma3Engine {
     };
 
     void execute_copies(DescIndex head);
-    /** Copy one descriptor's bytes (possibly gate-rewritten). */
+    /** Copy one descriptor's bytes (possibly gate-rewritten); a packed
+     *  frame inside one node on each side lands as one span. */
     void execute_one(const TransferDescriptor &d);
     /** Stepped consumption (gated transfers): gate + stream the next
      *  descriptor, or finish the flight when the chain is exhausted. */

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "mem/copier.h"
 #include "sim/log.h"
 
 namespace memif::mem {
@@ -161,20 +162,29 @@ PhysicalMemory::frame(Pfn pfn)
 std::byte *
 PhysicalMemory::span(Pfn pfn, std::uint64_t bytes)
 {
-    const NodeId id = node_of(pfn);
-    MEMIF_ASSERT(id != kInvalidNode, "pfn out of range");
+    std::byte *p = try_span_at(pfn << kPageShift, bytes);
+    MEMIF_ASSERT(p != nullptr,
+                 "span of %llu bytes at pfn %llu leaves its node",
+                 (unsigned long long)bytes, (unsigned long long)pfn);
+    return p;
+}
+
+std::byte *
+PhysicalMemory::try_span_at(std::uint64_t addr, std::uint64_t bytes)
+{
+    const NodeId id = node_of(addr >> kPageShift);
+    if (id == kInvalidNode) return nullptr;
     MemoryNode &n = node(id);
-    const std::uint64_t last_frame = pfn + ((bytes + kPageSize - 1) >> kPageShift) - 1;
-    MEMIF_ASSERT(bytes == 0 || n.contains(last_frame),
-                 "span crosses node boundary");
-    return n.frame_data(pfn);
+    if (bytes > 0 && !n.contains((addr + bytes - 1) >> kPageShift))
+        return nullptr;
+    return n.frame_data(addr >> kPageShift) + (addr & (kPageSize - 1));
 }
 
 void
 PhysicalMemory::copy(Pfn dst, Pfn src, std::uint64_t bytes)
 {
     if (bytes == 0) return;
-    std::memcpy(span(dst, bytes), span(src, bytes), bytes);
+    copy_bytes(span(dst, bytes), span(src, bytes), bytes);
 }
 
 std::vector<NodeId>

@@ -263,8 +263,15 @@ class PhysicalMemory {
     std::byte *span(Pfn pfn, std::uint64_t bytes);
 
     /**
+     * Host pointer to physical byte address @p addr when the @p bytes
+     * from there lie inside one node; nullptr when they straddle a node
+     * boundary (adjacent PFNs may belong to two nodes) or leave memory.
+     */
+    std::byte *try_span_at(std::uint64_t addr, std::uint64_t bytes);
+
+    /**
      * Copy @p bytes between physically contiguous regions (real bytes
-     * move; no virtual time passes here).
+     * move through mem::copy_bytes; no virtual time passes here).
      */
     void copy(Pfn dst, Pfn src, std::uint64_t bytes);
 

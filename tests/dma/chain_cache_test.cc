@@ -93,6 +93,46 @@ TEST(ChainCache, ExactFitReuseMatchesTheCopy)
     EXPECT_EQ(cache.stats().descs_reused, 20u);
 }
 
+TEST(ChainCache, JoinedAndSplitLeasesReuseParkedStorage)
+{
+    // Two 8-descriptor chains cached in order.
+    DescriptorRam ram;
+    ChainCache cache(ram);
+    ChainLease a = cache.acquire(8, 4096);
+    ChainLease b = cache.acquire(8, 4096);
+    const std::vector<DescIndex> da = a.descs, db = b.descs;
+    const DescIndex *storage_a = a.descs.data();
+    const DescIndex *storage_b = b.descs.data();
+    cache.release(std::move(a));
+    cache.release(std::move(b));
+
+    // A join consumes both chains whole; their vectors are parked, not
+    // freed, and the lease holds the same indices as before.
+    ChainLease joined = cache.acquire(16, 4096);
+    std::vector<DescIndex> want = da;
+    want.insert(want.end(), db.begin(), db.end());
+    EXPECT_EQ(joined.descs, want);
+    EXPECT_EQ(joined.reused, 16u);
+    cache.release(std::move(joined));
+
+    // A split prefix of the joined chain is built in parked storage.
+    const ChainLease prefix = cache.acquire(4, 4096);
+    EXPECT_EQ(prefix.descs,
+              std::vector<DescIndex>(want.begin(), want.begin() + 4));
+    EXPECT_EQ(prefix.reused, 4u);
+    EXPECT_TRUE(prefix.descs.data() == storage_a ||
+                prefix.descs.data() == storage_b);
+
+    // The suffix stays cached, and the next split takes the other
+    // parked vector.
+    const ChainLease rest = cache.acquire(8, 4096);
+    EXPECT_EQ(rest.descs,
+              std::vector<DescIndex>(want.begin() + 4, want.begin() + 12));
+    EXPECT_TRUE(rest.descs.data() == storage_a ||
+                rest.descs.data() == storage_b);
+    EXPECT_NE(rest.descs.data(), prefix.descs.data());
+}
+
 TEST(ChainCache, GrowingLeaseMixesReusedAndFresh)
 {
     DescriptorRam ram;

@@ -103,6 +103,26 @@ TEST(Phys, SpanCoversMultiFrameBlocks)
     EXPECT_EQ(pm.span(head + 15, kPageSize)[kPageSize - 1], std::byte{0xAB});
 }
 
+TEST(Phys, TrySpanAtRefusesANodeStraddle)
+{
+    PhysicalMemory pm;
+    add_two_nodes(pm);
+    const std::uint64_t boundary = pm.node(1).base_pfn() << kPageShift;
+    // Inside one node, at any byte offset: the host address of the byte.
+    EXPECT_EQ(pm.try_span_at(boundary - 3 * kPageSize + 5, 2 * kPageSize),
+              pm.span(pm.node(1).base_pfn() - 3, kPageSize) + 5);
+    EXPECT_EQ(pm.try_span_at(boundary, 2 * kPageSize),
+              pm.span(pm.node(1).base_pfn(), kPageSize));
+    EXPECT_NE(pm.try_span_at(boundary - 8, 8), nullptr);
+    // Adjacent PFNs on two nodes are not one span, nor is memory's end.
+    EXPECT_EQ(pm.try_span_at(boundary - 8, 9), nullptr);
+    EXPECT_EQ(pm.try_span_at(boundary - kPageSize, 2 * kPageSize), nullptr);
+    const std::uint64_t end = boundary + pm.node(1).bytes();
+    EXPECT_NE(pm.try_span_at(end - 16, 16), nullptr);
+    EXPECT_EQ(pm.try_span_at(end - 16, 17), nullptr);
+    EXPECT_EQ(pm.try_span_at(end, 1), nullptr);
+}
+
 TEST(Phys, FreshMemoryIsZeroed)
 {
     PhysicalMemory pm;

@@ -19,8 +19,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "check/differential.h"
 #include "check/minimize.h"
@@ -53,6 +55,33 @@ diagnose(const Workload &w, const RunOptions &opt)
            std::to_string(m.original_ops) + " -> " +
            std::to_string(m.minimized_ops) + " ops in " +
            std::to_string(m.runs) + " runs";
+}
+
+TEST(Differential, MemDigestChangesWithAnySingleByte)
+{
+    // mem_digest folds final memory eight bytes per step plus a byte
+    // tail; flipping any one byte of a region must change it.
+    for (const std::size_t bytes : {1, 7, 8, 9, 4096, 4101}) {
+        std::vector<std::uint8_t> region(bytes);
+        fill_pattern(37, region);
+        const std::uint64_t base =
+            digest_bytes(kDigestSeed, region.data(), region.size());
+        for (std::size_t i = 0; i < bytes; ++i) {
+            for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
+                region[i] ^= flip;
+                ASSERT_NE(digest_bytes(kDigestSeed, region.data(),
+                                       region.size()),
+                          base)
+                    << bytes << "-byte region, byte " << i << " ^ "
+                    << int{flip};
+                region[i] ^= flip;
+            }
+        }
+        // The word loads do not depend on the buffer's alignment.
+        std::vector<std::uint8_t> shifted(bytes + 1);
+        std::copy(region.begin(), region.end(), shifted.begin() + 1);
+        EXPECT_EQ(digest_bytes(kDigestSeed, shifted.data() + 1, bytes), base);
+    }
 }
 
 TEST(Differential, AllPresetsMatchTheModel)
