@@ -97,7 +97,7 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
 }
 
 ChainLease
-ChainCache::acquire_shape(std::vector<std::uint64_t> chunk_sizes)
+ChainCache::acquire_shape(const std::vector<std::uint64_t> &chunk_sizes)
 {
     MEMIF_ASSERT(!chunk_sizes.empty() && chunk_sizes.size() <= ram_.size(),
                  "shape lease of %zu descriptors out of range",
@@ -114,7 +114,11 @@ ChainCache::acquire_shape(std::vector<std::uint64_t> chunk_sizes)
                  "lease exceeds available PaRAM capacity; callers must "
                  "wait on DmaDriver::capacity_wait()");
     ChainLease lease;
-    lease.chunk_sizes = std::move(chunk_sizes);
+    if (!spare_shapes_.empty()) {
+        lease.chunk_sizes = std::move(spare_shapes_.back());
+        spare_shapes_.pop_back();
+    }
+    lease.chunk_sizes.assign(chunk_sizes.begin(), chunk_sizes.end());
 
     if (enabled_) {
         auto it = shaped_.find(lease.chunk_sizes);
@@ -166,6 +170,13 @@ ChainCache::park_storage(std::vector<DescIndex> v)
 }
 
 void
+ChainCache::park_shape(std::vector<std::uint64_t> v)
+{
+    v.clear();
+    spare_shapes_.push_back(std::move(v));
+}
+
+void
 ChainCache::evict_one()
 {
     for (auto &[size, deq] : chains_) {
@@ -198,11 +209,18 @@ ChainCache::release(ChainLease lease)
     if (!enabled_) {
         free_.insert(free_.end(), lease.descs.begin(), lease.descs.end());
         park_storage(std::move(lease.descs));
+        if (!lease.chunk_sizes.empty())
+            park_shape(std::move(lease.chunk_sizes));
         return;
     }
     if (!lease.chunk_sizes.empty()) {
-        shaped_[std::move(lease.chunk_sizes)].push_back(
-            std::move(lease.descs));
+        auto it = shaped_.find(lease.chunk_sizes);
+        if (it == shaped_.end()) {
+            it = shaped_.try_emplace(std::move(lease.chunk_sizes)).first;
+        } else {
+            park_shape(std::move(lease.chunk_sizes));
+        }
+        it->second.push_back(std::move(lease.descs));
         return;
     }
     chains_[lease.chunk_bytes].push_back(std::move(lease.descs));

@@ -77,9 +77,11 @@ class ChainCache {
      * delegate to acquire() (and share its per-size pool); non-uniform
      * shapes reuse only a cached chain of the *exact* same shape (a
      * split prefix would silently change per-position chunk sizes), and
-     * otherwise fall back to fresh/evicted PaRAM entries.
+     * otherwise fall back to fresh/evicted PaRAM entries. The lease's
+     * copy of the shape lives in parked storage, so a warmed-up cache
+     * allocates nothing for it.
      */
-    ChainLease acquire_shape(std::vector<std::uint64_t> chunk_sizes);
+    ChainLease acquire_shape(const std::vector<std::uint64_t> &chunk_sizes);
 
     /** Return a retired transfer's chain to the cache. */
     void release(ChainLease lease);
@@ -106,6 +108,8 @@ class ChainCache {
     std::vector<DescIndex> take_storage(std::uint32_t count);
     /** Park a consumed chain's storage for take_storage(). */
     void park_storage(std::vector<DescIndex> v);
+    /** Park a released lease's shape storage for acquire_shape(). */
+    void park_shape(std::vector<std::uint64_t> v);
 
     DescriptorRam &ram_;
     bool enabled_;
@@ -118,6 +122,9 @@ class ChainCache {
         shaped_;
     /** Emptied chain vectors, kept for their capacity. */
     std::vector<std::vector<DescIndex>> spare_;
+    /** Shape vectors of released leases whose shape was already a key,
+     *  kept for their capacity. */
+    std::vector<std::vector<std::uint64_t>> spare_shapes_;
     /** Driver-side knowledge of each entry's link (no I/O reads needed). */
     std::vector<DescIndex> shadow_links_;
     /** Descriptors in currently leased (not yet released) chains. */

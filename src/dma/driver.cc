@@ -48,10 +48,9 @@ DmaDriver::prepare(const std::vector<SgEntry> &sg)
         p.lease = cache_.acquire(static_cast<std::uint32_t>(sg.size()),
                                  entry_signature(sg.front()));
     } else {
-        std::vector<std::uint64_t> sizes;
-        sizes.reserve(sg.size());
-        for (const SgEntry &e : sg) sizes.push_back(entry_signature(e));
-        p.lease = cache_.acquire_shape(std::move(sizes));
+        shape_.clear();
+        for (const SgEntry &e : sg) shape_.push_back(entry_signature(e));
+        p.lease = cache_.acquire_shape(shape_);
     }
     for (const SgEntry &e : sg) p.bytes += e.total_bytes();
 

@@ -237,6 +237,9 @@ class DmaDriver {
         spare_leases_;
     /** Outstanding reserve_descriptors() tickets, oldest first. */
     std::deque<std::shared_ptr<std::uint32_t>> capacity_fifo_;
+    /** prepare()'s per-entry signatures of a non-uniform list, kept for
+     *  its capacity. */
+    std::vector<std::uint64_t> shape_;
 };
 
 }  // namespace memif::dma

@@ -1,8 +1,5 @@
 #include "dma/engine.h"
 
-#include <cstring>
-
-#include "mem/copier.h"
 #include "sim/log.h"
 
 namespace memif::dma {
@@ -207,12 +204,14 @@ Edma3Engine::step_chain(TransferId id)
         v.stall + cm_.dma_per_desc + desc_latency(pm_, d) +
         cm_.dma_stream_time(d.total_bytes(), src_bw, dst_bw);
     fl.next_desc = d.link;
+    fl.streaming = d;
     // Bytes land when the entry finishes streaming; the next gate check
-    // happens at the same instant.
-    eq_.schedule_after(step, [this, id, d] {
+    // happens at the same instant. The capture stays two words (INTERNALS
+    // §3 caveat 3): the entry waits in the flight.
+    eq_.schedule_after(step, [this, id] {
         auto cur = flights_.find(id);
         if (cur == flights_.end() || cur->second.cancelled) return;
-        execute_one(d);
+        execute_one(cur->second.streaming);
         step_chain(id);
     });
 }
@@ -285,7 +284,11 @@ Edma3Engine::flush_moderated(unsigned tc)
         mod.timer = sim::EventQueue::kInvalidEvent;
     }
     if (mod.pending.empty()) return;
-    std::vector<TransferId> batch;
+    // The batch leaves mod.pending the spare's capacity and becomes the
+    // spare again below, so a flush allocates nothing. (A flush that a
+    // delivery re-enters finds the spare taken and starts empty.)
+    std::vector<TransferId> batch = std::move(spare_batch_);
+    batch.clear();
     batch.swap(mod.pending);
     // One coalesced IRQ retires the whole batch.
     ++stats_.interrupts_raised;
@@ -298,6 +301,8 @@ Edma3Engine::flush_moderated(unsigned tc)
         ++stats_.moderated_completions;
         deliver(id, it->second);
     }
+    batch.clear();
+    spare_batch_ = std::move(batch);
 }
 
 void
@@ -328,11 +333,14 @@ Edma3Engine::discard_moderated(TransferId id)
 void
 Edma3Engine::execute_one(const TransferDescriptor &d)
 {
-    // A packed frame (BIDX == ACNT on both sides: each array starts
-    // where the previous one ended) is one span, and it lands through
-    // one mem::copy_bytes, which splits a large span over the host's
-    // spare cores. A packed frame that straddles a node boundary on
-    // either side, and every other geometry, walks its arrays.
+    // Every copy goes through PhysicalMemory::post_copy_at, in order
+    // with this thread's copy lane: a span of 256 KB or more is queued
+    // and the event loop moves on, a smaller one lands at once unless
+    // it must queue behind the lane, and anything a later event reads
+    // waits for the lane first. A packed frame (BIDX == ACNT on both sides: each array starts where
+    // the previous one ended) is one span. A packed frame that
+    // straddles a node boundary on either side, and every other
+    // geometry, walks its arrays.
     const bool packed = d.b_cnt > 1 && d.src_bidx == d.a_cnt &&
                         d.dst_bidx == d.a_cnt;
     const std::uint64_t frame_bytes = std::uint64_t{d.a_cnt} * d.b_cnt;
@@ -340,25 +348,16 @@ Edma3Engine::execute_one(const TransferDescriptor &d)
          ++frame) {
         const std::uint64_t src0 = d.src + frame * std::int64_t{d.src_cidx};
         const std::uint64_t dst0 = d.dst + frame * std::int64_t{d.dst_cidx};
-        if (packed) {
-            std::byte *s = pm_.try_span_at(src0, frame_bytes);
-            std::byte *t = pm_.try_span_at(dst0, frame_bytes);
-            if (s != nullptr && t != nullptr) {
-                mem::copy_bytes(t, s, frame_bytes);
-                stats_.bytes_copied += frame_bytes;
-                continue;
-            }
+        if (packed && pm_.post_copy_at(dst0, src0, frame_bytes)) {
+            stats_.bytes_copied += frame_bytes;
+            continue;
         }
         for (std::uint32_t arr = 0; arr < d.b_cnt; ++arr) {
             const std::uint64_t src = src0 + arr * std::int64_t{d.src_bidx};
             const std::uint64_t dst = dst0 + arr * std::int64_t{d.dst_bidx};
-            std::byte *s = pm_.span(src >> mem::kPageShift,
-                                    (src & (mem::kPageSize - 1)) + d.a_cnt) +
-                           (src & (mem::kPageSize - 1));
-            std::byte *t = pm_.span(dst >> mem::kPageShift,
-                                    (dst & (mem::kPageSize - 1)) + d.a_cnt) +
-                           (dst & (mem::kPageSize - 1));
-            std::memcpy(t, s, d.a_cnt);
+            const bool posted = pm_.post_copy_at(dst, src, d.a_cnt);
+            MEMIF_ASSERT(posted, "DMA array of %u bytes leaves its node",
+                         unsigned{d.a_cnt});
             stats_.bytes_copied += d.a_cnt;
         }
     }

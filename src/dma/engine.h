@@ -305,6 +305,9 @@ class Edma3Engine {
         XlateGate gate{};
         /** Stepped consumption cursor: next descriptor to stream. */
         DescIndex next_desc = kNullLink;
+        /** Stepped consumption: the entry being streamed, as the gate
+         *  left it (its bytes land when the step event fires). */
+        TransferDescriptor streaming{};
         /** Descriptors consumed so far (loop guard + gate index). */
         std::uint32_t steps = 0;
     };
@@ -344,6 +347,8 @@ class Edma3Engine {
         spare_flights_;
     CompletionFn retire_hook_;
     std::array<Moderation, kNumTcs> moderation_;
+    /** Storage a moderation flush swaps in for the batch it delivers. */
+    std::vector<TransferId> spare_batch_;
     std::uint32_t moderation_batch_;
     sim::Duration moderation_holdoff_;
     unsigned moderation_mask_ = 0;

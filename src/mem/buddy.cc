@@ -4,9 +4,79 @@
 
 namespace memif::mem {
 
+FreeMap::FreeMap(std::uint64_t bits) : bits_(bits)
+{
+    std::uint64_t words = (bits + 63) / 64;
+    for (;;) {
+        levels_.emplace_back(words == 0 ? 1 : words, 0);
+        if (words <= 1) break;
+        words = (words + 63) / 64;
+    }
+}
+
+void
+FreeMap::insert(std::uint64_t i)
+{
+    MEMIF_ASSERT(i < bits_ && !contains(i), "bad FreeMap insert");
+    ++count_;
+    for (std::vector<std::uint64_t> &level : levels_) {
+        std::uint64_t &word = level[i / 64];
+        const bool was_empty = word == 0;
+        word |= std::uint64_t{1} << (i % 64);
+        if (!was_empty) return;
+        i /= 64;
+    }
+}
+
+void
+FreeMap::erase(std::uint64_t i)
+{
+    MEMIF_ASSERT(contains(i), "bad FreeMap erase");
+    --count_;
+    for (std::vector<std::uint64_t> &level : levels_) {
+        std::uint64_t &word = level[i / 64];
+        word &= ~(std::uint64_t{1} << (i % 64));
+        if (word != 0) return;
+        i /= 64;
+    }
+}
+
+bool
+FreeMap::contains(std::uint64_t i) const
+{
+    return i < bits_ && (levels_[0][i / 64] >> (i % 64) & 1) != 0;
+}
+
+std::uint64_t
+FreeMap::lowest() const
+{
+    MEMIF_ASSERT(count_ > 0, "lowest() of an empty FreeMap");
+    std::uint64_t i = 0;
+    for (auto level = levels_.rbegin(); level != levels_.rend(); ++level)
+        i = i * 64 + static_cast<std::uint64_t>(
+                         __builtin_ctzll((*level)[i]));
+    return i;
+}
+
+namespace {
+
+/** One FreeMap per order, each with a bit per block head of that
+ *  order in @p num_frames frames. */
+std::vector<FreeMap>
+free_maps(std::uint64_t num_frames)
+{
+    std::vector<FreeMap> maps;
+    maps.reserve(BuddyAllocator::kMaxOrder + 1);
+    for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o)
+        maps.emplace_back((num_frames + (std::uint64_t{1} << o) - 1) >> o);
+    return maps;
+}
+
+}  // namespace
+
 BuddyAllocator::BuddyAllocator(std::uint64_t num_frames)
     : num_frames_(num_frames),
-      free_lists_(kMaxOrder + 1),
+      free_lists_(free_maps(num_frames)),
       allocated_order_(num_frames, 0)
 {
     // Seed the free lists with the largest naturally aligned blocks that
@@ -20,7 +90,7 @@ BuddyAllocator::BuddyAllocator(std::uint64_t num_frames)
                 frame + (std::uint64_t{1} << order) > num_frames_)) {
             --order;
         }
-        free_lists_[order].insert(frame);
+        free_lists_[order].insert(frame >> order);
         free_frames_ += std::uint64_t{1} << order;
         frame += std::uint64_t{1} << order;
     }
@@ -36,13 +106,13 @@ BuddyAllocator::allocate(unsigned order)
     while (o <= kMaxOrder && free_lists_[o].empty()) ++o;
     if (o > kMaxOrder) return kInvalidFrame;
 
-    std::uint64_t head = *free_lists_[o].begin();
-    free_lists_[o].erase(free_lists_[o].begin());
+    const std::uint64_t head = free_lists_[o].lowest() << o;
+    free_lists_[o].erase(head >> o);
 
     // Split down to the requested order, returning the upper halves.
     while (o > order) {
         --o;
-        free_lists_[o].insert(head + (std::uint64_t{1} << o));
+        free_lists_[o].insert((head >> o) + 1);
     }
 
     allocated_order_[head] = static_cast<std::uint8_t>(order + 1);
@@ -88,14 +158,13 @@ BuddyAllocator::free(std::uint64_t head, unsigned order)
     unsigned o = order;
     while (o < kMaxOrder) {
         const std::uint64_t buddy = buddy_of(block, o);
-        auto it = free_lists_[o].find(buddy);
-        if (it == free_lists_[o].end()) break;
+        if (!free_lists_[o].contains(buddy >> o)) break;
         // A same-order free buddy exists: merge.
-        free_lists_[o].erase(it);
+        free_lists_[o].erase(buddy >> o);
         block = block < buddy ? block : buddy;
         ++o;
     }
-    free_lists_[o].insert(block);
+    free_lists_[o].insert(block >> o);
 }
 
 bool

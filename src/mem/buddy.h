@@ -10,11 +10,38 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace memif::mem {
+
+/**
+ * A set of small integers as a bitmap with summary levels above it (a
+ * bit per nonzero word of the level below), so the lowest member is
+ * found by one word scan per level. Sized once; inserting and erasing
+ * never allocate.
+ */
+class FreeMap {
+  public:
+    /** An empty set over [0, @p bits). */
+    explicit FreeMap(std::uint64_t bits);
+
+    void insert(std::uint64_t i);
+    void erase(std::uint64_t i);
+    bool contains(std::uint64_t i) const;
+    /** Lowest member; the set must not be empty. */
+    std::uint64_t lowest() const;
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+
+  private:
+    std::uint64_t bits_;
+    /** levels_[0] has a bit per member; each level above a bit per
+     *  nonzero word below it; the top level is one word. */
+    std::vector<std::vector<std::uint64_t>> levels_;
+    std::size_t count_ = 0;
+};
 
 class BuddyAllocator {
   public:
@@ -82,9 +109,10 @@ class BuddyAllocator {
 
     std::uint64_t num_frames_;
     std::uint64_t free_frames_ = 0;
-    /** Free block heads per order; std::set keeps behaviour deterministic
-     *  (lowest-address block is always handed out first). */
-    std::vector<std::set<std::uint64_t>> free_lists_;
+    /** Free block heads per order, as head >> order. The lowest-address
+     *  block is always handed out first, which keeps behaviour
+     *  deterministic. */
+    std::vector<FreeMap> free_lists_;
     /** Allocation order of each allocated head frame, +1 (0 = not a head). */
     std::vector<std::uint8_t> allocated_order_;
 };

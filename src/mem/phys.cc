@@ -49,6 +49,8 @@ MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
 {
 }
 
+PhysicalMemory::~PhysicalMemory() { wait_copies(); }
+
 NodeId
 PhysicalMemory::add_node(const NodeConfig &cfg)
 {
@@ -172,6 +174,13 @@ PhysicalMemory::span(Pfn pfn, std::uint64_t bytes)
 std::byte *
 PhysicalMemory::try_span_at(std::uint64_t addr, std::uint64_t bytes)
 {
+    wait_copies();
+    return resolve(addr, bytes);
+}
+
+std::byte *
+PhysicalMemory::resolve(std::uint64_t addr, std::uint64_t bytes)
+{
     const NodeId id = node_of(addr >> kPageShift);
     if (id == kInvalidNode) return nullptr;
     MemoryNode &n = node(id);
@@ -185,6 +194,17 @@ PhysicalMemory::copy(Pfn dst, Pfn src, std::uint64_t bytes)
 {
     if (bytes == 0) return;
     copy_bytes(span(dst, bytes), span(src, bytes), bytes);
+}
+
+bool
+PhysicalMemory::post_copy_at(std::uint64_t dst, std::uint64_t src,
+                             std::uint64_t bytes)
+{
+    std::byte *s = resolve(src, bytes);
+    std::byte *t = resolve(dst, bytes);
+    if (s == nullptr || t == nullptr) return false;
+    post_copy(t, s, bytes);
+    return true;
 }
 
 std::vector<NodeId>

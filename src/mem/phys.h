@@ -178,6 +178,11 @@ class MemoryNode {
     PageFrame &frame(Pfn pfn) { return frames_.at(pfn - base_); }
     const PageFrame &frame(Pfn pfn) const { return frames_.at(pfn - base_); }
 
+  private:
+    /** Only PhysicalMemory reaches the bytes, so every access goes
+     *  through the accessors that wait for the copy lane. */
+    friend class PhysicalMemory;
+
     /** Host pointer to the first byte of frame @p pfn. */
     std::byte *
     frame_data(Pfn pfn)
@@ -185,7 +190,6 @@ class MemoryNode {
         return backing_.data() + ((pfn - base_) << kPageShift);
     }
 
-  private:
     NodeId id_;
     Pfn base_;
     NodeConfig cfg_;
@@ -197,10 +201,20 @@ class MemoryNode {
 /**
  * The machine's physical memory: all nodes, global PFN resolution,
  * allocation and byte access across node boundaries.
+ *
+ * Every byte accessor (span(), try_span_at(), copy()) first waits for
+ * the calling thread's copy lane (mem::wait_copies()), so it sees every
+ * DMA copy posted before it. Only post_copy_at(), the DMA engine's
+ * path, does not wait: it orders its copy behind the lane instead. A
+ * pointer from span() is good until the next event that may post a
+ * copy; take it again after that.
  */
 class PhysicalMemory {
   public:
     PhysicalMemory() = default;
+    /** Lands every copy still on this thread's lane before the backing
+     *  is unmapped. */
+    ~PhysicalMemory();
     PhysicalMemory(const PhysicalMemory &) = delete;
     PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
@@ -258,7 +272,8 @@ class PhysicalMemory {
 
     /**
      * Host pointer to @p bytes of physically contiguous memory starting
-     * at frame @p pfn (must stay inside one node).
+     * at frame @p pfn (must stay inside one node), once every posted
+     * copy has landed.
      */
     std::byte *span(Pfn pfn, std::uint64_t bytes);
 
@@ -266,6 +281,7 @@ class PhysicalMemory {
      * Host pointer to physical byte address @p addr when the @p bytes
      * from there lie inside one node; nullptr when they straddle a node
      * boundary (adjacent PFNs may belong to two nodes) or leave memory.
+     * Waits for posted copies like span().
      */
     std::byte *try_span_at(std::uint64_t addr, std::uint64_t bytes);
 
@@ -275,7 +291,20 @@ class PhysicalMemory {
      */
     void copy(Pfn dst, Pfn src, std::uint64_t bytes);
 
+    /**
+     * Post a copy of @p bytes from physical byte address @p src to
+     * @p dst through mem::post_copy(), in order behind every copy
+     * already on this thread's lane, without waiting for them. False
+     * (nothing posted) when either side straddles a node boundary or
+     * leaves memory.
+     */
+    bool post_copy_at(std::uint64_t dst, std::uint64_t src,
+                      std::uint64_t bytes);
+
   private:
+    /** try_span_at() without the wait for the copy lane. */
+    std::byte *resolve(std::uint64_t addr, std::uint64_t bytes);
+
     std::vector<std::unique_ptr<MemoryNode>> nodes_;
     /** Symmetric distance overrides: {min(a,b), max(a,b), distance}. */
     struct DistanceOverride {

@@ -14,6 +14,7 @@
 
 #include "dma/driver.h"
 #include "dma/engine.h"
+#include "mem/copier.h"
 #include "mem/phys.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
@@ -134,10 +135,22 @@ class Kernel {
         return next_tc_++ % dma::Edma3Engine::kNumTcs;
     }
 
-    /** Run the simulation until no events remain. */
-    void run() { eq_.run(); }
-    /** Run the simulation up to @p deadline. */
-    void run_until(sim::SimTime deadline) { eq_.run_until(deadline); }
+    /** Run the simulation until no events remain; returns once every
+     *  DMA copy it posted has landed. */
+    void
+    run()
+    {
+        eq_.run();
+        mem::wait_copies();
+    }
+    /** Run the simulation up to @p deadline; returns once every DMA
+     *  copy it posted has landed. */
+    void
+    run_until(sim::SimTime deadline)
+    {
+        eq_.run_until(deadline);
+        mem::wait_copies();
+    }
 
   private:
     KernelConfig cfg_;

@@ -6,7 +6,8 @@
  * `bytes_copied` must be those of a naive per-array walk: at unaligned
  * offsets, across the parallel-copy threshold, when the run straddles
  * the boundary between two nodes, and for strided and 3D geometries
- * that stay on the walk.
+ * that stay on the walk. A frame of 256 KB or more is posted to the
+ * copy lane, and what reads it afterwards sees it landed.
  */
 #include <gtest/gtest.h>
 
@@ -198,10 +199,38 @@ TEST(PackedSpan, StridedAnd3DGeometriesLandTheWalksBytes)
     f.check(d);
 }
 
+TEST(PackedSpan, LargePackedDescriptorGoesThroughTheLane)
+{
+    // One 1 MB packed frame is one post to the copy lane; the chain
+    // behind it (a small entry that reads the large one's destination)
+    // queues behind it, and reading the bytes waits for both.
+    Fixture f;
+    const std::uint64_t big = std::uint64_t{1} << 20;
+    const std::uint64_t src = f.base(f.slow);
+    const std::uint64_t dst = f.base(f.fast);
+    const std::uint64_t tail = f.base(f.slow) + (2ull << 20);
+    f.fill(src, big, 23);
+    TransferDescriptor d = TransferDescriptor::contiguous(src, dst, big);
+    d.link = 1;
+    f.engine.param_ram().write_full(0, d);
+    f.engine.param_ram().write_full(
+        1, TransferDescriptor::contiguous(dst + big - 4096, tail, 4096));
+    const std::uint64_t posts = mem::lane_posts();
+    f.engine.start_chain(0, 0, false, nullptr);
+    f.eq.run();
+    EXPECT_GE(mem::lane_posts(), posts + 1);
+    EXPECT_EQ(f.engine.stats().bytes_copied, big + 4096);
+    EXPECT_EQ(std::memcmp(f.at(dst, big), f.at(src, big), big), 0);
+    EXPECT_EQ(std::memcmp(f.at(tail, 4096), f.at(src + big - 4096, 4096),
+                          4096),
+              0);
+}
+
 TEST(PackedSpan, ChainBelowTheThresholdStartsNoHelper)
 {
     const unsigned started = mem::copy_helpers_started();
     const std::uint64_t spans = mem::parallel_copies();
+    const std::uint64_t posts = mem::lane_posts();
     Fixture f;
     const std::uint64_t frame = mem::kParallelCopyMin - mem::kPageSize;
     f.fill(f.base(f.slow), 4 * frame, 19);
@@ -219,6 +248,7 @@ TEST(PackedSpan, ChainBelowTheThresholdStartsNoHelper)
               0);
     EXPECT_EQ(mem::copy_helpers_started(), started);
     EXPECT_EQ(mem::parallel_copies(), spans);
+    EXPECT_EQ(mem::lane_posts(), posts);
 }
 
 }  // namespace

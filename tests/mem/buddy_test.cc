@@ -156,6 +156,110 @@ TEST_P(BuddyChurn, RandomChurnPreservesInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyChurn,
                          ::testing::Values(1, 2, 3, 17, 99, 12345));
 
+/**
+ * The set-based buddy allocator the bitmap free lists replaced, kept as
+ * an oracle: its std::set per order hands out the lowest free head.
+ */
+class SetBuddy {
+  public:
+    explicit SetBuddy(std::uint64_t frames)
+        : lists_(BuddyAllocator::kMaxOrder + 1)
+    {
+        for (std::uint64_t f = 0; f < frames;) {
+            unsigned o = BuddyAllocator::kMaxOrder;
+            while (o > 0 && ((f & ((1ull << o) - 1)) != 0 ||
+                             f + (1ull << o) > frames))
+                --o;
+            lists_[o].insert(f);
+            f += 1ull << o;
+        }
+    }
+
+    std::uint64_t
+    allocate(unsigned order)
+    {
+        unsigned o = order;
+        while (o <= BuddyAllocator::kMaxOrder && lists_[o].empty()) ++o;
+        if (o > BuddyAllocator::kMaxOrder) return BuddyAllocator::kInvalidFrame;
+        const std::uint64_t head = *lists_[o].begin();
+        lists_[o].erase(lists_[o].begin());
+        while (o > order) {
+            --o;
+            lists_[o].insert(head + (1ull << o));
+        }
+        return head;
+    }
+
+    void
+    free(std::uint64_t block, unsigned o)
+    {
+        while (o < BuddyAllocator::kMaxOrder &&
+               lists_[o].erase(block ^ (1ull << o)) == 1) {
+            block &= ~(1ull << o);
+            ++o;
+        }
+        lists_[o].insert(block);
+    }
+
+    std::size_t free_blocks(unsigned o) const { return lists_[o].size(); }
+
+  private:
+    std::vector<std::set<std::uint64_t>> lists_;
+};
+
+/** Property: seeded allocate/free/bulk calls on an odd-sized node hand
+ *  out exactly the blocks of the std::set oracle, and every order holds
+ *  the same number of free blocks after each call. */
+class BuddyOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BuddyOracle, MatchesTheSetBasedAllocator)
+{
+    sim::Rng rng(GetParam());
+    // Not a power of two, and large enough for two summary levels.
+    constexpr std::uint64_t kFrames = 300'000 + 4'096 + 37;
+    BuddyAllocator b(kFrames);
+    SetBuddy oracle(kFrames);
+    struct Block {
+        std::uint64_t head;
+        unsigned order;
+    };
+    std::vector<Block> held;
+    for (int step = 0; step < 20'000; ++step) {
+        const std::uint64_t roll = rng.next_below(100);
+        if (held.empty() || roll < 50) {
+            const auto order = static_cast<unsigned>(
+                rng.next_below(BuddyAllocator::kMaxOrder + 1));
+            const std::uint64_t head = b.allocate(order);
+            ASSERT_EQ(head, oracle.allocate(order)) << "step " << step;
+            if (head != BuddyAllocator::kInvalidFrame)
+                held.push_back({head, order});
+        } else if (roll < 55) {
+            const auto order = static_cast<unsigned>(rng.next_below(4));
+            const std::uint64_t n = 1 + rng.next_below(64);
+            std::vector<std::uint64_t> got;
+            if (b.allocate_bulk(order, n, got)) {
+                for (const std::uint64_t head : got) {
+                    ASSERT_EQ(head, oracle.allocate(order)) << "step " << step;
+                    held.push_back({head, order});
+                }
+            }
+        } else {
+            const std::size_t pick = rng.next_below(held.size());
+            std::swap(held[pick], held.back());
+            b.free(held.back().head, held.back().order);
+            oracle.free(held.back().head, held.back().order);
+            held.pop_back();
+        }
+        for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o)
+            ASSERT_EQ(b.free_blocks(o), oracle.free_blocks(o))
+                << "order " << o << " at step " << step;
+    }
+    for (const Block &blk : held) b.free(blk.head, blk.order);
+    EXPECT_EQ(b.free_frames(), kFrames);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BuddyOracle, ::testing::Values(5, 23, 2024));
+
 TEST(BuddyBulk, AllocateBulkReturnsAlignedDisjointBlocks)
 {
     BuddyAllocator b(256);

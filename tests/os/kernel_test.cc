@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+
+#include "mem/copier.h"
 #include "os/process.h"
 #include "sim/types.h"
 
@@ -95,6 +99,30 @@ TEST(Process, StreamComputeIsBandwidthBound)
     // 6.2 GB/s vs 24 GB/s: the fast buffer streams ~3.9x faster.
     EXPECT_GT(slow_d, 3 * fast_d);
     EXPECT_LT(slow_d, 5 * fast_d);
+}
+
+TEST(Kernel, RunReturnsWithTheCopyLaneEmpty)
+{
+    // On a fresh thread the lane starts parked, and a post with wake =
+    // false leaves it so: only run()'s own wait can land the span.
+    std::thread t([] {
+        Kernel k;
+        mem::PhysicalMemory &pm = k.phys();
+        const std::uint64_t bytes = std::uint64_t{1} << 20;
+        const mem::Pfn src = pm.allocate(k.slow_node(), 8);
+        const mem::Pfn dst = pm.allocate(k.fast_node(), 8);
+        std::memset(pm.span(src, bytes), 0x6B, bytes);
+        std::byte *to = pm.span(dst, bytes);
+        const std::byte *from = pm.span(src, bytes);
+        k.eq().schedule_after(10, [=] {
+            mem::post_copy(to, from, bytes, false);
+        });
+        const std::uint64_t by_waiters = mem::lane_copies_by_waiters();
+        k.run();
+        EXPECT_EQ(mem::lane_copies_by_waiters(), by_waiters + 1);
+        EXPECT_EQ(std::memcmp(to, from, bytes), 0);
+    });
+    t.join();
 }
 
 }  // namespace
