@@ -179,21 +179,21 @@ ChainCache::park_shape(std::vector<std::uint64_t> v)
 void
 ChainCache::evict_one()
 {
-    for (auto &[size, deq] : chains_) {
-        if (deq.empty()) continue;
-        std::vector<DescIndex> &victim = deq.front();
+    for (auto &[size, fifo] : chains_) {
+        if (fifo.empty()) continue;
+        std::vector<DescIndex> &victim = fifo.front();
         free_.insert(free_.end(), victim.begin(), victim.end());
         park_storage(std::move(victim));
-        deq.pop_front();
+        fifo.pop_front();
         ++stats_.evictions;
         return;
     }
-    for (auto &[shape, deq] : shaped_) {
-        if (deq.empty()) continue;
-        std::vector<DescIndex> &victim = deq.front();
+    for (auto &[shape, fifo] : shaped_) {
+        if (fifo.empty()) continue;
+        std::vector<DescIndex> &victim = fifo.front();
         free_.insert(free_.end(), victim.begin(), victim.end());
         park_storage(std::move(victim));
-        deq.pop_front();
+        fifo.pop_front();
         ++stats_.evictions;
         return;
     }

@@ -16,9 +16,10 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "dma/descriptor.h"
@@ -49,6 +50,43 @@ struct ChainCacheStats {
     std::uint64_t descs_fresh = 0;
     std::uint64_t evictions = 0;
     std::uint64_t link_fixups = 0;
+};
+
+/**
+ * Cached chains of one size or shape, oldest first. Popped chains leave
+ * their slots behind until every chain is popped, or until a push would
+ * otherwise grow the storage, so cycling chains through it allocates
+ * nothing once it has grown.
+ */
+class ChainFifo {
+  public:
+    bool empty() const { return head_ == chains_.size(); }
+    /** The oldest chain (not empty()); move its storage out before
+     *  pop_front(). */
+    std::vector<DescIndex> &front() { return chains_[head_]; }
+
+    void
+    pop_front()
+    {
+        if (++head_ < chains_.size()) return;
+        chains_.clear();
+        head_ = 0;
+    }
+
+    void
+    push_back(std::vector<DescIndex> chain)
+    {
+        if (head_ > 0 && chains_.size() == chains_.capacity()) {
+            chains_.erase(chains_.begin(), chains_.begin() + head_);
+            head_ = 0;
+        }
+        chains_.push_back(std::move(chain));
+    }
+
+  private:
+    std::vector<std::vector<DescIndex>> chains_;
+    /** Chains before this one have been popped. */
+    std::size_t head_ = 0;
 };
 
 class ChainCache {
@@ -115,11 +153,10 @@ class ChainCache {
     bool enabled_;
     /** PaRAM entries in no cached chain. */
     std::vector<DescIndex> free_;
-    /** Cached chains per chunk size, oldest first. */
-    std::map<std::uint64_t, std::deque<std::vector<DescIndex>>> chains_;
+    /** Cached chains per chunk size. */
+    std::map<std::uint64_t, ChainFifo> chains_;
     /** Cached non-uniform chains keyed by their exact run shape. */
-    std::map<std::vector<std::uint64_t>, std::deque<std::vector<DescIndex>>>
-        shaped_;
+    std::map<std::vector<std::uint64_t>, ChainFifo> shaped_;
     /** Emptied chain vectors, kept for their capacity. */
     std::vector<std::vector<DescIndex>> spare_;
     /** Shape vectors of released leases whose shape was already a key,

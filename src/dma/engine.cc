@@ -334,13 +334,14 @@ void
 Edma3Engine::execute_one(const TransferDescriptor &d)
 {
     // Every copy goes through PhysicalMemory::post_copy_at, in order
-    // with this thread's copy lane: a span of 256 KB or more is queued
-    // and the event loop moves on, a smaller one lands at once unless
-    // it must queue behind the lane, and anything a later event reads
-    // waits for the lane first. A packed frame (BIDX == ACNT on both sides: each array starts where
-    // the previous one ended) is one span. A packed frame that
-    // straddles a node boundary on either side, and every other
-    // geometry, walks its arrays.
+    // with this thread's copy FIFO: a span of 256 KB or more is queued
+    // for the copier threads and the event loop moves on, a smaller one
+    // lands at once unless it must queue behind the FIFO, and anything
+    // a later event reads waits for the FIFO first. A packed frame
+    // (BIDX == ACNT on both sides: each array starts where the previous
+    // one ended) is one span. A packed frame that straddles a node
+    // boundary on either side, and every other geometry, walks its
+    // arrays.
     const bool packed = d.b_cnt > 1 && d.src_bidx == d.a_cnt &&
                         d.dst_bidx == d.a_cnt;
     const std::uint64_t frame_bytes = std::uint64_t{d.a_cnt} * d.b_cnt;

@@ -180,7 +180,7 @@ class MemoryNode {
 
   private:
     /** Only PhysicalMemory reaches the bytes, so every access goes
-     *  through the accessors that wait for the copy lane. */
+     *  through the accessors that wait for posted copies. */
     friend class PhysicalMemory;
 
     /** Host pointer to the first byte of frame @p pfn. */
@@ -203,16 +203,16 @@ class MemoryNode {
  * allocation and byte access across node boundaries.
  *
  * Every byte accessor (span(), try_span_at(), copy()) first waits for
- * the calling thread's copy lane (mem::wait_copies()), so it sees every
+ * the calling thread's copy FIFO (mem::wait_copies()), so it sees every
  * DMA copy posted before it. Only post_copy_at(), the DMA engine's
- * path, does not wait: it orders its copy behind the lane instead. A
+ * path, does not wait: it orders its copy behind the FIFO instead. A
  * pointer from span() is good until the next event that may post a
  * copy; take it again after that.
  */
 class PhysicalMemory {
   public:
     PhysicalMemory() = default;
-    /** Lands every copy still on this thread's lane before the backing
+    /** Lands every copy still on this thread's FIFO before the backing
      *  is unmapped. */
     ~PhysicalMemory();
     PhysicalMemory(const PhysicalMemory &) = delete;
@@ -302,7 +302,7 @@ class PhysicalMemory {
                       std::uint64_t bytes);
 
   private:
-    /** try_span_at() without the wait for the copy lane. */
+    /** try_span_at() without the wait for the copy FIFO. */
     std::byte *resolve(std::uint64_t addr, std::uint64_t bytes);
 
     std::vector<std::unique_ptr<MemoryNode>> nodes_;

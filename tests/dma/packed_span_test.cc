@@ -2,12 +2,12 @@
  * @file
  * Oracle tests for packed frames: a frame whose arrays sit back to back
  * on both sides (BIDX == ACNT) lands as one span through
- * mem::copy_bytes. Whatever the engine does, the bytes and
+ * mem::post_copy. Whatever the engine does, the bytes and
  * `bytes_copied` must be those of a naive per-array walk: at unaligned
  * offsets, across the parallel-copy threshold, when the run straddles
  * the boundary between two nodes, and for strided and 3D geometries
  * that stay on the walk. A frame of 256 KB or more is posted to the
- * copy lane, and what reads it afterwards sees it landed.
+ * thread's copy FIFO, and what reads it afterwards sees it landed.
  */
 #include <gtest/gtest.h>
 
@@ -201,7 +201,7 @@ TEST(PackedSpan, StridedAnd3DGeometriesLandTheWalksBytes)
 
 TEST(PackedSpan, LargePackedDescriptorGoesThroughTheLane)
 {
-    // One 1 MB packed frame is one post to the copy lane; the chain
+    // One 1 MB packed frame is one post to the copy FIFO; the chain
     // behind it (a small entry that reads the large one's destination)
     // queues behind it, and reading the bytes waits for both.
     Fixture f;
@@ -215,10 +215,10 @@ TEST(PackedSpan, LargePackedDescriptorGoesThroughTheLane)
     f.engine.param_ram().write_full(0, d);
     f.engine.param_ram().write_full(
         1, TransferDescriptor::contiguous(dst + big - 4096, tail, 4096));
-    const std::uint64_t posts = mem::lane_posts();
+    const std::uint64_t posts = mem::copies_posted();
     f.engine.start_chain(0, 0, false, nullptr);
     f.eq.run();
-    EXPECT_GE(mem::lane_posts(), posts + 1);
+    EXPECT_GE(mem::copies_posted(), posts + 1);
     EXPECT_EQ(f.engine.stats().bytes_copied, big + 4096);
     EXPECT_EQ(std::memcmp(f.at(dst, big), f.at(src, big), big), 0);
     EXPECT_EQ(std::memcmp(f.at(tail, 4096), f.at(src + big - 4096, 4096),
@@ -228,9 +228,8 @@ TEST(PackedSpan, LargePackedDescriptorGoesThroughTheLane)
 
 TEST(PackedSpan, ChainBelowTheThresholdStartsNoHelper)
 {
-    const unsigned started = mem::copy_helpers_started();
-    const std::uint64_t spans = mem::parallel_copies();
-    const std::uint64_t posts = mem::lane_posts();
+    const unsigned started = mem::copiers_started();
+    const std::uint64_t posts = mem::copies_posted();
     Fixture f;
     const std::uint64_t frame = mem::kParallelCopyMin - mem::kPageSize;
     f.fill(f.base(f.slow), 4 * frame, 19);
@@ -246,9 +245,8 @@ TEST(PackedSpan, ChainBelowTheThresholdStartsNoHelper)
     EXPECT_EQ(std::memcmp(f.at(f.base(f.fast), 4 * frame),
                           f.at(f.base(f.slow), 4 * frame), 4 * frame),
               0);
-    EXPECT_EQ(mem::copy_helpers_started(), started);
-    EXPECT_EQ(mem::parallel_copies(), spans);
-    EXPECT_EQ(mem::lane_posts(), posts);
+    EXPECT_EQ(mem::copiers_started(), started);
+    EXPECT_EQ(mem::copies_posted(), posts);
 }
 
 }  // namespace

@@ -1,16 +1,27 @@
 /**
  * @file
- * Tests for mem::copy_bytes: every size and alignment lands exactly what
- * memcpy would and nothing outside the range, with helpers or without,
- * from several threads at once; copies below the threshold start no
- * helper. The explicit helper counts make the pool run on any host, so
- * a sanitizer build checks the join/leave protocol everywhere.
+ * Tests for the host copier behind mem::post_copy and mem::copy_bytes:
+ * every size and alignment lands exactly what memcpy would and nothing
+ * outside the range, posted spans land in post order, every
+ * PhysicalMemory byte accessor and ~PhysicalMemory wait for them,
+ * copies below the threshold start nothing, the FIFOs of several
+ * threads stay apart and share one set of copier threads, and a waiter
+ * lands every span itself when no copier may serve its FIFO.
+ *
+ * A FIFO belongs to the thread that posts. Tests that change its copier
+ * limit run on a fresh thread, so the limit dies with it; with the
+ * limit at 0 only waits land spans, and copies_landed_by_waiters() then
+ * counts exactly the spans a wait landed.
  */
 #include "mem/copier.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,12 +32,66 @@ namespace memif::mem {
 namespace {
 
 constexpr std::size_t kGuard = 128;
+constexpr std::size_t kBig = std::size_t{1} << 20;
+/** A limit no copier id reaches: every copier may serve. */
+constexpr unsigned kAll = ~0u;
 
-/** Copy @p n bytes at the given offsets with @p helpers and check the
- *  destination against memcpy, guard bytes included. */
+/** A buffer of @p n bytes whose contents depend on @p seed. */
+std::vector<std::byte>
+pattern(std::size_t n, unsigned seed)
+{
+    std::vector<std::byte> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::byte>((i * 29 + seed * 71) ^ (i >> 11));
+    return v;
+}
+
+/** Run @p fn on a new thread, whose FIFO starts empty. */
+template <typename Fn>
+void
+on_fresh_thread(Fn fn)
+{
+    std::thread t(fn);
+    t.join();
+}
+
+/** Copier threads this host runs: min(cores, kCopyCoreCap) - 1. */
+unsigned
+host_copiers()
+{
+    const unsigned cores = std::max(std::thread::hardware_concurrency(), 1u);
+    return std::min(cores, kCopyCoreCap) - 1;
+}
+
+/** Threads of this process, from /proc/self/status (0 when unknown). */
+unsigned
+process_threads()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    return 0;
+}
+
+/** process_threads() once it is at most @p bound, or after about a
+ *  second: a joined thread may still be counted for a moment. */
+unsigned
+process_threads_settled(unsigned bound)
+{
+    unsigned n = process_threads();
+    for (int i = 0; i < 1000 && n > bound; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = process_threads();
+    }
+    return n;
+}
+
+/** Copy @p n bytes at the given offsets and check the destination
+ *  against memcpy, guard bytes included. */
 void
 check_copy(std::size_t n, std::size_t src_off, std::size_t dst_off,
-           unsigned helpers, std::uint64_t seed)
+           std::uint64_t seed)
 {
     std::vector<std::byte> src(src_off + n);
     for (std::size_t i = 0; i < src.size(); ++i)
@@ -35,10 +100,9 @@ check_copy(std::size_t n, std::size_t src_off, std::size_t dst_off,
     std::vector<std::byte> want = dst;
     if (n > 0) std::memcpy(want.data() + dst_off, src.data() + src_off, n);
 
-    copy_bytes(dst.data() + dst_off, src.data() + src_off, n, helpers);
+    copy_bytes(dst.data() + dst_off, src.data() + src_off, n);
     ASSERT_TRUE(dst == want) << n << " bytes from +" << src_off << " to +"
-                             << dst_off << " with " << helpers
-                             << " helpers";
+                             << dst_off;
 }
 
 TEST(Copier, EverySizeMatchesMemcpy)
@@ -54,46 +118,260 @@ TEST(Copier, EverySizeMatchesMemcpy)
     sim::Rng rng(41);
     for (int i = 0; i < 6; ++i)
         sizes.push_back(rng.next_below(std::size_t{3} << 20));
-    std::uint64_t seed = 1;
-    for (const std::size_t n : sizes)
-        for (const unsigned helpers : {0u, 2u, 3u})
-            for (const std::size_t src_off : {0, 5})
-                for (const std::size_t dst_off : {0, 3})
-                    check_copy(n, src_off, dst_off, helpers, seed++);
+    // No copier, one, and all of them serve the FIFO.
+    for (const unsigned limit : {0u, 1u, kAll}) {
+        on_fresh_thread([&] {
+            set_copier_limit(limit);
+            std::uint64_t seed = limit;
+            for (const std::size_t n : sizes)
+                for (const std::size_t src_off : {0, 5})
+                    for (const std::size_t dst_off : {0, 3})
+                        check_copy(n, src_off, dst_off, seed++);
+        });
+    }
 }
 
 TEST(Copier, OverlappingRangesMove)
 {
-    std::vector<std::byte> buf(kParallelCopyMin * 2);
-    for (std::size_t i = 0; i < buf.size(); ++i)
-        buf[i] = static_cast<std::byte>(i * 7);
-    std::vector<std::byte> want = buf;
-    std::memmove(want.data() + 100, want.data(), kParallelCopyMin);
-    copy_bytes(buf.data() + 100, buf.data(), kParallelCopyMin, 2);
-    EXPECT_TRUE(buf == want);
+    for (const std::ptrdiff_t shift : {100, -100}) {
+        std::vector<std::byte> buf = pattern(kParallelCopyMin * 2, 3);
+        std::byte *from = buf.data() + (shift < 0 ? 100 : 0);
+        std::vector<std::byte> want = buf;
+        std::memmove(want.data() + (from - buf.data()) + shift,
+                     want.data() + (from - buf.data()), kParallelCopyMin);
+        copy_bytes(from + shift, from, kParallelCopyMin);
+        EXPECT_TRUE(buf == want) << "shift " << shift;
+        // The same move posted behind a large span.
+        const std::vector<std::byte> fresh = pattern(buf.size(), 3);
+        std::copy(fresh.begin(), fresh.end(), buf.begin());
+        const std::vector<std::byte> big = pattern(kBig, 4);
+        std::vector<std::byte> other(kBig);
+        post_copy(other.data(), big.data(), kBig);
+        post_copy(from + shift, from, kParallelCopyMin);
+        wait_copies();
+        EXPECT_TRUE(other == big);
+        EXPECT_TRUE(buf == want) << "shift " << shift << ", posted";
+    }
+}
+
+TEST(Copier, PostedCopiesLandInFifoOrder)
+{
+    for (int round = 0; round < 8; ++round) {
+        const std::vector<std::byte> a = pattern(kBig, round);
+        std::vector<std::byte> b = pattern(kBig, round + 100);
+        std::vector<std::byte> c = pattern(kBig, round + 200);
+        const std::uint64_t posts = copies_posted();
+        post_copy(b.data(), a.data(), kBig);
+        post_copy(c.data(), b.data(), kBig);
+        wait_copies();
+        EXPECT_EQ(copies_posted(), posts + 2);
+        ASSERT_TRUE(c == a) << "round " << round;
+        ASSERT_TRUE(b == a) << "round " << round;
+    }
+}
+
+TEST(Copier, SmallCopyQueuedBehindALargeOneLandsAfterIt)
+{
+    on_fresh_thread([] {
+        set_copier_limit(0);
+        const std::vector<std::byte> a = pattern(kBig, 1);
+        std::vector<std::byte> b = pattern(kBig, 2);
+        std::vector<std::byte> c(kPageSize);
+        const std::uint64_t posts = copies_posted();
+        // No copier serves the large span, so the small copy that reads
+        // its destination must queue behind it.
+        post_copy(b.data(), a.data(), kBig);
+        post_copy(c.data(), b.data() + 5, kPageSize);
+        EXPECT_EQ(copies_posted(), posts + 2);
+        wait_copies();
+        EXPECT_EQ(std::memcmp(c.data(), a.data() + 5, kPageSize), 0);
+    });
+}
+
+TEST(Copier, ByteAccessorsSeeEveryPostedByte)
+{
+    PhysicalMemory pm;
+    const auto [slow, fast] = KeystoneMemory::build(pm, 16ull << 20);
+    const unsigned order = 8;  // 1 MB blocks
+    const std::uint64_t bytes = kPageSize << order;
+    const Pfn src = pm.allocate(slow, order);
+    const Pfn dst = pm.allocate(fast, order);
+    const Pfn other = pm.allocate(slow, order);
+    const std::uint64_t src_pa = src << kPageShift;
+    const std::uint64_t dst_pa = dst << kPageShift;
+    for (unsigned round = 0; round < 6; ++round) {
+        const std::vector<std::byte> want = pattern(bytes, round);
+        std::memcpy(pm.span(src, bytes), want.data(), bytes);
+        ASSERT_TRUE(pm.post_copy_at(dst_pa, src_pa, bytes));
+        switch (round % 3) {
+        case 0:
+            EXPECT_EQ(std::memcmp(pm.span(dst, bytes), want.data(), bytes),
+                      0);
+            break;
+        case 1:
+            EXPECT_EQ(std::memcmp(pm.try_span_at(dst_pa, bytes),
+                                  want.data(), bytes),
+                      0);
+            break;
+        default:
+            pm.copy(other, dst, bytes);
+            EXPECT_EQ(std::memcmp(pm.span(other, bytes), want.data(), bytes),
+                      0);
+        }
+    }
+    // A span that straddles two nodes is refused, and nothing is posted.
+    const std::uint64_t posts = copies_posted();
+    const std::uint64_t boundary = pm.node(fast).base_pfn() << kPageShift;
+    EXPECT_FALSE(pm.post_copy_at(dst_pa, boundary - kPageSize, 2 * kPageSize));
+    EXPECT_EQ(copies_posted(), posts);
+}
+
+TEST(Copier, PhysicalMemoryDestructorEmptiesTheFifo)
+{
+    on_fresh_thread([] {
+        set_copier_limit(0);
+        const std::uint64_t by_waiters = copies_landed_by_waiters();
+        {
+            PhysicalMemory pm;
+            const auto [slow, fast] = KeystoneMemory::build(pm, 16ull << 20);
+            const Pfn src = pm.allocate(slow, 8);
+            const Pfn dst = pm.allocate(fast, 8);
+            // No copier serves the FIFO: only the destructor's wait can
+            // land the span before the backing is unmapped.
+            post_copy(pm.span(dst, kBig), pm.span(src, kBig), kBig);
+            EXPECT_EQ(copies_landed_by_waiters(), by_waiters);
+        }
+        EXPECT_EQ(copies_landed_by_waiters(), by_waiters + 1);
+    });
+}
+
+TEST(Copier, NeverStartsBelowTheThreshold)
+{
+    on_fresh_thread([] {
+        const unsigned started = copiers_started();
+        const std::uint64_t posts = copies_posted();
+        PhysicalMemory pm;
+        const auto [slow, fast] = KeystoneMemory::build(pm, 16ull << 20);
+        const Pfn src = pm.allocate(slow, 6);  // 256 KB blocks
+        const Pfn dst = pm.allocate(fast, 6);
+        const std::uint64_t src_pa = src << kPageShift;
+        const std::uint64_t dst_pa = dst << kPageShift;
+        std::memset(pm.span(src, kParallelCopyMin), 0x5D, kParallelCopyMin);
+        for (std::uint64_t n = 1; n < kParallelCopyMin; n = n * 3 + 1)
+            ASSERT_TRUE(pm.post_copy_at(dst_pa, src_pa, n));
+        ASSERT_TRUE(pm.post_copy_at(dst_pa, src_pa, kParallelCopyMin - 1));
+        for (std::uint64_t pages = 1; pages < kParallelCopyMin / kPageSize;
+             pages *= 2)
+            pm.copy(dst, src, pages * kPageSize);
+        pm.copy(dst, src, kParallelCopyMin - kPageSize);
+        std::vector<std::byte> a(kParallelCopyMin), b(kParallelCopyMin);
+        post_copy(b.data(), a.data(), kParallelCopyMin - 1);
+        copy_bytes(b.data(), a.data(), kParallelCopyMin - 1);
+        EXPECT_EQ(copiers_started(), started);
+        EXPECT_EQ(copies_posted(), posts);
+        EXPECT_EQ(std::memcmp(pm.span(dst, kParallelCopyMin - 1),
+                              pm.span(src, kParallelCopyMin - 1),
+                              kParallelCopyMin - 1),
+                  0);
+
+        // The first span at the threshold is posted and starts the
+        // copiers (if an earlier test has not).
+        post_copy(b.data(), a.data(), kParallelCopyMin);
+        EXPECT_EQ(copiers_started(), host_copiers());
+        EXPECT_EQ(copies_posted(), posts + 1);
+        wait_copies();
+    });
+}
+
+TEST(Copier, WaiterLandsEverySpanWithNoCopier)
+{
+    on_fresh_thread([] {
+        set_copier_limit(0);
+        // A chain through more buffers than the FIFO holds: the posts
+        // past kLaneDepth land the oldest span first, and the final
+        // wait lands the rest, all on this thread.
+        constexpr std::size_t kHops = 2 * kLaneDepth + 1;
+        std::vector<std::vector<std::byte>> bufs;
+        for (std::size_t i = 0; i <= kHops; ++i)
+            bufs.push_back(pattern(kParallelCopyMin, 10 + i));
+        const std::vector<std::byte> first = bufs[0];
+        const std::uint64_t by_waiters = copies_landed_by_waiters();
+        for (std::size_t i = 0; i < kHops; ++i)
+            post_copy(bufs[i + 1].data(), bufs[i].data(), kParallelCopyMin);
+        EXPECT_EQ(copies_landed_by_waiters(),
+                  by_waiters + kHops - kLaneDepth);
+        wait_copies();
+        EXPECT_EQ(copies_landed_by_waiters(), by_waiters + kHops);
+        for (std::size_t i = 1; i <= kHops; ++i)
+            ASSERT_TRUE(bufs[i] == first) << "buffer " << i;
+    });
+}
+
+TEST(Copier, WaiterReturnsWhenCopiersLandItsTarget)
+{
+    // Copiers race the waiter for every chunk, so many of these waits
+    // spin while a copier lands the last chunk of the target span (or
+    // of one before it); each must still return once its target lands.
+    // With copiers running, the rounds go on (for at most about 10 s of
+    // a busy host) until a copier has landed some span's last chunk.
+    constexpr int kRounds = 1500;
+    std::vector<std::byte> a = pattern(4 * kParallelCopyMin, 5);
+    std::vector<std::byte> b(a.size()), c(kCopyChunk);
+    sim::Rng rng(7);
+    const std::uint64_t by_waiters = copies_landed_by_waiters();
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+    std::uint64_t spans = 0;
+    const auto copiers_landed = [&] {
+        return copies_landed_by_waiters() - by_waiters < spans;
+    };
+    for (int r = 0;
+         r < kRounds || (copiers_started() > 0 && !copiers_landed() &&
+                         std::chrono::steady_clock::now() < until);
+         ++r) {
+        const std::size_t n =
+            kParallelCopyMin + rng.next_below(3 * kParallelCopyMin);
+        a[r % n] = static_cast<std::byte>(r);
+        post_copy(b.data(), a.data(), n);
+        if (r % 2 != 0) post_copy(c.data(), b.data() + n - kPageSize, 64);
+        spans += 1 + r % 2;
+        wait_copies();
+        ASSERT_EQ(std::memcmp(b.data(), a.data(), n), 0) << "round " << r;
+        if (r % 2 != 0) {
+            ASSERT_EQ(std::memcmp(c.data(), a.data() + n - kPageSize, 64), 0)
+                << "round " << r;
+        }
+    }
+    if (copiers_started() > 0) {
+        EXPECT_TRUE(copiers_landed());
+    }
 }
 
 TEST(Copier, ConcurrentCallersEachLandTheirBytes)
 {
-    // Four threads copy at once: one holds the pool at a time and the
-    // others copy serially, and every span lands whole.
+    // Each thread chains posted copies through its own FIFO and makes
+    // synchronous ones, while the others do the same; every chain lands
+    // whole and in order, and nothing lands outside its range.
     constexpr unsigned kThreads = 4;
-    constexpr int kRounds = 12;
-    constexpr std::size_t kBytes = std::size_t{1} << 20;
-    std::vector<std::thread> threads;
     std::vector<int> bad(kThreads, 0);
+    std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([t, &bad] {
-            std::vector<std::byte> src(kBytes), dst(kBytes + kGuard);
-            for (int r = 0; r < kRounds; ++r) {
-                const auto tag = static_cast<std::byte>(t * 16 + r);
-                std::memset(src.data(), static_cast<int>(tag), kBytes);
-                std::memset(dst.data(), 0xEE, dst.size());
-                copy_bytes(dst.data(), src.data(), kBytes, 2 + t % 2);
-                for (std::size_t i = 0; i < kBytes; ++i)
-                    bad[t] += dst[i] != tag;
-                for (std::size_t i = kBytes; i < dst.size(); ++i)
-                    bad[t] += dst[i] != std::byte{0xEE};
+            for (unsigned r = 0; r < 6; ++r) {
+                const std::vector<std::byte> a = pattern(kBig, t * 16 + r);
+                std::vector<std::byte> b(kBig), c(kBig), d(kPageSize);
+                std::vector<std::byte> e(kBig + kGuard, std::byte{0xEE});
+                post_copy(b.data(), a.data(), kBig);
+                post_copy(c.data(), b.data(), kBig);
+                post_copy(d.data(), c.data() + kBig / 2, kPageSize);
+                wait_copies();
+                copy_bytes(e.data(), c.data(), kBig);
+                bad[t] += c != a;
+                bad[t] += std::memcmp(d.data(), a.data() + kBig / 2,
+                                      kPageSize) != 0;
+                bad[t] += std::memcmp(e.data(), a.data(), kBig) != 0;
+                for (std::size_t i = kBig; i < e.size(); ++i)
+                    bad[t] += e[i] != std::byte{0xEE};
             }
         });
     }
@@ -102,35 +380,32 @@ TEST(Copier, ConcurrentCallersEachLandTheirBytes)
         EXPECT_EQ(bad[t], 0) << "thread " << t;
 }
 
-TEST(Copier, CopiesBelowTheThresholdStartNoHelper)
+TEST(Copier, PostingThreadsShareOneSetOfCopiers)
 {
-    const unsigned started = copy_helpers_started();
-    const std::uint64_t spans = parallel_copies();
-
-    // A run of node-to-node copies that all stay below the threshold.
-    PhysicalMemory pm;
-    const auto [slow, fast] = KeystoneMemory::build(pm, 16ull << 20);
-    const Pfn src = pm.allocate(slow, 6);  // 256 KB blocks
-    const Pfn dst = pm.allocate(fast, 6);
-    std::memset(pm.span(src, kParallelCopyMin), 0x3C, kParallelCopyMin);
-    for (std::uint64_t pages = 1; pages < kParallelCopyMin / kPageSize;
-         pages *= 2)
-        pm.copy(dst, src, pages * kPageSize);
-    pm.copy(dst, src, kParallelCopyMin - kPageSize);
-    std::vector<std::byte> a(kParallelCopyMin), b(kParallelCopyMin);
-    copy_bytes(b.data(), a.data(), kParallelCopyMin - 1);
-    EXPECT_EQ(copy_helpers_started(), started);
-    EXPECT_EQ(parallel_copies(), spans);
-
-    // The first span at the threshold starts the pool (when asked for
-    // helpers) and is split over it.
-    copy_bytes(b.data(), a.data(), kParallelCopyMin, 2);
-    EXPECT_GE(copy_helpers_started(), 2u);
-    EXPECT_EQ(parallel_copies(), spans + 1);
-    EXPECT_EQ(std::memcmp(pm.span(dst, kParallelCopyMin - kPageSize),
-                          pm.span(src, kParallelCopyMin - kPageSize),
-                          kParallelCopyMin - kPageSize),
-              0);
+    // Four threads each post a large span at once: they share the
+    // process's copier threads instead of starting threads of their
+    // own.
+    const unsigned threads_before = process_threads();
+    const unsigned copiers_before = copiers_started();
+    std::vector<std::thread> threads;
+    std::vector<int> bad(4, 0);
+    for (unsigned t = 0; t < 4; ++t) {
+        threads.emplace_back([t, &bad] {
+            const std::vector<std::byte> a = pattern(kBig, 40 + t);
+            std::vector<std::byte> b(kBig);
+            post_copy(b.data(), a.data(), kBig);
+            wait_copies();
+            bad[t] += b != a;
+        });
+    }
+    for (std::thread &th : threads) th.join();
+    for (unsigned t = 0; t < 4; ++t) EXPECT_EQ(bad[t], 0) << "thread " << t;
+    EXPECT_EQ(copiers_started(), host_copiers());
+    if (threads_before > 0) {
+        const unsigned bound =
+            threads_before + host_copiers() - copiers_before;
+        EXPECT_LE(process_threads_settled(bound), bound);
+    }
 }
 
 }  // namespace

@@ -101,11 +101,12 @@ TEST(Process, StreamComputeIsBandwidthBound)
     EXPECT_LT(slow_d, 5 * fast_d);
 }
 
-TEST(Kernel, RunReturnsWithTheCopyLaneEmpty)
+TEST(Kernel, RunReturnsWithTheCopyFifoEmpty)
 {
-    // On a fresh thread the lane starts parked, and a post with wake =
-    // false leaves it so: only run()'s own wait can land the span.
+    // On a fresh thread whose FIFO no copier may serve, only run()'s own
+    // wait can land the span posted by an event.
     std::thread t([] {
+        mem::set_copier_limit(0);
         Kernel k;
         mem::PhysicalMemory &pm = k.phys();
         const std::uint64_t bytes = std::uint64_t{1} << 20;
@@ -114,12 +115,10 @@ TEST(Kernel, RunReturnsWithTheCopyLaneEmpty)
         std::memset(pm.span(src, bytes), 0x6B, bytes);
         std::byte *to = pm.span(dst, bytes);
         const std::byte *from = pm.span(src, bytes);
-        k.eq().schedule_after(10, [=] {
-            mem::post_copy(to, from, bytes, false);
-        });
-        const std::uint64_t by_waiters = mem::lane_copies_by_waiters();
+        k.eq().schedule_after(10, [=] { mem::post_copy(to, from, bytes); });
+        const std::uint64_t by_waiters = mem::copies_landed_by_waiters();
         k.run();
-        EXPECT_EQ(mem::lane_copies_by_waiters(), by_waiters + 1);
+        EXPECT_EQ(mem::copies_landed_by_waiters(), by_waiters + 1);
         EXPECT_EQ(std::memcmp(to, from, bytes), 0);
     });
     t.join();
