@@ -15,9 +15,11 @@
  *
  * Reported: how long the app was blocked by the request, when the data
  * was fully fast-resident, total wall time for request + 4 passes, and
- * the CPU consumed.
+ * the CPU consumed. BENCH_related_lazy.json holds each as the series
+ * "<strategy>-<column>", at x = pages moved.
  */
 #include <cstdio>
+#include <string>
 
 #include "harness.h"
 #include "memif/user_api.h"
@@ -148,10 +150,15 @@ run_memif()
 }
 
 void
-row(const char *name, const Outcome &o)
+row(BenchReport &report, const std::string &name, const Outcome &o)
 {
-    std::printf("%-8s %12.1f %13.1f %10.2f %8.2f\n", name, o.request_us,
-                o.resident_us, o.total_ms, o.cpu_ms);
+    std::printf("%-8s %12.1f %13.1f %10.2f %8.2f\n", name.c_str(),
+                o.request_us, o.resident_us, o.total_ms, o.cpu_ms);
+    const auto x = static_cast<double>(kPages);
+    report.add(name + "-blocked_us", x, o.request_us);
+    report.add(name + "-resident_us", x, o.resident_us);
+    report.add(name + "-total_ms", x, o.total_ms);
+    report.add(name + "-cpu_ms", x, o.cpu_ms);
 }
 
 }  // namespace
@@ -161,14 +168,15 @@ int
 main()
 {
     using namespace memif::bench;
+    BenchReport report("related_lazy");
     header("Related work (\xc2\xa7" "7): eager vs lazy vs memif — "
            "move 4 MB, compute 4 passes");
     std::printf("%-8s %12s %13s %10s %8s\n", "strategy", "blocked_us",
                 "resident_us", "total_ms", "cpu_ms");
     rule();
-    row("eager", run_eager());
-    row("lazy", run_lazy());
-    row("memif", run_memif());
+    row(report, "eager", run_eager());
+    row(report, "lazy", run_lazy());
+    row(report, "memif", run_memif());
     rule();
     std::printf(
         "\neager blocks the app for the whole CPU copy; lazy returns\n"
@@ -176,5 +184,5 @@ main()
         "(same total work, deferred); memif returns at the first DMA\n"
         "trigger, the engine moves the data off-CPU, and both total\n"
         "time and total CPU drop.\n");
-    return 0;
+    return report.write() ? 0 : 1;
 }

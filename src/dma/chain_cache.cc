@@ -30,7 +30,7 @@ ChainCache::acquire(std::uint32_t count, std::uint64_t chunk_bytes)
                  "lease of %u descriptors out of range", count);
     MEMIF_ASSERT(count <= available(),
                  "lease exceeds available PaRAM capacity; callers must "
-                 "wait on DmaDriver::capacity_wait()");
+                 "await DmaDriver::reserve_descriptors()");
     ChainLease lease;
     lease.chunk_bytes = chunk_bytes;
     std::uint32_t need = count;
@@ -112,7 +112,7 @@ ChainCache::acquire_shape(const std::vector<std::uint64_t> &chunk_sizes)
     const auto count = static_cast<std::uint32_t>(chunk_sizes.size());
     MEMIF_ASSERT(count <= available(),
                  "lease exceeds available PaRAM capacity; callers must "
-                 "wait on DmaDriver::capacity_wait()");
+                 "await DmaDriver::reserve_descriptors()");
     ChainLease lease;
     if (!spare_shapes_.empty()) {
         lease.chunk_sizes = std::move(spare_shapes_.back());

@@ -98,12 +98,6 @@ class DmaDriver {
     std::uint32_t available_descriptors() const { return cache_.available(); }
 
     /**
-     * Awaitable used by callers that found available_descriptors() too
-     * low: wakes whenever a transfer retires and frees its chain.
-     */
-    sim::WaitQueue::Awaiter capacity_wait() { return capacity_wq_.wait(); }
-
-    /**
      * FIFO-fair descriptor-capacity gate: returns once @p need
      * descriptors are available AND every earlier reservation has been
      * granted, so a PaRAM-sized request cannot starve behind a stream
@@ -139,8 +133,8 @@ class DmaDriver {
      * keep using the per-size chain pools, variable lists are keyed by
      * their exact shape. Real descriptor memory is written here; only
      * time is deferred. The caller must ensure available_descriptors()
-     * >= sg.size() (await capacity_wait()/reserve_descriptors()
-     * otherwise); oversubscription panics.
+     * >= sg.size() (await reserve_descriptors() otherwise);
+     * oversubscription panics.
      */
     Prepared prepare(const std::vector<SgEntry> &sg);
 

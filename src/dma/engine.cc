@@ -132,22 +132,8 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
             ++stats_.transfers_failed;
         } else {
             execute_copies(fl.head);
-            ++stats_.transfers_completed;
         }
-        fl.completed = true;
-        if (fl.lose_irq) {
-            ++stats_.interrupts_lost;
-            return;  // nobody learns of the completion
-        }
-        // An error interrupt is never moderated: the CC error line is
-        // separate from the completion line, so time-to-detection of a
-        // TC bus error is identical with moderation on or off.
-        if (fl.moderated && !fl.error) {
-            hold_completion(id, fl.tc);
-            return;
-        }
-        if (fl.raise_irq) ++stats_.interrupts_raised;
-        deliver(id, fl);
+        finish_flight(id, fl);
     });
     return id;
 }
@@ -158,7 +144,7 @@ Edma3Engine::step_chain(TransferId id)
     auto it = flights_.find(id);
     if (it == flights_.end() || it->second.cancelled) return;
     if (it->second.next_desc == kNullLink) {
-        finish_flight(id);
+        finish_flight(id, it->second);
         return;
     }
     MEMIF_ASSERT(++it->second.steps <= DescriptorRam::kEntries,
@@ -217,17 +203,17 @@ Edma3Engine::step_chain(TransferId id)
 }
 
 void
-Edma3Engine::finish_flight(TransferId id)
+Edma3Engine::finish_flight(TransferId id, Flight &fl)
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return;
-    Flight &fl = it->second;
     fl.completed = true;
-    ++stats_.transfers_completed;
+    if (!fl.error) ++stats_.transfers_completed;
     if (fl.lose_irq) {
         ++stats_.interrupts_lost;
         return;  // nobody learns of the completion
     }
+    // An error interrupt is never moderated: the CC error line is
+    // separate from the completion line, so time-to-detection of a
+    // TC bus error is identical with moderation on or off.
     if (fl.moderated && !fl.error) {
         hold_completion(id, fl.tc);
         return;

@@ -325,9 +325,10 @@ class Edma3Engine {
     /** Stepped consumption (gated transfers): gate + stream the next
      *  descriptor, or finish the flight when the chain is exhausted. */
     void step_chain(TransferId id);
-    /** Shared completion delivery for stepped transfers (lost-IRQ,
-     *  moderation, and callback semantics match the monolithic path). */
-    void finish_flight(TransferId id);
+    /** The one completion path, monolithic and stepped: mark the
+     *  flight completed, then lose, hold (moderation) or deliver its
+     *  interrupt. An errored flight counts as failed, not completed. */
+    void finish_flight(TransferId id, Flight &fl);
     /** Run the retire hook, then @p fl's on_complete. */
     void deliver(TransferId id, Flight &fl);
     /** Park @p id's completion in @p tc's moderation batch. */

@@ -9,8 +9,8 @@
  *
  *  - mbind-style allocation policies (bind / preferred / interleave)
  *    applied at mmap time;
- *  - a Linux-like move_pages(): per-page synchronous migration with a
- *    per-page status vector;
+ *  - a Linux-like move_pages(): per-page synchronous migration (the
+ *    baseline's migrate_page()) with a per-page status vector;
  *  - numastat-style per-node accounting.
  *
  * memif itself deliberately bypasses these (it is the *asynchronous*
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "mem/phys.h"
+#include "os/page_migration.h"
 #include "os/process.h"
 #include "sim/task.h"
 #include "vm/page_size.h"
@@ -54,17 +55,12 @@ struct MemPolicy {
 vm::VAddr numa_mmap(Process &proc, std::uint64_t bytes, vm::PageSize psize,
                     const MemPolicy &pol);
 
-/** Per-page status codes for move_pages (errno-style, 0 = moved). */
-inline constexpr int kPageMoved = 0;
-inline constexpr int kPageNoEnt = -2;    ///< not mapped
-inline constexpr int kPageBusy = -16;    ///< shared / pinned
-inline constexpr int kPageNoMem = -12;   ///< destination exhausted
-inline constexpr int kPageAlready = 1;   ///< already on the target node
-
 /**
  * Linux-like move_pages(2): synchronously migrate each page in
  * @p pages to the corresponding node in @p nodes, writing one status
- * per page. Coroutine in @p proc's context (one syscall for the lot).
+ * per page (the kPage* codes of os/page_migration.h). Coroutine in
+ * @p proc's context: one syscall for the lot, then os::migrate_page()
+ * per page.
  *
  * The vectors are taken by value on purpose: coroutine reference
  * parameters to caller temporaries dangle after the first suspension.

@@ -66,8 +66,7 @@ TEST(DmaEdge, AbandonReleasesCapacityAndWakesWaiters)
 
     bool got_capacity = false;
     auto waiter = [&]() -> sim::Task {
-        while (f.driver.available_descriptors() < 4)
-            co_await f.driver.capacity_wait();
+        co_await f.driver.reserve_descriptors(4);
         got_capacity = true;
     };
     auto t = waiter();
@@ -89,8 +88,7 @@ TEST(DmaEdge, RetirementWakesCapacityWaiters)
     EXPECT_EQ(f.driver.available_descriptors(), 0u);
     bool got_capacity = false;
     auto waiter = [&]() -> sim::Task {
-        while (f.driver.available_descriptors() < 512)
-            co_await f.driver.capacity_wait();
+        co_await f.driver.reserve_descriptors(512);
         got_capacity = true;
     };
     auto t = waiter();

@@ -19,6 +19,7 @@
 #include "dma/engine.h"
 #include "memif/completion_ctl.h"
 #include "memif/user_api.h"
+#include "memif_fixture.h"
 #include "os/kernel.h"
 #include "os/process.h"
 #include "sim/cost_model.h"
@@ -220,72 +221,9 @@ TEST(CompletionCtl, LearnsToInterruptWhenDmaIsSlow)
 // Device-level: drains, reaping, policies, recovery.
 // --------------------------------------------------------------------
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
-    explicit Fixture(MemifConfig cfg = {})
-        : proc(kernel.create_process()),
-          dev(kernel, proc, cfg),
-          user(dev)
-    {
-    }
-
-    ~Fixture()
-    {
-        // Every test must hand the driver back fully quiesced: no
-        // in-flight records, leased descriptors, stuck slots, parked
-        // frames unaccounted for, or stale xlate entries. Tests that
-        // intentionally end mid-flight opt out via the flag.
-        if (!check_quiesce_on_teardown) return;
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    /** Opt-out for tests that deliberately leave work in flight. */
-    bool check_quiesce_on_teardown = true;
-
-    sim::FaultInjector &faults() { return kernel.faults(); }
-
-    void
-    fill(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
-        ASSERT_TRUE(proc.as().write(base, buf.data(), bytes));
-    }
-
-    bool
-    check(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        if (!proc.as().read(base, buf.data(), bytes)) return false;
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            if (buf[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
-    }
-
-    std::uint32_t
-    submit(MovOp op, vm::VAddr src, std::uint32_t npages,
-           vm::VAddr dst_or_node)
-    {
-        const std::uint32_t idx = user.alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
-        req.op = op;
-        req.src_base = src;
-        req.num_pages = npages;
-        if (op == MovOp::kReplicate)
-            req.dst_base = dst_or_node;
-        else
-            req.dst_node = static_cast<std::uint32_t>(dst_or_node);
-        kernel.spawn(user.submit(idx));
-        return idx;
-    }
+/** The shared fixture, plus direct staging on the submission queue. */
+struct Fixture : test::MemifFixture {
+    using MemifFixture::MemifFixture;
 
     /** Place a populated request directly on the submission queue, the
      *  state SubmitRequest leaves it in after a flush — lets a test

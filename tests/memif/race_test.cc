@@ -2,15 +2,17 @@
  * @file
  * Tests of the three §5.2 race policies under a CPU access that lands
  * mid-migration: proceed-and-fail (detect), proceed-and-recover, and
- * Linux-style prevention.
+ * Linux-style prevention, which the Linux baseline itself respects.
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "memif/device.h"
 #include "memif/user_api.h"
 #include "os/kernel.h"
+#include "os/page_migration.h"
 #include "os/process.h"
 #include "sim/types.h"
 
@@ -196,6 +198,48 @@ TEST(RacePrevent, TouchBlocksUntilRelease)
               f.user.request(idx).complete_time);
     EXPECT_GT(touched_at, kMidFlight);
     EXPECT_EQ(f.dev.stats().races_detected, 0u);
+}
+
+TEST(RacePrevent, BaselineMigrationLeavesAMemifFlightsPagesAlone)
+{
+    // Mid-flight, prevention holds the request's pages behind migration
+    // PTEs. The Linux baseline arriving then must report them busy, not
+    // move (and free) the frames the flight will free at Release.
+    Fixture f(RacePolicy::kPrevent);
+    const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
+    std::vector<std::uint8_t> pattern(64 * 4096);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 7);
+    ASSERT_TRUE(f.proc.as().write(base, pattern.data(), pattern.size()));
+    const std::uint64_t outstanding = f.kernel.phys().outstanding_pages();
+    const std::uint32_t idx = f.submit_migration(base, 64);
+
+    vm::Vma *vma = f.proc.as().find_vma(base);
+    bool held = false;
+    os::MigrationResult res;
+    auto baseline = [&]() -> sim::Task {
+        held = vma->pte(10).migration;
+        co_await os::migrate_pages_sync(f.proc, base, 64,
+                                        f.kernel.fast_node(), &res);
+    };
+    f.kernel.eq().schedule_at(kMidFlight,
+                              [&] { f.kernel.spawn(baseline()); });
+    f.kernel.run();
+
+    EXPECT_TRUE(held);
+    EXPECT_EQ(res.pages_moved, 0u);
+    EXPECT_EQ(res.pages_failed, 64u);
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    std::string why;
+    EXPECT_TRUE(f.dev.check_quiesced(&why)) << why;
+    EXPECT_EQ(f.kernel.phys().outstanding_pages(),
+              outstanding + f.dev.magazine_pages());
+    for (std::uint64_t i = 0; i < 64; ++i)
+        EXPECT_EQ(f.kernel.phys().node_of(vma->pte(i).pfn),
+                  f.kernel.fast_node());
+    std::vector<std::uint8_t> readback(pattern.size());
+    ASSERT_TRUE(f.proc.as().read(base, readback.data(), readback.size()));
+    EXPECT_EQ(readback, pattern);
 }
 
 TEST(RacePrevent, ReleaseRunsInKernelThreadNotIrq)

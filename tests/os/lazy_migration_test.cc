@@ -3,7 +3,8 @@
  * Tests for lazy migration (the Goglin-style related work of §7):
  * arming is cheap, the first touch pays the move, untouched pages
  * never move, and the paper's critique holds — total cost matches
- * eager migration, it is merely deferred.
+ * eager migration, it is merely deferred. Faults that race on one
+ * page, and a fault on a page shared after arming, move nothing twice.
  */
 #include <gtest/gtest.h>
 
@@ -114,6 +115,88 @@ TEST(LazyMigration, ExhaustedTargetDropsMarkerGracefully)
     vm::Vma *vma = p.as().find_vma(base);
     EXPECT_FALSE(vma->pte(0).lazy);  // marker dropped
     EXPECT_EQ(k.phys().node_of(vma->pte(0).pfn), k.slow_node());
+}
+
+TEST(LazyMigration, TwoFaultsOnOnePageMoveItOnce)
+{
+    // Both touches fault before either allocation is charged. The
+    // migration PTE goes in by compare-exchange, so the second fault
+    // loses, frees its frame, and waits on the first one's migration
+    // instead of freeing the old frame a second time.
+    Kernel k;
+    Process &p = k.create_process();
+    const vm::VAddr base = p.mmap(4096, vm::PageSize::k4K);
+    const std::uint32_t marker = 0xBEEF;
+    p.as().write(base, &marker, sizeof(marker));
+    MigrationResult res;
+    k.spawn(mbind_lazy(p, base, 1, k.fast_node(), &res));
+    k.run();
+    ASSERT_EQ(res.pages_moved, 1u);
+    const std::uint64_t outstanding = k.phys().outstanding_pages();
+    const std::uint64_t fast_free =
+        k.phys().node(k.fast_node()).free_frames();
+
+    TouchOutcome first, second;
+    auto toucher = [&](TouchOutcome *out) -> sim::Task {
+        co_await p.touch(base, false, out);
+    };
+    sim::Task a = toucher(&first);
+    sim::Task b = toucher(&second);
+    k.run();
+
+    EXPECT_EQ(first.result, vm::AccessResult::kOk);
+    EXPECT_EQ(second.result, vm::AccessResult::kOk);
+    EXPECT_EQ(first.lazy_migrations + second.lazy_migrations, 2u);
+    EXPECT_GE(first.blocked + second.blocked, 1u);
+    const vm::Pte pte = p.as().find_vma(base)->pte(0);
+    EXPECT_FALSE(pte.lazy);
+    EXPECT_FALSE(pte.migration);
+    EXPECT_EQ(k.phys().node_of(pte.pfn), k.fast_node());
+    // One frame moved: one fast frame taken, one slow frame freed.
+    EXPECT_EQ(k.phys().node(k.fast_node()).free_frames(), fast_free - 1);
+    EXPECT_EQ(k.phys().outstanding_pages(), outstanding);
+    std::uint32_t got = 0;
+    p.as().read(base, &got, sizeof(got));
+    EXPECT_EQ(got, marker);
+}
+
+TEST(LazyMigration, FaultOnASharedPageLeavesItHome)
+{
+    // A page armed and then shared: moving it would free a frame the
+    // other mapper still maps, so the fault's screen keeps it home and
+    // drops the marker. Arming an already shared page is refused.
+    Kernel k;
+    Process &p = k.create_process();
+    Process &q = k.create_process();
+    const vm::VAddr base = p.mmap(2 * 4096, vm::PageSize::k4K);
+    MigrationResult armed;
+    k.spawn(mbind_lazy(p, base, 1, k.fast_node(), &armed));
+    k.run();
+    ASSERT_EQ(armed.pages_moved, 1u);
+    vm::Vma *vma = p.as().find_vma(base);
+    const vm::VAddr shared = q.as().mmap_shared(*vma);
+    ASSERT_NE(shared, 0u);
+    const mem::Pfn pfn = vma->pte(0).pfn;
+    const std::uint64_t outstanding = k.phys().outstanding_pages();
+
+    TouchOutcome out;
+    auto toucher = [&]() -> sim::Task { co_await p.touch(base, true, &out); };
+    sim::Task t = toucher();
+    k.run();
+    EXPECT_EQ(out.result, vm::AccessResult::kOk);
+    EXPECT_EQ(out.lazy_migrations, 1u);
+    EXPECT_FALSE(vma->pte(0).lazy);
+    EXPECT_EQ(vma->pte(0).pfn, pfn);
+    EXPECT_EQ(q.as().find_vma(shared)->pte(0).pfn, pfn);
+    EXPECT_EQ(k.phys().frame(pfn).mapcount(), 2u);
+    EXPECT_EQ(k.phys().outstanding_pages(), outstanding);
+
+    MigrationResult refused;
+    k.spawn(mbind_lazy(p, base + 4096, 1, k.fast_node(), &refused));
+    k.run();
+    EXPECT_EQ(refused.pages_moved, 0u);
+    EXPECT_EQ(refused.pages_failed, 1u);
+    EXPECT_FALSE(vma->pte(1).lazy);
 }
 
 TEST(LazyMigration, DefersButDoesNotReduceTotalCost)
