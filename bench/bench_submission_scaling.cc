@@ -142,7 +142,6 @@ main()
         for (const std::uint32_t ncpu : {1u, 2u, 4u}) {
             core::MemifConfig mc = core::MemifConfig::moderated();
             mc.percpu_rings = m.rings;
-            mc.num_submit_cpus = 4;
             os::KernelConfig kc;
             kc.single_driver_core = true;
             TestBed bed(mc, kc);

@@ -54,6 +54,7 @@ run_cell(const wl::TileMatmulConfig &mm)
     mc.multi_tenant = false;
     mc.auto_migrate = false;
     mc.tiered_memory = false;
+    mc.pipelined_eviction = false;
     mc.sva_dma = false;
     mc.xlate_prefetch_ahead = false;
     TestBed bed(mc);

@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Fail when a MemifConfig or HeatConfig field is never assigned.
+"""Fail when a MemifConfig or HeatConfig field has not earned its place.
 
 A config field is a value some caller sets. A tuning value that nobody
-sets is a named constant next to its one use (CONTRIBUTING.md "Adding a
-config lever"), not a field every validator and covering array must
-handle. This script lists the fields of both structs and looks for an
-assignment to each (`x.field = ...`, `x.heat.field = ...` or a
-designated initializer `.field = ...`) in the presets and in every
-caller: bench/, tests/, examples/, src/check/ and perfbench/.
+sets is a named constant next to its one use, and a test alone does not
+earn a field (CONTRIBUTING.md "Adding a config lever"): it is not worth
+a field every validator and covering array must handle. This script
+lists the fields of both structs and looks for an assignment to each
+(`x.field = ...`, `x.heat.field = ...` or a designated initializer
+`.field = ...`) in the presets and in every caller: bench/, examples/,
+src/check/ and perfbench/ count as callers, tests/ only as a test.
+
+It fails on a field that nothing assigns, and on a field that only
+tests/ assigns unless TEST_SEAMS below names it. It prints each
+struct's field count, MemifConfig's boolean lever count and the test
+seams, so a new field or a new test-only knob shows up in the output.
 
 Usage: python3 scripts/check_config_knobs.py [repo-root]
 """
@@ -22,13 +28,42 @@ STRUCTS = [
     ("src/memif/heat_policy.h", "HeatConfig"),
 ]
 # Assignments count here: the preset functions live in device.h itself.
-CALLER_DIRS = ["bench", "tests", "examples", "src/check", "perfbench"]
+CALLER_DIRS = ["bench", "examples", "src/check", "perfbench"]
 CALLER_FILES = ["src/memif/device.h"]
+TEST_DIRS = ["tests"]
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
+
+# The fields only tests assign, and what each one lets a test reach.
+# Adding a test-only field means adding it here, in review.
+TEST_SEAMS = {
+    "MemifConfig::capacity":
+        "small request regions, for slot exhaustion and small fixtures",
+    "MemifConfig::allow_file_backed":
+        "page-cache migration, beyond the paper's anonymous-only prototype",
+    "MemifConfig::watchdog_margin":
+        "deadlines placed on an exact instant, to stage wake-order ties",
+    "MemifConfig::watchdog_slack":
+        "deadlines placed on an exact instant, to stage wake-order ties",
+    "MemifConfig::dma_max_retries":
+        "a fault that reaches the fallback or the app on its first attempt",
+    "MemifConfig::cpu_copy_fallback":
+        "the rollback-and-fail leg of the recovery ladder, and the "
+        "checker's self-test of an undeclared fault",
+    "MemifConfig::tenant_inflight_quota":
+        "admission rejection with a few requests",
+    "MemifConfig::tenant_frame_quota":
+        "frame-quota rejection with a small migration",
+    "MemifConfig::tenant_queue_depth":
+        "load shedding with a short backlog",
+    "MemifConfig::scan_idle_park_epochs":
+        "a scanner that never parks, or parks at once",
+    "HeatConfig::bucket_pages":
+        "page-granular heat buckets in the snapshot and policy tests",
+}
 
 # One member declaration, its ';' dropped: `type name`, `type name = v`
 # or `type name{}`.
-FIELD = re.compile(r"^(?!static\b|using\b|enum\b)[\w:<>, ]+?\s(\w+)"
+FIELD = re.compile(r"^(?!static\b|using\b|enum\b)([\w:<>, ]+?)\s(\w+)"
                    r"\s*(?:=.*|\{\})?$", re.S)
 
 
@@ -38,7 +73,8 @@ def strip_comments(text):
 
 
 def struct_fields(path, name):
-    """Data members declared at the top level of `struct name { ... };`."""
+    """(type, name) of each data member declared at the top level of
+    `struct name { ... };`."""
     text = strip_comments(path.read_text())
     m = re.search(r"\bstruct\s+" + name + r"\s*\{", text)
     if not m:
@@ -62,42 +98,64 @@ def struct_fields(path, name):
             if ch == ";":
                 f = FIELD.match(stmt.strip())
                 if f:
-                    fields.append(f.group(1))
+                    fields.append((f.group(1).strip(), f.group(2)))
                 stmt = ""
             else:
                 stmt += ch
     return fields
 
 
-def caller_text(root):
-    files = [root / f for f in CALLER_FILES]
-    for d in CALLER_DIRS:
-        files += [p for p in sorted((root / d).rglob("*"))
+def source_text(root, dirs, files=()):
+    paths = [root / f for f in files]
+    for d in dirs:
+        paths += [p for p in sorted((root / d).rglob("*"))
                   if p.suffix in SOURCE_SUFFIXES]
-    return "\n".join(strip_comments(p.read_text()) for p in files)
+    return "\n".join(strip_comments(p.read_text()) for p in paths)
 
 
 def main():
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-    callers = caller_text(root)
-    unset = []
+    callers = source_text(root, CALLER_DIRS, CALLER_FILES)
+    tests = source_text(root, TEST_DIRS)
+    unset, test_only = [], []
     for rel, name in STRUCTS:
         fields = struct_fields(root / rel, name)
         if not fields:
             sys.exit(f"{rel}: no fields parsed out of struct {name}")
-        for field in fields:
+        for _, field in fields:
             # x.field = v, x.field.sub = v, or .field = v in a braced init.
             assign = re.compile(r"\." + field + r"(?:\.\w+)*\s*=(?!=)")
-            if not assign.search(callers):
-                unset.append(f"{name}::{field}")
-        print(f"{name}: {len(fields)} settable fields")
+            if assign.search(callers):
+                continue
+            qualified = f"{name}::{field}"
+            (test_only if assign.search(tests) else unset).append(qualified)
+        levers = sum(1 for t, _ in fields if t == "bool")
+        print(f"{name}: {len(fields)} settable fields, {levers} bool levers")
+
+    failed = False
+    print(f"assigned only by tests ({len(test_only)}):")
+    for f in test_only:
+        print(f"  {f}" + ("" if f in TEST_SEAMS else "  <- not a test seam"))
+    unlisted = [f for f in test_only if f not in TEST_SEAMS]
+    if unlisted:
+        failed = True
+        print("a test alone does not earn a config field: fold each field "
+              "marked above into its preset's lever or a named constant, "
+              "or add it to TEST_SEAMS with what it lets a test reach")
+    stale = sorted(set(TEST_SEAMS) - set(test_only))
+    if stale:
+        failed = True
+        print("TEST_SEAMS names fields that are not test-only (remove "
+              "them from the list):")
+        for f in stale:
+            print(f"  {f}")
     if unset:
+        failed = True
         print("never assigned outside their declaration (make each a named "
               "constant next to its use):")
         for f in unset:
             print(f"  {f}")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

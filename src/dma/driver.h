@@ -166,11 +166,6 @@ class DmaDriver {
     }
 
     /** Forwarders for the engine's interrupt-moderation controls. */
-    void
-    configure_moderation(std::uint32_t batch, sim::Duration holdoff)
-    {
-        engine_.configure_moderation(batch, holdoff);
-    }
     bool
     discard_moderated(TransferId id)
     {

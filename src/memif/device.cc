@@ -30,6 +30,9 @@ constexpr std::size_t kXlateCacheEntries = 64;
 constexpr std::uint64_t kXlateGangPrefetch = 8;
 /** Frames parked per magazine before frees spill to the buddy. */
 constexpr std::size_t kMagazineCapacity = 128;
+/** Blocks fetched per magazine refill (floor; a gang needing more gets
+ *  exactly what it needs). */
+constexpr std::uint32_t kMagazineRefill = 32;
 /** Stream prefetch (xlate_prefetch_ahead): descriptors walked
  *  synchronously at Prep, and the batch of each asynchronous walk. */
 constexpr std::uint32_t kPrefetchWindow = 8;
@@ -42,15 +45,23 @@ constexpr std::size_t kDispatchWindow = dma::Edma3Engine::kNumTcs + 2;
 
 }  // namespace
 
+void
+MemifConfig::validate() const
+{
+    MEMIF_ASSERT(!xlate_prefetch_ahead || sva_dma,
+                 "MemifConfig: xlate_prefetch_ahead requires sva_dma");
+    MEMIF_ASSERT(!pipelined_eviction || tiered_memory,
+                 "MemifConfig: pipelined_eviction requires tiered_memory");
+}
+
 MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
                          MemifConfig config)
     : kernel_(kernel),
       config_(config),
       tc_(kernel.assign_transfer_controller()),
+      // One ring per simulated CPU; the region caps the count.
       region_(config.capacity,
-              config.percpu_rings
-                  ? std::min(config.num_submit_cpus, kMaxSubmitRings)
-                  : 0),
+              config.percpu_rings ? kernel.cpu().num_cores() : 0),
       quota_holder_(region_.capacity()),
       completion_ctl_(kernel.costs(), config.poll_threshold_bytes),
       completion_event_(kernel.eq()),
@@ -59,8 +70,7 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
       daemon_wq_(kernel.eq()),
       staging_wq_(kernel.eq())
 {
-    if (config_.irq_moderation && config_.moderation_holdoff)
-        kernel_.dma().configure_moderation(0, config_.moderation_holdoff);
+    config_.validate();
     // The owning process is tenant 0, with or without the lever.
     add_tenant(proc, 1);
     kthread_task_ = kthread_loop();
@@ -327,7 +337,7 @@ MemifDevice::add_tenant(os::Process &proc, std::uint32_t weight)
                 return handle_young_fault(vma, idx);
             });
     }
-    if (config_.xlate_cache) {
+    if (config_.driver_caches) {
         t.xcache = std::make_unique<XlateCache>(kXlateCacheEntries);
         XlateCache *cache = t.xcache.get();
         proc.as().set_xlate_invalidate_hook(
@@ -403,7 +413,7 @@ MemifDevice::print_stats(std::FILE *out) const
                  static_cast<unsigned long long>(s.fallback_copies));
     std::fprintf(out, "  rollbacks             %12llu\n",
                  static_cast<unsigned long long>(s.rollbacks));
-    if (config_.xlate_cache) {
+    if (config_.driver_caches) {
         // The two prefetchers are distinct machines: the gang cache's
         // reactive neighbour expansion vs. the ahead-of-stream walks.
         std::fprintf(out, "  xlate_gang_prefetched %12llu\n",
@@ -975,7 +985,7 @@ MemifDevice::magazine_alloc(mem::NodeId node, unsigned order,
         // Refill: one bulk buddy call for at least the refill floor,
         // falling back to the exact remainder under memory pressure.
         const std::uint32_t need = n - got;
-        std::uint32_t want = std::max(need, config_.magazine_refill);
+        std::uint32_t want = std::max(need, kMagazineRefill);
         std::vector<mem::Pfn> bulk;
         const bool fault = kernel_.faults().should_fire(kFaultAllocFail);
         if (fault || !kernel_.phys().allocate_bulk(node, order, want, bulk)) {
@@ -1024,7 +1034,7 @@ MemifDevice::magazine_free(mem::Pfn head, unsigned order,
 void
 MemifDevice::free_frames(mem::Pfn head, unsigned order, sim::Duration &cost)
 {
-    if (config_.bulk_alloc) {
+    if (config_.driver_caches) {
         magazine_free(head, order, cost);
         return;
     }
@@ -1503,7 +1513,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         sim::Duration remap_cost = 0;
         fl->new_pfns.reserve(snap.num_pages);
         bool exhausted = false;
-        if (config_.bulk_alloc) {
+        if (config_.driver_caches) {
             // One magazine pass for the whole gang: pops at list-op
             // cost, one allocate_bulk call per refill. All-or-nothing,
             // so the exhausted path has nothing to undo.
@@ -1787,7 +1797,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         issue_stream_prefetch(fl, 2);
         fl->next_prefetch_batch = 3;
     }
-    fl->moderated = moderated && irq_mode && config_.irq_moderation;
+    fl->moderated = moderated;
     // The PaRAM has 512 entries (Table 2); with several instances (or a
     // deep pipeline) in flight, wait until enough descriptors retire.
     // The gate is FIFO-fair: a PaRAM-sized request cannot starve behind
@@ -1991,7 +2001,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
                 // found its transfer complete pays the one IRQ entry
                 // for it alone.
                 co_await retire_irq(
-                    fl, w == Wake::kIrq && config_.completion_drain);
+                    fl, w == Wake::kIrq && config_.irq_moderation);
             }
             co_return;
         }
@@ -2123,7 +2133,7 @@ MemifDevice::observe_completion(const InFlightPtr &fl)
 {
     // Only clean first attempts teach the controller: a retry's span
     // covers backoff and watchdog slack, not DMA service time.
-    if (!config_.adaptive_polling || fl->xfer.attempts != 1) return;
+    if (!config_.irq_moderation || fl->xfer.attempts != 1) return;
     completion_ctl_.observe(fl->plan.payload_bytes, fl->xfer.predicted,
                             kernel_.eq().now() - fl->xfer.start_at);
 }
@@ -2146,14 +2156,10 @@ MemifDevice::retire_irq(InFlightPtr first, bool sweep)
     }
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kIrqEnter,
                             ExecContext::kIrq, first->req_idx);
-    // A lone handler samples the controller at entry, a drain pass
-    // once the entry is paid.
-    const bool drain = config_.completion_drain;
-    if (!drain) observe_completion(first);
     // One IRQ entry for the whole batch — that is the drain's point.
     co_await cpu.busy(ExecContext::kIrq, Op::kSched, cm.irq_overhead);
     for (const InFlightPtr &fl : batch) {
-        if (drain) observe_completion(fl);
+        observe_completion(fl);
         if (flight_prevents(*fl) && fl->op == MovOp::kMigrate) {
             // Release needs sleepable locks under race prevention —
             // forbidden here. The kernel thread drains these in one
@@ -2473,8 +2479,7 @@ MemifDevice::kthread_loop()
     // reaped at the top of the loop, and the coalesced IRQ is only
     // paid as a wakeup backstop when a completion lands while the
     // thread sleeps.
-    const bool reaping =
-        config_.irq_moderation && config_.completion_drain;
+    const bool reaping = config_.irq_moderation;
     if (reaping) {
         k.dma().mask_moderation();
         kthread_masked_ = true;
@@ -2506,7 +2511,7 @@ MemifDevice::kthread_loop()
 
         // Releases the interrupt handler deferred (kPrevent only).
         if (!pending_release_.empty()) {
-            if (config_.completion_drain) {
+            if (config_.irq_moderation) {
                 // Drain every deferred release in one pass, sharing a
                 // single batched ranged shootdown across requests.
                 co_await release_batch(
@@ -2552,7 +2557,7 @@ MemifDevice::kthread_loop()
             // it only ever polls with an empty backlog, so the
             // pipeline-stall concern cannot arise.
             CompletionMode mode;
-            if (config_.adaptive_polling && bytes > 0) {
+            if (config_.irq_moderation && bytes > 0) {
                 std::size_t backlog =
                     in_flight_.size() +
                     region_.submission_queue().size_unsafe() +
@@ -2560,9 +2565,6 @@ MemifDevice::kthread_loop()
                 for (std::uint32_t r = 0; r < region_.num_rings(); ++r)
                     backlog += region_.ring_queue(r).size_unsafe();
                 mode = completion_ctl_.choose(bytes, backlog);
-                if (mode == CompletionMode::kModerated &&
-                    !config_.irq_moderation)
-                    mode = CompletionMode::kInterrupt;
             } else {
                 const bool below =
                     !config_.multi_tc_dispatch && bytes > 0 &&
@@ -2592,7 +2594,7 @@ MemifDevice::kthread_loop()
         // complete without a (prompt) interrupt; instead of parking and
         // paying the backstop IRQ + wakeup, nap until the earliest
         // predicted completion and reap it at the top of the loop.
-        if (config_.irq_moderation && config_.completion_drain) {
+        if (reaping) {
             sim::SimTime earliest = 0;
             bool have = false;
             for (const InFlightPtr &fl : in_flight_) {

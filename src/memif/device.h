@@ -145,54 +145,42 @@ struct MemifConfig {
     ///@}
 
     /**
-     * @name Completion-batching levers (this PR; off by default so the
-     * paper-reproduction figures keep their exact shapes; moderated()
-     * turns them on atop pipelined() for the "memif-moderated" series).
+     * @name Completion-batching lever (off by default so the paper-
+     * reproduction figures keep their exact shapes; moderated() turns
+     * it on atop pipelined() for the "memif-moderated" series).
+     * Switches on three mechanisms that only ever run together:
+     *  - IRQ moderation: completion IRQs wait in the engine's per-TC
+     *    batch; one coalesced IRQ retires up to dma_moderation_batch
+     *    chains (or whatever finished within dma_moderation_holdoff).
+     *  - Completion drain: the first handler of a coalesced IRQ retires
+     *    every completed sibling in one pass — one IRQ entry, one
+     *    kthread wakeup, one shared ranged shootdown under kPrevent —
+     *    and the awake kernel thread masks the IRQ and reaps instead.
+     *  - EWMA hybrid polling: CompletionController replaces the static
+     *    poll_threshold_bytes rule, learning per-size completion times
+     *    to pick polled / interrupt / moderated-interrupt per transfer.
      */
     ///@{
-    /** Hold completion IRQs in the engine's per-TC moderation batch:
-     *  one coalesced IRQ retires up to the cost model's
-     *  dma_moderation_batch chains (or whatever finished within the
-     *  holdoff of the first). */
     bool irq_moderation = false;
-    /** Override for the cost model's moderation holdoff (0 = keep the
-     *  cost-model default). */
-    sim::Duration moderation_holdoff = 0;
-    /** Multi-request completion drain: the first handler of a coalesced
-     *  IRQ claims every completed interrupt-mode transfer and retires
-     *  them in one pass — one IRQ-entry charge, one kthread wakeup, and
-     *  (under kPrevent) one shared ranged TLB shootdown. */
-    bool completion_drain = false;
-    /** EWMA-driven hybrid polling: replace the static
-     *  poll_threshold_bytes rule with CompletionController, which
-     *  learns per-size completion times online and switches each
-     *  transfer between polled / interrupt / moderated-interrupt. */
-    bool adaptive_polling = false;
     ///@}
 
     /**
-     * @name Submission-path levers (this PR; off by default so the
-     * paper-reproduction figures keep their exact shapes; scaled()
-     * turns them on atop moderated() for the "memif-scaled" series).
+     * @name Submission-path levers (off by default so the paper-
+     * reproduction figures keep their exact shapes; scaled() turns
+     * them on atop moderated() for the "memif-scaled" series).
      */
     ///@{
-    /** Gang translation cache: cache (vma, range) -> walk results in
-     *  the driver, invalidated through the AddressSpace hook, so
-     *  repeated moves over hot regions skip the radix walk. */
-    bool xlate_cache = false;
-    /** Bulk frame allocation: fill a per-(node, order) free-frame
-     *  magazine (Linux pcp-list analogue) with one Buddy::allocate_bulk
-     *  call per refill instead of one allocator round trip per page;
-     *  released/rolled-back frames return to the magazine in batch. */
-    bool bulk_alloc = false;
-    /** Blocks fetched per magazine refill (floor; a gang needing more
-     *  gets exactly what it needs). */
-    std::uint32_t magazine_refill = 32;
+    /** The driver's two caches: the gang translation cache ((vma,
+     *  range) -> walk results, invalidated through the AddressSpace
+     *  hook, so repeated moves over hot regions skip the radix walk)
+     *  and bulk frame allocation (per-(node, order) free-frame
+     *  magazines, a Linux pcp-list analogue, refilled by one
+     *  Buddy::allocate_bulk call; freed frames return in batch). */
+    bool driver_caches = false;
     /** Per-CPU submission rings: one red-blue deposit ring per
-     *  simulated CPU, so concurrent clients never contend on submit. */
+     *  simulated CPU (KernelConfig::num_cores), so concurrent clients
+     *  never contend on submit. */
     bool percpu_rings = false;
-    /** Rings to format (capped at kMaxSubmitRings). */
-    std::uint32_t num_submit_cpus = 4;
     ///@}
 
     /**
@@ -332,15 +320,13 @@ struct MemifConfig {
         return c;
     }
 
-    /** pipelined() plus the completion-batching levers (the
+    /** pipelined() plus the completion-batching lever (the
      *  "memif-moderated" series). */
     static MemifConfig
     moderated()
     {
         MemifConfig c = pipelined();
         c.irq_moderation = true;
-        c.completion_drain = true;
-        c.adaptive_polling = true;
         return c;
     }
 
@@ -350,8 +336,7 @@ struct MemifConfig {
     scaled()
     {
         MemifConfig c = moderated();
-        c.xlate_cache = true;
-        c.bulk_alloc = true;
+        c.driver_caches = true;
         c.percpu_rings = true;
         return c;
     }
@@ -407,6 +392,12 @@ struct MemifConfig {
         c.strided_dma = true;
         return c;
     }
+
+    /** Abort (MEMIF_ASSERT, naming the rule) on a lever that acts only
+     *  through another lever that is off: xlate_prefetch_ahead needs
+     *  sva_dma, pipelined_eviction needs tiered_memory. The
+     *  MemifDevice constructor calls it. */
+    void validate() const;
 };
 
 /** Per-tenant accounting (multi_tenant lever; all zero otherwise). */
@@ -871,7 +862,8 @@ class MemifDevice {
      *  thread to co_await. @p out stays empty when no transfer started
      *  (a rejection, or a chained move whose master runs on its own).
      *  @p moderated asks for a moderated completion IRQ (irq_mode
-     *  only). Every early rejection leaves through one exit here. */
+     *  under irq_moderation only). Every early rejection leaves through
+     *  one exit here. */
     sim::Task serve_request(std::uint32_t idx, ReqSnapshot snap,
                             sim::ExecContext ctx, bool irq_mode,
                             sim::Task *out, bool moderated = false);
@@ -957,8 +949,9 @@ class MemifDevice {
     void claim_completed(std::vector<InFlightPtr> &batch,
                          bool moderated_only);
     /** Retire @p first from interrupt context under one IRQ entry and
-     *  one kthread wakeup — with @p sweep (completion drain), together
-     *  with every sibling claim_completed() finds. */
+     *  one kthread wakeup — with @p sweep (an interrupt under the
+     *  completion drain), together with every sibling claim_completed()
+     *  finds. */
     sim::Task retire_irq(InFlightPtr first, bool sweep);
     /** Release @p batch from the kernel thread under one shared ranged
      *  shootdown; @p reaped completions are traced and sampled first. */
@@ -1076,11 +1069,11 @@ class MemifDevice {
 
     // ----- Multi-tenant service layer ---------------------------------
     /** One registered address space: its quotas, WRR state, and (when
-     *  the xlate lever is on) a private gang translation cache, so the
+     *  driver_caches is on) a private gang translation cache, so the
      *  PR 4 sharding extends per ASID instead of adding locks. */
     struct Tenant {
         os::Process *proc = nullptr;
-        /** Per-ASID translation cache (xlate_cache lever; null when
+        /** Per-ASID translation cache (driver_caches lever; null when
          *  off). */
         std::unique_ptr<XlateCache> xcache;
         /** Dispatched-but-unserved request indices (WRR input). */
@@ -1252,7 +1245,7 @@ class MemifDevice {
      *  with or without the multi_tenant lever; only the lever adds
      *  more. */
     std::vector<Tenant> tenants_;
-    /** Per-(node, order) free-frame magazines (bulk_alloc lever). */
+    /** Per-(node, order) free-frame magazines (driver_caches lever). */
     std::map<std::pair<mem::NodeId, unsigned>, std::vector<mem::Pfn>>
         magazines_;
     /** Round-robin cursor over the submission rings. */

@@ -327,8 +327,12 @@ TEST(Copier, WaiterReturnsWhenCopiersLandItsTarget)
     // of one before it); each must still return once its target lands.
     // With copiers running, the rounds go on (for at most about 10 s of
     // a busy host) until a copier has landed some span's last chunk.
+    // Spans stay within one chunk of kParallelCopyMin: four full chunks
+    // and a last one of any length give the same races as longer spans
+    // at under half the bytes to copy and compare (under TSan the
+    // compare took about 70% of the test's time).
     constexpr int kRounds = 1500;
-    std::vector<std::byte> a = pattern(4 * kParallelCopyMin, 5);
+    std::vector<std::byte> a = pattern(kParallelCopyMin + kCopyChunk, 5);
     std::vector<std::byte> b(a.size()), c(kCopyChunk);
     sim::Rng rng(7);
     const std::uint64_t by_waiters = copies_landed_by_waiters();
@@ -342,8 +346,7 @@ TEST(Copier, WaiterReturnsWhenCopiersLandItsTarget)
          r < kRounds || (copiers_started() > 0 && !copiers_landed() &&
                          std::chrono::steady_clock::now() < until);
          ++r) {
-        const std::size_t n =
-            kParallelCopyMin + rng.next_below(3 * kParallelCopyMin);
+        const std::size_t n = kParallelCopyMin + rng.next_below(kCopyChunk);
         a[r % n] = static_cast<std::byte>(r);
         post_copy(b.data(), a.data(), n);
         if (r % 2 != 0) post_copy(c.data(), b.data() + n - kPageSize, 64);

@@ -316,7 +316,7 @@ TEST(MmuAware, SvaWalkFaultSurfacesAsXlateFaultWithoutTheLadder)
 TEST(MmuAware, PolledSvaStreamCompletes)
 {
     MemifConfig cfg = uncoalesced_mmu_aware();
-    cfg.adaptive_polling = false;    // static rule: small => polled
+    cfg.irq_moderation = false;      // static rule: small => polled
     cfg.multi_tc_dispatch = false;   // (multi-TC keeps everything irq)
     Fixture f(cfg);
     const std::uint32_t pages = 32;

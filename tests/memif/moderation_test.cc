@@ -261,8 +261,8 @@ TEST(Moderation, BackstopDrainRetiresCoalescedBatchInOnePass)
     // both watchdog deadlines.
     MemifConfig cfg = MemifConfig::moderated();
     cfg.multi_tc_dispatch = false;  // same TC -> one moderation batch
-    cfg.moderation_holdoff = sim::microseconds(16);
     Fixture f(cfg);
+    f.kernel.dma_engine().configure_moderation(0, sim::microseconds(16));
     const vm::VAddr src = f.proc.mmap(18 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst =
         f.proc.mmap(18 * 4096, vm::PageSize::k4K, f.kernel.fast_node());

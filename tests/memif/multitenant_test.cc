@@ -164,7 +164,7 @@ remap_after_teardown(bool multi_tenant)
     std::vector<os::Process *> procs = {&owner};
     MemifConfig cfg;
     cfg.race_policy = RacePolicy::kRecover;
-    cfg.xlate_cache = true;
+    cfg.driver_caches = true;
     cfg.multi_tenant = multi_tenant;
     auto dev = std::make_unique<MemifDevice>(kernel, owner, cfg);
     if (multi_tenant) {

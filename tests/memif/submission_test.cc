@@ -27,6 +27,10 @@ constexpr std::uint64_t kBytes = kPages * 4096ull;
 
 /** Touch time landing inside the DMA window of a 64-page migration. */
 constexpr sim::SimTime kMidFlight = sim::microseconds(300);
+/** The same for a migration under driver_caches whose destination
+ *  frames come from a warm magazine: the shorter Remap opens its DMA
+ *  window from about 207 to 259 us after submit. */
+constexpr sim::SimTime kCachedMidFlight = sim::microseconds(233);
 
 struct Fixture {
     os::Kernel kernel;
@@ -60,7 +64,7 @@ struct Fixture {
         mc.capacity = 64;
         mc.race_policy = policy;
         mc.poll_threshold_bytes = 0;  // irq-driven: leaves a DMA window
-        mc.xlate_cache = true;
+        mc.driver_caches = true;
         return mc;
     }
 
@@ -167,19 +171,16 @@ TEST(FlightPool, RetiredFlightStaysDeadWhenItsStorageIsReused)
 TEST(SubmissionLevers, AllOffByDefaultAllOnInScaled)
 {
     const MemifConfig def{};
-    EXPECT_FALSE(def.xlate_cache);
-    EXPECT_FALSE(def.bulk_alloc);
+    EXPECT_FALSE(def.driver_caches);
     EXPECT_FALSE(def.percpu_rings);
 
     const MemifConfig scaled = MemifConfig::scaled();
-    EXPECT_TRUE(scaled.xlate_cache);
-    EXPECT_TRUE(scaled.bulk_alloc);
+    EXPECT_TRUE(scaled.driver_caches);
     EXPECT_TRUE(scaled.percpu_rings);
-    // scaled() stacks on the PR 3 completion-batching levers.
+    // scaled() stacks on the completion-batching lever.
     const MemifConfig moderated = MemifConfig::moderated();
+    EXPECT_TRUE(moderated.irq_moderation);
     EXPECT_EQ(scaled.irq_moderation, moderated.irq_moderation);
-    EXPECT_EQ(scaled.completion_drain, moderated.completion_drain);
-    EXPECT_EQ(scaled.adaptive_polling, moderated.adaptive_polling);
 }
 
 TEST(SubmissionLevers, DefaultConfigTouchesNoNewMachinery)
@@ -293,7 +294,7 @@ TEST(XlateCache, RacingYoungClearInvalidatesUnderDetect)
     auto toucher = [&]() -> sim::Task {
         co_await f.proc.touch(base + 10 * 4096, true, &out);
     };
-    f.kernel.eq().schedule_at(f.kernel.eq().now() + kMidFlight,
+    f.kernel.eq().schedule_at(f.kernel.eq().now() + kCachedMidFlight,
                               [&] { f.kernel.spawn(toucher()); });
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kRaceDetected);
@@ -327,7 +328,7 @@ TEST(XlateCache, RacingTouchUnderPreventStaysCoherent)
     auto toucher = [&]() -> sim::Task {
         co_await f.proc.touch(base + 10 * 4096, true, &out);
     };
-    f.kernel.eq().schedule_at(f.kernel.eq().now() + kMidFlight,
+    f.kernel.eq().schedule_at(f.kernel.eq().now() + kCachedMidFlight,
                               [&] { f.kernel.spawn(toucher()); });
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
@@ -358,8 +359,7 @@ TEST(BulkAlloc, MagazineRecyclesAndDrainsWithoutLeak)
     {
         MemifConfig mc;
         mc.capacity = 64;
-        mc.bulk_alloc = true;
-        mc.magazine_refill = 8;
+        mc.driver_caches = true;
         MemifDevice dev(kernel, proc, mc);
         MemifUser user(dev);
         for (const mem::NodeId dst : {fast, kernel.slow_node()}) {
@@ -403,7 +403,7 @@ TEST(BulkAlloc, AbortedMigrationReturnsMagazineFrames)
     {
         MemifConfig mc;
         mc.capacity = 64;
-        mc.bulk_alloc = true;
+        mc.driver_caches = true;
         mc.race_policy = RacePolicy::kRecover;
         mc.poll_threshold_bytes = 0;
         MemifDevice dev(kernel, proc, mc);
@@ -442,12 +442,11 @@ TEST(BulkAlloc, AbortedMigrationReturnsMagazineFrames)
 
 TEST(PercpuRings, TwoCpusSubmitThroughTheirOwnRings)
 {
-    os::Kernel kernel;
+    os::Kernel kernel(os::KernelConfig{.num_cores = 2});
     os::Process &proc = kernel.create_process();
     MemifConfig mc;
     mc.capacity = 64;
     mc.percpu_rings = true;
-    mc.num_submit_cpus = 2;
     MemifDevice dev(kernel, proc, mc);
     ASSERT_EQ(dev.region().num_rings(), 2u);
     MemifUser u0(dev, 0);
@@ -479,6 +478,21 @@ TEST(PercpuRings, TwoCpusSubmitThroughTheirOwnRings)
     EXPECT_EQ(u1.request(ib).submit_cpu, 1u);
 }
 
+TEST(PercpuRings, OneRingPerSimulatedCpu)
+{
+    MemifConfig mc;
+    mc.capacity = 64;
+    mc.percpu_rings = true;
+    const auto rings = [&mc](os::KernelConfig kc) {
+        os::Kernel kernel(kc);
+        MemifDevice dev(kernel, kernel.create_process(), mc);
+        return dev.region().num_rings();
+    };
+    EXPECT_EQ(rings({.num_cores = 2}), 2u);
+    EXPECT_EQ(rings({}), 4u);
+    EXPECT_EQ(rings({.num_cores = 16}), kMaxSubmitRings);
+}
+
 TEST(PercpuRings, SubmitManyUsesTheCallersRing)
 {
     os::Kernel kernel;
@@ -486,7 +500,6 @@ TEST(PercpuRings, SubmitManyUsesTheCallersRing)
     MemifConfig mc;
     mc.capacity = 64;
     mc.percpu_rings = true;
-    mc.num_submit_cpus = 4;
     MemifDevice dev(kernel, proc, mc);
     MemifUser u3(dev, 3);
 

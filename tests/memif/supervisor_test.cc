@@ -302,11 +302,13 @@ TEST_P(WakeOrder, DrainSweepsASiblingWhoseDeadlineIsDue)
     // drain sweep takes B (and cancels B's deadline); if B's deadline
     // runs first, B is no longer parked and the sweep passes it by.
     // A starts first, so nothing of A's depends on B's fate.
-    MemifConfig cfg = MemifConfig::pipelined();
-    cfg.completion_drain = true;
+    MemifConfig cfg = MemifConfig::moderated();
     cfg.watchdog_margin = 1.0;
     // R0 is kicked through the syscall; the kernel thread then serves
     // A and B back to back, neither waiting on the other's interrupt.
+    // With a backlog of one request each, the completion controller
+    // gives A and B plain interrupts (only R0's is moderated), so A's
+    // own IRQ runs the drain sweep.
     struct Run {
         Bed bed;
         vm::VAddr da = 0, db = 0;

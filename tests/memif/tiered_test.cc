@@ -375,11 +375,10 @@ invariant_cfg()
 {
     MemifConfig cfg = tiered_cfg();
     cfg.strided_dma = true;
-    // Two submission rings: the second submitter's kick serves its
+    // Per-CPU submission rings: the second submitter's kick serves its
     // request in its own syscall context, concurrently with the
     // migration's serve instead of queued behind it.
     cfg.percpu_rings = true;
-    cfg.num_submit_cpus = 2;
     return cfg;
 }
 

@@ -79,6 +79,24 @@ TEST(UserApiDeath, DoubleFreePanics)
     EXPECT_DEATH(f.user.free_request(idx), "double free_request");
 }
 
+TEST(ConfigDeath, PrefetchAheadWithoutSvaPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MemifConfig cfg;
+    cfg.xlate_prefetch_ahead = true;
+    EXPECT_DEATH({ Fixture f(cfg); },
+                 "xlate_prefetch_ahead requires sva_dma");
+}
+
+TEST(ConfigDeath, PipelinedEvictionWithoutTieredMemoryPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MemifConfig cfg;
+    cfg.pipelined_eviction = true;
+    EXPECT_DEATH({ Fixture f(cfg); },
+                 "pipelined_eviction requires tiered_memory");
+}
+
 TEST(UserApi, RetrieveOnIdleInstanceReturnsNothing)
 {
     Fixture f;
