@@ -112,8 +112,7 @@ main()
     // 5.3: descriptor reuse + parameter caching.
     {
         KernelConfig cold{};
-        cold.dma_options.reuse_chains = false;
-        cold.dma_options.cache_params = false;
+        cold.dma_options.reuse_descriptors = false;
         row("desc reuse ON  (memif)", run({}, {}, pages, requests));
         row("desc reuse OFF", run({}, cold, pages, requests));
     }

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Fail when a MemifConfig or HeatConfig field has not earned its place.
+"""Fail when a config field has not earned its place.
 
 A config field is a value some caller sets. A tuning value that nobody
 sets is a named constant next to its one use, and a test alone does not
 earn a field (CONTRIBUTING.md "Adding a config lever"): it is not worth
 a field every validator and covering array must handle. This script
-lists the fields of both structs and looks for an assignment to each
-(`x.field = ...`, `x.heat.field = ...` or a designated initializer
+lists the fields of MemifConfig, HeatConfig and DmaDriverOptions and
+looks for an assignment to each (`x.field = ...`, `x.heat.field = ...`,
+`x.dma_options.field = ...` or a designated initializer
 `.field = ...`) in the presets and in every caller: bench/, examples/,
 src/check/ and perfbench/ count as callers, tests/ only as a test.
 
@@ -26,6 +27,7 @@ import sys
 STRUCTS = [
     ("src/memif/device.h", "MemifConfig"),
     ("src/memif/heat_policy.h", "HeatConfig"),
+    ("src/dma/driver.h", "DmaDriverOptions"),
 ]
 # Assignments count here: the preset functions live in device.h itself.
 CALLER_DIRS = ["bench", "examples", "src/check", "perfbench"]
@@ -57,8 +59,6 @@ TEST_SEAMS = {
         "load shedding with a short backlog",
     "MemifConfig::scan_idle_park_epochs":
         "a scanner that never parks, or parks at once",
-    "HeatConfig::bucket_pages":
-        "page-granular heat buckets in the snapshot and policy tests",
 }
 
 # One member declaration, its ';' dropped: `type name`, `type name = v`

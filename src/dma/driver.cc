@@ -78,16 +78,11 @@ DmaDriver::prepare(const std::vector<SgEntry> &sg)
                                               : kNullLink;
             engine_.param_ram().write_full(idx, d);
             p.cpu_time += cm_.dma_desc_write_full;
-            p.cpu_time += opts_.cache_params ? cm_.dma_desc_param_cached
-                                             : cm_.dma_desc_param_calc;
+            p.cpu_time += opts_.reuse_descriptors ? cm_.dma_desc_param_cached
+                                                  : cm_.dma_desc_param_calc;
         }
     }
-    // Link fix-ups the cache already performed on reused entries.
-    // (acquire() counts them; each is one uncached field write.)
-    p.cpu_time +=
-        0;  // fix-up costs folded below via stats delta would be racy;
-            // instead charge per junction: at most one per reuse splice.
-    // Conservatively charge one link write when the lease mixes reused
+    // Link fix-ups: charge one link write when the lease mixes reused
     // and fresh entries (the splice point).
     if (p.lease.reused > 0 && p.lease.fresh() > 0)
         p.cpu_time += cm_.dma_desc_write_link;

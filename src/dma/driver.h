@@ -36,12 +36,11 @@ namespace memif::dma {
 
 /** Driver feature toggles (paper §5.3). */
 struct DmaDriverOptions {
-    /** Reuse previously configured descriptor chains. */
-    bool reuse_chains = true;
-    /** Cache per-chunk-size descriptor parameter calculations. */
-    bool cache_params = true;
-    /** Transfer controller to submit on. */
-    unsigned tc = 0;
+    /** Reuse previously configured descriptor chains and cache the
+     *  per-chunk-size parameter calculations. Off is Table 1's
+     *  Baseline column: every descriptor is computed and written in
+     *  full. */
+    bool reuse_descriptors = true;
 };
 
 /**
@@ -76,7 +75,7 @@ class DmaDriver {
         : engine_(engine),
           cm_(cm),
           opts_(opts),
-          cache_(engine.param_ram(), opts.reuse_chains),
+          cache_(engine.param_ram(), opts.reuse_descriptors),
           capacity_wq_(engine.eq())
     {
         // A finished transfer's lease returns just before its
@@ -156,14 +155,8 @@ class DmaDriver {
      *                     (see Edma3Engine::XlateGate)
      */
     TransferId start(Prepared prepared, bool irq_mode,
-                     CompletionFn on_complete, unsigned tc,
+                     CompletionFn on_complete, unsigned tc = 0,
                      bool moderated = false, XlateGate gate = nullptr);
-    TransferId
-    start(Prepared prepared, bool irq_mode, CompletionFn on_complete)
-    {
-        return start(std::move(prepared), irq_mode, std::move(on_complete),
-                     opts_.tc);
-    }
 
     /** Forwarders for the engine's interrupt-moderation controls. */
     bool
@@ -209,7 +202,6 @@ class DmaDriver {
 
     Edma3Engine &engine() { return engine_; }
     const ChainCache &cache() const { return cache_; }
-    const DmaDriverOptions &options() const { return opts_; }
 
   private:
     /** Return the lease of @p id to the chain cache. */

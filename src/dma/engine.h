@@ -206,8 +206,6 @@ class Edma3Engine {
         if (batch) moderation_batch_ = batch;
         if (holdoff) moderation_holdoff_ = holdoff;
     }
-    std::uint32_t moderation_batch() const { return moderation_batch_; }
-    sim::Duration moderation_holdoff() const { return moderation_holdoff_; }
 
     /**
      * Drop @p id's held moderated completion, if any: its on_complete

@@ -606,12 +606,6 @@ class MemifDevice {
 
     /** Print the driver counters (and per-tenant table) to @p out. */
     void print_stats(std::FILE *out) const;
-    /** The adaptive completion controller (test/diag introspection). */
-    const CompletionController &completion_controller() const
-    {
-        return completion_ctl_;
-    }
-
     /** A weak handle on request @p idx's in-flight record, expired when
      *  it has none (test/diag introspection: a retired record must stay
      *  dead after the pool hands its storage to a new request). */

@@ -1,16 +1,11 @@
 #include "memif/heat_policy.h"
 
-#include "sim/log.h"
-
 namespace memif::core {
 
 RegionHeat::RegionHeat(const HeatConfig &config, std::uint64_t num_pages)
     : config_(config), num_pages_(num_pages)
 {
-    MEMIF_ASSERT(config_.bucket_pages > 0, "bucket_pages must be positive");
-    const std::uint64_t n =
-        (num_pages + config_.bucket_pages - 1) / config_.bucket_pages;
-    buckets_.resize(n);
+    buckets_.resize((num_pages + kBucketPages - 1) / kBucketPages);
 }
 
 std::uint32_t
@@ -18,8 +13,8 @@ RegionHeat::pages_in(std::uint64_t bucket) const
 {
     const std::uint64_t first = first_page(bucket);
     const std::uint64_t left = num_pages_ - first;
-    return left < config_.bucket_pages ? static_cast<std::uint32_t>(left)
-                                       : config_.bucket_pages;
+    return left < kBucketPages ? static_cast<std::uint32_t>(left)
+                               : kBucketPages;
 }
 
 void

@@ -40,12 +40,12 @@ enum class MigratePolicy : std::uint8_t {
 /** The settable heat-policy parameters (MemifConfig::heat). */
 struct HeatConfig {
     MigratePolicy policy = MigratePolicy::kAging;
-    /** Pages aggregated into one heat bucket (the migration unit). */
-    std::uint32_t bucket_pages = 8;
     /** kAging: promote when the aging vector reaches this value. */
     std::uint8_t aging_promote_threshold = 0x60;
 };
 
+/** Pages aggregated into one heat bucket (the migration unit). */
+inline constexpr std::uint32_t kBucketPages = 8;
 /** kAging: demote when the aging vector falls strictly below (idle
  *  for four epochs). */
 inline constexpr std::uint8_t kAgingDemoteThreshold = 0x10;
@@ -95,7 +95,7 @@ struct HeatBucket {
 };
 
 /**
- * Heat state for one managed region: a HeatBucket per bucket_pages
+ * Heat state for one managed region: a HeatBucket per kBucketPages
  * run of pages, plus the fold/classify machinery shared by both
  * policies.
  */
@@ -106,12 +106,12 @@ class RegionHeat {
     std::uint64_t num_buckets() const { return buckets_.size(); }
     std::uint64_t bucket_of(std::uint64_t page_idx) const
     {
-        return page_idx / config_.bucket_pages;
+        return page_idx / kBucketPages;
     }
     /** First page index of @p bucket. */
     std::uint64_t first_page(std::uint64_t bucket) const
     {
-        return bucket * config_.bucket_pages;
+        return bucket * kBucketPages;
     }
     /** Number of pages in @p bucket (the last one may be short). */
     std::uint32_t pages_in(std::uint64_t bucket) const;

@@ -79,8 +79,6 @@ struct CpuAccounting {
 
     Duration op(Op o) const { return by_op[static_cast<std::size_t>(o)]; }
 
-    void reset() { *this = CpuAccounting{}; }
-
     /** Element-wise difference (this - earlier snapshot). */
     CpuAccounting since(const CpuAccounting &earlier) const;
 };
@@ -119,10 +117,6 @@ class Cpu {
     void set_single_driver_core(bool on) { single_driver_core_ = on; }
     bool single_driver_core() const { return single_driver_core_; }
 
-    /** Time at which the driver core finishes its queued work (only
-     *  meaningful under the single-driver-core model). */
-    SimTime driver_busy_until() const { return driver_busy_until_; }
-
     /** Awaitable: spend @p d of CPU time in @p ctx doing @p op. */
     Delay
     busy(ExecContext ctx, Op op, Duration d)
@@ -156,7 +150,6 @@ class Cpu {
 
     const CpuAccounting &accounting() const { return acct_; }
     CpuAccounting snapshot() const { return acct_; }
-    void reset_accounting() { acct_.reset(); }
 
   private:
     EventQueue &eq_;

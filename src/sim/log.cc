@@ -1,12 +1,8 @@
 #include "sim/log.h"
 
-#include <atomic>
-
 namespace memif::sim {
 
 namespace {
-std::atomic<int> g_log_level{0};
-
 void
 vreport(const char *tag, const char *fmt, va_list ap)
 {
@@ -15,18 +11,6 @@ vreport(const char *tag, const char *fmt, va_list ap)
     std::fputc('\n', stderr);
 }
 }  // namespace
-
-int
-log_level()
-{
-    return g_log_level.load(std::memory_order_relaxed);
-}
-
-void
-set_log_level(int level)
-{
-    g_log_level.store(level, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -60,26 +44,6 @@ warn_impl(const char *fmt, ...)
     va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform_impl(const char *fmt, ...)
-{
-    if (log_level() < 1) return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug_impl(const char *fmt, ...)
-{
-    if (log_level() < 2) return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("debug", fmt, ap);
     va_end(ap);
 }
 

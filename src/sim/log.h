@@ -8,7 +8,6 @@
  *  - fatal():  the *user* of the library asked for something impossible
  *              (bad configuration, invalid arguments); exits cleanly.
  *  - warn():   something suspicious but survivable happened.
- *  - inform(): status messages, off by default.
  */
 #pragma once
 
@@ -19,20 +18,12 @@
 
 namespace memif::sim {
 
-/** Global log verbosity: 0 = warnings only, 1 = inform, 2 = debug. */
-int log_level();
-
-/** Set the global log verbosity. */
-void set_log_level(int level);
-
 namespace detail {
 [[noreturn]] void panic_impl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 [[noreturn]] void fatal_impl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 void warn_impl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void inform_impl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void debug_impl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Prints the failed condition text (which may itself contain '%'). */
 void assert_fail(const char *file, int line, const char *cond);
 /** Aborts after an assert_fail, with or without an extra message. */
@@ -53,12 +44,6 @@ void assert_fail(const char *file, int line, const char *cond);
 
 /** Report a survivable anomaly. */
 #define MEMIF_WARN(...) ::memif::sim::detail::warn_impl(__VA_ARGS__)
-
-/** Report status (visible at log level >= 1). */
-#define MEMIF_INFORM(...) ::memif::sim::detail::inform_impl(__VA_ARGS__)
-
-/** Verbose tracing (visible at log level >= 2). */
-#define MEMIF_DEBUG(...) ::memif::sim::detail::debug_impl(__VA_ARGS__)
 
 /**
  * panic() unless @p cond holds. Extra arguments, if given, must start

@@ -31,21 +31,4 @@ to_string(TracePoint p)
     }
 }
 
-void
-Tracer::dump(std::FILE *out) const
-{
-    for (const TraceRecord &r : records_) {
-        if (r.req == TraceRecord::kNoTraceReq) {
-            std::fprintf(out, "t=%10.2fus [%-7s] %s\n", to_us(r.time),
-                         std::string(to_string(r.ctx)).c_str(),
-                         std::string(to_string(r.point)).c_str());
-        } else {
-            std::fprintf(out, "t=%10.2fus [%-7s] %-14s req=%u\n",
-                         to_us(r.time),
-                         std::string(to_string(r.ctx)).c_str(),
-                         std::string(to_string(r.point)).c_str(), r.req);
-        }
-    }
-}
-
 }  // namespace memif::sim

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string_view>
 #include <vector>
 
@@ -75,9 +74,6 @@ class Tracer {
 
     const std::vector<TraceRecord> &records() const { return records_; }
     void clear() { records_.clear(); }
-
-    /** Print one line per record ("t=... [ctx] point req=..."). */
-    void dump(std::FILE *out) const;
 
   private:
     bool enabled_ = false;

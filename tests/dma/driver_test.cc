@@ -99,9 +99,7 @@ TEST(DmaDriver, ReuseDisabledKeepsFullCost)
 {
     Fixture f;
     DmaDriver driver(f.engine, f.cm,
-                     DmaDriverOptions{.reuse_chains = false,
-                                      .cache_params = false,
-                                      .tc = 0});
+                     DmaDriverOptions{.reuse_descriptors = false});
     auto sg = f.make_sg(16);
     DmaDriver::Prepared first = driver.prepare(sg);
     const sim::Duration c1 = first.cpu_time;

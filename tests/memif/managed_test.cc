@@ -19,13 +19,9 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "dma/engine.h"
 #include "memif/heat_policy.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
@@ -102,9 +98,7 @@ TEST(HeatPolicy, EwmaHysteresisAbsorbsAFiftyPercentDutyCycle)
 
 TEST(HeatPolicy, BucketGeometry)
 {
-    HeatConfig hc;
-    hc.bucket_pages = 8;
-    RegionHeat heat(hc, 21);  // 2 full buckets + one short tail
+    RegionHeat heat(HeatConfig{}, 21);  // 2 full buckets + one short tail
     ASSERT_EQ(heat.num_buckets(), 3u);
     EXPECT_EQ(heat.pages_in(0), 8u);
     EXPECT_EQ(heat.pages_in(2), 5u);
@@ -120,52 +114,7 @@ TEST(HeatPolicy, BucketGeometry)
 // Integration: scanner + daemon against a live device.
 // ---------------------------------------------------------------------
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
-    explicit Fixture(MemifConfig cfg)
-        : proc(kernel.create_process()), dev(kernel, proc, cfg), user(dev)
-    {
-    }
-
-    ~Fixture()
-    {
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    void
-    fill(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
-        ASSERT_TRUE(proc.as().write(base, buf.data(), bytes));
-    }
-
-    bool
-    check(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        if (!proc.as().read(base, buf.data(), bytes)) return false;
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            if (buf[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
-    }
-
-    /** Node the backing frame of page @p idx of @p base's vma lives on. */
-    mem::NodeId
-    node_of_page(vm::VAddr base, std::uint64_t idx)
-    {
-        const vm::Vma *vma = proc.as().find_vma(base);
-        EXPECT_NE(vma, nullptr);
-        return kernel.phys().node_of(vma->pte(idx).pfn);
-    }
-};
+using Fixture = test::MemifFixture;
 
 /** managed() tightened for tests: fast scan epochs, small buckets. */
 MemifConfig
@@ -191,9 +140,7 @@ TEST(Managed, PromoteStormThenCoolDownDemotesAndQuiesces)
 {
     Fixture f(test_managed());
     const std::uint32_t pages = 32;  // 4 buckets of 8
-    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
-                                       f.kernel.slow_node());
-    f.fill(base, pages * 4096, 17);
+    const vm::VAddr base = f.region(pages * 4096, 17);
     ASSERT_TRUE(f.dev.manage_region(base));
     EXPECT_EQ(f.dev.managed_region_count(), 1u);
 
@@ -227,9 +174,7 @@ TEST(Managed, ScannerCountsEachTouchOnceAndTellsWritesFromReads)
 {
     Fixture f(test_managed());
     const std::uint32_t pages = 16;  // 2 buckets of 8
-    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
-                                       f.kernel.slow_node());
-    f.fill(base, pages * 4096, 29);
+    const vm::VAddr base = f.region(pages * 4096, 29);
     ASSERT_TRUE(f.dev.manage_region(base));
 
     // Bucket 0 is written, bucket 1 only read, each page once at t=0.
@@ -253,9 +198,7 @@ TEST(Managed, EpochBudgetBoundsTheDaemonsRate)
     cfg.migrate_pages_per_epoch = 8;  // one bucket per epoch
     Fixture f(cfg);
     const std::uint32_t pages = 32;
-    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
-                                       f.kernel.slow_node());
-    f.fill(base, pages * 4096, 23);
+    const vm::VAddr base = f.region(pages * 4096, 23);
     ASSERT_TRUE(f.dev.manage_region(base));
 
     f.kernel.spawn(touch_all(f, base, pages));
@@ -274,9 +217,7 @@ TEST(Managed, DaemonAbsorbsFaultBurstsWithoutPerturbingAppRequests)
 {
     Fixture f(test_managed());
     const std::uint32_t pages = 32;
-    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
-                                       f.kernel.slow_node());
-    f.fill(base, pages * 4096, 41);
+    const vm::VAddr base = f.region(pages * 4096, 41);
     const vm::VAddr src = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst = f.proc.mmap(16 * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
@@ -294,13 +235,7 @@ TEST(Managed, DaemonAbsorbsFaultBurstsWithoutPerturbingAppRequests)
     // A concurrent app replication must ride through untouched — the
     // daemon's failures are absorbed (drop + cooldown), never retried
     // or escalated on a path the app can feel.
-    const std::uint32_t idx = f.user.alloc_request();
-    ASSERT_NE(idx, kNoRequest);
-    MovReq &req = f.user.request(idx);
-    req.op = MovOp::kReplicate;
-    req.src_base = src;
-    req.dst_base = dst;
-    req.num_pages = 16;
+    const std::uint32_t idx = f.prepare(MovOp::kReplicate, src, 16, dst);
     f.kernel.spawn(touch_all(f, base, pages));
     f.kernel.spawn(f.user.submit(idx));
     f.kernel.run();
@@ -319,8 +254,7 @@ TEST(Managed, DaemonAbsorbsFaultBurstsWithoutPerturbingAppRequests)
 TEST(Managed, AutoMigrateOffIsInert)
 {
     Fixture f(MemifConfig::mmu_aware());
-    const vm::VAddr base = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
-    f.fill(base, 16 * 4096, 5);
+    const vm::VAddr base = f.region(16 * 4096, 5);
 
     // The lever is off: nothing to manage, no scanner, no daemon.
     EXPECT_FALSE(f.dev.manage_region(base));
@@ -328,13 +262,7 @@ TEST(Managed, AutoMigrateOffIsInert)
 
     const vm::VAddr dst = f.proc.mmap(16 * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    const std::uint32_t idx = f.user.alloc_request();
-    MovReq &req = f.user.request(idx);
-    req.op = MovOp::kReplicate;
-    req.src_base = base;
-    req.dst_base = dst;
-    req.num_pages = 16;
-    f.kernel.spawn(f.user.submit(idx));
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, base, 16, dst);
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
@@ -348,9 +276,7 @@ TEST(Managed, AutoMigrateOffIsInert)
 TEST(Managed, UnmanageStopsFutureScansOfTheRegion)
 {
     Fixture f(test_managed());
-    const vm::VAddr base = f.proc.mmap(16 * 4096, vm::PageSize::k4K,
-                                       f.kernel.slow_node());
-    f.fill(base, 16 * 4096, 66);
+    const vm::VAddr base = f.region(16 * 4096, 66);
     ASSERT_TRUE(f.dev.manage_region(base));
     ASSERT_TRUE(f.dev.manage_region(base));  // idempotent
     EXPECT_EQ(f.dev.managed_region_count(), 1u);

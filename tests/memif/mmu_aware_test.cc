@@ -14,71 +14,15 @@
 #include <vector>
 
 #include "dma/engine.h"
-#include "memif/user_api.h"
 #include "memif/xlate_cache.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
 namespace memif::core {
 namespace {
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
-    explicit Fixture(MemifConfig cfg = MemifConfig::mmu_aware())
-        : proc(kernel.create_process()),
-          dev(kernel, proc, cfg),
-          user(dev)
-    {
-    }
-
-    ~Fixture()
-    {
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    sim::FaultInjector &faults() { return kernel.faults(); }
-
-    void
-    fill(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
-        ASSERT_TRUE(proc.as().write(base, buf.data(), bytes));
-    }
-
-    bool
-    check(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        if (!proc.as().read(base, buf.data(), bytes)) return false;
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            if (buf[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
-    }
-
-    std::uint32_t
-    replicate(vm::VAddr src, std::uint32_t npages, vm::VAddr dst)
-    {
-        const std::uint32_t idx = user.alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kReplicate;
-        req.src_base = src;
-        req.dst_base = dst;
-        req.num_pages = npages;
-        kernel.spawn(user.submit(idx));
-        return idx;
-    }
-};
+using Fixture = test::MemifFixture;
 
 /** mmu_aware() with coalescing off: every 4 KB chunk is its own SG
  *  entry / stream slot, so the prefetcher has a real stream to run
@@ -99,7 +43,7 @@ uncoalesced_mmu_aware()
 
 TEST(XlatePrefetch, FillAfterInvalidationIsDropped)
 {
-    Fixture f;  // only used to mint a real Vma
+    Fixture f(MemifConfig::mmu_aware());  // only mints a real Vma
     const vm::VAddr base = f.proc.mmap(8 * 4096, vm::PageSize::k4K);
     vm::Vma *vma = f.proc.as().find_vma(base);
     ASSERT_NE(vma, nullptr);
@@ -139,7 +83,7 @@ TEST(XlatePrefetch, FillAfterInvalidationIsDropped)
 
 TEST(XlatePrefetch, RecordSnapshotsLivePtesAndEvictsTheLru)
 {
-    Fixture f;  // only used to mint a real Vma
+    Fixture f(MemifConfig::mmu_aware());  // only mints a real Vma
     const vm::VAddr base = f.proc.mmap(8 * 4096, vm::PageSize::k4K);
     vm::Vma *vma = f.proc.as().find_vma(base);
     ASSERT_NE(vma, nullptr);
@@ -182,12 +126,11 @@ TEST(MmuAware, SvaReplicationStreamsCorrectBytes)
 {
     Fixture f(uncoalesced_mmu_aware());
     const std::uint32_t pages = 64;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 42);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 42);
 
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
@@ -211,16 +154,15 @@ TEST(MmuAware, ShootdownStormNeverCorruptsTheStream)
 {
     Fixture f(uncoalesced_mmu_aware());
     const std::uint32_t pages = 64;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 77);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 77);
 
     // Race a TLB-shootdown storm over the source while the SVA stream
     // is consuming it: invalidations land between prefetch issue and
     // fill (fills dropped by the generation check) and between fill
     // and consumption (prefetched entries wasted, demand re-walks).
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     auto storm = [&]() -> sim::Task {
         const vm::Vma &vma = *f.proc.as().find_vma(src);
         for (std::uint32_t i = 0; i < 128; ++i) {
@@ -246,13 +188,12 @@ TEST(MmuAware, RetriedChainRevalidatesPrefetchedTranslations)
 {
     Fixture f(uncoalesced_mmu_aware());
     const std::uint32_t pages = 32;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 9);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 9);
     f.faults().arm_nth(dma::kFaultTcError, 1);
 
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     f.kernel.run();
 
     // The errored first attempt is restarted through the ladder; the
@@ -269,15 +210,14 @@ TEST(MmuAware, SvaWalkFaultMidChainRecoversThroughTheLadder)
 {
     Fixture f(uncoalesced_mmu_aware());
     const std::uint32_t pages = 32;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 31);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 31);
     // The 8th descriptor's IOMMU walk faults mid-stream; the retried
     // chain walks clean and completes.
     f.faults().arm_nth(kFaultSvaWalk, 8);
 
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
@@ -295,14 +235,13 @@ TEST(MmuAware, SvaWalkFaultSurfacesAsXlateFaultWithoutTheLadder)
     cfg.dma_max_retries = 0;
     Fixture f(cfg);
     const std::uint32_t pages = 16;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 3);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 3);
     f.fill(dst, pages * 4096, 99);  // pre-existing destination content
     f.faults().arm_nth(kFaultSvaWalk, 1);  // first descriptor faults
 
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     f.kernel.run();
 
     // With the ladder disarmed the fault is terminal and carries its
@@ -320,10 +259,9 @@ TEST(MmuAware, PolledSvaStreamCompletes)
     cfg.multi_tc_dispatch = false;   // (multi-TC keeps everything irq)
     Fixture f(cfg);
     const std::uint32_t pages = 32;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 58);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 58);
 
     // The kicked first request is irq-driven; the second small one
     // (64 KB, below the poll threshold) is served by the kernel
@@ -362,12 +300,11 @@ TEST(MmuAware, LeversOffStaysOnThePrePinnedPath)
     // runs — the pre-pinned contract of PR 1-6 is untouched.
     Fixture f(MemifConfig::tenanted());
     const std::uint32_t pages = 32;
-    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.region(pages * 4096, 12);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
-    f.fill(src, pages * 4096, 12);
 
-    const std::uint32_t idx = f.replicate(src, pages, dst);
+    const std::uint32_t idx = f.submit(MovOp::kReplicate, src, pages, dst);
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);

@@ -13,66 +13,41 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
-#include <string>
+#include <deque>
 #include <vector>
 
 #include "dma/engine.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
+#include "memif_fixture.h"
 #include "os/page_migration.h"
-#include "os/process.h"
 #include "sim/types.h"
 
 namespace memif::core {
 namespace {
 
-/** A device owned by one process plus @p extra registered tenants,
- *  each with its own address space and one MemifUser handle. */
-struct MtFixture {
-    os::Kernel kernel;
-    os::Process &owner;
-    MemifDevice dev;
-    std::vector<os::Process *> procs;           ///< index == asid
-    std::vector<std::unique_ptr<MemifUser>> users;  ///< index == asid
+/** The shared fixture plus @p extra registered tenants, each with its
+ *  own address space and one MemifUser handle. The owner is tenant 0;
+ *  its handle is the fixture's user. */
+struct MtFixture : test::MemifFixture {
+    std::vector<os::Process *> procs;  ///< index == asid
+    std::vector<MemifUser *> users;    ///< index == asid
 
-    explicit MtFixture(MemifConfig cfg, std::uint32_t extra_tenants)
-        : owner(kernel.create_process()), dev(kernel, owner, cfg)
+    MtFixture(MemifConfig cfg, std::uint32_t extra_tenants)
+        : MemifFixture(cfg), procs{&proc}, users{&user}
     {
-        procs.push_back(&owner);
-        users.push_back(std::make_unique<MemifUser>(dev, 0, 0));
         for (std::uint32_t t = 1; t <= extra_tenants; ++t) {
             os::Process &p = kernel.create_process();
             EXPECT_EQ(dev.register_tenant(p), t);
             procs.push_back(&p);
-            users.push_back(std::make_unique<MemifUser>(dev, t, t));
+            users.push_back(&tenant_users_.emplace_back(dev, t, t));
         }
     }
-
-    ~MtFixture()
-    {
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-        // Per-ASID quota accounting must return to zero: a tenant
-        // still holding quota after quiesce leaked another's frames
-        // or lost a completion.
-        for (std::uint32_t t = 0; t < dev.num_tenants(); ++t) {
-            EXPECT_EQ(dev.tenant_stats(t).outstanding, 0u)
-                << "asid " << t;
-            EXPECT_EQ(dev.tenant_stats(t).frames_charged, 0u)
-                << "asid " << t;
-        }
-    }
-
-    sim::FaultInjector &faults() { return kernel.faults(); }
 
     void
     fill(std::uint32_t asid, vm::VAddr base, std::uint64_t bytes,
          std::uint8_t seed)
     {
         std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
+        memif::check::fill_pattern(seed, buf);
         ASSERT_TRUE(procs[asid]->as().write(base, buf.data(), bytes));
     }
 
@@ -83,10 +58,9 @@ struct MtFixture {
         std::vector<std::uint8_t> buf(bytes);
         if (!procs[asid]->as().read(base, buf.data(), bytes))
             return false;
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            if (buf[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
+        std::vector<std::uint8_t> want(bytes);
+        memif::check::fill_pattern(seed, want);
+        return buf == want;
     }
 
     std::uint32_t
@@ -116,6 +90,9 @@ struct MtFixture {
         kernel.spawn(users[asid]->submit(idx));
         return idx;
     }
+
+  private:
+    std::deque<MemifUser> tenant_users_;
 };
 
 MemifConfig
@@ -133,9 +110,9 @@ TEST(MultiTenant, LeverOffTenancyIsInert)
     // The owner is tenant 0 with or without the lever.
     EXPECT_EQ(f.dev.num_tenants(), 1u);
 
-    const vm::VAddr src = f.owner.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr src = f.proc.mmap(4 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst =
-        f.owner.mmap(4 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+        f.proc.mmap(4 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
     f.fill(0, src, 4 * 4096, 9);
     const std::uint32_t idx =
         f.submit(0, MovOp::kReplicate, src, 4, dst);
@@ -159,46 +136,35 @@ TEST(MultiTenant, LeverOffTenancyIsInert)
 void
 remap_after_teardown(bool multi_tenant)
 {
-    os::Kernel kernel;
-    os::Process &owner = kernel.create_process();
-    std::vector<os::Process *> procs = {&owner};
     MemifConfig cfg;
     cfg.race_policy = RacePolicy::kRecover;
     cfg.driver_caches = true;
     cfg.multi_tenant = multi_tenant;
-    auto dev = std::make_unique<MemifDevice>(kernel, owner, cfg);
-    if (multi_tenant) {
-        procs.push_back(&kernel.create_process());
-        ASSERT_EQ(dev->register_tenant(*procs[1]), 1u);
-    }
+    MtFixture f(cfg, multi_tenant ? 1 : 0);
+    ASSERT_EQ(f.dev.num_tenants(), f.procs.size());
 
     std::vector<vm::VAddr> bases;
-    for (std::uint32_t asid = 0; asid < procs.size(); ++asid) {
-        bases.push_back(procs[asid]->mmap(8 * 4096, vm::PageSize::k4K));
-        MemifUser user(*dev, asid, asid);
-        const std::uint32_t idx = user.alloc_request();
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = bases[asid];
-        req.num_pages = 8;
-        req.dst_node = kernel.fast_node();
-        kernel.spawn(user.submit(idx));
-        kernel.run();
-        EXPECT_EQ(req.load_status(), MovStatus::kDone) << "asid " << asid;
+    for (std::uint32_t asid = 0; asid < f.procs.size(); ++asid) {
+        bases.push_back(f.procs[asid]->mmap(8 * 4096, vm::PageSize::k4K));
+        const std::uint32_t idx = f.submit(asid, MovOp::kMigrate,
+                                           bases[asid], 8,
+                                           f.kernel.fast_node());
+        f.kernel.run();
+        EXPECT_EQ(f.users[asid]->request(idx).load_status(),
+                  MovStatus::kDone)
+            << "asid " << asid;
     }
-    EXPECT_GT(dev->stats().xlate_misses, 0u);
-    std::string why;
-    EXPECT_TRUE(dev->check_quiesced(&why)) << why;
-    dev.reset();
+    EXPECT_GT(f.dev.stats().xlate_misses, 0u);
+    f.close_device();
 
-    for (std::uint32_t asid = 0; asid < procs.size(); ++asid) {
-        os::Process &p = *procs[asid];
+    for (std::uint32_t asid = 0; asid < f.procs.size(); ++asid) {
+        os::Process &p = *f.procs[asid];
         os::TouchOutcome out;
-        kernel.spawn(p.touch(bases[asid], /*write=*/true, &out));
+        f.kernel.spawn(p.touch(bases[asid], /*write=*/true, &out));
         os::MigrationResult moved;
-        kernel.spawn(os::migrate_pages_sync(p, bases[asid], 8,
-                                            kernel.slow_node(), &moved));
-        kernel.run();
+        f.kernel.spawn(os::migrate_pages_sync(p, bases[asid], 8,
+                                              f.kernel.slow_node(), &moved));
+        f.kernel.run();
         EXPECT_EQ(out.result, vm::AccessResult::kOk) << "asid " << asid;
         EXPECT_EQ(moved.pages_moved, 8u) << "asid " << asid;
         p.as().munmap(bases[asid]);

@@ -7,81 +7,48 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "memif/device.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
+#include "memif_fixture.h"
 #include "os/page_migration.h"
-#include "os/process.h"
 #include "sim/types.h"
 
 namespace memif::core {
 namespace {
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
+using test::MemifFixture;
 
-    explicit Fixture(RacePolicy policy)
-        : proc(kernel.create_process()),
-          dev(kernel, proc,
-              MemifConfig{.capacity = 64,
-                          .gang_lookup = true,
-                          .race_policy = policy,
-                          .poll_threshold_bytes = 512 * 1024}),
-          user(dev)
-    {
-    }
+MemifConfig
+race_config(RacePolicy policy)
+{
+    return MemifConfig{.capacity = 64, .race_policy = policy};
+}
 
-    ~Fixture()
-    {
-        // Every test must hand the driver back fully quiesced: no
-        // in-flight records, leased descriptors, stuck slots, parked
-        // frames unaccounted for, or stale xlate entries. Tests that
-        // intentionally end mid-flight opt out via the flag.
-        if (!check_quiesce_on_teardown) return;
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
+/** A 64-page migration of a region filled with pattern 7; the racing
+ *  tests touch page 10 in the middle of its copy. */
+std::uint32_t
+migrate_64(MemifFixture &f)
+{
+    const vm::VAddr base = f.region(64 * 4096, 7);
+    return f.submit(MovOp::kMigrate, base, 64, f.kernel.fast_node());
+}
 
-    /** Opt-out for tests that deliberately leave work in flight. */
-    bool check_quiesce_on_teardown = true;
-
-    std::uint32_t
-    submit_migration(vm::VAddr src, std::uint32_t npages)
-    {
-        const std::uint32_t idx = user.alloc_request();
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = src;
-        req.num_pages = npages;
-        req.dst_node = kernel.fast_node();
-        kernel.spawn(user.submit(idx));
-        return idx;
-    }
-};
-
-/** Pick a touch time that lands inside the DMA window of a 64-page
- *  migration (remap of 64 pages alone takes ~200 us). */
-constexpr sim::SimTime kMidFlight = sim::microseconds(300);
+/** The middle of migrate_64's DMA window under @p policy. */
+sim::SimTime
+mid_copy(RacePolicy policy)
+{
+    return test::dma_window(migrate_64, race_config(policy)).mid();
+}
 
 TEST(RaceDetect, TouchDuringDmaFailsTheRequest)
 {
-    Fixture f(RacePolicy::kDetect);
-    const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
-    const std::uint32_t idx = f.submit_migration(base, 64);
+    const sim::SimTime mid = mid_copy(RacePolicy::kDetect);
+    MemifFixture f(race_config(RacePolicy::kDetect));
+    const std::uint32_t idx = migrate_64(f);
+    const vm::VAddr base = f.user.request(idx).src_base;
 
     os::TouchOutcome out;
-    // NB: the coroutine lambda must outlive its frames, so it lives at
-    // test scope and the scheduled callback only spawns it.
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base + 10 * 4096, true, &out);
-    };
-    f.kernel.eq().schedule_at(kMidFlight,
-                              [&] { f.kernel.spawn(toucher()); });
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out);
     f.kernel.run();
 
     ASSERT_EQ(f.user.retrieve_completed(), idx);
@@ -95,9 +62,10 @@ TEST(RaceDetect, TouchDuringDmaFailsTheRequest)
 
 TEST(RaceDetect, NoTouchNoRace)
 {
-    Fixture f(RacePolicy::kDetect);
+    MemifFixture f(race_config(RacePolicy::kDetect));
     const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
-    const std::uint32_t idx = f.submit_migration(base, 64);
+    const std::uint32_t idx =
+        f.submit(MovOp::kMigrate, base, 64, f.kernel.fast_node());
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     EXPECT_EQ(f.dev.stats().races_detected, 0u);
@@ -105,15 +73,13 @@ TEST(RaceDetect, NoTouchNoRace)
 
 TEST(RaceDetect, TouchAfterCompletionIsFine)
 {
-    Fixture f(RacePolicy::kDetect);
+    MemifFixture f(race_config(RacePolicy::kDetect));
     const vm::VAddr base = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
-    const std::uint32_t idx = f.submit_migration(base, 16);
+    const std::uint32_t idx =
+        f.submit(MovOp::kMigrate, base, 16, f.kernel.fast_node());
     f.kernel.run();  // completes fully
     os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base, true, &out);
-    };
-    f.kernel.spawn(toucher());
+    f.touch_at(f.kernel.eq().now(), f.proc, base, true, &out);
     f.kernel.run();
     EXPECT_EQ(out.result, vm::AccessResult::kOk);
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
@@ -121,25 +87,15 @@ TEST(RaceDetect, TouchAfterCompletionIsFine)
 
 TEST(RaceRecover, TouchAbortsAndRestoresOldMapping)
 {
-    Fixture f(RacePolicy::kRecover);
-    const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
-    std::vector<std::uint8_t> pattern(64 * 4096);
-    for (std::size_t i = 0; i < pattern.size(); ++i)
-        pattern[i] = static_cast<std::uint8_t>(i * 7);
-    ASSERT_TRUE(f.proc.as().write(base, pattern.data(), pattern.size()));
-
+    const sim::SimTime mid = mid_copy(RacePolicy::kRecover);
+    MemifFixture f(race_config(RacePolicy::kRecover));
     const std::uint64_t fast_free =
         f.kernel.phys().node(f.kernel.fast_node()).free_frames();
-    const std::uint32_t idx = f.submit_migration(base, 64);
+    const std::uint32_t idx = migrate_64(f);
+    const vm::VAddr base = f.user.request(idx).src_base;
 
     os::TouchOutcome out;
-    // NB: the coroutine lambda must outlive its frames, so it lives at
-    // test scope and the scheduled callback only spawns it.
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base + 10 * 4096, true, &out);
-    };
-    f.kernel.eq().schedule_at(kMidFlight,
-                              [&] { f.kernel.spawn(toucher()); });
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out);
     f.kernel.run();
 
     ASSERT_EQ(f.user.retrieve_completed(), idx);
@@ -148,24 +104,21 @@ TEST(RaceRecover, TouchAbortsAndRestoresOldMapping)
     EXPECT_EQ(f.dev.stats().migrations_aborted, 1u);
     // Old mapping restored: everything still on the slow node, every
     // new page returned, data intact.
-    vm::Vma *vma = f.proc.as().find_vma(base);
     for (std::uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(f.kernel.phys().node_of(vma->pte(i).pfn),
-                  f.kernel.slow_node());
+        EXPECT_EQ(f.node_of_page(base, i), f.kernel.slow_node());
     EXPECT_EQ(f.kernel.phys().node(f.kernel.fast_node()).free_frames(),
               fast_free);
-    std::vector<std::uint8_t> readback(pattern.size());
-    ASSERT_TRUE(f.proc.as().read(base, readback.data(), readback.size()));
-    EXPECT_EQ(readback, pattern);
+    EXPECT_TRUE(f.check(base, 64 * 4096, 7));
     // The access itself proceeded on the old page without blocking.
     EXPECT_EQ(out.blocked, 0u);
 }
 
 TEST(RaceRecover, CleanMigrationStillSucceeds)
 {
-    Fixture f(RacePolicy::kRecover);
+    MemifFixture f(race_config(RacePolicy::kRecover));
     const vm::VAddr base = f.proc.mmap(32 * 4096, vm::PageSize::k4K);
-    const std::uint32_t idx = f.submit_migration(base, 32);
+    const std::uint32_t idx =
+        f.submit(MovOp::kMigrate, base, 32, f.kernel.fast_node());
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     EXPECT_EQ(f.dev.stats().migrations_aborted, 0u);
@@ -173,30 +126,24 @@ TEST(RaceRecover, CleanMigrationStillSucceeds)
 
 TEST(RacePrevent, TouchBlocksUntilRelease)
 {
-    Fixture f(RacePolicy::kPrevent);
-    const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
-    const std::uint32_t idx = f.submit_migration(base, 64);
+    const sim::SimTime mid = mid_copy(RacePolicy::kPrevent);
+    MemifFixture f(race_config(RacePolicy::kPrevent));
+    const std::uint32_t idx = migrate_64(f);
+    const vm::VAddr base = f.user.request(idx).src_base;
 
     os::TouchOutcome out;
-    bool touched = false;
     sim::SimTime touched_at = 0;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base + 10 * 4096, true, &out);
-        touched = true;
-        touched_at = f.kernel.eq().now();
-    };
-    f.kernel.eq().schedule_at(kMidFlight,
-                              [&] { f.kernel.spawn(toucher()); });
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out, &touched_at);
     f.kernel.run();
 
-    EXPECT_TRUE(touched);
+    EXPECT_NE(touched_at, 0u);  // the access finished
     EXPECT_GE(out.blocked, 1u);  // parked on the migration PTE
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     // The accessor is released at the Release step, which precedes the
     // Notify step by at most the notification cost.
     EXPECT_GE(touched_at + f.kernel.costs().queue_op,
               f.user.request(idx).complete_time);
-    EXPECT_GT(touched_at, kMidFlight);
+    EXPECT_GT(touched_at, mid);
     EXPECT_EQ(f.dev.stats().races_detected, 0u);
 }
 
@@ -205,14 +152,11 @@ TEST(RacePrevent, BaselineMigrationLeavesAMemifFlightsPagesAlone)
     // Mid-flight, prevention holds the request's pages behind migration
     // PTEs. The Linux baseline arriving then must report them busy, not
     // move (and free) the frames the flight will free at Release.
-    Fixture f(RacePolicy::kPrevent);
-    const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
-    std::vector<std::uint8_t> pattern(64 * 4096);
-    for (std::size_t i = 0; i < pattern.size(); ++i)
-        pattern[i] = static_cast<std::uint8_t>(i * 7);
-    ASSERT_TRUE(f.proc.as().write(base, pattern.data(), pattern.size()));
+    const sim::SimTime mid = mid_copy(RacePolicy::kPrevent);
+    MemifFixture f(race_config(RacePolicy::kPrevent));
+    const std::uint32_t idx = migrate_64(f);
+    const vm::VAddr base = f.user.request(idx).src_base;
     const std::uint64_t outstanding = f.kernel.phys().outstanding_pages();
-    const std::uint32_t idx = f.submit_migration(base, 64);
 
     vm::Vma *vma = f.proc.as().find_vma(base);
     bool held = false;
@@ -222,8 +166,7 @@ TEST(RacePrevent, BaselineMigrationLeavesAMemifFlightsPagesAlone)
         co_await os::migrate_pages_sync(f.proc, base, 64,
                                         f.kernel.fast_node(), &res);
     };
-    f.kernel.eq().schedule_at(kMidFlight,
-                              [&] { f.kernel.spawn(baseline()); });
+    f.kernel.eq().schedule_at(mid, [&] { f.kernel.spawn(baseline()); });
     f.kernel.run();
 
     EXPECT_TRUE(held);
@@ -235,11 +178,8 @@ TEST(RacePrevent, BaselineMigrationLeavesAMemifFlightsPagesAlone)
     EXPECT_EQ(f.kernel.phys().outstanding_pages(),
               outstanding + f.dev.magazine_pages());
     for (std::uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(f.kernel.phys().node_of(vma->pte(i).pfn),
-                  f.kernel.fast_node());
-    std::vector<std::uint8_t> readback(pattern.size());
-    ASSERT_TRUE(f.proc.as().read(base, readback.data(), readback.size()));
-    EXPECT_EQ(readback, pattern);
+        EXPECT_EQ(f.node_of_page(base, i), f.kernel.fast_node());
+    EXPECT_TRUE(f.check(base, 64 * 4096, 7));
 }
 
 TEST(RacePrevent, ReleaseRunsInKernelThreadNotIrq)
@@ -247,11 +187,13 @@ TEST(RacePrevent, ReleaseRunsInKernelThreadNotIrq)
     // The structural consequence of prevention (§5.2/§5.4): Release may
     // not run in the interrupt handler, so the irq defers to the
     // kthread. Detection has no such deferral.
-    Fixture prevent(RacePolicy::kPrevent);
+    MemifFixture prevent(race_config(RacePolicy::kPrevent));
     {
         const vm::VAddr base =
             prevent.proc.mmap(170 * 4096, vm::PageSize::k4K);
-        prevent.submit_migration(base, 170);  // > 512 KB: irq-driven
+        // > 512 KB: irq-driven
+        prevent.submit(MovOp::kMigrate, base, 170,
+                       prevent.kernel.fast_node());
         prevent.kernel.run();
         const auto &acct = prevent.kernel.cpu().accounting();
         // All Release work happened in kthread context.
@@ -259,11 +201,11 @@ TEST(RacePrevent, ReleaseRunsInKernelThreadNotIrq)
                   prevent.kernel.costs().irq_overhead +
                       prevent.kernel.costs().kthread_wakeup);
     }
-    Fixture detect(RacePolicy::kDetect);
+    MemifFixture detect(race_config(RacePolicy::kDetect));
     {
         const vm::VAddr base =
             detect.proc.mmap(170 * 4096, vm::PageSize::k4K);
-        detect.submit_migration(base, 170);
+        detect.submit(MovOp::kMigrate, base, 170, detect.kernel.fast_node());
         detect.kernel.run();
         const auto &acct = detect.kernel.cpu().accounting();
         // Release ran inside the interrupt handler: irq context time
@@ -277,9 +219,9 @@ TEST(RacePrevent, ReleaseRunsInKernelThreadNotIrq)
 TEST(RacePrevent, CostsMoreTlbFlushesThanDetect)
 {
     auto run = [](RacePolicy policy) -> std::uint64_t {
-        Fixture f(policy);
+        MemifFixture f(race_config(policy));
         const vm::VAddr base = f.proc.mmap(32 * 4096, vm::PageSize::k4K);
-        f.submit_migration(base, 32);
+        f.submit(MovOp::kMigrate, base, 32, f.kernel.fast_node());
         f.kernel.run();
         return f.proc.as().stats().tlb_page_flushes;
     };

@@ -8,73 +8,61 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "memif/device.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
+#include "memif_fixture.h"
 #include "os/page_migration.h"
-#include "os/process.h"
 
 namespace memif::core {
 namespace {
 
-struct SharedFixture {
-    os::Kernel kernel;
+MemifConfig
+race_config(RacePolicy policy)
+{
+    return MemifConfig{.capacity = 64, .race_policy = policy};
+}
+
+/** Process a (the fixture's own, which opened the device) and process b
+ *  map one region shared; process c joins with share_c(). */
+struct SharedFixture : test::MemifFixture {
     os::Process &a;
     os::Process &b;
-    MemifDevice dev;  ///< opened by process a
-    MemifUser user;
+    os::Process &c;
     vm::VAddr base_a = 0;
     vm::VAddr base_b = 0;
+    vm::VAddr base_c = 0;
 
     explicit SharedFixture(std::uint64_t bytes = 16 * 4096,
                            RacePolicy policy = RacePolicy::kDetect)
-        : SharedFixture(bytes,
-                        MemifConfig{.capacity = 64,
-                                    .gang_lookup = true,
-                                    .race_policy = policy,
-                                    .poll_threshold_bytes = 512 * 1024})
+        : SharedFixture(bytes, race_config(policy))
     {
     }
 
-    SharedFixture(std::uint64_t bytes, MemifConfig config)
-        : a(kernel.create_process()),
+    /** @p b_first: b maps the region and a shares it, so each page's
+     *  reverse-map chain lists b before the caller. */
+    SharedFixture(std::uint64_t bytes, MemifConfig config,
+                  bool b_first = false)
+        : MemifFixture(config),
+          a(proc),
           b(kernel.create_process()),
-          dev(kernel, a, config),
-          user(dev)
+          c(kernel.create_process())
     {
-        base_a = a.mmap(bytes, vm::PageSize::k4K);
-        vm::Vma *vma = a.as().find_vma(base_a);
-        base_b = b.as().mmap_shared(*vma);
+        if (b_first) {
+            base_b = b.mmap(bytes, vm::PageSize::k4K);
+            base_a = a.as().mmap_shared(*b.as().find_vma(base_b));
+        } else {
+            base_a = a.mmap(bytes, vm::PageSize::k4K);
+            base_b = b.as().mmap_shared(*a.as().find_vma(base_a));
+        }
     }
 
-    ~SharedFixture()
-    {
-        // Every test must hand the driver back fully quiesced: no
-        // in-flight records, leased descriptors, stuck slots, parked
-        // frames unaccounted for, or stale xlate entries. Tests that
-        // intentionally end mid-flight opt out via the flag.
-        if (!check_quiesce_on_teardown) return;
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    /** Opt-out for tests that deliberately leave work in flight. */
-    bool check_quiesce_on_teardown = true;
+    void share_c() { base_c = c.as().mmap_shared(*a.as().find_vma(base_a)); }
 
     std::uint32_t
     migrate(std::uint32_t npages, mem::NodeId dst)
     {
-        const std::uint32_t idx = user.alloc_request();
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = base_a;
-        req.num_pages = npages;
-        req.dst_node = dst;
-        kernel.spawn(user.submit(idx));
-        return idx;
+        return submit(MovOp::kMigrate, base_a, npages, dst);
     }
 };
 
@@ -147,18 +135,22 @@ TEST(SharedPages, MigrationUpdatesEveryMapper)
               f.kernel.phys().node(f.kernel.slow_node()).num_frames());
 }
 
+std::uint32_t
+migrate_16(SharedFixture &f)
+{
+    return f.migrate(16, f.kernel.fast_node());
+}
+
 TEST(SharedPages, OtherProcessAccessMidMigrationIsDetected)
 {
+    const sim::SimTime mid =
+        test::dma_window<SharedFixture>(migrate_16).mid();
     SharedFixture f;
-    const std::uint32_t idx = f.migrate(16, f.kernel.fast_node());
+    const std::uint32_t idx = migrate_16(f);
 
     // Process b (which did not ask for the move) writes mid-flight.
     os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.b.touch(f.base_b + 3 * 4096, true, &out);
-    };
-    f.kernel.eq().schedule_at(sim::microseconds(90),
-                              [&] { f.kernel.spawn(toucher()); });
+    f.touch_at(mid, f.b, f.base_b + 3 * 4096, true, &out);
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kRaceDetected);
@@ -167,20 +159,19 @@ TEST(SharedPages, OtherProcessAccessMidMigrationIsDetected)
 
 TEST(SharedPages, PreventPolicyBlocksOtherProcessToo)
 {
+    const sim::SimTime mid =
+        test::dma_window<SharedFixture>(migrate_16, 16 * 4096,
+                                        RacePolicy::kPrevent)
+            .mid();
     SharedFixture f(16 * 4096, RacePolicy::kPrevent);
-    const std::uint32_t idx = f.migrate(16, f.kernel.fast_node());
+    const std::uint32_t idx = migrate_16(f);
 
     os::TouchOutcome out;
-    bool touched = false;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.b.touch(f.base_b + 3 * 4096, true, &out);
-        touched = true;
-    };
-    f.kernel.eq().schedule_at(sim::microseconds(90),
-                              [&] { f.kernel.spawn(toucher()); });
+    sim::SimTime touched_at = 0;
+    f.touch_at(mid, f.b, f.base_b + 3 * 4096, true, &out, &touched_at);
     f.kernel.run();
 
-    EXPECT_TRUE(touched);
+    EXPECT_NE(touched_at, 0u);  // the access finished
     EXPECT_GE(out.blocked, 1u);  // parked on b's migration PTE
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
 }
@@ -199,32 +190,17 @@ TEST(SharedPages, LinuxBaselineSkipsSharedPages)
 
 TEST(SharedPages, ThreeWaySharingMigrates)
 {
-    os::Kernel kernel;
-    os::Process &a = kernel.create_process();
-    os::Process &b = kernel.create_process();
-    os::Process &c = kernel.create_process();
-    MemifDevice dev(kernel, a);
-    MemifUser user(dev);
+    SharedFixture f(4 * 4096, MemifConfig{});
+    f.share_c();
+    const std::uint32_t idx = f.migrate(4, f.kernel.fast_node());
+    f.kernel.run();
+    ASSERT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
 
-    const vm::VAddr base_a = a.mmap(4 * 4096, vm::PageSize::k4K);
-    const vm::VAddr base_b = b.as().mmap_shared(*a.as().find_vma(base_a));
-    const vm::VAddr base_c = c.as().mmap_shared(*a.as().find_vma(base_a));
-
-    const std::uint32_t idx = user.alloc_request();
-    MovReq &req = user.request(idx);
-    req.op = MovOp::kMigrate;
-    req.src_base = base_a;
-    req.num_pages = 4;
-    req.dst_node = kernel.fast_node();
-    kernel.spawn(user.submit(idx));
-    kernel.run();
-    ASSERT_EQ(user.request(idx).load_status(), MovStatus::kDone);
-
-    const mem::Pfn pfn = a.as().find_vma(base_a)->pte(0).pfn;
-    EXPECT_EQ(kernel.phys().node_of(pfn), kernel.fast_node());
-    EXPECT_EQ(b.as().find_vma(base_b)->pte(0).pfn, pfn);
-    EXPECT_EQ(c.as().find_vma(base_c)->pte(0).pfn, pfn);
-    EXPECT_EQ(kernel.phys().frame(pfn).mapcount(), 3u);
+    const mem::Pfn pfn = f.a.as().find_vma(f.base_a)->pte(0).pfn;
+    EXPECT_EQ(f.kernel.phys().node_of(pfn), f.kernel.fast_node());
+    EXPECT_EQ(f.b.as().find_vma(f.base_b)->pte(0).pfn, pfn);
+    EXPECT_EQ(f.c.as().find_vma(f.base_c)->pte(0).pfn, pfn);
+    EXPECT_EQ(f.kernel.phys().frame(pfn).mapcount(), 3u);
 }
 
 TEST(SharedPages, RollbackRestoresEveryMappingCallerFirst)
@@ -234,22 +210,19 @@ TEST(SharedPages, RollbackRestoresEveryMappingCallerFirst)
     // still put a's mapping first within every page, and a rollback
     // must restore every PTE of every mapper.
     constexpr std::uint32_t kPages = 16;
-    os::Kernel kernel;
-    os::Process &b = kernel.create_process();
-    os::Process &a = kernel.create_process();
-    os::Process &c = kernel.create_process();
-    const vm::VAddr base_b = b.mmap(kPages * 4096, vm::PageSize::k4K);
-    const vm::VAddr base_a = a.as().mmap_shared(*b.as().find_vma(base_b));
-    const vm::VAddr base_c = c.as().mmap_shared(*b.as().find_vma(base_b));
-    MemifDevice dev(kernel, a,
-                    MemifConfig{.capacity = 64,
-                                .gang_lookup = true,
-                                .race_policy = RacePolicy::kRecover,
-                                .poll_threshold_bytes = 512 * 1024});
-    MemifUser user(dev);
+    const MemifConfig cfg = race_config(RacePolicy::kRecover);
+    const auto setup = [](SharedFixture &f) {
+        f.share_c();
+        return f.migrate(kPages, f.kernel.fast_node());
+    };
+    const sim::SimTime mid =
+        test::dma_window<SharedFixture>(setup, kPages * 4096, cfg, true)
+            .mid();
+    SharedFixture f(kPages * 4096, cfg, /*b_first=*/true);
+    const std::uint32_t idx = setup(f);
 
-    const std::vector<os::Process *> procs = {&a, &b, &c};
-    const std::vector<vm::VAddr> bases = {base_a, base_b, base_c};
+    const std::vector<os::Process *> procs = {&f.a, &f.b, &f.c};
+    const std::vector<vm::VAddr> bases = {f.base_a, f.base_b, f.base_c};
     std::vector<std::vector<std::uint64_t>> before(procs.size());
     for (std::size_t p = 0; p < procs.size(); ++p) {
         const vm::Vma *vma = procs[p]->as().find_vma(bases[p]);
@@ -268,25 +241,14 @@ TEST(SharedPages, RollbackRestoresEveryMappingCallerFirst)
             });
     }
 
-    const std::uint32_t idx = user.alloc_request();
-    MovReq &req = user.request(idx);
-    req.op = MovOp::kMigrate;
-    req.src_base = base_a;
-    req.num_pages = kPages;
-    req.dst_node = kernel.fast_node();
-    kernel.spawn(user.submit(idx));
     // The caller reads a page mid-copy: its young fault rolls back.
     os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await a.touch(base_a + 3 * 4096, false, &out);
-    };
-    kernel.eq().schedule_at(sim::microseconds(90),
-                            [&] { kernel.spawn(toucher()); });
-    kernel.run();
+    f.touch_at(mid, f.a, f.base_a + 3 * 4096, false, &out);
+    f.kernel.run();
     for (os::Process *p : procs) p->as().set_xlate_invalidate_hook(nullptr);
 
-    ASSERT_EQ(user.request(idx).load_status(), MovStatus::kAborted);
-    EXPECT_EQ(dev.stats().migrations_aborted, 1u);
+    ASSERT_EQ(f.user.request(idx).load_status(), MovStatus::kAborted);
+    EXPECT_EQ(f.dev.stats().migrations_aborted, 1u);
     ASSERT_EQ(first_flush.size(), kPages);
     for (const auto &[page, proc] : first_flush)
         EXPECT_EQ(proc, 0u) << "page " << page << ": caller not first";
@@ -302,13 +264,11 @@ TEST(SharedPages, RollbackRestoresEveryMappingCallerFirst)
                 EXPECT_EQ(now.pack(), was.pack())
                     << "proc " << p << " page " << i;
             }
-            EXPECT_EQ(kernel.phys().frame(now.pfn).mapcount(), 3u);
+            EXPECT_EQ(f.kernel.phys().frame(now.pfn).mapcount(), 3u);
         }
     }
-    EXPECT_EQ(kernel.phys().node(kernel.fast_node()).free_frames(),
-              kernel.phys().node(kernel.fast_node()).num_frames());
-    std::string why;
-    EXPECT_TRUE(dev.check_quiesced(&why)) << why;
+    EXPECT_EQ(f.kernel.phys().node(f.kernel.fast_node()).free_frames(),
+              f.kernel.phys().node(f.kernel.fast_node()).num_frames());
 }
 
 TEST(SharedPages, BusyRejectMidCaptureLeaksNoFrames)
@@ -319,13 +279,8 @@ TEST(SharedPages, BusyRejectMidCaptureLeaksNoFrames)
     // rejected request's new frames must all go back (the fixture's
     // teardown also runs check_quiesced).
     SharedFixture f(64 * 4096, MemifConfig::pipelined());
-    const std::uint32_t back = f.user.alloc_request();
-    MovReq &breq = f.user.request(back);
-    breq.op = MovOp::kMigrate;
-    breq.src_base = f.base_a + 8 * 4096;
-    breq.num_pages = 56;
-    breq.dst_node = f.kernel.fast_node();
-    f.kernel.spawn(f.user.submit(back));
+    const std::uint32_t back = f.submit(MovOp::kMigrate, f.base_a + 8 * 4096,
+                                        56, f.kernel.fast_node());
 
     vm::Vma *va = f.a.as().find_vma(f.base_a);
     const mem::Pfn old_pfn = va->pte(8).pfn;

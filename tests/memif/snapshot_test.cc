@@ -15,13 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "memif/user_api.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif/heat_policy.h"
+#include "memif_fixture.h"
 #include "sim/trace.h"
 #include "sim/types.h"
 
@@ -32,77 +30,7 @@ using sim::TracePoint;
 
 constexpr std::uint64_t kPage = 4096;
 
-struct Bed {
-    os::Kernel kernel;
-    os::Process &proc;
-    std::unique_ptr<MemifDevice> dev;
-    MemifUser user;
-
-    explicit Bed(const MemifConfig &cfg)
-        : proc(kernel.create_process()),
-          dev(std::make_unique<MemifDevice>(kernel, proc, cfg)),
-          user(*dev)
-    {
-        kernel.tracer().enable();
-    }
-
-    vm::VAddr
-    region(std::uint64_t bytes, mem::NodeId node, std::uint8_t seed,
-           vm::PageSize psize = vm::PageSize::k4K)
-    {
-        const vm::VAddr base = proc.mmap(bytes, psize, node);
-        EXPECT_NE(base, 0u);
-        std::vector<std::uint8_t> fill(bytes);
-        for (std::size_t i = 0; i < fill.size(); ++i)
-            fill[i] = static_cast<std::uint8_t>(seed + i * 13);
-        EXPECT_TRUE(proc.as().write(base, fill.data(), fill.size()));
-        return base;
-    }
-
-    std::vector<std::uint8_t>
-    read(vm::VAddr va, std::uint64_t bytes)
-    {
-        std::vector<std::uint8_t> out(bytes);
-        EXPECT_TRUE(proc.as().read(va, out.data(), bytes));
-        return out;
-    }
-
-    std::uint32_t
-    prepare(MovOp op, vm::VAddr src, std::uint32_t pages,
-            std::uint64_t dst_or_node)
-    {
-        const std::uint32_t idx = user.alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
-        req.op = op;
-        req.src_base = src;
-        req.num_pages = pages;
-        if (op == MovOp::kReplicate)
-            req.dst_base = dst_or_node;
-        else
-            req.dst_node = static_cast<std::uint32_t>(dst_or_node);
-        return idx;
-    }
-
-    /** Time of the first trace record of @p p for request @p idx. */
-    bool
-    traced(TracePoint p, std::uint32_t idx, sim::SimTime *at = nullptr)
-    {
-        for (const sim::TraceRecord &r : kernel.tracer().records()) {
-            if (r.point != p || r.req != idx) continue;
-            if (at) *at = r.time;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    expect_quiesced()
-    {
-        std::string why;
-        EXPECT_TRUE(dev->check_quiesced(&why)) << why;
-    }
-};
+using Bed = test::MemifFixture;
 
 /** The application writes @p v over every byte of @p req past its last
  *  parameter field that the driver answers through: retry_after_us and
@@ -128,12 +56,13 @@ TEST(RequestSnapshot, PageCountRewrittenAfterValidationIsIgnored)
                          << "op " << static_cast<int>(op) << ", 8 -> "
                          << forged << " pages");
             Bed b(cfg);
+            b.kernel.tracer().enable();
             const sim::CostModel &cm = b.kernel.costs();
             const mem::NodeId fast = b.kernel.fast_node();
             const vm::VAddr src =
-                b.region(8 * kPage, b.kernel.slow_node(), 7);
+                b.region(8 * kPage, 7, b.kernel.slow_node());
             const vm::VAddr dst = op == MovOp::kReplicate
-                                      ? b.region(8 * kPage, fast, 99)
+                                      ? b.region(8 * kPage, 99, fast)
                                       : 0;
             const std::vector<std::uint8_t> want = b.read(src, 8 * kPage);
             const std::uint32_t idx = b.prepare(
@@ -144,35 +73,30 @@ TEST(RequestSnapshot, PageCountRewrittenAfterValidationIsIgnored)
             // Validation runs request_validate + request_admin after
             // kServeBegin; rewrite the count 1 ns later, well before
             // the page lookup's charge ends at kPrepDone.
-            sim::SimTime begin = 0;
-            while (!b.traced(TracePoint::kServeBegin, idx, &begin))
+            std::optional<sim::SimTime> begin;
+            while (!(begin = b.traced(TracePoint::kServeBegin, idx)))
                 ASSERT_TRUE(b.kernel.eq().step());
             const sim::SimTime rewrite =
-                begin + cm.request_validate + cm.request_admin + 1;
+                *begin + cm.request_validate + cm.request_admin + 1;
             b.kernel.eq().schedule_at(
                 rewrite, [&req, forged] { req.num_pages = forged; });
             b.kernel.run();
 
-            sim::SimTime prep_done = 0;
-            ASSERT_TRUE(b.traced(TracePoint::kPrepDone, idx, &prep_done));
-            EXPECT_GT(prep_done, rewrite);
+            const std::optional<sim::SimTime> prep_done =
+                b.traced(TracePoint::kPrepDone, idx);
+            ASSERT_TRUE(prep_done);
+            EXPECT_GT(*prep_done, rewrite);
             EXPECT_EQ(req.num_pages, forged);
             EXPECT_EQ(req.load_status(), MovStatus::kDone);
             EXPECT_EQ(req.error, MovError::kNone);
             if (op == MovOp::kMigrate) {
                 // All 8 validated pages moved, and nothing else.
-                const vm::Vma *vma = b.proc.as().find_vma(src);
-                ASSERT_NE(vma, nullptr);
-                for (std::uint64_t i = 0; i < vma->num_pages(); ++i)
-                    EXPECT_EQ(b.kernel.phys().node_of(vma->pte(i).pfn),
-                              fast)
-                        << "page " << i;
+                b.expect_on_node(src, 8, fast);
                 EXPECT_EQ(b.read(src, 8 * kPage), want);
             } else {
                 EXPECT_EQ(b.read(dst, 8 * kPage), want);
             }
-            EXPECT_EQ(b.dev->stats().pages_moved, 8u);
-            b.expect_quiesced();
+            EXPECT_EQ(b.dev.stats().pages_moved, 8u);
         }
     }
 }
@@ -189,8 +113,8 @@ TEST(RequestSnapshot, ScribbledSlotForgesNoQuotaSlot)
     cfg.tenant_inflight_quota = 1;
     Bed b(cfg);
     const mem::NodeId fast = b.kernel.fast_node();
-    const vm::VAddr a_src = b.region(8 * kPage, b.kernel.slow_node(), 1);
-    const vm::VAddr b_src = b.region(8 * kPage, b.kernel.slow_node(), 2);
+    const vm::VAddr a_src = b.region(8 * kPage, 1, b.kernel.slow_node());
+    const vm::VAddr b_src = b.region(8 * kPage, 2, b.kernel.slow_node());
     const std::uint32_t a = b.prepare(MovOp::kMigrate, a_src, 8, fast);
     const std::uint32_t r = b.prepare(MovOp::kMigrate, b_src, 8, fast);
     b.kernel.spawn(b.user.submit(a));
@@ -207,12 +131,11 @@ TEST(RequestSnapshot, ScribbledSlotForgesNoQuotaSlot)
     for (std::uint32_t i; (i = b.user.retrieve_completed()) != kNoRequest;)
         done.push_back(i);
     EXPECT_EQ(done.size(), 2u);
-    const TenantStats &ts = b.dev->tenant_stats(0);
+    const TenantStats &ts = b.dev.tenant_stats(0);
     EXPECT_EQ(ts.outstanding, 0u);
     EXPECT_EQ(ts.admitted, 1u);
     EXPECT_EQ(ts.completed, 1u);
     EXPECT_EQ(ts.rejected, 1u);
-    b.expect_quiesced();
 }
 
 TEST(RequestSnapshot, ScribbledSlotForgesNoDaemonMov)
@@ -220,7 +143,7 @@ TEST(RequestSnapshot, ScribbledSlotForgesNoDaemonMov)
     MemifConfig cfg;
     cfg.multi_tenant = true;
     Bed b(cfg);
-    const vm::VAddr src = b.region(8 * kPage, b.kernel.slow_node(), 3);
+    const vm::VAddr src = b.region(8 * kPage, 3, b.kernel.slow_node());
     const std::vector<std::uint8_t> want = b.read(src, 8 * kPage);
     const std::uint32_t idx =
         b.prepare(MovOp::kMigrate, src, 8, b.kernel.fast_node());
@@ -234,13 +157,12 @@ TEST(RequestSnapshot, ScribbledSlotForgesNoDaemonMov)
     EXPECT_EQ(b.user.request(idx).load_status(), MovStatus::kDone);
     EXPECT_EQ(b.user.retrieve_completed(), idx);
     EXPECT_EQ(b.read(src, 8 * kPage), want);
-    const TenantStats &ts = b.dev->tenant_stats(0);
+    const TenantStats &ts = b.dev.tenant_stats(0);
     EXPECT_EQ(ts.outstanding, 0u);
     EXPECT_EQ(ts.completed, 1u);
-    EXPECT_EQ(b.dev->stats().promotions_completed +
-                  b.dev->stats().demotions_completed,
+    EXPECT_EQ(b.dev.stats().promotions_completed +
+                  b.dev.stats().demotions_completed,
               0u);
-    b.expect_quiesced();
 }
 
 TEST(RequestSnapshot, AsidRewrittenAfterAdmissionStaysWithTheAdmittedTenant)
@@ -249,10 +171,10 @@ TEST(RequestSnapshot, AsidRewrittenAfterAdmissionStaysWithTheAdmittedTenant)
     cfg.multi_tenant = true;
     Bed b(cfg);
     os::Process &other = b.kernel.create_process();
-    ASSERT_EQ(b.dev->register_tenant(other), 1u);
+    ASSERT_EQ(b.dev.register_tenant(other), 1u);
     const mem::NodeId slow = b.kernel.slow_node();
     const mem::NodeId fast = b.kernel.fast_node();
-    const vm::VAddr mine = b.region(8 * kPage, slow, 4);
+    const vm::VAddr mine = b.region(8 * kPage, 4, slow);
     const vm::VAddr theirs = other.mmap(8 * kPage, vm::PageSize::k4K, slow);
     ASSERT_EQ(theirs, mine) << "the two regions must share a VA";
     const std::vector<std::uint8_t> want = b.read(mine, 8 * kPage);
@@ -275,9 +197,8 @@ TEST(RequestSnapshot, AsidRewrittenAfterAdmissionStaysWithTheAdmittedTenant)
     expect_on(b.proc, fast);
     expect_on(other, slow);
     EXPECT_EQ(b.read(mine, 8 * kPage), want);
-    EXPECT_EQ(b.dev->tenant_stats(0).pages_moved, 8u);
-    EXPECT_EQ(b.dev->tenant_stats(1).pages_moved, 0u);
-    b.expect_quiesced();
+    EXPECT_EQ(b.dev.tenant_stats(0).pages_moved, 8u);
+    EXPECT_EQ(b.dev.tenant_stats(1).pages_moved, 0u);
 }
 
 TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
@@ -291,8 +212,8 @@ TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
     cfg.heat_scan_interval = sim::microseconds(100);
     Bed b(cfg);
     const mem::NodeId slow = b.kernel.slow_node();
-    const vm::VAddr src = b.region(4 * kPage, slow, 8);
-    const vm::VAddr dst = b.region(4 * kPage, b.kernel.fast_node(), 9);
+    const vm::VAddr src = b.region(4 * kPage, 8, slow);
+    const vm::VAddr dst = b.region(4 * kPage, 9, b.kernel.fast_node());
     const std::uint32_t idx = b.user.alloc_request();
     ASSERT_NE(idx, kNoRequest);
     MovReq &req = b.user.request(idx);
@@ -310,9 +231,9 @@ TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
     ASSERT_EQ(req.rows, 4u);
 
     // One bucket, touched once: the daemon promotes it, then demotes it.
-    const vm::VAddr hot = b.region(8 * kPage, slow, 10);
+    const vm::VAddr hot = b.region(8 * kPage, 10, slow);
     const std::vector<std::uint8_t> want = b.read(hot, 8 * kPage);
-    ASSERT_TRUE(b.dev->manage_region(hot));
+    ASSERT_TRUE(b.dev.manage_region(hot));
     auto touch = [&]() -> sim::Task {
         for (std::uint64_t p = 0; p < 8; ++p) {
             os::TouchOutcome t;
@@ -322,12 +243,11 @@ TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
     b.kernel.spawn(touch());
     b.kernel.run();
 
-    const DeviceStats &s = b.dev->stats();
+    const DeviceStats &s = b.dev.stats();
     EXPECT_EQ(s.daemon_movs_dropped, 0u);
     EXPECT_EQ(s.promotions_completed, 1u);
     EXPECT_EQ(s.demotions_completed, 1u);
     EXPECT_EQ(b.read(hot, 8 * kPage), want);
-    b.expect_quiesced();
 }
 
 // ---------------------------------------------------------------------
@@ -336,30 +256,32 @@ TEST(RequestSnapshot, DaemonMovIgnoresTheGeometryAStridedMoveLeftInItsSlot)
 
 TEST(RequestSnapshot, ScannerSkipsEveryPageAReplicationWrites)
 {
-    // 256 KB of 4 KB source pages replicated to offset 4 KB of a
-    // region of 64 KB pages: the bytes [4 KB, 260 KB) touch five destination
-    // pages, one more than 256 KB / 64 KB. With one page per heat
-    // bucket, every scan epoch that runs while the copy is in flight
-    // must skip all five buckets — sampling the fifth would read heat
-    // off a page the engine is still writing.
+    // 256 KB of 4 KB source pages replicated to offset 260 KB of a
+    // region of 16 64 KB pages: the bytes [260 KB, 516 KB) touch
+    // destination pages 4 to 8, one more than 256 KB / 64 KB. Page 8,
+    // the straddled one, is the first page of the second 8-page heat
+    // bucket. Every scan epoch that runs while the copy is in flight
+    // must skip both buckets, all 16 pages — sampling the second
+    // would read heat off a page the engine is still writing.
     MemifConfig cfg;
     cfg.auto_migrate = true;
-    cfg.heat.bucket_pages = 1;
     cfg.heat_scan_interval = sim::microseconds(2);
     cfg.scan_idle_park_epochs = 1u << 30;  // keep scanning throughout
     Bed b(cfg);
+    constexpr std::uint64_t kBigPage = 16 * kPage;
     const mem::NodeId slow = b.kernel.slow_node();
-    const vm::VAddr src = b.region(64 * kPage, slow, 5);
+    const vm::VAddr src = b.region(64 * kPage, 5, slow);
     const vm::VAddr dst =
-        b.region(5 * 16 * kPage, slow, 6, vm::PageSize::k64K);
-    ASSERT_TRUE(b.dev->manage_region(dst));
+        b.region(2 * kBucketPages * kBigPage, 6, slow,
+                 vm::PageSize::k64K);
+    const vm::VAddr at = dst + 4 * kBigPage + kPage;
+    ASSERT_TRUE(b.dev.manage_region(dst));
     const std::vector<std::uint8_t> want = b.read(src, 64 * kPage);
-    const std::uint32_t idx =
-        b.prepare(MovOp::kReplicate, src, 64, dst + kPage);
+    const std::uint32_t idx = b.prepare(MovOp::kReplicate, src, 64, at);
     const MovReq &req = b.user.request(idx);
     b.kernel.spawn(b.user.submit(idx));
 
-    const DeviceStats &s = b.dev->stats();
+    const DeviceStats &s = b.dev.stats();
     std::uint64_t epochs_in_flight = 0;
     while (req.load_status() != MovStatus::kDone) {
         const bool before = req.load_status() == MovStatus::kInFlight;
@@ -370,12 +292,11 @@ TEST(RequestSnapshot, ScannerSkipsEveryPageAReplicationWrites)
             s.heat_scans == scans)
             continue;
         ++epochs_in_flight;
-        EXPECT_EQ(s.heat_pages_skipped - skipped, 5u)
+        EXPECT_EQ(s.heat_pages_skipped - skipped, 2 * kBucketPages)
             << "epoch " << s.heat_scans;
     }
     EXPECT_GT(epochs_in_flight, 0u);
-    EXPECT_EQ(b.read(dst + kPage, 64 * kPage), want);
-    b.expect_quiesced();
+    EXPECT_EQ(b.read(at, 64 * kPage), want);
 }
 
 }  // namespace

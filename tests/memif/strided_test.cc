@@ -19,9 +19,7 @@
 
 #include "dma/engine.h"
 #include "memif/memif.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 #include "sim/random.h"
 #include "sim/types.h"
 
@@ -39,43 +37,11 @@ strided_cfg()
     return cfg;
 }
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
+/** The shared fixture with a far tier, on strided_cfg() by default. */
+struct Fixture : test::MemifFixture {
     explicit Fixture(MemifConfig cfg = strided_cfg())
-        : kernel(os::KernelConfig{.far_bytes = 64ull << 20}),
-          proc(kernel.create_process()),
-          dev(kernel, proc, cfg),
-          user(dev)
+        : MemifFixture(cfg, os::KernelConfig{.far_bytes = 64ull << 20})
     {
-    }
-
-    ~Fixture()
-    {
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    sim::FaultInjector &faults() { return kernel.faults(); }
-
-    void
-    fill(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
-        ASSERT_TRUE(proc.as().write(base, buf.data(), bytes));
-    }
-
-    std::vector<std::uint8_t>
-    snap(vm::VAddr base, std::uint64_t bytes)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        EXPECT_TRUE(proc.as().read(base, buf.data(), bytes));
-        return buf;
     }
 
     /** Populate and spawn one strided replication via the user lib. */
@@ -108,8 +74,8 @@ oracle(Fixture &f, vm::VAddr src, vm::VAddr dst, std::uint32_t row_bytes,
 {
     const std::uint64_t dspan = (std::uint64_t{rows} - 1) * dp + row_bytes;
     const std::uint64_t sspan = (std::uint64_t{rows} - 1) * sp + row_bytes;
-    std::vector<std::uint8_t> want = f.snap(dst, dspan);
-    const std::vector<std::uint8_t> have = f.snap(src, sspan);
+    std::vector<std::uint8_t> want = f.read(dst, dspan);
+    const std::vector<std::uint8_t> have = f.read(src, sspan);
     for (std::uint32_t r = 0; r < rows; ++r)
         std::memcpy(want.data() + r * dp, have.data() + r * sp, row_bytes);
     return want;
@@ -120,11 +86,8 @@ constexpr std::uint64_t kPb = 4096;
 TEST(Strided, FlatPitchDegeneratesAndMatchesOracle)
 {
     Fixture f;
-    const vm::VAddr src = f.proc.mmap(4 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(4 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 4 * kPb, 7);
-    f.fill(dst, 4 * kPb, 201);
+    const vm::VAddr src = f.region(4 * kPb, 7);
+    const vm::VAddr dst = f.region(4 * kPb, 201, f.kernel.fast_node());
 
     // pitch == row_bytes on both sides: a flat copy in 2D clothing.
     const auto want = oracle(f, src, dst, 512, 8, 512, 512);
@@ -132,14 +95,13 @@ TEST(Strided, FlatPitchDegeneratesAndMatchesOracle)
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
-    EXPECT_EQ(f.snap(dst, want.size()), want);
+    EXPECT_EQ(f.read(dst, want.size()), want);
     EXPECT_EQ(f.dev.stats().strided_requests, 1u);
     EXPECT_EQ(f.dev.stats().strided_rows_moved, 8u);
     // Bytes outside the written span survive untouched.
-    const auto tail = f.snap(dst + want.size(), kPb);
+    const auto tail = f.read(dst + want.size(), kPb);
     for (std::uint64_t i = 0; i < tail.size(); ++i)
-        ASSERT_EQ(tail[i],
-                  static_cast<std::uint8_t>(201 + (want.size() + i) * 13));
+        ASSERT_EQ(tail[i], check::pat_byte(201, want.size() + i));
 }
 
 TEST(Strided, PitchedCopyMatchesPerRowOracle)
@@ -149,11 +111,11 @@ TEST(Strided, PitchedCopyMatchesPerRowOracle)
         Fixture f;
         sim::Rng rng(seed);
         const std::uint64_t bytes = 64 * kPb;
-        const vm::VAddr src = f.proc.mmap(bytes, vm::PageSize::k4K);
+        const vm::VAddr src =
+            f.region(bytes, static_cast<std::uint8_t>(seed));
         const vm::VAddr dst =
-            f.proc.mmap(bytes, vm::PageSize::k4K, f.kernel.fast_node());
-        f.fill(src, bytes, static_cast<std::uint8_t>(seed));
-        f.fill(dst, bytes, static_cast<std::uint8_t>(seed + 101));
+            f.region(bytes, static_cast<std::uint8_t>(seed + 101),
+                     f.kernel.fast_node());
 
         for (unsigned round = 0; round < 12; ++round) {
             const std::uint32_t rows =
@@ -175,7 +137,7 @@ TEST(Strided, PitchedCopyMatchesPerRowOracle)
             f.kernel.run();
             ASSERT_EQ(f.user.request(idx).load_status(), MovStatus::kDone)
                 << "seed " << seed << " round " << round;
-            ASSERT_EQ(f.snap(dst + doff, want.size()), want)
+            ASSERT_EQ(f.read(dst + doff, want.size()), want)
                 << "seed " << seed << " round " << round << ": rows "
                 << rows << " rb " << rb << " sp " << sp << " dp " << dp;
         }
@@ -190,11 +152,9 @@ TEST(Strided, RowsSplitAtPageBoundariesAndAcrossPageSizes)
     // Source on 64K pages, destination on 4K: destination rows tile
     // straight across 4 KB frame boundaries, so nearly every row
     // splits on the dst side while the src side stays page-interior.
-    const vm::VAddr src = f.proc.mmap(4ull << 16, vm::PageSize::k64K);
-    const vm::VAddr dst =
-        f.proc.mmap(16 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 4ull << 16, 33);
-    f.fill(dst, 16 * kPb, 90);
+    const vm::VAddr src =
+        f.region(4ull << 16, 33, f.kernel.slow_node(), vm::PageSize::k64K);
+    const vm::VAddr dst = f.region(16 * kPb, 90, f.kernel.fast_node());
 
     const std::uint32_t rows = 12, rb = 3000;
     const auto want = oracle(f, src, dst, rb, rows, 5000, rb);
@@ -202,7 +162,7 @@ TEST(Strided, RowsSplitAtPageBoundariesAndAcrossPageSizes)
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
-    EXPECT_EQ(f.snap(dst, want.size()), want);
+    EXPECT_EQ(f.read(dst, want.size()), want);
     EXPECT_GT(f.dev.stats().strided_row_splits, 0u);
 }
 
@@ -217,17 +177,14 @@ TEST(Strided, SvaStreamDeliversSameBytes)
         MemifConfig cfg = strided_cfg();
         cfg.sva_dma = leg == 1;
         Fixture f(cfg);
-        const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-        const vm::VAddr dst =
-            f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-        f.fill(src, 8 * kPb, 55);
-        f.fill(dst, 8 * kPb, 120);
+        const vm::VAddr src = f.region(8 * kPb, 55);
+        const vm::VAddr dst = f.region(8 * kPb, 120, f.kernel.fast_node());
 
         const auto want = oracle(f, src, dst, rb, rows, sp, dp);
         const std::uint32_t idx = f.submit_strided(src, dst, rb, rows, sp, dp);
         f.kernel.run();
         EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
-        got[leg] = f.snap(dst, want.size());
+        got[leg] = f.read(dst, want.size());
         EXPECT_EQ(got[leg], want) << "leg " << leg;
         if (leg == 0) {
             EXPECT_GT(f.dev.stats().strided_descriptors, 0u);
@@ -244,11 +201,8 @@ TEST(StridedFaults, TcErrorExhaustsRetriesWithoutTearingRows)
     MemifConfig cfg = strided_cfg();
     cfg.cpu_copy_fallback = false;  // let the DMA error reach the app
     Fixture f(cfg);
-    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 8 * kPb, 11);
-    f.fill(dst, 8 * kPb, 222);
+    const vm::VAddr src = f.region(8 * kPb, 11);
+    const vm::VAddr dst = f.region(8 * kPb, 222, f.kernel.fast_node());
 
     // First chain and all dma_max_retries retries fail.
     f.faults().arm_nth(dma::kFaultTcError, 1, 1 + cfg.dma_max_retries);
@@ -259,20 +213,17 @@ TEST(StridedFaults, TcErrorExhaustsRetriesWithoutTearingRows)
     EXPECT_EQ(f.user.request(idx).error, MovError::kDmaError);
     // No torn rows: the whole destination window still reads its old
     // pattern — a failed pitched move lands nothing, not half a row.
-    const auto after = f.snap(dst, 8 * kPb);
+    const auto after = f.read(dst, 8 * kPb);
     for (std::uint64_t i = 0; i < after.size(); ++i)
-        ASSERT_EQ(after[i], static_cast<std::uint8_t>(222 + i * 13))
+        ASSERT_EQ(after[i], check::pat_byte(222, i))
             << "byte " << i;
 }
 
 TEST(StridedFaults, CpuFallbackPreservesLayout)
 {
     Fixture f;  // default strided cfg: cpu_copy_fallback on
-    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 8 * kPb, 14);
-    f.fill(dst, 8 * kPb, 77);
+    const vm::VAddr src = f.region(8 * kPb, 14);
+    const vm::VAddr dst = f.region(8 * kPb, 77, f.kernel.fast_node());
 
     f.faults().arm_nth(dma::kFaultTcError, 1, 4);
     const auto want = oracle(f, src, dst, 900, 10, 1300, 1000);
@@ -282,18 +233,15 @@ TEST(StridedFaults, CpuFallbackPreservesLayout)
     // The fallback replays the exact row geometry: the app sees the
     // same bytes a healthy DMA would have delivered.
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
-    EXPECT_EQ(f.snap(dst, want.size()), want);
+    EXPECT_EQ(f.read(dst, want.size()), want);
     EXPECT_GT(f.dev.stats().fallback_copies, 0u);
 }
 
 TEST(StridedFaults, LostIrqRecovers)
 {
     Fixture f;
-    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 8 * kPb, 19);
-    f.fill(dst, 8 * kPb, 60);
+    const vm::VAddr src = f.region(8 * kPb, 19);
+    const vm::VAddr dst = f.region(8 * kPb, 60, f.kernel.fast_node());
 
     f.faults().arm_nth(dma::kFaultLostIrq, 1);
     const auto want = oracle(f, src, dst, 512, 6, 2048, 640);
@@ -301,7 +249,7 @@ TEST(StridedFaults, LostIrqRecovers)
     f.kernel.run();
 
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
-    EXPECT_EQ(f.snap(dst, want.size()), want);
+    EXPECT_EQ(f.read(dst, want.size()), want);
 }
 
 // --------------------------------------------------------------------
@@ -321,12 +269,9 @@ TEST(StridedCApi, GatherRowsFromScatteredSources)
 {
     Fixture f;
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(16 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
+    const vm::VAddr src = f.region(16 * kPb, 41);
+    const vm::VAddr dst = f.region(8 * kPb, 9, f.kernel.fast_node());
     const vm::VAddr list = f.proc.mmap(kPb, vm::PageSize::k4K);
-    f.fill(src, 16 * kPb, 41);
-    f.fill(dst, 8 * kPb, 9);
 
     // Rows gathered in reverse page order, one per source page.
     const std::uint32_t rows = 8, rb = 256;
@@ -336,9 +281,9 @@ TEST(StridedCApi, GatherRowsFromScatteredSources)
         addrs[r] = src + (rows - 1 - r) * 2 * kPb + 128;
     ASSERT_TRUE(f.proc.as().write(list, addrs.data(), rows * 8));
 
-    std::vector<std::uint8_t> want = f.snap(dst, (rows - 1) * dp + rb);
+    std::vector<std::uint8_t> want = f.read(dst, (rows - 1) * dp + rb);
     for (std::uint32_t r = 0; r < rows; ++r) {
-        const auto row = f.snap(addrs[r], rb);
+        const auto row = f.read(addrs[r], rb);
         std::memcpy(want.data() + r * dp, row.data(), rb);
     }
 
@@ -364,7 +309,7 @@ TEST(StridedCApi, GatherRowsFromScatteredSources)
     ASSERT_TRUE(task.done());
     task.rethrow_if_failed();
 
-    EXPECT_EQ(f.snap(dst, want.size()), want);
+    EXPECT_EQ(f.read(dst, want.size()), want);
     EXPECT_EQ(f.dev.stats().gather_requests, 1u);
     EXPECT_EQ(f.dev.stats().strided_rows_moved, rows);
 }
@@ -373,17 +318,14 @@ TEST(StridedCApi, GatherRowOutsideVmaFailsBadAddress)
 {
     Fixture f;
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(4 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(4 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
+    const vm::VAddr src = f.region(4 * kPb, 1);
+    const vm::VAddr dst = f.region(4 * kPb, 2, f.kernel.fast_node());
     const vm::VAddr list = f.proc.mmap(kPb, vm::PageSize::k4K);
-    f.fill(src, 4 * kPb, 1);
-    f.fill(dst, 4 * kPb, 2);
 
     // Second row address points past the end of the source vma.
     std::vector<std::uint64_t> addrs{src, src + 4 * kPb - 16};
     ASSERT_TRUE(f.proc.as().write(list, addrs.data(), addrs.size() * 8));
-    const auto before = f.snap(dst, 4 * kPb);
+    const auto before = f.read(dst, 4 * kPb);
 
     auto app = [&]() -> sim::Task {
         const int fd = MemifOpen("/dev/memif0");
@@ -406,18 +348,15 @@ TEST(StridedCApi, GatherRowOutsideVmaFailsBadAddress)
     task.rethrow_if_failed();
 
     // The failed gather moved nothing.
-    EXPECT_EQ(f.snap(dst, 4 * kPb), before);
+    EXPECT_EQ(f.read(dst, 4 * kPb), before);
 }
 
 TEST(StridedCApi, MalformedGeometryFailsOnCompletionQueue)
 {
     Fixture f;
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 8 * kPb, 5);
-    f.fill(dst, 8 * kPb, 6);
+    const vm::VAddr src = f.region(8 * kPb, 5);
+    const vm::VAddr dst = f.region(8 * kPb, 6, f.kernel.fast_node());
 
     struct Case {
         std::uint64_t d, s;
@@ -473,11 +412,8 @@ TEST(StridedCApi, FlatRequestOnARecycledStridedSlotIsServedFlat)
     cfg.capacity = 1;
     Fixture f(cfg);
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(8 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(8 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 8 * kPb, 5);
-    f.fill(dst, 8 * kPb, 6);
+    const vm::VAddr src = f.region(8 * kPb, 5);
+    const vm::VAddr dst = f.region(8 * kPb, 6, f.kernel.fast_node());
 
     auto app = [&]() -> sim::Task {
         const int fd = MemifOpen("/dev/memif0");
@@ -513,7 +449,7 @@ TEST(StridedCApi, FlatRequestOnARecycledStridedSlotIsServedFlat)
     f.kernel.run();
     ASSERT_TRUE(task.done());
     task.rethrow_if_failed();
-    EXPECT_EQ(f.snap(dst + 4 * kPb, 4 * kPb), f.snap(src + 4 * kPb, 4 * kPb));
+    EXPECT_EQ(f.read(dst + 4 * kPb, 4 * kPb), f.read(src + 4 * kPb, 4 * kPb));
     EXPECT_EQ(f.dev.stats().strided_requests, 1u);
 }
 
@@ -521,11 +457,8 @@ TEST(StridedCApi, LeverOffRejectsValidGeometry)
 {
     Fixture f{MemifConfig{}};  // strided_dma off
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(4 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(4 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 4 * kPb, 3);
-    f.fill(dst, 4 * kPb, 4);
+    const vm::VAddr src = f.region(4 * kPb, 3);
+    const vm::VAddr dst = f.region(4 * kPb, 4, f.kernel.fast_node());
 
     auto app = [&]() -> sim::Task {
         const int fd = MemifOpen("/dev/memif0");
@@ -556,11 +489,8 @@ TEST(StridedCApi, AdmissionQuotaBouncesWithRetryHint)
     cfg.tenant_inflight_quota = 1;
     Fixture f(cfg);
     DevFile df(f.dev);
-    const vm::VAddr src = f.proc.mmap(128 * kPb, vm::PageSize::k4K);
-    const vm::VAddr dst =
-        f.proc.mmap(128 * kPb, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(src, 128 * kPb, 8);
-    f.fill(dst, 128 * kPb, 9);
+    const vm::VAddr src = f.region(128 * kPb, 8);
+    const vm::VAddr dst = f.region(128 * kPb, 9, f.kernel.fast_node());
 
     auto app = [&]() -> sim::Task {
         const int fd = MemifOpen("/dev/memif0");

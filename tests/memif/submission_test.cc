@@ -9,14 +9,11 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "memif/device.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
+#include "memif_fixture.h"
 #include "os/page_migration.h"
-#include "os/process.h"
 #include "sim/types.h"
 
 namespace memif::core {
@@ -25,100 +22,29 @@ namespace {
 constexpr std::uint32_t kPages = 64;
 constexpr std::uint64_t kBytes = kPages * 4096ull;
 
-/** Touch time landing inside the DMA window of a 64-page migration. */
-constexpr sim::SimTime kMidFlight = sim::microseconds(300);
-/** The same for a migration under driver_caches whose destination
- *  frames come from a warm magazine: the shorter Remap opens its DMA
- *  window from about 207 to 259 us after submit. */
-constexpr sim::SimTime kCachedMidFlight = sim::microseconds(233);
+MemifConfig
+cached(RacePolicy policy = RacePolicy::kDetect)
+{
+    MemifConfig mc;
+    mc.capacity = 64;
+    mc.race_policy = policy;
+    mc.poll_threshold_bytes = 0;  // irq-driven: leaves a DMA window
+    mc.driver_caches = true;
+    return mc;
+}
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
-    explicit Fixture(MemifConfig mc)
-        : proc(kernel.create_process()), dev(kernel, proc, mc), user(dev)
-    {
-    }
-
-    ~Fixture()
-    {
-        // Every test must hand the driver back fully quiesced: no
-        // in-flight records, leased descriptors, stuck slots, parked
-        // frames unaccounted for, or stale xlate entries. Tests that
-        // intentionally end mid-flight opt out via the flag.
-        if (!check_quiesce_on_teardown) return;
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    /** Opt-out for tests that deliberately leave work in flight. */
-    bool check_quiesce_on_teardown = true;
-
-    static MemifConfig
-    cached(RacePolicy policy = RacePolicy::kDetect)
-    {
-        MemifConfig mc;
-        mc.capacity = 64;
-        mc.race_policy = policy;
-        mc.poll_threshold_bytes = 0;  // irq-driven: leaves a DMA window
-        mc.driver_caches = true;
-        return mc;
-    }
-
-    std::uint32_t
-    submit_migration(vm::VAddr src, std::uint32_t npages, mem::NodeId dst)
-    {
-        const std::uint32_t idx = user.alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = src;
-        req.num_pages = npages;
-        req.dst_node = dst;
-        kernel.spawn(user.submit(idx));
-        return idx;
-    }
+struct Fixture : test::MemifFixture {
+    using MemifFixture::MemifFixture;
 
     /** Submit a migration and run the machine to quiescence. */
     MovStatus
     migrate(vm::VAddr src, std::uint32_t npages, mem::NodeId dst)
     {
-        const std::uint32_t idx = submit_migration(src, npages, dst);
+        const std::uint32_t idx = submit(MovOp::kMigrate, src, npages, dst);
         kernel.run();
         const MovStatus st = user.request(idx).load_status();
         user.free_request(idx);
         return st;
-    }
-
-    std::vector<std::uint8_t>
-    checked_pattern(vm::VAddr base, std::uint64_t bytes, std::uint8_t salt)
-    {
-        std::vector<std::uint8_t> pattern(bytes);
-        for (std::size_t i = 0; i < pattern.size(); ++i)
-            pattern[i] = static_cast<std::uint8_t>(i * 13 + salt);
-        EXPECT_TRUE(proc.as().write(base, pattern.data(), pattern.size()));
-        return pattern;
-    }
-
-    void
-    expect_intact(vm::VAddr base, const std::vector<std::uint8_t> &pattern)
-    {
-        std::vector<std::uint8_t> readback(pattern.size());
-        ASSERT_TRUE(proc.as().read(base, readback.data(), readback.size()));
-        EXPECT_EQ(readback, pattern);
-    }
-
-    void
-    expect_on_node(vm::VAddr base, std::uint32_t npages, mem::NodeId node)
-    {
-        vm::Vma *vma = proc.as().find_vma(base);
-        ASSERT_NE(vma, nullptr);
-        for (std::uint64_t i = 0; i < npages; ++i)
-            EXPECT_EQ(kernel.phys().node_of(vma->pte(i).pfn), node)
-                << "page " << i;
     }
 };
 
@@ -128,7 +54,7 @@ struct Fixture {
 
 TEST(FlightPool, RetiredFlightStaysDeadWhenItsStorageIsReused)
 {
-    Fixture f{Fixture::cached()};
+    Fixture f{cached()};
     const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
     // Step the machine until request idx has its in-flight record.
     const auto in_flight = [&f](std::uint32_t idx) {
@@ -138,7 +64,7 @@ TEST(FlightPool, RetiredFlightStaysDeadWhenItsStorageIsReused)
     };
 
     const std::uint32_t a =
-        f.submit_migration(base, kPages, f.kernel.fast_node());
+        f.submit(MovOp::kMigrate, base, kPages, f.kernel.fast_node());
     const std::weak_ptr<const void> first = in_flight(a);
     const void *storage = first.lock().get();
     ASSERT_NE(storage, nullptr);
@@ -153,7 +79,7 @@ TEST(FlightPool, RetiredFlightStaysDeadWhenItsStorageIsReused)
     EXPECT_TRUE(first.expired());
 
     const std::uint32_t c =
-        f.submit_migration(base, kPages, f.kernel.fast_node());
+        f.submit(MovOp::kMigrate, base, kPages, f.kernel.fast_node());
     const std::weak_ptr<const void> third = in_flight(c);
     // The new request runs in the retired record's storage, and the
     // handle taken before retirement still cannot reach it.
@@ -206,9 +132,9 @@ TEST(SubmissionLevers, DefaultConfigTouchesNoNewMachinery)
 
 TEST(XlateCache, RepeatedRegionMovesHitAfterWriteThrough)
 {
-    Fixture f{Fixture::cached()};
+    Fixture f{cached()};
     const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
-    const auto pattern = f.checked_pattern(base, kBytes, 1);
+    f.fill(base, kBytes, 1);
 
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
@@ -221,13 +147,13 @@ TEST(XlateCache, RepeatedRegionMovesHitAfterWriteThrough)
               MovStatus::kDone);
     EXPECT_EQ(f.dev.stats().xlate_hits, kPages);
     EXPECT_EQ(f.dev.stats().xlate_misses, kPages);
-    f.expect_intact(base, pattern);
+    EXPECT_TRUE(f.check(base, kBytes, 1));
     f.expect_on_node(base, kPages, f.kernel.slow_node());
 }
 
 TEST(XlateCache, MunmapInvalidatesAndRemapStartsCold)
 {
-    Fixture f{Fixture::cached()};
+    Fixture f{cached()};
     const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
@@ -238,20 +164,20 @@ TEST(XlateCache, MunmapInvalidatesAndRemapStartsCold)
     // A fresh mapping (likely reusing the address) must not see the
     // dead entry: the next move re-walks and copies the right frames.
     const vm::VAddr again = f.proc.mmap(kBytes, vm::PageSize::k4K);
-    const auto pattern = f.checked_pattern(again, kBytes, 2);
+    f.fill(again, kBytes, 2);
     const std::uint64_t hits_before = f.dev.stats().xlate_hits;
     ASSERT_EQ(f.migrate(again, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
     EXPECT_EQ(f.dev.stats().xlate_hits, hits_before);  // cold, no hit
-    f.expect_intact(again, pattern);
+    EXPECT_TRUE(f.check(again, kBytes, 2));
     f.expect_on_node(again, kPages, f.kernel.fast_node());
 }
 
 TEST(XlateCache, ForeignRemapInvalidatesCachedTranslations)
 {
-    Fixture f{Fixture::cached()};
+    Fixture f{cached()};
     const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
-    const auto pattern = f.checked_pattern(base, kBytes, 3);
+    f.fill(base, kBytes, 3);
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
     const std::uint64_t inval_before = f.dev.stats().xlate_invalidations;
@@ -272,8 +198,19 @@ TEST(XlateCache, ForeignRemapInvalidatesCachedTranslations)
     // one: data lands intact on the fast node again.
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
-    f.expect_intact(base, pattern);
+    EXPECT_TRUE(f.check(base, kBytes, 3));
     f.expect_on_node(base, kPages, f.kernel.fast_node());
+}
+
+/** A region filled with pattern @p seed, moved to the fast node with a
+ *  cold cache (@p warm gets that trip's status), then a cached move
+ *  back submitted: the request whose copy the racing tests touch. */
+std::uint32_t
+warm_return_trip(Fixture &f, std::uint8_t seed, MovStatus *warm)
+{
+    const vm::VAddr base = f.region(kBytes, seed);
+    *warm = f.migrate(base, kPages, f.kernel.fast_node());
+    return f.submit(MovOp::kMigrate, base, kPages, f.kernel.slow_node());
 }
 
 /** The §5.2 race, with the cache warm: a CPU write mid-move clears the
@@ -281,21 +218,19 @@ TEST(XlateCache, ForeignRemapInvalidatesCachedTranslations)
  *  move copies from stale PTEs. Run under proceed-and-fail. */
 TEST(XlateCache, RacingYoungClearInvalidatesUnderDetect)
 {
-    Fixture f{Fixture::cached(RacePolicy::kDetect)};
-    const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
-    auto pattern = f.checked_pattern(base, kBytes, 4);
-    ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
-              MovStatus::kDone);
-
-    // Cached move back, with a mid-flight write landing in the region.
-    const std::uint32_t idx =
-        f.submit_migration(base, kPages, f.kernel.slow_node());
-    os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base + 10 * 4096, true, &out);
+    MovStatus warm = MovStatus::kDone;
+    const auto setup = [&warm](Fixture &f) {
+        return warm_return_trip(f, 4, &warm);
     };
-    f.kernel.eq().schedule_at(f.kernel.eq().now() + kCachedMidFlight,
-                              [&] { f.kernel.spawn(toucher()); });
+    const sim::SimTime mid =
+        test::dma_window<Fixture>(setup, cached(RacePolicy::kDetect)).mid();
+    Fixture f{cached(RacePolicy::kDetect)};
+    // Cached move back, with a mid-flight write landing in the region.
+    const std::uint32_t idx = setup(f);
+    ASSERT_EQ(warm, MovStatus::kDone);
+    const vm::VAddr base = f.user.request(idx).src_base;
+    os::TouchOutcome out;
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out);
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kRaceDetected);
     f.user.free_request(idx);
@@ -303,12 +238,12 @@ TEST(XlateCache, RacingYoungClearInvalidatesUnderDetect)
     EXPECT_EQ(out.blocked, 0u);
 
     // The dirty write is part of the expected image from here on.
-    ASSERT_TRUE(f.proc.as().read(base, pattern.data(), pattern.size()));
+    const std::vector<std::uint8_t> image = f.read(base, kBytes);
 
     // No stale-PTE copy: a retry re-walks and moves the real frames.
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.slow_node()),
               MovStatus::kDone);
-    f.expect_intact(base, pattern);
+    EXPECT_EQ(f.read(base, kBytes), image);
     f.expect_on_node(base, kPages, f.kernel.slow_node());
 }
 
@@ -316,20 +251,18 @@ TEST(XlateCache, RacingYoungClearInvalidatesUnderDetect)
  *  the move completes, and subsequent cached moves stay coherent. */
 TEST(XlateCache, RacingTouchUnderPreventStaysCoherent)
 {
-    Fixture f{Fixture::cached(RacePolicy::kPrevent)};
-    const vm::VAddr base = f.proc.mmap(kBytes, vm::PageSize::k4K);
-    auto pattern = f.checked_pattern(base, kBytes, 5);
-    ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
-              MovStatus::kDone);
-
-    const std::uint32_t idx =
-        f.submit_migration(base, kPages, f.kernel.slow_node());
-    os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await f.proc.touch(base + 10 * 4096, true, &out);
+    MovStatus warm = MovStatus::kDone;
+    const auto setup = [&warm](Fixture &f) {
+        return warm_return_trip(f, 5, &warm);
     };
-    f.kernel.eq().schedule_at(f.kernel.eq().now() + kCachedMidFlight,
-                              [&] { f.kernel.spawn(toucher()); });
+    const sim::SimTime mid =
+        test::dma_window<Fixture>(setup, cached(RacePolicy::kPrevent)).mid();
+    Fixture f{cached(RacePolicy::kPrevent)};
+    const std::uint32_t idx = setup(f);
+    ASSERT_EQ(warm, MovStatus::kDone);
+    const vm::VAddr base = f.user.request(idx).src_base;
+    os::TouchOutcome out;
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out);
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     f.user.free_request(idx);
@@ -337,10 +270,10 @@ TEST(XlateCache, RacingTouchUnderPreventStaysCoherent)
     EXPECT_GE(f.dev.stats().xlate_invalidations, 1u);
 
     // The post-release write is part of the expected image.
-    ASSERT_TRUE(f.proc.as().read(base, pattern.data(), pattern.size()));
+    const std::vector<std::uint8_t> image = f.read(base, kBytes);
     ASSERT_EQ(f.migrate(base, kPages, f.kernel.fast_node()),
               MovStatus::kDone);
-    f.expect_intact(base, pattern);
+    EXPECT_EQ(f.read(base, kBytes), image);
     f.expect_on_node(base, kPages, f.kernel.fast_node());
 }
 
@@ -350,129 +283,100 @@ TEST(XlateCache, RacingTouchUnderPreventStaysCoherent)
 
 TEST(BulkAlloc, MagazineRecyclesAndDrainsWithoutLeak)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    const mem::NodeId fast = kernel.fast_node();
+    MemifConfig mc;
+    mc.capacity = 64;
+    mc.driver_caches = true;
+    Fixture f(mc);
+    const mem::NodeId fast = f.kernel.fast_node();
     const std::uint64_t fast_before =
-        kernel.phys().node(fast).buddy().allocated_frames();
-    const vm::VAddr base = proc.mmap(16 * 4096, vm::PageSize::k4K);
-    {
-        MemifConfig mc;
-        mc.capacity = 64;
-        mc.driver_caches = true;
-        MemifDevice dev(kernel, proc, mc);
-        MemifUser user(dev);
-        for (const mem::NodeId dst : {fast, kernel.slow_node()}) {
-            const std::uint32_t idx = user.alloc_request();
-            MovReq &req = user.request(idx);
-            req.op = MovOp::kMigrate;
-            req.src_base = base;
-            req.num_pages = 16;
-            req.dst_node = dst;
-            kernel.spawn(user.submit(idx));
-            kernel.run();
-            ASSERT_EQ(user.request(idx).load_status(), MovStatus::kDone);
-            user.free_request(idx);
-        }
-        const DeviceStats &ds = dev.stats();
-        EXPECT_GT(ds.bulk_allocs, 0u);
-        EXPECT_GT(ds.magazine_pops, 0u);
-        // The return trip freed the fast frames into the magazine: they
-        // stay buddy-allocated while parked.
-        EXPECT_GT(kernel.phys().node(fast).buddy().allocated_frames(),
-                  fast_before);
-    }
+        f.kernel.phys().node(fast).buddy().allocated_frames();
+    const vm::VAddr base = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
+    for (const mem::NodeId dst : {fast, f.kernel.slow_node()})
+        ASSERT_EQ(f.migrate(base, 16, dst), MovStatus::kDone);
+    const DeviceStats &ds = f.dev.stats();
+    EXPECT_GT(ds.bulk_allocs, 0u);
+    EXPECT_GT(ds.magazine_pops, 0u);
+    // The return trip freed the fast frames into the magazine: they
+    // stay buddy-allocated while parked.
+    EXPECT_GT(f.kernel.phys().node(fast).buddy().allocated_frames(),
+              fast_before);
     // Device teardown drains every magazine: nothing may stay behind on
     // the fast node (the region itself lives on the slow node again).
-    EXPECT_EQ(kernel.phys().node(fast).buddy().allocated_frames(),
+    f.close_device();
+    EXPECT_EQ(f.kernel.phys().node(fast).buddy().allocated_frames(),
               fast_before);
 }
 
 TEST(BulkAlloc, AbortedMigrationReturnsMagazineFrames)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    const mem::NodeId fast = kernel.fast_node();
+    const auto setup = [](Fixture &f) {
+        return f.submit(MovOp::kMigrate, f.region(kBytes, 31), kPages,
+                        f.kernel.fast_node());
+    };
+    const sim::SimTime mid =
+        test::dma_window<Fixture>(setup, cached(RacePolicy::kRecover)).mid();
+    Fixture f{cached(RacePolicy::kRecover)};
+    const mem::NodeId fast = f.kernel.fast_node();
     const std::uint64_t fast_before =
-        kernel.phys().node(fast).buddy().allocated_frames();
-    const vm::VAddr base = proc.mmap(kBytes, vm::PageSize::k4K);
-    std::vector<std::uint8_t> pattern(kBytes);
-    for (std::size_t i = 0; i < pattern.size(); ++i)
-        pattern[i] = static_cast<std::uint8_t>(i * 31);
-    ASSERT_TRUE(proc.as().write(base, pattern.data(), pattern.size()));
-    {
-        MemifConfig mc;
-        mc.capacity = 64;
-        mc.driver_caches = true;
-        mc.race_policy = RacePolicy::kRecover;
-        mc.poll_threshold_bytes = 0;
-        MemifDevice dev(kernel, proc, mc);
-        MemifUser user(dev);
-        const std::uint32_t idx = user.alloc_request();
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = base;
-        req.num_pages = kPages;
-        req.dst_node = fast;
-        kernel.spawn(user.submit(idx));
-        os::TouchOutcome out;
-        auto toucher = [&]() -> sim::Task {
-            co_await proc.touch(base + 10 * 4096, true, &out);
-        };
-        kernel.eq().schedule_at(kMidFlight,
-                                [&] { kernel.spawn(toucher()); });
-        kernel.run();
-        EXPECT_EQ(user.request(idx).load_status(), MovStatus::kAborted);
-        EXPECT_EQ(dev.stats().migrations_aborted, 1u);
-        user.free_request(idx);
-    }
+        f.kernel.phys().node(fast).buddy().allocated_frames();
+    const std::uint32_t idx = setup(f);
+    const vm::VAddr base = f.user.request(idx).src_base;
+    os::TouchOutcome out;
+    f.touch_at(mid, f.proc, base + 10 * 4096, true, &out);
+    f.kernel.run();
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kAborted);
+    EXPECT_EQ(f.dev.stats().migrations_aborted, 1u);
+    f.user.free_request(idx);
     // Rollback freed the bulk-allocated destination frames into the
     // magazine; teardown drained it. Leak check: the fast node is back
     // to its pre-test population and the data never moved.
-    EXPECT_EQ(kernel.phys().node(fast).buddy().allocated_frames(),
+    f.close_device();
+    EXPECT_EQ(f.kernel.phys().node(fast).buddy().allocated_frames(),
               fast_before);
-    std::vector<std::uint8_t> readback(pattern.size());
-    ASSERT_TRUE(proc.as().read(base, readback.data(), readback.size()));
-    EXPECT_EQ(readback, pattern);
+    EXPECT_TRUE(f.check(base, kBytes, 31));
 }
 
 // --------------------------------------------------------------------
 // Per-CPU submission rings.
 // --------------------------------------------------------------------
 
-TEST(PercpuRings, TwoCpusSubmitThroughTheirOwnRings)
+MemifConfig
+percpu()
 {
-    os::Kernel kernel(os::KernelConfig{.num_cores = 2});
-    os::Process &proc = kernel.create_process();
     MemifConfig mc;
     mc.capacity = 64;
     mc.percpu_rings = true;
-    MemifDevice dev(kernel, proc, mc);
-    ASSERT_EQ(dev.region().num_rings(), 2u);
-    MemifUser u0(dev, 0);
-    MemifUser u1(dev, 1);
+    return mc;
+}
 
-    const vm::VAddr a = proc.mmap(16 * 4096, vm::PageSize::k4K);
-    const vm::VAddr b = proc.mmap(16 * 4096, vm::PageSize::k4K);
+TEST(PercpuRings, TwoCpusSubmitThroughTheirOwnRings)
+{
+    Fixture f(percpu(), os::KernelConfig{.num_cores = 2});
+    ASSERT_EQ(f.dev.region().num_rings(), 2u);
+    MemifUser &u0 = f.user;
+    MemifUser u1(f.dev, 1);
+
+    const vm::VAddr a = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
+    const vm::VAddr b = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
     auto submit_from = [&](MemifUser &u, vm::VAddr src) {
         const std::uint32_t idx = u.alloc_request();
         MovReq &req = u.request(idx);
         req.op = MovOp::kMigrate;
         req.src_base = src;
         req.num_pages = 16;
-        req.dst_node = kernel.fast_node();
-        kernel.spawn(u.submit(idx));
+        req.dst_node = f.kernel.fast_node();
+        f.kernel.spawn(u.submit(idx));
         return idx;
     };
     const std::uint32_t ia = submit_from(u0, a);
     const std::uint32_t ib = submit_from(u1, b);
-    kernel.run();
+    f.kernel.run();
 
     EXPECT_EQ(u0.request(ia).load_status(), MovStatus::kDone);
     EXPECT_EQ(u1.request(ib).load_status(), MovStatus::kDone);
-    EXPECT_EQ(dev.stats().ring_submits[0], 1u);
-    EXPECT_EQ(dev.stats().ring_submits[1], 1u);
-    EXPECT_EQ(dev.stats().shared_submit_retries, 0u);
+    EXPECT_EQ(f.dev.stats().ring_submits[0], 1u);
+    EXPECT_EQ(f.dev.stats().ring_submits[1], 1u);
+    EXPECT_EQ(f.dev.stats().shared_submit_retries, 0u);
     // The requests carried their submitting CPU.
     EXPECT_EQ(u0.request(ia).submit_cpu, 0u);
     EXPECT_EQ(u1.request(ib).submit_cpu, 1u);
@@ -480,13 +384,9 @@ TEST(PercpuRings, TwoCpusSubmitThroughTheirOwnRings)
 
 TEST(PercpuRings, OneRingPerSimulatedCpu)
 {
-    MemifConfig mc;
-    mc.capacity = 64;
-    mc.percpu_rings = true;
-    const auto rings = [&mc](os::KernelConfig kc) {
-        os::Kernel kernel(kc);
-        MemifDevice dev(kernel, kernel.create_process(), mc);
-        return dev.region().num_rings();
+    const auto rings = [](os::KernelConfig kc) {
+        Fixture f(percpu(), kc);
+        return f.dev.region().num_rings();
     };
     EXPECT_EQ(rings({.num_cores = 2}), 2u);
     EXPECT_EQ(rings({}), 4u);
@@ -495,34 +395,29 @@ TEST(PercpuRings, OneRingPerSimulatedCpu)
 
 TEST(PercpuRings, SubmitManyUsesTheCallersRing)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifConfig mc;
-    mc.capacity = 64;
-    mc.percpu_rings = true;
-    MemifDevice dev(kernel, proc, mc);
-    MemifUser u3(dev, 3);
+    Fixture f(percpu());
+    MemifUser u3(f.dev, 3);
 
     std::vector<vm::VAddr> bases;
     std::vector<std::uint32_t> idxs;
     for (int i = 0; i < 4; ++i) {
-        bases.push_back(proc.mmap(4 * 4096, vm::PageSize::k4K));
+        bases.push_back(f.proc.mmap(4 * 4096, vm::PageSize::k4K));
         const std::uint32_t idx = u3.alloc_request();
         MovReq &req = u3.request(idx);
         req.op = MovOp::kMigrate;
         req.src_base = bases.back();
         req.num_pages = 4;
-        req.dst_node = kernel.fast_node();
+        req.dst_node = f.kernel.fast_node();
         idxs.push_back(idx);
     }
     bool kicked = false;
-    kernel.spawn(u3.submit_many(idxs, &kicked));
-    kernel.run();
+    f.kernel.spawn(u3.submit_many(idxs, &kicked));
+    f.kernel.run();
     EXPECT_TRUE(kicked);
     for (const std::uint32_t idx : idxs)
         EXPECT_EQ(u3.request(idx).load_status(), MovStatus::kDone);
-    EXPECT_EQ(dev.stats().ring_submits[3], 4u);
-    EXPECT_EQ(dev.stats().ring_submits[0], 0u);
+    EXPECT_EQ(f.dev.stats().ring_submits[3], 4u);
+    EXPECT_EQ(f.dev.stats().ring_submits[0], 0u);
 }
 
 }  // namespace

@@ -14,14 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "dma/engine.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 #include "sim/random.h"
 #include "sim/trace.h"
 #include "sim/types.h"
@@ -33,85 +29,16 @@ using sim::TracePoint;
 
 constexpr std::uint64_t kPage = 4096;
 
-/** One machine with a device that a test may tear down mid-flight. */
-struct Bed {
-    os::Kernel kernel;
-    os::Process &proc;
-    std::unique_ptr<MemifDevice> dev;
-    std::unique_ptr<MemifUser> user;
-
-    /** @p tie_seed 0 keeps the FIFO tie-break; anything else fuzzes the
-     *  dispatch order of same-timestamp events with that seed. */
+/** The shared fixture with its tracer on and, for a nonzero
+ *  @p tie_seed, same-timestamp events dispatched in an order fuzzed
+ *  with that seed (0 keeps the FIFO tie-break). */
+struct Bed : test::MemifFixture {
     Bed(const MemifConfig &cfg, std::uint64_t tie_seed,
         os::KernelConfig kc = {})
-        : kernel(kc),
-          proc(kernel.create_process()),
-          dev(std::make_unique<MemifDevice>(kernel, proc, cfg)),
-          user(std::make_unique<MemifUser>(*dev))
+        : MemifFixture(cfg, kc)
     {
         if (tie_seed != 0) kernel.eq().set_tie_break_seed(tie_seed);
         kernel.tracer().enable();
-    }
-
-    ~Bed()
-    {
-        if (!dev) return;
-        std::string why;
-        EXPECT_TRUE(dev->check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    vm::VAddr
-    region(std::uint32_t pages, std::uint8_t seed,
-           mem::NodeId node = mem::kInvalidNode)
-    {
-        const vm::VAddr base =
-            node == mem::kInvalidNode
-                ? proc.mmap(pages * kPage, vm::PageSize::k4K)
-                : proc.mmap(pages * kPage, vm::PageSize::k4K, node);
-        EXPECT_NE(base, 0u);
-        std::vector<std::uint8_t> bytes(pages * kPage);
-        for (std::size_t i = 0; i < bytes.size(); ++i)
-            bytes[i] = static_cast<std::uint8_t>(seed + i * 13);
-        EXPECT_TRUE(proc.as().write(base, bytes.data(), bytes.size()));
-        return base;
-    }
-
-    bool
-    holds(vm::VAddr base, std::uint32_t pages, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> bytes(pages * kPage);
-        if (!proc.as().read(base, bytes.data(), bytes.size())) return false;
-        for (std::size_t i = 0; i < bytes.size(); ++i)
-            if (bytes[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
-    }
-
-    /** Fill in request @p idx without submitting it. */
-    std::uint32_t
-    prepare(MovOp op, vm::VAddr src, std::uint32_t pages,
-            std::uint64_t dst_or_node)
-    {
-        const std::uint32_t idx = user->alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user->request(idx);
-        req.op = op;
-        req.src_base = src;
-        req.num_pages = pages;
-        if (op == MovOp::kReplicate)
-            req.dst_base = dst_or_node;
-        else
-            req.dst_node = static_cast<std::uint32_t>(dst_or_node);
-        return idx;
-    }
-
-    std::uint32_t
-    submit(MovOp op, vm::VAddr src, std::uint32_t pages,
-           std::uint64_t dst_or_node)
-    {
-        const std::uint32_t idx = prepare(op, src, pages, dst_or_node);
-        kernel.spawn(user->submit(idx));
-        return idx;
     }
 
     /** Trace records of @p p for request slot @p idx. */
@@ -124,27 +51,18 @@ struct Bed {
         return n;
     }
 
-    /** Time of the first record of @p p for @p idx (0 when none). */
-    sim::SimTime
-    first(TracePoint p, std::uint32_t idx)
-    {
-        for (const sim::TraceRecord &r : kernel.tracer().records())
-            if (r.point == p && r.req == idx) return r.time;
-        return 0;
-    }
-
     /** Every completion the application retrieves, in order. */
     std::vector<std::uint32_t>
     retrieve_all()
     {
         std::vector<std::uint32_t> got;
-        for (std::uint32_t idx = user->retrieve_completed();
-             idx != kNoRequest; idx = user->retrieve_completed())
+        for (std::uint32_t idx = user.retrieve_completed();
+             idx != kNoRequest; idx = user.retrieve_completed())
             got.push_back(idx);
         return got;
     }
 
-    const DeviceStats &stats() const { return dev->stats(); }
+    const DeviceStats &stats() const { return dev.stats(); }
 };
 
 /** Closed loop of small migrations — 8 in flight, 1 to 16 pages each,
@@ -164,9 +82,9 @@ run_small_migrations(Bed &bed, std::uint64_t requests)
     std::vector<Unit> units;
     for (std::uint32_t w = 0; w < kWindow; ++w)
         for (const std::uint32_t pages : kSizes)
-            units.push_back({bed.region(pages, static_cast<std::uint8_t>(w),
-                                        bed.kernel.slow_node()),
-                             pages});
+            units.push_back(
+                {bed.region(pages * kPage, static_cast<std::uint8_t>(w)),
+                 pages});
     sim::Rng rng(1);
     std::vector<std::uint32_t> slot_unit(kWindow, 0);
     std::uint64_t issued = 0, completed = 0;
@@ -177,23 +95,23 @@ run_small_migrations(Bed &bed, std::uint64_t requests)
         const std::uint32_t idx = bed.prepare(
             MovOp::kMigrate, u.base, u.pages,
             u.on_fast ? bed.kernel.slow_node() : bed.kernel.fast_node());
-        bed.user->request(idx).user_tag = slot;
+        bed.user.request(idx).user_tag = slot;
         ++issued;
-        co_await bed.user->submit(idx);
+        co_await bed.user.submit(idx);
     };
     auto driver = [&]() -> sim::Task {
         for (std::uint32_t w = 0; w < kWindow; ++w) co_await issue(w);
         while (completed < requests) {
-            const std::uint32_t idx = bed.user->retrieve_completed();
+            const std::uint32_t idx = bed.user.retrieve_completed();
             if (idx == kNoRequest) {
-                co_await bed.user->poll();
+                co_await bed.user.poll();
                 continue;
             }
-            MovReq &req = bed.user->request(idx);
+            MovReq &req = bed.user.request(idx);
             const auto slot = static_cast<std::uint32_t>(req.user_tag);
             EXPECT_EQ(req.load_status(), MovStatus::kDone);
             units[slot_unit[slot]].on_fast ^= true;
-            bed.user->free_request(idx);
+            bed.user.free_request(idx);
             ++completed;
             if (issued < requests) co_await issue(slot);
         }
@@ -203,7 +121,7 @@ run_small_migrations(Bed &bed, std::uint64_t requests)
     task.rethrow_if_failed();
     EXPECT_TRUE(task.done());
     for (std::uint32_t u = 0; u < units.size(); ++u)
-        EXPECT_TRUE(bed.holds(units[u].base, units[u].pages,
+        EXPECT_TRUE(bed.check(units[u].base, units[u].pages * kPage,
                               static_cast<std::uint8_t>(u / 5)));
     return completed;
 }
@@ -274,16 +192,17 @@ TEST_P(WakeOrder, IrqAndDeadlineAtTheSameTimestamp)
     std::vector<vm::VAddr> src, dst;
     std::vector<std::uint32_t> idx;
     for (std::uint32_t r = 0; r < kRequests; ++r) {
-        src.push_back(bed.region(16, static_cast<std::uint8_t>(r)));
-        dst.push_back(bed.region(16, 0, bed.kernel.fast_node()));
+        src.push_back(bed.region(16 * kPage, static_cast<std::uint8_t>(r)));
+        dst.push_back(bed.region(16 * kPage, 0, bed.kernel.fast_node()));
         idx.push_back(bed.submit(MovOp::kReplicate, src[r], 16, dst[r]));
     }
     bed.kernel.run();
 
     for (std::uint32_t r = 0; r < kRequests; ++r) {
-        EXPECT_EQ(bed.user->request(idx[r]).load_status(),
+        EXPECT_EQ(bed.user.request(idx[r]).load_status(),
                   MovStatus::kDone);
-        EXPECT_TRUE(bed.holds(dst[r], 16, static_cast<std::uint8_t>(r)));
+        EXPECT_TRUE(
+            bed.check(dst[r], 16 * kPage, static_cast<std::uint8_t>(r)));
         EXPECT_EQ(bed.count(TracePoint::kNotifyDone, idx[r]), 1u);
     }
     EXPECT_EQ(bed.retrieve_all().size(), kRequests);
@@ -310,44 +229,43 @@ TEST_P(WakeOrder, DrainSweepsASiblingWhoseDeadlineIsDue)
     // gives A and B plain interrupts (only R0's is moderated), so A's
     // own IRQ runs the drain sweep.
     struct Run {
-        Bed bed;
         vm::VAddr da = 0, db = 0;
         std::uint32_t ia = 0, ib = 0;
-        Run(const MemifConfig &cfg, std::uint64_t seed) : bed(cfg, seed)
-        {
-            const vm::VAddr r0 = bed.region(1, 3);
-            const vm::VAddr a = bed.region(64, 2);
-            const vm::VAddr b = bed.region(2, 1);
-            da = bed.region(64, 0, bed.kernel.fast_node());
-            db = bed.region(2, 0, bed.kernel.fast_node());
-            bed.submit(MovOp::kReplicate, r0, 1,
-                       bed.region(1, 0, bed.kernel.fast_node()));
-            ia = bed.submit(MovOp::kReplicate, a, 64, da);
-            ib = bed.submit(MovOp::kReplicate, b, 2, db);
-        }
+    };
+    const auto stage = [](Bed &bed) {
+        Run run;
+        const vm::VAddr r0 = bed.region(1 * kPage, 3);
+        const vm::VAddr a = bed.region(64 * kPage, 2);
+        const vm::VAddr b = bed.region(2 * kPage, 1);
+        run.da = bed.region(64 * kPage, 0, bed.kernel.fast_node());
+        run.db = bed.region(2 * kPage, 0, bed.kernel.fast_node());
+        bed.submit(MovOp::kReplicate, r0, 1,
+                   bed.region(1 * kPage, 0, bed.kernel.fast_node()));
+        run.ia = bed.submit(MovOp::kReplicate, a, 64, run.da);
+        run.ib = bed.submit(MovOp::kReplicate, b, 2, run.db);
+        return run;
     };
     // Calibrate: where do the two transfers complete?
     cfg.watchdog_slack = sim::milliseconds(1);
-    sim::SimTime done_a = 0, done_b = 0;
-    {
-        Run cal(cfg, 0);
-        cal.bed.kernel.run();
-        done_a = cal.bed.first(TracePoint::kDmaComplete, cal.ia);
-        done_b = cal.bed.first(TracePoint::kDmaComplete, cal.ib);
-    }
+    const sim::SimTime done_a =
+        test::dma_window<Bed>([&](Bed &b) { return stage(b).ia; }, cfg, 0)
+            .complete;
+    const sim::SimTime done_b =
+        test::dma_window<Bed>([&](Bed &b) { return stage(b).ib; }, cfg, 0)
+            .complete;
     ASSERT_GT(done_a, done_b);
     cfg.watchdog_slack = done_a - done_b;
 
-    Run run(cfg, GetParam());
-    Bed &bed = run.bed;
+    Bed bed(cfg, GetParam());
+    const Run run = stage(bed);
     bed.kernel.faults().arm_nth(dma::kFaultLostIrq, 3);  // B's
     bed.kernel.run();
 
     EXPECT_EQ(bed.kernel.dma_engine().stats().interrupts_lost, 1u);
-    EXPECT_EQ(bed.user->request(run.ia).load_status(), MovStatus::kDone);
-    EXPECT_EQ(bed.user->request(run.ib).load_status(), MovStatus::kDone);
-    EXPECT_TRUE(bed.holds(run.da, 64, 2));
-    EXPECT_TRUE(bed.holds(run.db, 2, 1));
+    EXPECT_EQ(bed.user.request(run.ia).load_status(), MovStatus::kDone);
+    EXPECT_EQ(bed.user.request(run.ib).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(bed.check(run.da, 64 * kPage, 2));
+    EXPECT_TRUE(bed.check(run.db, 2 * kPage, 1));
     EXPECT_EQ(bed.count(TracePoint::kNotifyDone, run.ia), 1u);
     EXPECT_EQ(bed.count(TracePoint::kNotifyDone, run.ib), 1u);
     EXPECT_EQ(bed.retrieve_all().size(), 3u);
@@ -356,12 +274,12 @@ TEST_P(WakeOrder, DrainSweepsASiblingWhoseDeadlineIsDue)
               1u);
     EXPECT_EQ(bed.stats().irq_completions, 3u);
     EXPECT_EQ(bed.stats().dma_retries, 0u);
-    EXPECT_EQ(bed.first(TracePoint::kDmaComplete, run.ia), done_a);
+    EXPECT_EQ(bed.traced(TracePoint::kDmaComplete, run.ia), done_a);
     // A deadline that won fired at A's completion instant: the
     // collision was staged. FIFO runs A's completion first (it was
     // scheduled at A's start, before B's deadline), so its sweep wins.
     if (bed.stats().watchdog_timeouts != 0) {
-        EXPECT_EQ(bed.first(TracePoint::kWatchdogFire, run.ib), done_a);
+        EXPECT_EQ(bed.traced(TracePoint::kWatchdogFire, run.ib), done_a);
     }
     if (GetParam() == 0) {
         EXPECT_EQ(bed.stats().drained_requests, 1u);
@@ -377,31 +295,21 @@ TEST_P(WakeOrder, YoungFaultAbortOfAParkedSupervisor)
     MemifConfig cfg;
     cfg.race_policy = RacePolicy::kRecover;
     // Calibrate: the touch must land while the transfer is running.
-    sim::SimTime started = 0, completed = 0;
-    {
-        Bed cal(cfg, 0);
-        const vm::VAddr base = cal.region(64, 5);
-        const std::uint32_t idx =
-            cal.submit(MovOp::kMigrate, base, 64, cal.kernel.fast_node());
-        cal.kernel.run();
-        started = cal.first(TracePoint::kDmaStart, idx);
-        completed = cal.first(TracePoint::kDmaComplete, idx);
-    }
-    ASSERT_GT(completed, started + 2);
+    const auto setup = [](Bed &bed) {
+        return bed.submit(MovOp::kMigrate, bed.region(64 * kPage, 5), 64,
+                          bed.kernel.fast_node());
+    };
+    const test::DmaWindow window = test::dma_window<Bed>(setup, cfg, 0);
+    ASSERT_GT(window.complete, window.start + 2);
 
     Bed bed(cfg, GetParam());
-    const vm::VAddr base = bed.region(64, 5);
-    const std::uint32_t idx =
-        bed.submit(MovOp::kMigrate, base, 64, bed.kernel.fast_node());
+    const std::uint32_t idx = setup(bed);
+    const vm::VAddr base = bed.user.request(idx).src_base;
     os::TouchOutcome out;
-    auto toucher = [&]() -> sim::Task {
-        co_await bed.proc.touch(base + 10 * kPage, true, &out);
-    };
-    bed.kernel.eq().schedule_at((started + completed) / 2,
-                                [&] { bed.kernel.spawn(toucher()); });
+    bed.touch_at(window.mid(), bed.proc, base + 10 * kPage, true, &out);
     bed.kernel.run();
 
-    EXPECT_EQ(bed.user->request(idx).load_status(), MovStatus::kAborted);
+    EXPECT_EQ(bed.user.request(idx).load_status(), MovStatus::kAborted);
     EXPECT_EQ(bed.stats().migrations_aborted, 1u);
     EXPECT_EQ(bed.count(TracePoint::kDmaStart, idx), 1u);
     EXPECT_EQ(bed.count(TracePoint::kAborted, idx), 1u);
@@ -410,7 +318,7 @@ TEST_P(WakeOrder, YoungFaultAbortOfAParkedSupervisor)
     EXPECT_EQ(bed.count(TracePoint::kWatchdogFire, idx), 0u);
     EXPECT_EQ(bed.retrieve_all(), std::vector<std::uint32_t>{idx});
     EXPECT_EQ(bed.kernel.dma_engine().stats().transfers_cancelled, 1u);
-    EXPECT_TRUE(bed.holds(base, 64, 5));
+    EXPECT_TRUE(bed.check(base, 64 * kPage, 5));
 }
 
 TEST_P(WakeOrder, TeardownWithParkedSupervisors)
@@ -429,22 +337,22 @@ TEST_P(WakeOrder, TeardownWithParkedSupervisors)
         // Odd requests demote SRAM -> far: chained through DDR.
         const bool chained = r % 2 != 0;
         const vm::VAddr v = bed.region(
-            32, static_cast<std::uint8_t>(r),
+            32 * kPage, static_cast<std::uint8_t>(r),
             chained ? bed.kernel.fast_node() : bed.kernel.slow_node());
         idx.push_back(bed.prepare(MovOp::kMigrate, v, 32,
                                   chained ? bed.kernel.far_node()
                                           : bed.kernel.fast_node()));
     }
     auto app = [&]() -> sim::Task {
-        for (const std::uint32_t i : idx) co_await bed.user->submit(i);
+        for (const std::uint32_t i : idx) co_await bed.user.submit(i);
     };
     sim::Task submitted = app();
-    while (!submitted.done() || bed.dev->stats().hop_stages_issued == 0)
+    while (!submitted.done() || bed.dev.stats().hop_stages_issued == 0)
         ASSERT_TRUE(bed.kernel.eq().step());
     const dma::EngineStats &st = bed.kernel.dma_engine().stats();
     ASSERT_GT(st.transfers_started, st.transfers_completed);
-    bed.user.reset();
-    bed.dev.reset();
+    bed.check_quiesce_on_teardown = false;
+    bed.close_device();
     bed.kernel.run();
 
     // Teardown cancelled every transfer still running, so none can

@@ -11,16 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "dma/engine.h"
 #include "mem/buddy.h"
 #include "mem/phys.h"
-#include "memif/user_api.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 #include "sim/types.h"
 
 namespace memif::core {
@@ -41,85 +39,25 @@ tiered_cfg()
     return cfg;
 }
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
+/** The shared fixture with a far tier, on tiered_cfg() by default. */
+struct Fixture : test::MemifFixture {
     explicit Fixture(MemifConfig cfg = tiered_cfg(),
                      std::uint64_t far_bytes = 64ull << 20)
-        : kernel(os::KernelConfig{.far_bytes = far_bytes}),
-          proc(kernel.create_process()),
-          dev(kernel, proc, cfg),
-          user(dev)
+        : MemifFixture(cfg, os::KernelConfig{.far_bytes = far_bytes})
     {
-    }
-
-    ~Fixture()
-    {
-        // No test may leave the driver dirty: empty flight table, no
-        // leased descriptors, and — the tiered invariant — zero
-        // staging frames still out of the pool.
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    sim::FaultInjector &faults() { return kernel.faults(); }
-
-    void
-    fill(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            buf[i] = static_cast<std::uint8_t>(seed + i * 13);
-        ASSERT_TRUE(proc.as().write(base, buf.data(), bytes));
-    }
-
-    bool
-    check(vm::VAddr base, std::uint64_t bytes, std::uint8_t seed)
-    {
-        std::vector<std::uint8_t> buf(bytes);
-        if (!proc.as().read(base, buf.data(), bytes)) return false;
-        for (std::uint64_t i = 0; i < bytes; ++i)
-            if (buf[i] != static_cast<std::uint8_t>(seed + i * 13))
-                return false;
-        return true;
     }
 
     std::uint32_t
     migrate(vm::VAddr src, std::uint32_t npages, mem::NodeId dst_node)
     {
-        const std::uint32_t idx = user.alloc_request();
-        EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = src;
-        req.num_pages = npages;
-        req.dst_node = dst_node;
-        kernel.spawn(user.submit(idx));
-        return idx;
-    }
-
-    void
-    expect_on_node(vm::VAddr base, std::uint64_t npages, mem::NodeId n)
-    {
-        vm::Vma *vma = proc.as().find_vma(base);
-        ASSERT_NE(vma, nullptr);
-        for (std::uint64_t i = 0; i < npages; ++i) {
-            const vm::Pte pte = vma->pte(i);
-            EXPECT_EQ(kernel.phys().node_of(pte.pfn), n) << "page " << i;
-            EXPECT_FALSE(pte.migration) << "page " << i;
-        }
+        return submit(MovOp::kMigrate, src, npages, dst_node);
     }
 };
 
 TEST(Tiered, DemotionToFarChainsThroughDdr)
 {
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 42);
+    const vm::VAddr base = f.region(8 * 4096, 42, f.kernel.fast_node());
 
     const std::uint32_t idx = f.migrate(base, 8, f.kernel.far_node());
     f.kernel.run();
@@ -142,8 +80,7 @@ TEST(Tiered, AdjacentMigrationsNeverChain)
     // strictly closer to both endpoints, so these stay single-transfer
     // moves even with the lever on.
     Fixture f;
-    const vm::VAddr base = f.proc.mmap(8 * 4096, vm::PageSize::k4K);
-    f.fill(base, 8 * 4096, 9);
+    const vm::VAddr base = f.region(8 * 4096, 9);
 
     const std::uint32_t to_far = f.migrate(base, 8, f.kernel.far_node());
     f.kernel.run();
@@ -160,9 +97,7 @@ TEST(Tiered, AdjacentMigrationsNeverChain)
 TEST(Tiered, PromotionFromFarChainsBack)
 {
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(16 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 16 * 4096, 77);
+    const vm::VAddr base = f.region(16 * 4096, 77, f.kernel.fast_node());
 
     const std::uint32_t down = f.migrate(base, 16, f.kernel.far_node());
     f.kernel.run();
@@ -183,9 +118,7 @@ TEST(Tiered, PipelinedBatchesOverlapAndBeatSequential)
         MemifConfig cfg = tiered_cfg();
         cfg.pipelined_eviction = pipelined;
         Fixture f(cfg);
-        const vm::VAddr base = f.proc.mmap(64 * 4096, vm::PageSize::k4K,
-                                           f.kernel.fast_node());
-        f.fill(base, 64 * 4096, 5);
+        const vm::VAddr base = f.region(64 * 4096, 5, f.kernel.fast_node());
         const std::uint32_t idx =
             f.migrate(base, 64, f.kernel.far_node());
         f.kernel.run();
@@ -210,9 +143,7 @@ TEST(Tiered, TcErrorOnSecondHopIsRetriedHopLocally)
     // The error hits hop 2 only; hop 1's copy into staging is already
     // safe, so recovery replays just the second stage.
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 31);
+    const vm::VAddr base = f.region(8 * 4096, 31, f.kernel.fast_node());
     f.faults().arm_nth(dma::kFaultTcError, 2);
 
     const std::uint32_t idx = f.migrate(base, 8, f.kernel.far_node());
@@ -239,9 +170,7 @@ TEST(Tiered, UnrecoverableSecondHopRollsBackTheWholeChain)
     cfg.cpu_copy_fallback = false;
     cfg.dma_max_retries = 0;
     Fixture f(cfg);
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 63);
+    const vm::VAddr base = f.region(8 * 4096, 63, f.kernel.fast_node());
     const std::uint64_t outstanding_before =
         f.kernel.phys().outstanding_pages();
     f.faults().arm_nth(dma::kFaultTcError, 2);  // second hop only
@@ -268,9 +197,7 @@ TEST(Tiered, LostIrqOnSecondHopIsCaughtByTheHopDeadline)
     // reclaims the descriptor lease itself — no retry, no second copy,
     // no leaked lease (teardown quiesce).
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 88);
+    const vm::VAddr base = f.region(8 * 4096, 88, f.kernel.fast_node());
     f.faults().arm_nth(dma::kFaultLostIrq, 2);
 
     const std::uint32_t idx = f.migrate(base, 8, f.kernel.far_node());
@@ -294,9 +221,7 @@ TEST(Tiered, PersistentHopErrorFallsBackToCpuCopy)
     // Every transfer errors: each hop burns its retries then the CPU
     // copies that hop's bytes — the chain still completes end to end.
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 19);
+    const vm::VAddr base = f.region(8 * 4096, 19, f.kernel.fast_node());
     f.faults().arm_probability(dma::kFaultTcError, 1.0);
 
     const std::uint32_t idx = f.migrate(base, 8, f.kernel.far_node());
@@ -314,9 +239,7 @@ TEST(Tiered, LeverOffNeverChains)
     // Same machine (far node present), lever off: a fast→far migration
     // is one direct transfer, as before the tier shipped.
     Fixture f{MemifConfig{}};
-    const vm::VAddr base =
-        f.proc.mmap(8 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 8 * 4096, 50);
+    const vm::VAddr base = f.region(8 * 4096, 50, f.kernel.fast_node());
 
     const std::uint32_t idx = f.migrate(base, 8, f.kernel.far_node());
     f.kernel.run();
@@ -334,9 +257,7 @@ TEST(Tiered, ExhaustedMiddleTierDegradesEachBatchToOneDirectHop)
     // each one degrades to a single direct SRAM→far hop instead of
     // failing, and the move still lands intact.
     Fixture f;
-    const vm::VAddr base =
-        f.proc.mmap(32 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
-    f.fill(base, 32 * 4096, 27);
+    const vm::VAddr base = f.region(32 * 4096, 27, f.kernel.fast_node());
     mem::PhysicalMemory &pm = f.kernel.phys();
     std::vector<std::pair<mem::Pfn, unsigned>> held;
     for (unsigned order = mem::BuddyAllocator::kMaxOrder + 1; order-- > 0;)
@@ -394,12 +315,8 @@ struct InvariantSetup {
 
     InvariantSetup()
     {
-        mig = f.proc.mmap(32 * 4096, vm::PageSize::k4K,
-                          f.kernel.fast_node());
-        src = f.proc.mmap(32 * 4096, vm::PageSize::k4K,
-                          f.kernel.slow_node());
-        f.fill(mig, 32 * 4096, 7);
-        f.fill(src, 32 * 4096, 99);
+        mig = f.region(32 * 4096, 7, f.kernel.fast_node());
+        src = f.region(32 * 4096, 99);
         m = f.migrate(mig, 32, f.kernel.far_node());
     }
 
@@ -474,27 +391,17 @@ TEST(Tiered, ReplicationReachingPrepDuringTheRemapChargeIsRejected)
 {
     InvariantSetup s;
     s.f.kernel.tracer().enable();
-    const auto traced = [&](sim::TracePoint p, std::uint32_t req,
-                            sim::SimTime *t) {
-        for (const sim::TraceRecord &rec : s.f.kernel.tracer().records()) {
-            if (rec.point != p || rec.req != req) continue;
-            *t = rec.time;
-            return true;
-        }
-        return false;
-    };
     const auto at = [&](sim::TracePoint p, std::uint32_t req) {
-        sim::SimTime t = 0;
-        EXPECT_TRUE(traced(p, req, &t)) << "no trace point for " << req;
-        return t;
+        const std::optional<sim::SimTime> t = s.f.traced(p, req);
+        EXPECT_TRUE(t) << "no trace point for " << req;
+        return t.value_or(0);
     };
     std::uint32_t r = kNoRequest;
     auto late = [&]() -> sim::Task {
         // Submit once the migration's Prep is done: its PTE stores, its
         // registration and its Remap charge all start at that instant,
         // so the replication's walk lands inside the charge.
-        sim::SimTime prep_done = 0;
-        while (!traced(sim::TracePoint::kPrepDone, s.m, &prep_done))
+        while (!s.f.traced(sim::TracePoint::kPrepDone, s.m))
             co_await sim::Delay{s.f.kernel.eq(), 100};
         r = s.flat_replication();
         co_await s.other.submit(r);

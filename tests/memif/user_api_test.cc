@@ -12,37 +12,12 @@
 #include <vector>
 
 #include "memif/device.h"
-#include "os/kernel.h"
-#include "os/process.h"
+#include "memif_fixture.h"
 
 namespace memif::core {
 namespace {
 
-struct Fixture {
-    os::Kernel kernel;
-    os::Process &proc;
-    MemifDevice dev;
-    MemifUser user;
-
-    explicit Fixture(MemifConfig cfg = {})
-        : proc(kernel.create_process()), dev(kernel, proc, cfg), user(dev)
-    {
-    }
-
-    ~Fixture()
-    {
-        // Every test must hand the driver back fully quiesced: no
-        // in-flight records, leased descriptors, stuck slots, parked
-        // frames unaccounted for, or stale xlate entries. Tests that
-        // intentionally end mid-flight opt out via the flag.
-        if (!check_quiesce_on_teardown) return;
-        std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
-    }
-
-    /** Opt-out for tests that deliberately leave work in flight. */
-    bool check_quiesce_on_teardown = true;
-};
+using Fixture = test::MemifFixture;
 
 TEST(UserApi, AllocGivesDistinctOwnedRequests)
 {
@@ -59,10 +34,7 @@ TEST(UserApi, AllocGivesDistinctOwnedRequests)
 
 TEST(UserApi, AllocFreeCyclesBeyondCapacity)
 {
-    Fixture f(MemifConfig{.capacity = 8,
-                          .gang_lookup = true,
-                          .race_policy = RacePolicy::kDetect,
-                          .poll_threshold_bytes = 512 * 1024});
+    Fixture f(MemifConfig{.capacity = 8});
     for (int round = 0; round < 100; ++round) {
         const std::uint32_t idx = f.user.alloc_request();
         ASSERT_NE(idx, kNoRequest);

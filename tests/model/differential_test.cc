@@ -84,10 +84,20 @@ TEST(Differential, MemDigestChangesWithAnySingleByte)
     }
 }
 
+/** Seeds 1 to fuzzed_seeds() replay every preset under FIFO and two
+ *  fuzzed schedules (FuzzedSchedulesMatchTheModel); the seeds above it
+ *  replay every preset under FIFO only (AllPresetsMatchTheModel). Each
+ *  (workload, preset, schedule) triple is replayed once. */
+std::uint64_t
+fuzzed_seeds()
+{
+    return seeds_from_env() / 2 + 1;
+}
+
 TEST(Differential, AllPresetsMatchTheModel)
 {
     const std::uint64_t nseeds = seeds_from_env();
-    for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
+    for (std::uint64_t seed = fuzzed_seeds() + 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
         std::uint64_t mem_digest = 0;
         const char *digest_from = nullptr;
@@ -115,9 +125,13 @@ TEST(Differential, AllPresetsMatchTheModel)
 
 TEST(Differential, FuzzedSchedulesMatchTheModel)
 {
-    const std::uint64_t nseeds = seeds_from_env() / 2 + 1;
+    const std::uint64_t nseeds = fuzzed_seeds();
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
+        // The first preset's FIFO digest: every preset's FIFO run must
+        // match it, as in AllPresetsMatchTheModel.
+        std::uint64_t preset_digest = 0;
+        const char *digest_from = nullptr;
         for (const Preset &p : presets()) {
             std::uint64_t fifo_digest = 0;
             for (std::uint64_t sched : {0ull, 11ull, 97ull}) {
@@ -134,6 +148,14 @@ TEST(Differential, FuzzedSchedulesMatchTheModel)
                     ASSERT_EQ(r.mem_digest, fifo_digest)
                         << seed_pair(w, opt) << " preset " << p.name
                         << ": fuzzed schedule changed final memory";
+            }
+            if (!digest_from) {
+                preset_digest = fifo_digest;
+                digest_from = p.name;
+            } else {
+                ASSERT_EQ(fifo_digest, preset_digest)
+                    << "seed " << seed << ": preset " << p.name
+                    << " memory diverges from preset " << digest_from;
             }
         }
     }
@@ -213,7 +235,7 @@ TEST(Differential, MinimizerShrinksAnInjectedDivergence)
 // preset (src/check/differential.cc) and updating both expectations.
 TEST(Differential, EveryConfigLeverAppearsInAPreset)
 {
-    EXPECT_EQ(sizeof(core::MemifConfig), 120u)
+    EXPECT_EQ(sizeof(core::MemifConfig), 112u)
         << "MemifConfig changed shape: add the new lever to a preset "
            "in src/check/differential.cc, then update this size";
 
