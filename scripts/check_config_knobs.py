@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a config field has not earned its place.
+"""Fail when a config field or a device counter has not earned its place.
 
 A config field is a value some caller sets. A tuning value that nobody
 sets is a named constant next to its one use, and a test alone does not
@@ -15,6 +15,14 @@ It fails on a field that nothing assigns, and on a field that only
 tests/ assigns unless TEST_SEAMS below names it. It prints each
 struct's field count, MemifConfig's boolean lever count and the test
 seams, so a new field or a new test-only knob shows up in the output.
+
+A device counter is read by something outside src/memif. The script
+parses the MEMIF_DEVICE_COUNTERS list in src/memif/device.h and looks
+for a member access to each counter (`.name`, `->name` or `::name`,
+as in `dev.stats().name` or `&DeviceStats::name`) in bench/, tests/,
+examples/, src/check/ and perfbench/, and fails on a counter that
+nothing reads by name. MemifDevice::print_stats reads every counter
+through the list, so its reads do not count.
 
 Usage: python3 scripts/check_config_knobs.py [repo-root]
 """
@@ -33,6 +41,9 @@ STRUCTS = [
 CALLER_DIRS = ["bench", "examples", "src/check", "perfbench"]
 CALLER_FILES = ["src/memif/device.h"]
 TEST_DIRS = ["tests"]
+# The device counter list, and where its counters must be read.
+COUNTERS = ("src/memif/device.h", "MEMIF_DEVICE_COUNTERS")
+READER_DIRS = ["bench", "tests", "examples", "src/check", "perfbench"]
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 # The fields only tests assign, and what each one lets a test reach.
@@ -105,6 +116,16 @@ def struct_fields(path, name):
     return fields
 
 
+def counter_names(path, macro):
+    """The counter names of `#define macro(X) X(name, "doc") ...`."""
+    text = path.read_text()
+    m = re.search(r"#define\s+" + macro + r"\(X\)((?:[^\n]*\\\n)*[^\n]*)",
+                  text)
+    if not m:
+        sys.exit(f"{path}: #define {macro}(X) not found")
+    return re.findall(r"\bX\((\w+),", strip_comments(m.group(1)))
+
+
 def source_text(root, dirs, files=()):
     paths = [root / f for f in files]
     for d in dirs:
@@ -132,7 +153,21 @@ def main():
         levers = sum(1 for t, _ in fields if t == "bool")
         print(f"{name}: {len(fields)} settable fields, {levers} bool levers")
 
+    counters = counter_names(root / COUNTERS[0], COUNTERS[1])
+    if not counters:
+        sys.exit(f"{COUNTERS[0]}: no counters parsed out of {COUNTERS[1]}")
+    readers = source_text(root, READER_DIRS)
+    unread = [c for c in counters
+              if not re.search(r"(?:\.|->|::)\s*" + c + r"\b", readers)]
+    print(f"DeviceStats: {len(counters)} counters in {COUNTERS[1]}")
+
     failed = False
+    if unread:
+        failed = True
+        print("counters nothing outside src/memif reads (assert or report "
+              "each one, or delete it):")
+        for c in unread:
+            print(f"  DeviceStats::{c}")
     print(f"assigned only by tests ({len(test_only)}):")
     for f in test_only:
         print(f"  {f}" + ("" if f in TEST_SEAMS else "  <- not a test seam"))

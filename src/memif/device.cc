@@ -390,124 +390,33 @@ MemifDevice::fairness_ratio() const
 void
 MemifDevice::print_stats(std::FILE *out) const
 {
-    const DeviceStats &s = stats_;
     std::fprintf(out, "memif device stats\n");
-    std::fprintf(out, "  requests_completed    %12llu\n",
-                 static_cast<unsigned long long>(s.requests_completed));
-    std::fprintf(out, "  replications          %12llu\n",
-                 static_cast<unsigned long long>(s.replications));
-    std::fprintf(out, "  migrations            %12llu\n",
-                 static_cast<unsigned long long>(s.migrations));
-    std::fprintf(out, "  pages_moved           %12llu\n",
-                 static_cast<unsigned long long>(s.pages_moved));
-    std::fprintf(out, "  bytes_moved           %12llu\n",
-                 static_cast<unsigned long long>(s.bytes_moved));
-    std::fprintf(out, "  validation_failures   %12llu\n",
-                 static_cast<unsigned long long>(s.validation_failures));
-    std::fprintf(out, "  dma_errors/retries    %8llu/%llu\n",
-                 static_cast<unsigned long long>(s.dma_errors),
-                 static_cast<unsigned long long>(s.dma_retries));
-    std::fprintf(out, "  watchdog_timeouts     %12llu\n",
-                 static_cast<unsigned long long>(s.watchdog_timeouts));
-    std::fprintf(out, "  fallback_copies       %12llu\n",
-                 static_cast<unsigned long long>(s.fallback_copies));
-    std::fprintf(out, "  rollbacks             %12llu\n",
-                 static_cast<unsigned long long>(s.rollbacks));
-    if (config_.driver_caches) {
-        // The two prefetchers are distinct machines: the gang cache's
-        // reactive neighbour expansion vs. the ahead-of-stream walks.
-        std::fprintf(out, "  xlate_gang_prefetched %12llu\n",
-                     static_cast<unsigned long long>(
-                         s.xlate_gang_prefetched));
-    }
-    if (config_.sva_dma || config_.xlate_prefetch_ahead) {
-        std::fprintf(
-            out, "  stream_prefetch i/h/l/w %6llu/%llu/%llu/%llu\n",
-            static_cast<unsigned long long>(s.stream_prefetch_issued),
-            static_cast<unsigned long long>(s.stream_prefetch_hits),
-            static_cast<unsigned long long>(s.stream_prefetch_late),
-            static_cast<unsigned long long>(s.stream_prefetch_wasted));
-        std::fprintf(out, "  prefetch_fills_dropped%12llu\n",
-                     static_cast<unsigned long long>(
-                         s.prefetch_fills_dropped));
-        std::fprintf(out, "  consumer_stall_us     %12.1f\n",
-                     static_cast<double>(s.consumer_stall_time) / 1000.0);
-        std::fprintf(
-            out, "  sva res/walk/rexl/flt %6llu/%llu/%llu/%llu\n",
-            static_cast<unsigned long long>(s.sva_resolved),
-            static_cast<unsigned long long>(s.sva_demand_walks),
-            static_cast<unsigned long long>(s.sva_retranslated),
-            static_cast<unsigned long long>(s.sva_faults));
-    }
-    if (config_.auto_migrate) {
-        const double sampled =
-            s.heat_pages_sampled ? static_cast<double>(s.heat_pages_sampled)
-                                 : 1.0;
-        std::fprintf(out, "  heat_scans            %12llu\n",
-                     static_cast<unsigned long long>(s.heat_scans));
-        std::fprintf(out,
-                     "  heat_pages s/a/w/skip %6llu/%llu/%llu/%llu\n",
-                     static_cast<unsigned long long>(s.heat_pages_sampled),
-                     static_cast<unsigned long long>(s.heat_pages_accessed),
-                     static_cast<unsigned long long>(s.heat_pages_written),
-                     static_cast<unsigned long long>(s.heat_pages_skipped));
-        std::fprintf(out, "  heat young/dirty hit  %10.1f%%/%.1f%%\n",
-                     100.0 * static_cast<double>(s.heat_pages_accessed) /
-                         sampled,
-                     100.0 * static_cast<double>(s.heat_pages_written) /
-                         sampled);
-        std::fprintf(out, "  promotions iss/done   %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.promotions_issued),
-                     static_cast<unsigned long long>(
-                         s.promotions_completed));
-        std::fprintf(out, "  demotions iss/done    %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.demotions_issued),
-                     static_cast<unsigned long long>(
-                         s.demotions_completed));
-        std::fprintf(out, "  daemon_movs_dropped   %12llu\n",
-                     static_cast<unsigned long long>(
-                         s.daemon_movs_dropped));
-        std::fprintf(out, "  daemon_budget_exhaust %12llu\n",
-                     static_cast<unsigned long long>(
-                         s.daemon_budget_exhausted));
-        std::fprintf(out, "  heat_ping_pongs       %12llu\n",
-                     static_cast<unsigned long long>(heat_ping_pongs()));
-    }
-    if (config_.tiered_memory) {
-        std::fprintf(out, "  chained_migrations    %12llu\n",
-                     static_cast<unsigned long long>(s.chained_migrations));
-        std::fprintf(out, "  chain_batches         %12llu\n",
-                     static_cast<unsigned long long>(s.chain_batches));
-        std::fprintf(out, "  hop stages iss/done   %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.hop_stages_issued),
-                     static_cast<unsigned long long>(
-                         s.hop_stages_completed));
-        std::fprintf(out, "  hop retries/fallbacks %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.hop_retries),
-                     static_cast<unsigned long long>(
-                         s.hop_fallback_copies));
-        std::fprintf(out, "  hop_overlap_events    %12llu\n",
-                     static_cast<unsigned long long>(s.hop_overlap_events));
-        std::fprintf(out, "  chain_rollbacks       %12llu\n",
-                     static_cast<unsigned long long>(s.chain_rollbacks));
-        std::fprintf(out, "  staging hwm/waits     %8llu/%llu\n",
-                     static_cast<unsigned long long>(s.staging_frames_hwm),
-                     static_cast<unsigned long long>(s.staging_pool_waits));
-    }
-    if (!config_.multi_tenant) return;
-    // kErrNoSpace used to vanish from the caller's view; the admission
-    // counters make every refused or shed request visible.
-    std::fprintf(out, "  admission_rejections  %12llu\n",
-                 static_cast<unsigned long long>(s.admission_rejections));
-    std::fprintf(out, "  quota_hits_inflight   %12llu\n",
-                 static_cast<unsigned long long>(s.quota_hits_inflight));
-    std::fprintf(out, "  quota_hits_frames     %12llu\n",
-                 static_cast<unsigned long long>(s.quota_hits_frames));
-    std::fprintf(out, "  shed_requests         %12llu\n",
-                 static_cast<unsigned long long>(s.shed_requests));
-    std::fprintf(out, "  wrr_dispatches        %12llu\n",
-                 static_cast<unsigned long long>(s.wrr_dispatches));
-    std::fprintf(out, "  fairness_ratio        %12.3f\n",
+    // A lever that is off leaves its counters at zero: only the
+    // nonzero ones print, in the list's order.
+    auto counter = [out](const char *name, std::uint64_t value) {
+        if (value != 0)
+            std::fprintf(out, "  %-24s %12llu\n", name,
+                         static_cast<unsigned long long>(value));
+    };
+#define MEMIF_PRINT_COUNTER(name, doc) counter(#name, stats_.name);
+    MEMIF_DEVICE_COUNTERS(MEMIF_PRINT_COUNTER)
+#undef MEMIF_PRINT_COUNTER
+    auto array = [&counter](const char *name, const auto &values) {
+        char label[32];
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            std::snprintf(label, sizeof(label), "%s[%zu]", name, i);
+            counter(label, values[i]);
+        }
+    };
+    array("tc_dispatches", stats_.tc_dispatches);
+    array("ring_submits", stats_.ring_submits);
+
+    const bool tenanted =
+        std::any_of(tenants_.begin(), tenants_.end(), [](const Tenant &t) {
+            return t.stats.admitted != 0 || t.stats.rejected != 0;
+        });
+    if (!tenanted) return;
+    std::fprintf(out, "  %-24s %12.3f\n", "fairness_ratio",
                  fairness_ratio());
     std::fprintf(out,
                  "  asid  weight   admitted  completed   rejected"

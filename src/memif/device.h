@@ -417,134 +417,106 @@ struct TenantStats {
     std::uint64_t frames_charged = 0;
 };
 
+/**
+ * The driver's event counters, each declared once as X(name, doc): the
+ * DeviceStats fields expand from this list and MemifDevice::print_stats
+ * prints it, so a new counter is one line here. Every counter is a
+ * std::uint64_t, bumped by a plain `++stats_.name`. Something outside
+ * src/memif (a bench, test, example or src/check) must read each one;
+ * scripts/check_config_knobs.py fails CI on a counter nothing reads.
+ */
+#define MEMIF_DEVICE_COUNTERS(X)                                              \
+    X(requests_completed, "terminal notifications, done or failed")           \
+    X(replications, "replications served to the DMA")                         \
+    X(migrations, "migrations whose Remap went in")                           \
+    X(pages_moved, "pages released by a finished move")                       \
+    X(bytes_moved, "payload bytes released by a finished move")               \
+    X(validation_failures, "requests failed by validation")                   \
+    X(races_detected, "pages a CPU access touched mid-copy")                  \
+    X(migrations_aborted, "migrations rolled back by a racing access")        \
+    X(kick_ioctls, "MOV_ONE kick syscalls")                                   \
+    X(irq_completions, "requests retired from a completion IRQ")              \
+    X(polled_completions, "requests retired by a polling kthread")            \
+    X(kthread_wakeups, "notifies sent to the kernel thread")                  \
+    X(wakeups_from_sleep, "... that found it asleep")                         \
+    X(notifies_while_running, "... that found it already draining")           \
+    X(completion_drains, "drain passes that retired more than 1 request")     \
+    X(drained_requests, "requests retired in another's drain pass")           \
+    X(moderated_dispatches, "transfers started with a moderated IRQ")         \
+    X(reaped_completions, "moderated completions reaped before the IRQ")      \
+    X(dma_errors, "TC-error completions seen")                                \
+    X(dma_retries, "transfers restarted")                                     \
+    X(fallback_copies, "moves degraded to a CPU byte copy")                   \
+    X(watchdog_timeouts, "stuck or lost-IRQ detections")                      \
+    X(rollbacks, "unrecoverable-failure rollbacks")                           \
+    X(sg_entries_emitted, "SG entries sent to the DMA")                       \
+    X(descriptor_writes_saved, "writes saved by run coalescing")              \
+    X(ranged_tlb_flushes, "batched-shootdown flushes")                        \
+    /* ----- Submission path (gang xlate cache, magazine, rings) */           \
+    X(xlate_hits, "pages translated from the cache")                          \
+    X(xlate_misses, "pages that paid the radix walk")                         \
+    X(xlate_invalidations, "cache entries dropped by the hook")               \
+    X(xlate_gang_prefetched, "neighbours walked on a cache miss")             \
+    X(bulk_allocs, "magazine refills (bulk calls)")                           \
+    X(magazine_pops, "frames handed out of a magazine")                       \
+    X(magazine_spills, "frees past capacity, to the buddy")                   \
+    X(shared_submit_retries, "shared-queue submit CAS retries")               \
+    /* ----- Multi-tenant service layer */                                    \
+    X(admission_rejections, "submits refused outright")                       \
+    X(quota_hits_inflight, "... at the request quota")                        \
+    X(quota_hits_frames, "... at the frame quota")                            \
+    X(shed_requests, "dropped at the queue-depth bound")                      \
+    X(wrr_dispatches, "requests picked by the WRR")                           \
+    /* ----- MMU-aware DMA (ahead-of-stream prefetch, SVA routing) */         \
+    X(stream_prefetch_issued, "descriptors a prefetch covered")               \
+    X(stream_prefetch_hits, "... ready and live at the gate")                 \
+    X(stream_prefetch_late, "... still walking: the TC stalled")              \
+    X(stream_prefetch_wasted, "... invalidated or dropped")                   \
+    X(prefetch_fills_dropped, "fills lost to an invalidation")                \
+    X(consumer_stall_time, "TC stall behind late prefetches, ns")             \
+    X(sva_resolved, "SVA descriptors resolved at consumption")                \
+    X(sva_demand_walks, "... that paid a demand walk")                        \
+    X(sva_retranslated, "... rewritten: the frame moved since Prep")          \
+    X(sva_faults, "consumption-time walk faults")                             \
+    /* ----- Managed mode (heat scan, migration daemon) */                    \
+    X(heat_scans, "scan epochs executed")                                     \
+    X(heat_pages_sampled, "PTEs the scanner examined")                        \
+    X(heat_pages_accessed, "... found touched (young clear)")                 \
+    X(heat_pages_written, "... found dirty")                                  \
+    X(heat_pages_skipped, "... skipped: an in-flight request held them")      \
+    X(promotions_issued, "daemon movs toward fast memory")                    \
+    X(promotions_completed, "... done")                                       \
+    X(demotions_issued, "daemon movs toward slow memory")                     \
+    X(demotions_completed, "... done")                                        \
+    X(daemon_movs_dropped, "failed daemon movs (bucket cools down)")          \
+    X(daemon_budget_exhausted, "issue passes cut by the page budget")         \
+    /* ----- Tiered memory (third tier, chained multi-hop eviction) */        \
+    X(chained_migrations, "movs staged through DDR")                          \
+    X(chain_batches, "bounded batches executed")                              \
+    X(hop_stages_issued, "per-hop DMA stages started")                        \
+    X(hop_stages_completed, "... finished")                                   \
+    X(hop_retries, "hop attempts past the first")                             \
+    X(hop_fallback_copies, "hops degraded to a CPU copy")                     \
+    X(hop_overlap_events, "hops started while another ran")                   \
+    X(chain_rollbacks, "chains failed, remap undone")                         \
+    X(staging_frames_hwm, "staging-pool high-water mark")                     \
+    X(staging_pool_waits, "batches that waited for frames")                   \
+    /* ----- Strided DMA (2D descriptors, gather) */                          \
+    X(strided_requests, "strided movs served")                                \
+    X(gather_requests, "... whose source was a gather")                       \
+    X(strided_rows_moved, "rows delivered")                                   \
+    X(strided_row_splits, "rows split at a page boundary")                    \
+    X(strided_descriptors, "SG entries carrying 2D geometry")
+
 /** Driver event counters. */
 struct DeviceStats {
-    std::uint64_t requests_completed = 0;
-    std::uint64_t replications = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t pages_moved = 0;
-    std::uint64_t bytes_moved = 0;
-    std::uint64_t validation_failures = 0;
-    std::uint64_t races_detected = 0;
-    std::uint64_t migrations_aborted = 0;
-    std::uint64_t kick_ioctls = 0;
-    std::uint64_t irq_completions = 0;
-    std::uint64_t polled_completions = 0;
-    /** Notifications sent to the kernel thread. Historically this only
-     *  counted notifies that found the thread asleep; it now counts
-     *  every notify and the two components are split out below. */
-    std::uint64_t kthread_wakeups = 0;
-    std::uint64_t wakeups_from_sleep = 0;     ///< thread was sleeping
-    std::uint64_t notifies_while_running = 0; ///< thread already draining
-    /** Completion-drain passes that retired >1 request. */
-    std::uint64_t completion_drains = 0;
-    /** Requests retired inside someone else's drain pass. */
-    std::uint64_t drained_requests = 0;
-    /** Transfers started with a moderated completion IRQ. */
-    std::uint64_t moderated_dispatches = 0;
-    /** Moderated completions the kernel thread retired directly from
-     *  the flight table, cancelling the held IRQ before it fired. */
-    std::uint64_t reaped_completions = 0;
-    std::uint64_t dma_errors = 0;         ///< TC-error completions seen
-    std::uint64_t dma_retries = 0;        ///< transfers restarted
-    std::uint64_t fallback_copies = 0;    ///< degraded to CPU byte-copy
-    std::uint64_t watchdog_timeouts = 0;  ///< stuck / lost-irq detections
-    std::uint64_t rollbacks = 0;          ///< unrecoverable-failure rollbacks
-    std::uint64_t sg_entries_emitted = 0;  ///< SG entries sent to the DMA
-    /** Descriptor writes avoided by contiguous-run coalescing. */
-    std::uint64_t descriptor_writes_saved = 0;
+#define MEMIF_DECLARE_COUNTER(name, doc) std::uint64_t name = 0;
+    MEMIF_DEVICE_COUNTERS(MEMIF_DECLARE_COUNTER)
+#undef MEMIF_DECLARE_COUNTER
     /** Transfers triggered per transfer controller. */
     std::array<std::uint64_t, dma::Edma3Engine::kNumTcs> tc_dispatches{};
-    std::uint64_t ranged_tlb_flushes = 0;  ///< batched-shootdown flushes
-    // ----- Submission path (gang xlate cache / magazine / rings) ------
-    std::uint64_t xlate_hits = 0;    ///< pages translated from the cache
-    std::uint64_t xlate_misses = 0;  ///< pages that paid the radix walk
-    std::uint64_t xlate_invalidations = 0;  ///< entries dropped by the hook
-    /** Extra pages walked by the *reactive* gang-prefetch (cache-miss
-     *  neighbour expansion). Distinct from the ahead-of-stream prefetch
-     *  counters below, which this field historically conflated. */
-    std::uint64_t xlate_gang_prefetched = 0;
-    std::uint64_t bulk_allocs = 0;     ///< magazine refills (bulk calls)
-    std::uint64_t magazine_pops = 0;   ///< frames handed out of a magazine
-    std::uint64_t magazine_spills = 0; ///< frees past capacity, to buddy
     /** Requests deposited per submission ring. */
     std::array<std::uint64_t, kMaxSubmitRings> ring_submits{};
-    /** Shared-queue submit CAS retries charged (contention model). */
-    std::uint64_t shared_submit_retries = 0;
-    // ----- Multi-tenant service layer ---------------------------------
-    std::uint64_t admission_rejections = 0;  ///< submits refused outright
-    std::uint64_t quota_hits_inflight = 0;   ///< ... at the request quota
-    std::uint64_t quota_hits_frames = 0;     ///< ... at the frame quota
-    std::uint64_t shed_requests = 0;   ///< dropped at the queue-depth bound
-    std::uint64_t wrr_dispatches = 0;  ///< requests picked by the WRR
-    // ----- MMU-aware DMA (ahead-of-stream prefetch / SVA routing) -----
-    /** Descriptors covered by an issued translation prefetch (the sync
-     *  window plus every scheduled asynchronous walk). */
-    std::uint64_t stream_prefetch_issued = 0;
-    /** Gate found the prefetched translation ready and live (zero
-     *  consumption-time stall). */
-    std::uint64_t stream_prefetch_hits = 0;
-    /** Consumer outran the prefetcher: the covering walk was still in
-     *  flight, so the TC stalled until it landed. */
-    std::uint64_t stream_prefetch_late = 0;
-    /** Prefetched translation unusable at consumption (invalidated
-     *  after fill, or the fill itself was dropped). */
-    std::uint64_t stream_prefetch_wasted = 0;
-    /** Prefetch fills discarded by the generation check (invalidation
-     *  landed between issue and fill). */
-    std::uint64_t prefetch_fills_dropped = 0;
-    /** Total TC-side stall time behind late prefetches (the count is
-     *  stream_prefetch_late). */
-    sim::Duration consumer_stall_time = 0;
-    /** SVA-routed descriptors resolved through the MMU at consumption. */
-    std::uint64_t sva_resolved = 0;
-    /** ... that paid a demand walk in the stream (cache miss). */
-    std::uint64_t sva_demand_walks = 0;
-    /** ... whose translation changed since prep (descriptor rewritten
-     *  from the live PTEs before the copy). */
-    std::uint64_t sva_retranslated = 0;
-    /** Consumption-time walk faults (chain terminated, kXlateFault). */
-    std::uint64_t sva_faults = 0;
-    // ----- Managed mode (heat scan + migration daemon) ----------------
-    std::uint64_t heat_scans = 0;           ///< scan epochs executed
-    std::uint64_t heat_pages_sampled = 0;   ///< PTEs examined by the scanner
-    std::uint64_t heat_pages_accessed = 0;  ///< ... found touched (young clear)
-    std::uint64_t heat_pages_written = 0;   ///< ... found dirty
-    /** Pages skipped because an in-flight request overlapped them. */
-    std::uint64_t heat_pages_skipped = 0;
-    std::uint64_t promotions_issued = 0;    ///< daemon movs toward fast memory
-    std::uint64_t promotions_completed = 0;
-    std::uint64_t demotions_issued = 0;     ///< daemon movs toward slow memory
-    std::uint64_t demotions_completed = 0;
-    /** Daemon movs that failed (any reason) and were absorbed: the
-     *  bucket enters a cooldown instead of being retried on a fault. */
-    std::uint64_t daemon_movs_dropped = 0;
-    /** Daemon issue passes cut short by the per-epoch page budget. */
-    std::uint64_t daemon_budget_exhausted = 0;
-    // ----- Tiered memory (third tier + chained multi-hop eviction) ----
-    std::uint64_t chained_migrations = 0;  ///< movs staged through DDR
-    std::uint64_t chain_batches = 0;       ///< bounded batches executed
-    std::uint64_t hop_stages_issued = 0;   ///< per-hop DMA stages started
-    std::uint64_t hop_stages_completed = 0;
-    std::uint64_t hop_retries = 0;         ///< hop attempts past the first
-    std::uint64_t hop_fallback_copies = 0; ///< hops degraded to CPU copy
-    /** A hop stage started while another was still in flight — the
-     *  cross-TC out-of-order overlap the pipeline exists for (always 0
-     *  with pipelined_eviction off). */
-    std::uint64_t hop_overlap_events = 0;
-    std::uint64_t chain_rollbacks = 0;     ///< chains failed, remap undone
-    std::uint64_t staging_frames_hwm = 0;  ///< staging-pool high-water
-    std::uint64_t staging_pool_waits = 0;  ///< batches that waited for frames
-    // ----- Strided DMA (2D descriptors + gather) ----------------------
-    std::uint64_t strided_requests = 0;    ///< strided movs served
-    std::uint64_t gather_requests = 0;     ///< ... whose source was a gather
-    std::uint64_t strided_rows_moved = 0;  ///< rows delivered (all requests)
-    /** Rows that crossed a page boundary on either side and were split
-     *  into multiple flat segments (layout/paging interaction census). */
-    std::uint64_t strided_row_splits = 0;
-    /** SG entries that carried 2D geometry (rows folded into one
-     *  A/B-count descriptor instead of per-row entries). */
-    std::uint64_t strided_descriptors = 0;
 };
 
 class MemifDevice {
@@ -604,7 +576,10 @@ class MemifDevice {
      */
     bool admit_request(std::uint32_t idx);
 
-    /** Print the driver counters (and per-tenant table) to @p out. */
+    /** Print `name value` to @p out for every nonzero counter, in
+     *  MEMIF_DEVICE_COUNTERS order, then every nonzero entry of the
+     *  two arrays, then fairness_ratio() and the per-tenant table once
+     *  some tenant has been admitted or refused. */
     void print_stats(std::FILE *out) const;
     /** A weak handle on request @p idx's in-flight record, expired when
      *  it has none (test/diag introspection: a retired record must stay

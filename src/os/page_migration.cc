@@ -117,7 +117,8 @@ migrate_pages_sync(Process &proc, vm::VAddr start, std::uint64_t npages,
         int status = kPageNoEnt;
         std::uint64_t pb = 0;
         co_await migrate_page(proc, va, dst_node, &status, &pb);
-        va += pb;
+        // A hole fails one base page at a time, then the walk goes on.
+        va += pb != 0 ? pb : mem::kPageSize;
         if (status == kPageMoved) {
             ++result.pages_moved;
             result.bytes_moved += pb;
@@ -150,6 +151,7 @@ mbind_lazy(Process &proc, vm::VAddr start, std::uint64_t npages,
         vm::Vma *vma = as.find_vma(va);
         if (!vma || dst_node >= k.phys().node_count()) {
             ++result.pages_failed;
+            va += mem::kPageSize;
             continue;
         }
         const std::uint64_t idx = vma->page_index(va);

@@ -77,7 +77,8 @@ struct MigrationResult {
  * Synchronously migrate @p npages pages (of the containing Vma's
  * granularity) starting at @p start to @p dst_node, Linux-style: one
  * syscall, then migrate_page() per page. An unmapped address fails
- * without advancing, so a range that starts in a hole fails whole.
+ * one base page (mem::kPageSize) and the walk steps over it, so a hole
+ * fails only its own pages, as move_pages(2) reports -ENOENT for each.
  *
  * Coroutine; runs in @p proc's context. Bytes really move and PTEs are
  * really rewritten, with all costs charged per the Table 1 baseline.
@@ -93,7 +94,8 @@ sim::Task migrate_pages_sync(Process &proc, vm::VAddr start,
  * migration pays the full baseline per-page cost at fault time —
  * exactly the critique the paper makes ("defer migration without
  * addressing the major inefficiency"). Only unmarked pages that
- * migrate_page()'s screen admits are armed.
+ * migrate_page()'s screen admits are armed; a hole fails one base page
+ * at a time, as in migrate_pages_sync().
  *
  * Coroutine (one syscall); Process::touch() performs the deferred
  * per-page migration when the fault fires.

@@ -184,38 +184,4 @@ wait_any(EventQueue &eq, std::vector<SimEvent *> events,
     // relays destroyed here; unsignalled events drop their waiters.
 }
 
-/**
- * Counting semaphore for simulated tasks (used e.g. to model a bounded
- * number of DMA channels).
- */
-class SimSemaphore {
-  public:
-    SimSemaphore(EventQueue &eq, std::uint32_t initial)
-        : wq_(eq), count_(initial)
-    {
-    }
-
-    /** Awaitable acquire: decrements the count, sleeping while it is 0. */
-    Task
-    acquire()
-    {
-        while (count_ == 0) co_await wq_.wait();
-        --count_;
-    }
-
-    /** Release one unit and wake a waiter. */
-    void
-    release()
-    {
-        ++count_;
-        wq_.notify_one();
-    }
-
-    std::uint32_t available() const { return count_; }
-
-  private:
-    WaitQueue wq_;
-    std::uint32_t count_;
-};
-
 }  // namespace memif::sim

@@ -367,20 +367,4 @@ struct Delay {
     void await_resume() const noexcept {}
 };
 
-/**
- * Awaitable that reschedules the current task at the current time, letting
- * all other runnable events at this instant execute first.
- */
-struct Yield {
-    EventQueue &eq;
-
-    bool await_ready() const noexcept { return false; }
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        detail::schedule_resume(eq, 0, h);
-    }
-    void await_resume() const noexcept {}
-};
-
 }  // namespace memif::sim

@@ -29,6 +29,7 @@
 
 #include "memif/device.h"
 #include "memif/user_api.h"
+#include "memif_fixture.h"
 #include "os/kernel.h"
 #include "os/process.h"
 #include "sim/task.h"
@@ -95,12 +96,10 @@ TEST(AllocBudget, SmallMigrationsStayUnderBudget)
 #if !MEMIF_SIM_FRAME_POOL
     GTEST_SKIP() << "allocation counting is off under sanitizers";
 #endif
-    os::KernelConfig kc;
-    kc.single_driver_core = true;
-    os::Kernel kernel(kc);
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc, MemifConfig::strided());
-    MemifUser user(dev);
+    test::MemifFixture f(MemifConfig::strided(),
+                         os::KernelConfig{.single_driver_core = true});
+    os::Kernel &kernel = f.kernel;
+    MemifUser &user = f.user;
 
     // One region per (window slot, size class), ping-ponged between the
     // slow and the fast node, so no region ever has two moves in flight.
@@ -112,12 +111,12 @@ TEST(AllocBudget, SmallMigrationsStayUnderBudget)
     std::vector<Unit> units;
     for (std::uint32_t w = 0; w < kWindow; ++w) {
         for (const std::uint32_t pages : kPages) {
-            const vm::VAddr base = proc.mmap(pages * kPage, vm::PageSize::k4K,
-                                             kernel.slow_node());
+            const vm::VAddr base = f.proc.mmap(
+                pages * kPage, vm::PageSize::k4K, kernel.slow_node());
             ASSERT_NE(base, 0u);
             std::vector<std::uint8_t> bytes(pages * kPage,
                                             static_cast<std::uint8_t>(w));
-            ASSERT_TRUE(proc.as().write(base, bytes.data(), bytes.size()));
+            ASSERT_TRUE(f.proc.as().write(base, bytes.data(), bytes.size()));
             units.push_back({base, pages});
         }
     }
@@ -130,18 +129,14 @@ TEST(AllocBudget, SmallMigrationsStayUnderBudget)
     std::uint64_t allocs_at_end = 0;
 
     auto issue = [&](std::uint32_t slot) -> sim::Task {
-        const std::uint32_t idx = user.alloc_request();
-        MEMIF_ASSERT(idx != kNoRequest, "request slots exhausted");
         const auto c =
             static_cast<std::uint32_t>(rng.next_below(kPages.size()));
         slot_unit[slot] = slot * static_cast<std::uint32_t>(kPages.size()) + c;
         const Unit &u = units[slot_unit[slot]];
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = u.base;
-        req.num_pages = u.pages;
-        req.dst_node = u.on_fast ? kernel.slow_node() : kernel.fast_node();
-        req.user_tag = slot;
+        const std::uint32_t idx = f.prepare(
+            MovOp::kMigrate, u.base, u.pages,
+            u.on_fast ? kernel.slow_node() : kernel.fast_node(), slot);
+        MEMIF_ASSERT(idx != kNoRequest, "request slots exhausted");
         co_await user.submit(idx);
     };
     auto driver = [&]() -> sim::Task {

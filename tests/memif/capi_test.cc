@@ -6,23 +6,43 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "memif_fixture.h"
 #include "os/kernel.h"
 #include "os/process.h"
 
 namespace memif::core {
 namespace {
 
-class CApi : public ::testing::Test {
-  protected:
-    void TearDown() override { ResetDeviceFiles(); }
+/** The shared fixture with its device registered as /dev/memif0; the
+ *  device files are reset when the test ends. */
+struct Fixture : test::MemifFixture {
+    explicit Fixture(MemifConfig cfg = {}) : MemifFixture(cfg)
+    {
+        RegisterDeviceFile("/dev/memif0", dev);
+    }
+    ~Fixture() { ResetDeviceFiles(); }
+
+    /** A blank request off @p fd's free list, filled in to migrate
+     *  @p npages pages at @p src to the fast node. */
+    mov_req *
+    migrate_req(int fd, vm::VAddr src, std::uint32_t npages)
+    {
+        mov_req *req = AllocRequest(fd);
+        EXPECT_NE(req, nullptr);
+        if (!req) return nullptr;
+        req->op = MovOp::kMigrate;
+        req->src_base = src;
+        req->num_pages = npages;
+        req->dst_node = kernel.fast_node();
+        return req;
+    }
 };
 
-TEST_F(CApi, OpenCloseLifecycle)
+TEST(CApi, OpenCloseLifecycle)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc);
-    RegisterDeviceFile("/dev/memif0", dev);
+    Fixture f;
 
     EXPECT_EQ(MemifOpen("/dev/none"), kErrNoEntry);
     const int fd = MemifOpen("/dev/memif0");
@@ -36,13 +56,10 @@ TEST_F(CApi, OpenCloseLifecycle)
     MemifClose(fd2);
 }
 
-TEST_F(CApi, Figure2EndToEnd)
+TEST(CApi, Figure2EndToEnd)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc);
-    RegisterDeviceFile("/dev/memif0", dev);
-    const vm::VAddr region = proc.mmap(10 * 16 * 4096, vm::PageSize::k4K);
+    Fixture f;
+    const vm::VAddr region = f.proc.mmap(10 * 16 * 4096, vm::PageSize::k4K);
 
     int completed = 0;
     auto app = [&]() -> sim::Task {
@@ -51,19 +68,15 @@ TEST_F(CApi, Figure2EndToEnd)
 
         // "Request to move memory regions" — ten of them, Fig. 2 style.
         for (int i = 0; i < 10; ++i) {
-            mov_req *req = AllocRequest(memfd);
-            EXPECT_NE(req, nullptr);
-            req->op = MovOp::kMigrate;
-            req->src_base = region + static_cast<vm::VAddr>(i) * 16 * 4096;
-            req->num_pages = 16;
-            req->dst_node = kernel.fast_node();
+            mov_req *req = f.migrate_req(
+                memfd, region + static_cast<vm::VAddr>(i) * 16 * 4096, 16);
             int rc = -1;
             co_await SubmitRequest(memfd, req, &rc);  // non-blocking
             EXPECT_EQ(rc, kOk);
         }
 
         // "Do computation"
-        co_await sim::Delay{kernel.eq(), sim::microseconds(100)};
+        co_await sim::Delay{f.kernel.eq(), sim::microseconds(100)};
 
         // "Is any move completed?"
         while (completed < 10) {
@@ -80,17 +93,14 @@ TEST_F(CApi, Figure2EndToEnd)
         EXPECT_EQ(MemifClose(memfd), kOk);
     };
     auto t = app();
-    kernel.run();
+    f.kernel.run();
     EXPECT_EQ(completed, 10);
 }
 
-TEST_F(CApi, MovManySubmitsBatchWithOneCrossing)
+TEST(CApi, MovManySubmitsBatchWithOneCrossing)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc);
-    RegisterDeviceFile("/dev/memif0", dev);
-    const vm::VAddr region = proc.mmap(8 * 16 * 4096, vm::PageSize::k4K);
+    Fixture f;
+    const vm::VAddr region = f.proc.mmap(8 * 16 * 4096, vm::PageSize::k4K);
 
     int completed = 0;
     auto app = [&]() -> sim::Task {
@@ -99,21 +109,16 @@ TEST_F(CApi, MovManySubmitsBatchWithOneCrossing)
 
         mov_req *reqs[8] = {};
         for (int i = 0; i < 8; ++i) {
-            reqs[i] = AllocRequest(memfd);
-            EXPECT_NE(reqs[i], nullptr);  // ASSERT returns; no co_return
-            reqs[i]->op = MovOp::kMigrate;
-            reqs[i]->src_base =
-                region + static_cast<vm::VAddr>(i) * 16 * 4096;
-            reqs[i]->num_pages = 16;
-            reqs[i]->dst_node = kernel.fast_node();
+            reqs[i] = f.migrate_req(
+                memfd, region + static_cast<vm::VAddr>(i) * 16 * 4096, 16);
         }
-        kernel.reset_syscall_stats();
+        f.kernel.reset_syscall_stats();
         int rc = -1;
         co_await memif_mov_many(memfd, reqs, 8, &rc);
         EXPECT_EQ(rc, kOk);
         // The whole batch cost one user/kernel crossing (the kick); the
         // kernel thread drained the other seven submissions itself.
-        EXPECT_EQ(kernel.syscall_stats().crossings, 1u);
+        EXPECT_EQ(f.kernel.syscall_stats().crossings, 1u);
 
         while (completed < 8) {
             mov_req *req = RetrieveCompleted(memfd);
@@ -128,18 +133,18 @@ TEST_F(CApi, MovManySubmitsBatchWithOneCrossing)
         EXPECT_EQ(MemifClose(memfd), kOk);
     };
     auto t = app();
-    kernel.run();
+    f.kernel.run();
     EXPECT_EQ(completed, 8);
     // Against eight one-at-a-time SubmitRequest() calls, each of which
     // starts an idle period and kicks: 8x fewer crossings.
-    EXPECT_EQ(kernel.syscall_stats().crossings, 1u);
+    EXPECT_EQ(f.kernel.syscall_stats().crossings, 1u);
 
     int rc = -1;
     auto bad = memif_mov_many(1234, nullptr, 0, &rc);
     EXPECT_EQ(rc, kErrBadFd);
 }
 
-TEST_F(CApi, BadDescriptorsAreHarmless)
+TEST(CApi, BadDescriptorsAreHarmless)
 {
     EXPECT_EQ(AllocRequest(7), nullptr);
     EXPECT_EQ(RetrieveCompleted(7), nullptr);
@@ -151,12 +156,9 @@ TEST_F(CApi, BadDescriptorsAreHarmless)
     EXPECT_TRUE(p.done());
 }
 
-TEST_F(CApi, AllocRequestReportsNoSpaceWhenFreeListEmpty)
+TEST(CApi, AllocRequestReportsNoSpaceWhenFreeListEmpty)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc, MemifConfig{.capacity = 2});
-    RegisterDeviceFile("/dev/memif0", dev);
+    Fixture f(MemifConfig{.capacity = 2});
     const int fd = MemifOpen("/dev/memif0");
     ASSERT_GE(fd, 0);
 
@@ -185,12 +187,9 @@ TEST_F(CApi, AllocRequestReportsNoSpaceWhenFreeListEmpty)
     MemifClose(fd);
 }
 
-TEST_F(CApi, UnregisterInvalidatesOpenDescriptors)
+TEST(CApi, UnregisterInvalidatesOpenDescriptors)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev(kernel, proc);
-    RegisterDeviceFile("/dev/memif0", dev);
+    Fixture f;
     const int fd = MemifOpen("/dev/memif0");
     ASSERT_GE(fd, 0);
     UnregisterDeviceFile("/dev/memif0");
@@ -198,18 +197,17 @@ TEST_F(CApi, UnregisterInvalidatesOpenDescriptors)
     EXPECT_EQ(MemifClose(fd), kErrBadFd);
 }
 
-TEST_F(CApi, TwoDevicesTwoDescriptors)
+TEST(CApi, TwoDevicesTwoDescriptors)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev0(kernel, proc);
-    MemifDevice dev1(kernel, proc,
-                     MemifConfig{.capacity = 4,
-                                 .gang_lookup = true,
-                                 .race_policy = RacePolicy::kDetect,
-                                 .poll_threshold_bytes = 512 * 1024});
-    RegisterDeviceFile("/dev/memif0", dev0);
-    RegisterDeviceFile("/dev/memif1", dev1);
+    Fixture f;
+    RegisterDeviceFile(
+        "/dev/memif1",
+        f.open_device(f.proc,
+                      MemifConfig{.capacity = 4,
+                                  .gang_lookup = true,
+                                  .race_policy = RacePolicy::kDetect,
+                                  .poll_threshold_bytes = 512 * 1024})
+            .dev);
     const int a = MemifOpen("/dev/memif0");
     const int b = MemifOpen("/dev/memif1");
     ASSERT_NE(a, b);
@@ -219,44 +217,30 @@ TEST_F(CApi, TwoDevicesTwoDescriptors)
     EXPECT_NE(AllocRequest(a), nullptr);
 }
 
-TEST_F(CApi, PollFdsWakesOnWhicheverDeviceCompletesFirst)
+TEST(CApi, PollFdsWakesOnWhicheverDeviceCompletesFirst)
 {
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev0(kernel, proc);
-    MemifDevice dev1(kernel, proc);
-    RegisterDeviceFile("/dev/memif0", dev0);
-    RegisterDeviceFile("/dev/memif1", dev1);
-    const vm::VAddr small = proc.mmap(4 * 4096, vm::PageSize::k4K);
-    const vm::VAddr big = proc.mmap(512 * 4096, vm::PageSize::k4K);
+    Fixture f;
+    RegisterDeviceFile("/dev/memif1", f.open_device(f.proc).dev);
+    const vm::VAddr small = f.proc.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr big = f.proc.mmap(512 * 4096, vm::PageSize::k4K);
 
     int ready = -99;
     auto app = [&]() -> sim::Task {
         const int fd0 = MemifOpen("/dev/memif0");
         const int fd1 = MemifOpen("/dev/memif1");
         // A long request on fd0, a short one on fd1.
-        mov_req *slow_req = AllocRequest(fd0);
-        slow_req->op = MovOp::kMigrate;
-        slow_req->src_base = big;
-        slow_req->num_pages = 512;
-        slow_req->dst_node = kernel.fast_node();
-        co_await SubmitRequest(fd0, slow_req);
-        mov_req *fast_req = AllocRequest(fd1);
-        fast_req->op = MovOp::kMigrate;
-        fast_req->src_base = small;
-        fast_req->num_pages = 4;
-        fast_req->dst_node = kernel.fast_node();
-        co_await SubmitRequest(fd1, fast_req);
+        co_await SubmitRequest(fd0, f.migrate_req(fd0, big, 512));
+        co_await SubmitRequest(fd1, f.migrate_req(fd1, small, 4));
 
         std::vector<int> fds{fd0, fd1, 1234 /*bogus: ignored*/};
         co_await PollFds(fds, &ready);
     };
     auto t = app();
-    kernel.run();
+    f.kernel.run();
     EXPECT_EQ(ready, 1);  // the short request's device woke us
 }
 
-TEST_F(CApi, PollFdsOnNothingReturnsImmediately)
+TEST(CApi, PollFdsOnNothingReturnsImmediately)
 {
     int ready = -99;
     auto t = PollFds({7, 8}, &ready);

@@ -347,29 +347,21 @@ TEST(MemifDevice, TeardownMidFlightIsSafe)
     // it cleanly: no callback into the dead device, no frame leaks
     // from the request that never completed (its new pages are simply
     // part of the cancelled move; the old mapping remains usable).
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    vm::VAddr base = 0;
-    {
-        MemifDevice dev(kernel, proc);
-        MemifUser user(dev);
-        base = proc.mmap(512 * 4096, vm::PageSize::k4K);
-        const std::uint32_t idx = user.alloc_request();
-        MovReq &req = user.request(idx);
-        req.op = MovOp::kMigrate;
-        req.src_base = base;
-        req.num_pages = 512;  // 2 MB: long DMA
-        req.dst_node = kernel.fast_node();
-        kernel.spawn(user.submit(idx));
-        // Advance until the transfer has been triggered but not yet
-        // completed: the teardown then races only the engine.
-        while (kernel.dma_engine().stats().transfers_started == 0)
-            kernel.run_until(kernel.eq().now() + sim::microseconds(100));
-        ASSERT_EQ(kernel.dma_engine().stats().transfers_completed, 0u);
-        // dev + user destroyed here, DMA in flight.
-    }
-    kernel.run();  // drain the (cancelled) completion event: no crash
-    EXPECT_EQ(kernel.dma_engine().stats().transfers_cancelled, 1u);
+    Fixture f;
+    // The device goes away with its request in flight: nothing is
+    // left to check for quiescence.
+    f.check_quiesce_on_teardown = false;
+    const vm::VAddr base = f.proc.mmap(512 * 4096, vm::PageSize::k4K);
+    f.submit(MovOp::kMigrate, base, 512,  // 2 MB: long DMA
+             f.kernel.fast_node());
+    // Advance until the transfer has been triggered but not yet
+    // completed: the teardown then races only the engine.
+    while (f.kernel.dma_engine().stats().transfers_started == 0)
+        f.kernel.run_until(f.kernel.eq().now() + sim::microseconds(100));
+    ASSERT_EQ(f.kernel.dma_engine().stats().transfers_completed, 0u);
+    f.close_device();  // dev + user destroyed here, DMA in flight
+    f.kernel.run();  // drain the (cancelled) completion event: no crash
+    EXPECT_EQ(f.kernel.dma_engine().stats().transfers_cancelled, 1u);
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
  * reference model would expect. A test that needs more (a second
  * process, extra tenants, a far node) derives from it.
  *
+ * A test that needs a second device on the same kernel (one process
+ * opening two instances, or one per process) opens it with
+ * open_device(); teardown checks every open device quiesced.
+ *
  * A test that must act inside a request's DMA window reads the window
  * from a calibration run's trace (dma_window()), never from a literal
  * instant: a change to any cost before the copy moves the window.
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,9 +39,21 @@ struct MemifFixture {
     os::Kernel kernel;
     os::Process &proc;
 
+    /** A further device opened on this kernel, and its user library. */
+    struct Instance {
+        MemifDevice dev;
+        MemifUser user;
+
+        Instance(os::Kernel &k, os::Process &p, const MemifConfig &cfg)
+            : dev(k, p, cfg), user(dev)
+        {
+        }
+    };
+
   private:
     std::optional<MemifDevice> device_;
     std::optional<MemifUser> user_;
+    std::vector<std::unique_ptr<Instance>> instances_;
 
   public:
     MemifDevice &dev;
@@ -54,7 +71,8 @@ struct MemifFixture {
 
     ~MemifFixture()
     {
-        if (device_) expect_quiesced();
+        if (device_) expect_quiesced(dev);
+        for (const auto &i : instances_) expect_quiesced(i->dev);
     }
 
     /** Opt-out for tests that deliberately leave work in flight. */
@@ -66,9 +84,18 @@ struct MemifFixture {
     void
     close_device()
     {
-        expect_quiesced();
+        expect_quiesced(dev);
         user_.reset();
         device_.reset();
+    }
+
+    /** Open another device for @p p on this kernel; it lives as long
+     *  as the fixture. */
+    Instance &
+    open_device(os::Process &p, const MemifConfig &cfg = {})
+    {
+        instances_.push_back(std::make_unique<Instance>(kernel, p, cfg));
+        return *instances_.back();
     }
 
     sim::FaultInjector &faults() { return kernel.faults(); }
@@ -138,14 +165,15 @@ struct MemifFixture {
         }
     }
 
-    /** Allocate and fill in one request without submitting it. */
+    /** Allocate and fill in one request without submitting it, on
+     *  @p u (another device's user library) or on the fixture's. */
     std::uint32_t
-    prepare(MovOp op, vm::VAddr src, std::uint32_t npages,
+    prepare(MemifUser &u, MovOp op, vm::VAddr src, std::uint32_t npages,
             std::uint64_t dst_or_node, std::uint64_t tag = 0)
     {
-        const std::uint32_t idx = user.alloc_request();
+        const std::uint32_t idx = u.alloc_request();
         EXPECT_NE(idx, kNoRequest);
-        MovReq &req = user.request(idx);
+        MovReq &req = u.request(idx);
         req.op = op;
         req.src_base = src;
         req.num_pages = npages;
@@ -155,6 +183,13 @@ struct MemifFixture {
         else
             req.dst_node = static_cast<std::uint32_t>(dst_or_node);
         return idx;
+    }
+
+    std::uint32_t
+    prepare(MovOp op, vm::VAddr src, std::uint32_t npages,
+            std::uint64_t dst_or_node, std::uint64_t tag = 0)
+    {
+        return prepare(user, op, src, npages, dst_or_node, tag);
     }
 
     /** Allocate + fill in + submit one request; returns its index. */
@@ -198,14 +233,14 @@ struct MemifFixture {
     }
 
     void
-    expect_quiesced()
+    expect_quiesced(const MemifDevice &d)
     {
         // Every test must hand the driver back fully quiesced: no
         // in-flight records, leased descriptors, stuck slots, parked
         // frames unaccounted for, or stale xlate entries.
         if (!check_quiesce_on_teardown) return;
         std::string why;
-        EXPECT_TRUE(dev.check_quiesced(&why)) << "teardown: " << why;
+        EXPECT_TRUE(d.check_quiesced(&why)) << "teardown: " << why;
     }
 };
 

@@ -8,40 +8,54 @@
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "memif/device.h"
 #include "memif/user_api.h"
+#include "memif_fixture.h"
 #include "os/kernel.h"
 #include "os/process.h"
 
 namespace memif::core {
 namespace {
 
+using Fixture = test::MemifFixture;
+
 struct App {
     os::Process *proc;
-    std::unique_ptr<MemifDevice> dev;
-    std::unique_ptr<MemifUser> user;
+    MemifDevice *dev;
+    MemifUser *user;
     vm::VAddr src = 0;
     vm::VAddr dst = 0;
     unsigned completed = 0;
 };
 
+/** @p n apps on @p f's kernel: app 0 is the fixture's process and
+ *  device, each other app a process of its own with its own device. */
+std::vector<App>
+open_apps(Fixture &f, unsigned n)
+{
+    std::vector<App> apps(n);
+    apps[0] = {&f.proc, &f.dev, &f.user};
+    for (unsigned a = 1; a < n; ++a) {
+        os::Process &p = f.kernel.create_process();
+        Fixture::Instance &i = f.open_device(p);
+        apps[a] = {&p, &i.dev, &i.user};
+    }
+    return apps;
+}
+
 TEST(MultiInstance, ThreeProcessesShareTheEngine)
 {
-    os::Kernel kernel;
+    Fixture f;
     constexpr unsigned kApps = 3;
     constexpr unsigned kRequestsEach = 12;
 
-    std::vector<App> apps(kApps);
+    std::vector<App> apps = open_apps(f, kApps);
     for (unsigned a = 0; a < kApps; ++a) {
-        apps[a].proc = &kernel.create_process();
-        apps[a].dev = std::make_unique<MemifDevice>(kernel, *apps[a].proc);
-        apps[a].user = std::make_unique<MemifUser>(*apps[a].dev);
         apps[a].src = apps[a].proc->mmap(32 * 4096, vm::PageSize::k4K);
         apps[a].dst = apps[a].proc->mmap(32 * 4096, vm::PageSize::k4K,
-                                         kernel.fast_node());
+                                         f.kernel.fast_node());
         ASSERT_NE(apps[a].src, 0u);
         ASSERT_NE(apps[a].dst, 0u);
         // Distinct per-app data.
@@ -50,17 +64,12 @@ TEST(MultiInstance, ThreeProcessesShareTheEngine)
         apps[a].proc->as().write(apps[a].src, data.data(), data.size());
     }
 
-    auto run_app = [&kernel](App &app, unsigned requests) -> sim::Task {
+    auto run_app = [&f](App &app, unsigned requests) -> sim::Task {
         for (unsigned i = 0; i < requests; ++i) {
-            const std::uint32_t idx = app.user->alloc_request();
-            EXPECT_NE(idx, kNoRequest);
-            MovReq &req = app.user->request(idx);
-            req.op = MovOp::kReplicate;
-            req.src_base = app.src;
-            req.dst_base = app.dst;
-            req.num_pages = 32;
+            const std::uint32_t idx = f.prepare(*app.user, MovOp::kReplicate,
+                                                app.src, 32, app.dst);
             co_await app.user->submit(idx);
-            co_await sim::Delay{kernel.eq(), sim::microseconds(7)};
+            co_await sim::Delay{f.kernel.eq(), sim::microseconds(7)};
         }
         while (app.completed < requests) {
             const std::uint32_t idx = app.user->retrieve_completed();
@@ -76,7 +85,7 @@ TEST(MultiInstance, ThreeProcessesShareTheEngine)
 
     std::vector<sim::Task> tasks;
     for (App &app : apps) tasks.push_back(run_app(app, kRequestsEach));
-    kernel.run();
+    f.kernel.run();
 
     for (unsigned a = 0; a < kApps; ++a) {
         EXPECT_EQ(apps[a].completed, kRequestsEach) << "app " << a;
@@ -93,15 +102,12 @@ TEST(MultiInstance, OneProcessTwoDevices)
 {
     // A process may open several instances; queues and free lists are
     // fully separate.
-    os::Kernel kernel;
-    os::Process &proc = kernel.create_process();
-    MemifDevice dev_a(kernel, proc,
-                      MemifConfig{.capacity = 4,
-                                  .gang_lookup = true,
-                                  .race_policy = RacePolicy::kDetect,
-                                  .poll_threshold_bytes = 512 * 1024});
-    MemifDevice dev_b(kernel, proc);
-    MemifUser ua(dev_a), ub(dev_b);
+    Fixture f(MemifConfig{.capacity = 4,
+                          .gang_lookup = true,
+                          .race_policy = RacePolicy::kDetect,
+                          .poll_threshold_bytes = 512 * 1024});
+    MemifUser &ua = f.user;
+    MemifUser &ub = f.open_device(f.proc).user;
 
     // Exhaust A's free list; B is unaffected.
     std::vector<std::uint32_t> held;
@@ -117,24 +123,17 @@ TEST(MultiInstance, InstancesOverlapOnDistinctTransferControllers)
     // both leases fit the 512-entry PaRAM at once). With round-robin TC
     // assignment their DMAs overlap: the two completions land within
     // one transfer duration of each other instead of stacking.
-    os::Kernel kernel;
-    std::vector<App> apps(2);
+    Fixture f;
+    std::vector<App> apps = open_apps(f, 2);
     std::vector<sim::SimTime> completed_at(2, 0);
     for (unsigned a = 0; a < 2; ++a) {
-        apps[a].proc = &kernel.create_process();
-        apps[a].dev = std::make_unique<MemifDevice>(kernel, *apps[a].proc);
-        apps[a].user = std::make_unique<MemifUser>(*apps[a].dev);
         apps[a].src = apps[a].proc->mmap(1u << 20, vm::PageSize::k4K);
         apps[a].dst = apps[a].proc->mmap(1u << 20, vm::PageSize::k4K,
-                                         kernel.fast_node());
+                                         f.kernel.fast_node());
     }
     auto run_app = [&](App &app, unsigned a) -> sim::Task {
-        const std::uint32_t idx = app.user->alloc_request();
-        MovReq &req = app.user->request(idx);
-        req.op = MovOp::kReplicate;
-        req.src_base = app.src;
-        req.dst_base = app.dst;
-        req.num_pages = 256;
+        const std::uint32_t idx = f.prepare(*app.user, MovOp::kReplicate,
+                                            app.src, 256, app.dst);
         co_await app.user->submit(idx);
         while (app.user->retrieve_completed() == kNoRequest)
             co_await app.user->poll();
@@ -143,9 +142,9 @@ TEST(MultiInstance, InstancesOverlapOnDistinctTransferControllers)
     };
     auto t0 = run_app(apps[0], 0);
     auto t1 = run_app(apps[1], 1);
-    kernel.run();
+    f.kernel.run();
     EXPECT_EQ(apps[0].completed + apps[1].completed, 2u);
-    const auto &es = kernel.dma_engine().stats();
+    const auto &es = f.kernel.dma_engine().stats();
     EXPECT_EQ(es.transfers_completed, 2u);
     // 1 MB at 6.2 GB/s is ~169 us; overlapped completions are closer
     // than that, serialized ones would differ by at least that.

@@ -206,12 +206,10 @@ TEST(Recovery, PolledStuckTransferIsSupervisedByKthread)
     std::uint32_t idx0 = kNoRequest, idx1 = kNoRequest;
     auto app = [&]() -> sim::Task {
         for (int r = 0; r < 2; ++r) {
-            const std::uint32_t idx = f.user.alloc_request();
-            MovReq &req = f.user.request(idx);
-            req.op = MovOp::kReplicate;
-            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.num_pages = 16;  // 64 KB: below the poll threshold
+            const vm::VAddr off = static_cast<vm::VAddr>(r) * 16 * 4096;
+            // 16 pages, 64 KB: below the poll threshold.
+            const std::uint32_t idx =
+                f.prepare(MovOp::kReplicate, src + off, 16, dst + off);
             (r == 0 ? idx0 : idx1) = idx;
             co_await f.user.submit(idx);
         }
@@ -249,12 +247,8 @@ TEST(Recovery, LostErrorInterruptIsRetriedNotReleased)
     std::uint32_t idx[3] = {kNoRequest, kNoRequest, kNoRequest};
     auto app = [&]() -> sim::Task {
         for (int r = 0; r < 3; ++r) {
-            idx[r] = f.user.alloc_request();
-            MovReq &req = f.user.request(idx[r]);
-            req.op = MovOp::kReplicate;
-            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.num_pages = 16;
+            const vm::VAddr off = static_cast<vm::VAddr>(r) * 16 * 4096;
+            idx[r] = f.prepare(MovOp::kReplicate, src + off, 16, dst + off);
             co_await f.user.submit(idx[r]);
         }
     };
@@ -347,29 +341,19 @@ TEST(Recovery, ArmedAtZeroRateCostsNothing)
 TEST(Recovery, SameSeedReproducesIdenticalOutcome)
 {
     auto run = [](std::uint64_t seed) {
-        os::KernelConfig kcfg;
-        kcfg.fault_seed = seed;
-        os::Kernel kernel(kcfg);
-        os::Process &proc = kernel.create_process();
-        MemifDevice dev(kernel, proc);
-        MemifUser user(dev);
-        kernel.faults().arm_probability(dma::kFaultTcError, 0.5);
-        const vm::VAddr src = proc.mmap(64 * 4096, vm::PageSize::k4K);
+        Fixture f(MemifConfig{}, os::KernelConfig{.fault_seed = seed});
+        f.faults().arm_probability(dma::kFaultTcError, 0.5);
+        const vm::VAddr src = f.proc.mmap(64 * 4096, vm::PageSize::k4K);
         const vm::VAddr dst =
-            proc.mmap(64 * 4096, vm::PageSize::k4K, kernel.fast_node());
+            f.proc.mmap(64 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
         for (int r = 0; r < 4; ++r) {
-            const std::uint32_t idx = user.alloc_request();
-            MovReq &req = user.request(idx);
-            req.op = MovOp::kReplicate;
-            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.num_pages = 16;
-            kernel.spawn(user.submit(idx));
+            const vm::VAddr off = static_cast<vm::VAddr>(r) * 16 * 4096;
+            f.submit(MovOp::kReplicate, src + off, 16, dst + off);
         }
-        kernel.run();
-        return std::tuple{kernel.eq().now(), dev.stats().dma_errors,
-                          dev.stats().dma_retries,
-                          dev.stats().fallback_copies};
+        f.kernel.run();
+        return std::tuple{f.kernel.eq().now(), f.dev.stats().dma_errors,
+                          f.dev.stats().dma_retries,
+                          f.dev.stats().fallback_copies};
     };
     EXPECT_EQ(run(1234), run(1234));
     // A different seed picks different victims (with overwhelming

@@ -8,13 +8,20 @@
  * back whole, the CPU fallback preserves the layout, a lost IRQ is
  * absorbed), and the C-API wrappers must surface malformed geometry,
  * lever-off rejection, admission bounces (with a usable retry hint)
- * and bad descriptors exactly like their flat siblings.
+ * and bad descriptors exactly like their flat siblings. The device
+ * printer is checked here too, on a strided() workload that reaches
+ * every layer: it prints each nonzero counter once, with its value.
  */
 #include "memif/device.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dma/engine.h"
@@ -553,6 +560,82 @@ TEST(StridedCApi, BadFdRejectsWithoutAllocation)
     f.kernel.run();
     ASSERT_TRUE(task.done());
     task.rethrow_if_failed();
+}
+
+/**
+ * Every layer's traffic on one strided() device: a flat migration, a
+ * chained demotion to the far tier, a replication and a strided
+ * replication, then the 16-page migration a touch races (returned).
+ */
+std::uint32_t
+mixed_workload(Fixture &f)
+{
+    const mem::NodeId fast = f.kernel.fast_node();
+    f.submit(MovOp::kMigrate, f.region(4 * kPb, 1), 4, fast);
+    f.submit(MovOp::kMigrate, f.region(8 * kPb, 3, fast), 8,
+             f.kernel.far_node());
+    f.submit(MovOp::kReplicate, f.region(8 * kPb, 5), 8,
+             f.region(8 * kPb, 7, fast));
+    f.submit_strided(f.region(4 * kPb, 9), f.region(4 * kPb, 11, fast), 512,
+                     8, 1024, 512);
+    return f.submit(MovOp::kMigrate, f.region(16 * kPb, 13), 16, fast);
+}
+
+TEST(DeviceStats, PrintStatsListsEveryNonzeroCounterOnce)
+{
+    const sim::SimTime mid =
+        test::dma_window<Fixture>(mixed_workload, MemifConfig::strided())
+            .mid();
+    Fixture f(MemifConfig::strided());
+    const std::uint32_t raced = mixed_workload(f);
+    os::TouchOutcome touched;
+    f.touch_at(mid, f.proc, f.user.request(raced).src_base + 5 * kPb, true,
+               &touched);
+    f.kernel.run();
+
+    const DeviceStats &s = f.dev.stats();
+    EXPECT_EQ(s.migrations, 3u);
+    EXPECT_EQ(s.chained_migrations, 1u);
+    EXPECT_EQ(s.replications, 2u);
+    EXPECT_EQ(s.strided_requests, 1u);
+    EXPECT_EQ(s.races_detected, 1u);
+
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *out = open_memstream(&buf, &len);
+    ASSERT_NE(out, nullptr);
+    f.dev.print_stats(out);
+    std::fclose(out);
+    std::istringstream text(std::string(buf, len));
+    std::free(buf);
+
+    // Every `name value` line, by name.
+    std::map<std::string, std::vector<std::uint64_t>> printed;
+    for (std::string line; std::getline(text, line);) {
+        std::istringstream fields(line);
+        std::string name;
+        std::uint64_t value = 0;
+        if (fields >> name >> value) printed[name].push_back(value);
+    }
+    std::size_t nonzero = 0;
+    auto expect_printed = [&](const std::string &name, std::uint64_t value) {
+        if (value == 0) {
+            EXPECT_EQ(printed.count(name), 0u) << name << " is 0";
+            return;
+        }
+        ++nonzero;
+        EXPECT_EQ(printed[name], std::vector<std::uint64_t>{value}) << name;
+    };
+#define EXPECT_COUNTER_PRINTED(name, doc) expect_printed(#name, s.name);
+    MEMIF_DEVICE_COUNTERS(EXPECT_COUNTER_PRINTED)
+#undef EXPECT_COUNTER_PRINTED
+    for (std::size_t i = 0; i < s.tc_dispatches.size(); ++i)
+        expect_printed("tc_dispatches[" + std::to_string(i) + "]",
+                       s.tc_dispatches[i]);
+    for (std::size_t i = 0; i < s.ring_submits.size(); ++i)
+        expect_printed("ring_submits[" + std::to_string(i) + "]",
+                       s.ring_submits[i]);
+    EXPECT_GE(nonzero, 30u);
 }
 
 }  // namespace

@@ -37,6 +37,30 @@ TEST(LazyMigration, ArmingIsCheapAndMovesNothing)
     }
 }
 
+TEST(LazyMigration, HoleFailsOnlyItsOwnPages)
+{
+    // 4 mapped pages, a 4-page hole, 4 more mapped pages: arming steps
+    // over the hole, so the 8 mapped pages are armed.
+    Kernel k;
+    Process &p = k.create_process();
+    const vm::VAddr base = p.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr hole = p.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr tail = p.mmap(4 * 4096, vm::PageSize::k4K);
+    ASSERT_EQ(hole, base + 4 * 4096);
+    ASSERT_EQ(tail, base + 8 * 4096);
+    p.as().munmap(hole);
+
+    MigrationResult res;
+    k.spawn(mbind_lazy(p, base, 12, k.fast_node(), &res));
+    k.run();
+    EXPECT_EQ(res.pages_moved, 8u);  // armed
+    EXPECT_EQ(res.pages_failed, 4u);
+    for (const vm::VAddr run : {base, tail}) {
+        const vm::Vma *vma = p.as().find_vma(run);
+        for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(vma->pte(i).lazy);
+    }
+}
+
 TEST(LazyMigration, FirstTouchMigratesThatPageOnly)
 {
     Kernel k;

@@ -137,6 +137,36 @@ TEST(PageMigration, SkipsUnmappedAndAlreadyResidentPages)
     EXPECT_EQ(res2.pages_failed, 3u);
 }
 
+TEST(PageMigration, HoleFailsOnlyItsOwnPages)
+{
+    // 4 mapped pages, a 4-page hole, 4 more mapped pages: the walk steps
+    // over the hole, so only its 4 pages fail.
+    Kernel k;
+    Process &p = k.create_process();
+    const vm::VAddr base = p.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr hole = p.mmap(4 * 4096, vm::PageSize::k4K);
+    const vm::VAddr tail = p.mmap(4 * 4096, vm::PageSize::k4K);
+    ASSERT_EQ(hole, base + 4 * 4096);
+    ASSERT_EQ(tail, base + 8 * 4096);
+    p.as().munmap(hole);
+    fill_pattern(p, base, 4 * 4096, 5);
+    fill_pattern(p, tail, 4 * 4096, 9);
+
+    MigrationResult res;
+    k.spawn(migrate_pages_sync(p, base, 12, k.fast_node(), &res));
+    k.run();
+    EXPECT_EQ(res.pages_moved, 8u);
+    EXPECT_EQ(res.pages_failed, 4u);
+    EXPECT_EQ(res.bytes_moved, 8u * 4096);
+    EXPECT_TRUE(check_pattern(p, base, 4 * 4096, 5));
+    EXPECT_TRUE(check_pattern(p, tail, 4 * 4096, 9));
+    for (const vm::VAddr run : {base, tail}) {
+        const vm::Vma *vma = p.as().find_vma(run);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            EXPECT_EQ(k.phys().node_of(vma->pte(i).pfn), k.fast_node());
+    }
+}
+
 TEST(PageMigration, FailsPagesWhenDestinationExhausted)
 {
     Kernel k;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for SimEvent, WaitQueue and SimSemaphore.
+ * Unit tests for SimEvent, WaitQueue and wait_any.
  */
 #include "sim/sync.h"
 
@@ -140,24 +140,6 @@ TEST(WaitQueue, NotifySkipsDeadWaiters)
     EXPECT_TRUE(wq.notify_one());
     eq.run();
     EXPECT_TRUE(second_woke);
-}
-
-TEST(SimSemaphore, AcquireBlocksAtZero)
-{
-    EventQueue eq;
-    SimSemaphore sem(eq, 1);
-    std::vector<int> order;
-    auto user = [&](int id, Duration hold) -> Task {
-        co_await sem.acquire();
-        order.push_back(id);
-        co_await Delay{eq, hold};
-        sem.release();
-    };
-    Task a = user(1, 100);
-    Task b = user(2, 100);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(sem.available(), 1u);
 }
 
 TEST(WaitAny, ReturnsOnTheFirstEvent)

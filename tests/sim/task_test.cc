@@ -152,23 +152,6 @@ TEST(Task, DestroyedTaskDoesNotResumeFromPendingEvent)
     EXPECT_FALSE(resumed);
 }
 
-TEST(Task, YieldRunsOtherEventsFirst)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    // The competing event is scheduled first; the task then starts
-    // eagerly (pushes 1) and yields behind it in the same-time FIFO.
-    eq.schedule_at(0, [&] { order.push_back(2); });
-    auto coro = [&]() -> Task {
-        order.push_back(1);
-        co_await Yield{eq};
-        order.push_back(3);
-    };
-    Task t = coro();
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(Task, ManyConcurrentTasksInterleaveDeterministically)
 {
     EventQueue eq;
