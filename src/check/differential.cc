@@ -1,7 +1,9 @@
 #include "check/differential.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "dma/engine.h"
@@ -119,6 +121,7 @@ run_workload(const Workload &w, const RunOptions &opt)
         return mt ? *procs[w.regions[r].tenant % ntenants] : proc;
     };
 
+    ReferenceModel model(w);
     std::vector<vm::VAddr> bases;
     std::vector<std::uint64_t> pbs;
     for (std::uint32_t ri = 0; ri < w.regions.size(); ++ri) {
@@ -130,9 +133,9 @@ run_workload(const Workload &w, const RunOptions &opt)
             fail("mmap failed during setup");
             return res;
         }
-        std::vector<std::uint8_t> buf(r.pages * pb);
-        fill_pattern(r.pattern, buf);
-        if (!rp.as().write(base, buf.data(), buf.size())) {
+        // The model starts from the region's initial bytes.
+        const std::vector<std::uint8_t> &initial = model.memory(ri);
+        if (!rp.as().write(base, initial.data(), initial.size())) {
             fail("initial fill failed during setup");
             return res;
         }
@@ -175,7 +178,6 @@ run_workload(const Workload &w, const RunOptions &opt)
         return w.regions[op.movs.front().src_region].tenant;
     };
 
-    ReferenceModel model(w);
     const OutcomeContext ctx{opt.config.race_policy, opt.arm_faults,
                              opt.config.cpu_copy_fallback, mt,
                              opt.config.auto_migrate};
@@ -253,26 +255,46 @@ run_workload(const Workload &w, const RunOptions &opt)
         }
     };
 
+    // Read region r's live bytes in order through a small stack buffer,
+    // calling visit(offset, bytes, n) per chunk. A region-sized heap
+    // buffer (up to 512 KB) would be mapped, faulted in and unmapped
+    // again on every check. False when part of the region is unreadable.
+    auto read_region = [&](std::uint32_t r, auto &&visit) {
+        std::array<std::uint8_t, 16 << 10> chunk;
+        vm::AddressSpace &as = proc_for_region(r).as();
+        const std::uint64_t size = w.regions[r].pages * pbs[r];
+        for (std::uint64_t off = 0; off < size; off += chunk.size()) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(chunk.size(), size - off);
+            if (!as.read(bases[r] + off, chunk.data(), n)) return false;
+            visit(off, chunk.data(), n);
+        }
+        return true;
+    };
+
     // Compare live memory against the model (barriers + final check).
     auto check_memory = [&](const char *where) {
-        std::vector<std::uint8_t> buf;
         for (std::uint32_t r = 0; r < w.regions.size(); ++r) {
             const std::vector<std::uint8_t> &want = model.memory(r);
-            buf.resize(want.size());
-            if (!proc_for_region(r).as().read(bases[r], buf.data(),
-                                              buf.size())) {
+            std::optional<std::uint64_t> off;  // first diverging byte
+            std::uint8_t got = 0;
+            const bool readable = read_region(
+                r, [&](std::uint64_t at, const std::uint8_t *live,
+                       std::uint64_t n) {
+                    if (off || std::memcmp(live, &want[at], n) == 0) return;
+                    std::uint64_t i = 0;
+                    while (live[i] == want[at + i]) ++i;
+                    off = at + i;
+                    got = live[i];
+                });
+            if (!readable)
                 fail(std::string(where) + ": region " +
                      std::to_string(r) + " unreadable");
-                continue;
-            }
-            if (std::memcmp(buf.data(), want.data(), buf.size()) == 0)
-                continue;
-            std::size_t off = 0;
-            while (buf[off] == want[off]) ++off;
-            fail(std::string(where) + ": region " + std::to_string(r) +
-                 " diverges from model at byte " + std::to_string(off) +
-                 " (got " + std::to_string(buf[off]) + ", want " +
-                 std::to_string(want[off]) + ")");
+            else if (off)
+                fail(std::string(where) + ": region " + std::to_string(r) +
+                     " diverges from model at byte " + std::to_string(*off) +
+                     " (got " + std::to_string(got) + ", want " +
+                     std::to_string(want[*off]) + ")");
         }
     };
 
@@ -420,15 +442,16 @@ run_workload(const Workload &w, const RunOptions &opt)
     res.stats = dev.stats();
 
     // Digests (computed even for failed runs; useful in diagnostics).
+    // Chunks are multiples of 8 bytes, so folding them one by one gives
+    // the digest of the whole region.
     std::uint64_t mem_h = kDigestSeed;
-    {
-        std::vector<std::uint8_t> buf;
-        for (std::uint32_t r = 0; r < w.regions.size(); ++r) {
-            buf.resize(w.regions[r].pages * pbs[r]);
-            if (proc_for_region(r).as().read(bases[r], buf.data(),
-                                             buf.size()))
-                mem_h = digest_bytes(mem_h, buf.data(), buf.size());
-        }
+    for (std::uint32_t r = 0; r < w.regions.size(); ++r) {
+        std::uint64_t h = mem_h;
+        if (read_region(r, [&](std::uint64_t, const std::uint8_t *live,
+                               std::uint64_t n) {
+                h = digest_bytes(h, live, n);
+            }))
+            mem_h = h;
     }
     res.mem_digest = mem_h;
     std::uint64_t full_h = mem_h;

@@ -126,15 +126,13 @@ BuddyAllocator::allocate_bulk(unsigned order, std::uint64_t n,
 {
     MEMIF_ASSERT(order <= kMaxOrder, "order %u too large", order);
     if (!can_allocate(order, n)) return false;
-    const std::size_t base = out.size();
-    out.reserve(base + n);
+    out.reserve(out.size() + n);
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t head = allocate(order);
         // can_allocate(order, n) is exact, so exhaustion here is a bug.
         MEMIF_ASSERT(head != kInvalidFrame);
         out.push_back(head);
     }
-    (void)base;
     return true;
 }
 

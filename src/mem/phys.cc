@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -44,9 +45,22 @@ MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
       base_(base_pfn),
       cfg_(checked_capacity(cfg)),
       backing_(cfg_.name, cfg_.bytes),
-      buddy_(cfg_.bytes >> kPageShift),
-      frames_(cfg_.bytes >> kPageShift)
+      table_(cfg_.name, num_frames() * sizeof(PageFrame)),
+      frames_(reinterpret_cast<PageFrame *>(table_.data())),
+      buddy_(num_frames())
 {
+}
+
+void
+MemoryNode::mark_allocated(std::uint64_t local, unsigned order)
+{
+    for (std::uint64_t i = 0; i < (std::uint64_t{1} << order); ++i) {
+        PageFrame &f = frames_[local + i];
+        MEMIF_ASSERT(f.mapcount() == 0, "allocating a still-mapped frame");
+        f.allocated = true;
+        f.is_block_head = (i == 0);
+        f.order = static_cast<std::uint8_t>(order);
+    }
 }
 
 PhysicalMemory::~PhysicalMemory() { wait_copies(); }
@@ -60,12 +74,28 @@ PhysicalMemory::add_node(const NodeConfig &cfg)
     return id;
 }
 
+MemoryNode *
+PhysicalMemory::find_node(Pfn pfn) const
+{
+    for (const auto &n : nodes_)
+        if (n->contains(pfn)) return n.get();
+    return nullptr;
+}
+
+MemoryNode &
+PhysicalMemory::owner_node(Pfn pfn) const
+{
+    MemoryNode *n = find_node(pfn);
+    MEMIF_ASSERT(n != nullptr, "pfn %llu out of range",
+                 (unsigned long long)pfn);
+    return *n;
+}
+
 NodeId
 PhysicalMemory::node_of(Pfn pfn) const
 {
-    for (const auto &n : nodes_)
-        if (n->contains(pfn)) return n->id();
-    return kInvalidNode;
+    const MemoryNode *n = find_node(pfn);
+    return n != nullptr ? n->id() : kInvalidNode;
 }
 
 std::uint32_t
@@ -103,15 +133,8 @@ PhysicalMemory::allocate(NodeId node_id, unsigned order)
     MemoryNode &n = node(node_id);
     const std::uint64_t local = n.buddy().allocate(order);
     if (local == BuddyAllocator::kInvalidFrame) return kInvalidPfn;
-    const Pfn head = n.base_pfn() + local;
-    for (std::uint64_t i = 0; i < (std::uint64_t{1} << order); ++i) {
-        PageFrame &f = n.frame(head + i);
-        f.allocated = true;
-        f.is_block_head = (i == 0);
-        f.order = static_cast<std::uint8_t>(order);
-        f.rmaps.clear();
-    }
-    return head;
+    n.mark_allocated(local, order);
+    return n.base_pfn() + local;
 }
 
 bool
@@ -123,15 +146,8 @@ PhysicalMemory::allocate_bulk(NodeId node_id, unsigned order,
     if (!nd.buddy().allocate_bulk(order, n, locals)) return false;
     out.reserve(out.size() + locals.size());
     for (const std::uint64_t local : locals) {
-        const Pfn head = nd.base_pfn() + local;
-        for (std::uint64_t i = 0; i < (std::uint64_t{1} << order); ++i) {
-            PageFrame &f = nd.frame(head + i);
-            f.allocated = true;
-            f.is_block_head = (i == 0);
-            f.order = static_cast<std::uint8_t>(order);
-            f.rmaps.clear();
-        }
-        out.push_back(head);
+        nd.mark_allocated(local, order);
+        out.push_back(nd.base_pfn() + local);
     }
     return true;
 }
@@ -146,7 +162,7 @@ PhysicalMemory::free(Pfn head, unsigned order)
         PageFrame &f = n.frame(head + i);
         MEMIF_ASSERT(f.allocated, "freeing unallocated frame pfn=%llu",
                      (unsigned long long)(head + i));
-        MEMIF_ASSERT(f.rmaps.empty(), "freeing a still-mapped frame");
+        MEMIF_ASSERT(f.mapcount() == 0, "freeing a still-mapped frame");
         f.allocated = false;
         f.is_block_head = false;
     }
@@ -156,9 +172,57 @@ PhysicalMemory::free(Pfn head, unsigned order)
 PageFrame &
 PhysicalMemory::frame(Pfn pfn)
 {
-    const NodeId id = node_of(pfn);
-    MEMIF_ASSERT(id != kInvalidNode, "pfn out of range");
-    return node(id).frame(pfn);
+    return owner_node(pfn).frame_at(pfn);
+}
+
+void
+PhysicalMemory::add_rmap(Pfn pfn, void *owner, std::uint64_t vaddr,
+                         RmapKind kind)
+{
+    MemoryNode &n = owner_node(pfn);
+    PageFrame &f = n.frame_at(pfn);
+    const RmapEntry e{owner, vaddr, kind};
+    if (f.mapcount_ == 0)
+        f.only_ = e;
+    else if (f.mapcount_ == 1)
+        n.shared_rmaps_[pfn] = {f.only_, e};
+    else
+        n.shared_rmaps_.at(pfn).push_back(e);
+    ++f.mapcount_;
+}
+
+bool
+PhysicalMemory::remove_rmap(Pfn pfn, void *owner, std::uint64_t vaddr,
+                            RmapKind kind)
+{
+    MemoryNode &n = owner_node(pfn);
+    PageFrame &f = n.frame_at(pfn);
+    const RmapEntry e{owner, vaddr, kind};
+    if (f.mapcount_ < 2) {
+        if (f.mapcount_ == 0 || f.only_ != e) return false;
+        f.mapcount_ = 0;
+        return true;
+    }
+    const auto shared = n.shared_rmaps_.find(pfn);
+    std::vector<RmapEntry> &all = shared->second;
+    const auto it = std::find(all.begin(), all.end(), e);
+    if (it == all.end()) return false;
+    all.erase(it);
+    if (all.size() == 1) {
+        f.only_ = all.front();
+        n.shared_rmaps_.erase(shared);
+    }
+    --f.mapcount_;
+    return true;
+}
+
+std::span<const RmapEntry>
+PhysicalMemory::rmaps(Pfn pfn) const
+{
+    MemoryNode &n = owner_node(pfn);
+    const PageFrame &f = n.frame_at(pfn);
+    if (f.mapcount_ < 2) return {&f.only_, f.mapcount_};
+    return n.shared_rmaps_.at(pfn);
 }
 
 std::byte *

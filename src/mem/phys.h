@@ -5,11 +5,13 @@
  * backing bytes, page-frame descriptors, and per-node buddy
  * allocators.
  *
- * First-touch rule: a node's backing is an anonymous host mapping, so
- * modelled capacity costs address space, not host memory. An untouched
- * frame reads as zero, and a host page is committed on its first
- * write. Frames are never scrubbed on allocation: a freed frame that is
- * allocated again still holds its old bytes.
+ * First-touch rule: a node's backing and its frame descriptors are
+ * anonymous host mappings, so modelled capacity costs address space,
+ * not host memory. An untouched frame reads as zero and its untouched
+ * descriptor as free and unmapped; a host page of either is committed
+ * on its first write. Building or tearing down a node makes no pass
+ * over its frames. Frames are never scrubbed on allocation: a freed
+ * frame that is allocated again still holds its old bytes.
  *
  * The module is purely functional: it moves real bytes and tracks real
  * allocation state but never advances virtual time. All timing is
@@ -21,10 +23,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/buddy.h"
+#include "sim/log.h"
 
 namespace memif::mem {
 
@@ -52,10 +58,10 @@ enum class RmapKind : std::uint8_t {
 struct RmapEntry {
     /** Mapping object (opaque to this layer; the vm/os layers cast
      *  according to kind). */
-    void *owner = nullptr;
+    void *owner;
     /** Virtual address (kAddressSpace) or file page index (kPageCache). */
-    std::uint64_t vaddr = 0;
-    RmapKind kind = RmapKind::kAddressSpace;
+    std::uint64_t vaddr;
+    RmapKind kind;
 
     friend bool
     operator==(const RmapEntry &a, const RmapEntry &b)
@@ -67,48 +73,38 @@ struct RmapEntry {
 
 /**
  * Per-frame descriptor, the analogue of Linux's `struct page`.
- * The vm layer maintains the reverse-mapping chain: one entry per
- * address space mapping the frame (shared anonymous memory has
- * several, paper §6.7).
+ *
+ * All-zero bytes are a free, unmapped frame, and the type is trivial,
+ * so a node's descriptor table is one more first-touch mapping (see
+ * MemoryNode). The vm/os layers keep the reverse map through
+ * PhysicalMemory::add_rmap() and remove_rmap(): a frame with one
+ * mapping holds it inline, and a shared frame's mappings (shared
+ * anonymous memory, paper §6.7, and mapped page-cache frames) live in
+ * its node's store.
  */
-struct PageFrame {
+class PageFrame {
+  public:
     /** Allocation order of the block this frame heads (head frames only). */
-    std::uint8_t order = 0;
+    std::uint8_t order;
     /** True for the first frame of an allocated block. */
-    bool is_block_head = false;
+    bool is_block_head;
     /** True while the frame belongs to an allocated block. */
-    bool allocated = false;
-    /** Reverse mappings; size() is the map count. */
-    std::vector<RmapEntry> rmaps;
+    bool allocated;
 
-    std::uint32_t
-    mapcount() const
-    {
-        return static_cast<std::uint32_t>(rmaps.size());
-    }
+    /** Number of reverse mappings. */
+    std::uint32_t mapcount() const { return mapcount_; }
 
-    void
-    add_rmap(void *owner, std::uint64_t vaddr,
-             RmapKind kind = RmapKind::kAddressSpace)
-    {
-        rmaps.push_back(RmapEntry{owner, vaddr, kind});
-    }
+  private:
+    friend class PhysicalMemory;
 
-    /** Remove one matching entry. @return true if found. */
-    bool
-    remove_rmap(void *owner, std::uint64_t vaddr,
-                RmapKind kind = RmapKind::kAddressSpace)
-    {
-        for (auto it = rmaps.begin(); it != rmaps.end(); ++it) {
-            if (it->owner == owner && it->vaddr == vaddr &&
-                it->kind == kind) {
-                rmaps.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
+    std::uint32_t mapcount_;
+    /** The frame's one mapping while mapcount_ == 1. */
+    RmapEntry only_;
 };
+
+static_assert(std::is_trivially_default_constructible_v<PageFrame> &&
+                  std::is_trivially_destructible_v<PageFrame>,
+              "a fresh mapping's zero pages must be a table of free frames");
 
 /** Configuration of one memory node. */
 struct NodeConfig {
@@ -145,12 +141,12 @@ class AnonMapping {
 
 /**
  * One memory node: a contiguous physical frame range with real backing
- * bytes and its own buddy allocator.
+ * bytes, its frame descriptors and its own buddy allocator.
  *
- * The backing follows the first-touch rule: an untouched frame reads as
- * zero, and host pages are committed on first write, so a node costs
- * host memory only for the frames a workload has written. Allocation
- * never scrubs a frame.
+ * The backing and the descriptor table follow the first-touch rule:
+ * untouched frames read as zero and their descriptors as free, and host
+ * pages are committed on first write, so a node costs host memory only
+ * for the frames a workload has used. Allocation never scrubs a frame.
  */
 class MemoryNode {
   public:
@@ -162,7 +158,7 @@ class MemoryNode {
     double bandwidth_bps() const { return cfg_.bandwidth_bps; }
     std::uint64_t latency_ns() const { return cfg_.latency_ns; }
     Pfn base_pfn() const { return base_; }
-    std::uint64_t num_frames() const { return frames_.size(); }
+    std::uint64_t num_frames() const { return cfg_.bytes >> kPageShift; }
     std::uint64_t bytes() const { return cfg_.bytes; }
 
     bool
@@ -175,13 +171,21 @@ class MemoryNode {
     std::uint64_t free_frames() const { return buddy_.free_frames(); }
 
     BuddyAllocator &buddy() { return buddy_; }
-    PageFrame &frame(Pfn pfn) { return frames_.at(pfn - base_); }
-    const PageFrame &frame(Pfn pfn) const { return frames_.at(pfn - base_); }
+    PageFrame &
+    frame(Pfn pfn)
+    {
+        MEMIF_ASSERT(contains(pfn), "pfn %llu outside node '%s'",
+                     (unsigned long long)pfn, cfg_.name.c_str());
+        return frame_at(pfn);
+    }
 
   private:
     /** Only PhysicalMemory reaches the bytes, so every access goes
      *  through the accessors that wait for posted copies. */
     friend class PhysicalMemory;
+
+    /** frame() for a @p pfn the caller has already bounds-checked. */
+    PageFrame &frame_at(Pfn pfn) { return frames_[pfn - base_]; }
 
     /** Host pointer to the first byte of frame @p pfn. */
     std::byte *
@@ -190,12 +194,21 @@ class MemoryNode {
         return backing_.data() + ((pfn - base_) << kPageShift);
     }
 
+    /** Mark the 2^order frames from local index @p local allocated,
+     *  the first as the block's head. They must be unmapped. */
+    void mark_allocated(std::uint64_t local, unsigned order);
+
     NodeId id_;
     Pfn base_;
     NodeConfig cfg_;
     AnonMapping backing_;
+    /** Holds the descriptor table frames_ points into. */
+    AnonMapping table_;
+    PageFrame *frames_;
+    /** Every mapping of each frame mapped more than once, by pfn, in
+     *  the order PhysicalMemory::rmaps() gives them. */
+    std::unordered_map<Pfn, std::vector<RmapEntry>> shared_rmaps_;
     BuddyAllocator buddy_;
-    std::vector<PageFrame> frames_;
 };
 
 /**
@@ -271,6 +284,21 @@ class PhysicalMemory {
     PageFrame &frame(Pfn pfn);
 
     /**
+     * @name Reverse map.
+     * Who maps frame @p pfn, and where. rmaps() gives the mappings in
+     * the order they were added; removing one keeps the order of the
+     * rest. Its span is good until the frame's reverse map next changes.
+     */
+    ///@{
+    void add_rmap(Pfn pfn, void *owner, std::uint64_t vaddr,
+                  RmapKind kind = RmapKind::kAddressSpace);
+    /** Remove one matching mapping. @return true if found. */
+    bool remove_rmap(Pfn pfn, void *owner, std::uint64_t vaddr,
+                     RmapKind kind = RmapKind::kAddressSpace);
+    std::span<const RmapEntry> rmaps(Pfn pfn) const;
+    ///@}
+
+    /**
      * Host pointer to @p bytes of physically contiguous memory starting
      * at frame @p pfn (must stay inside one node), once every posted
      * copy has landed.
@@ -302,6 +330,11 @@ class PhysicalMemory {
                       std::uint64_t bytes);
 
   private:
+    /** Node owning @p pfn; nullptr when out of range. */
+    MemoryNode *find_node(Pfn pfn) const;
+    /** Node owning @p pfn, which must be in range. */
+    MemoryNode &owner_node(Pfn pfn) const;
+
     /** try_span_at() without the wait for the copy FIFO. */
     std::byte *resolve(std::uint64_t addr, std::uint64_t bytes);
 

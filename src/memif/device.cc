@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "sim/cost_model.h"
@@ -187,7 +188,7 @@ MemifDevice::check_quiesced(std::string *why) const
                      std::to_string(head));
                 continue;
             }
-            if (!frame.rmaps.empty())
+            if (frame.mapcount() != 0)
                 fail("magazine parks still-mapped frame " +
                      std::to_string(head));
         }
@@ -929,7 +930,7 @@ MemifDevice::magazine_free(mem::Pfn head, unsigned order,
     std::vector<mem::Pfn> &mag = magazines_[{kernel_.phys().node_of(head),
                                              order}];
     if (mag.size() < kMagazineCapacity) {
-        MEMIF_ASSERT(kernel_.phys().frame(head).rmaps.empty(),
+        MEMIF_ASSERT(kernel_.phys().frame(head).mapcount() == 0,
                      "parking a still-mapped frame");
         mag.push_back(head);
         cost += cm.magazine_op;
@@ -1461,8 +1462,9 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         fl->cache_refs.resize(snap.num_pages);
         bool busy = false;
         for (std::uint32_t i = 0; i < snap.num_pages && !busy; ++i) {
-            const mem::PageFrame &frame = pm.frame(fl->old_pfns[i]);
-            if (frame.mapcount() == 0) {
+            const std::span<const mem::RmapEntry> rmaps =
+                pm.rmaps(fl->old_pfns[i]);
+            if (rmaps.empty()) {
                 // The PTE points at a frame with no reverse mapping yet:
                 // the page is mid-flight in another move. A protected
                 // service rejects this cleanly (§4.2) — the application
@@ -1472,7 +1474,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
             }
             const auto page_begin =
                 static_cast<std::ptrdiff_t>(fl->mappings.size());
-            for (const mem::RmapEntry &re : frame.rmaps) {
+            for (const mem::RmapEntry &re : rmaps) {
                 if (re.kind == mem::RmapKind::kPageCache) {
                     fl->cache_refs[i] = CacheRef{
                         static_cast<vm::FileBacking *>(re.owner),
@@ -1498,8 +1500,8 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
             }
             fl->mapping_begin.push_back(
                 static_cast<std::uint32_t>(fl->mappings.size()));
-            if (frame.mapcount() > 1)
-                remap_cost += cm.rmap_per_page * (frame.mapcount() - 1);
+            if (rmaps.size() > 1)
+                remap_cost += cm.rmap_per_page * (rmaps.size() - 1);
         }
         // A kBusy exit leaves the remaining pages uncaptured: give them
         // empty runs so page_mappings() stays valid for every page.
@@ -2291,10 +2293,10 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
                     accumulate_run(stale, m.as, m.vma, m.page_idx);
                 }
                 // The new frame inherits this reverse mapping.
-                pm.frame(fl->new_pfns[i])
-                    .add_rmap(m.as, m.vma->page_vaddr(m.page_idx));
-                pm.frame(fl->old_pfns[i])
-                    .remove_rmap(m.as, m.vma->page_vaddr(m.page_idx));
+                pm.add_rmap(fl->new_pfns[i], m.as,
+                            m.vma->page_vaddr(m.page_idx));
+                pm.remove_rmap(fl->old_pfns[i], m.as,
+                               m.vma->page_vaddr(m.page_idx));
             }
             if (page_raced) {
                 raced = true;
@@ -2304,12 +2306,10 @@ MemifDevice::do_release(InFlightPtr fl, ExecContext ctx,
             if (fl->cache_refs[i].backing) {
                 const CacheRef &cr = fl->cache_refs[i];
                 cr.backing->relocate(cr.file_page, fl->new_pfns[i]);
-                pm.frame(fl->new_pfns[i])
-                    .add_rmap(cr.backing, cr.file_page,
-                              mem::RmapKind::kPageCache);
-                pm.frame(fl->old_pfns[i])
-                    .remove_rmap(cr.backing, cr.file_page,
-                                 mem::RmapKind::kPageCache);
+                pm.add_rmap(fl->new_pfns[i], cr.backing, cr.file_page,
+                            mem::RmapKind::kPageCache);
+                pm.remove_rmap(fl->old_pfns[i], cr.backing, cr.file_page,
+                               mem::RmapKind::kPageCache);
             }
             // Old page (now unmapped everywhere) back to the buddy —
             // or parked in its magazine under the bulk-alloc lever.

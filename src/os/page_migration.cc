@@ -91,8 +91,8 @@ migrate_page(Process &proc, vm::VAddr va, mem::NodeId dst_node, int *status,
     final_pte.lazy = false;
     slot.store(final_pte.pack(), std::memory_order_release);
     as.flush_tlb_page(*vma, idx);
-    pm.frame(new_pfn).add_rmap(&as, vma->page_vaddr(idx));
-    pm.frame(old_pte.pfn).remove_rmap(&as, vma->page_vaddr(idx));
+    pm.add_rmap(new_pfn, &as, vma->page_vaddr(idx));
+    pm.remove_rmap(old_pte.pfn, &as, vma->page_vaddr(idx));
     pm.free(old_pte.pfn, order);
     co_await cpu.busy(ExecContext::kSyscall, Op::kRelease,
                       cm.pte_update + cm.tlb_flush_page + cm.page_free);

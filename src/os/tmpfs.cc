@@ -17,7 +17,7 @@ TmpFs::File::File(TmpFs &fs, std::string name, std::uint64_t num_pages)
         if (pfn == mem::kInvalidPfn)
             MEMIF_FATAL("tmpfs: slow node exhausted creating '%s'",
                         name_.c_str());
-        pm.frame(pfn).add_rmap(this, i, mem::RmapKind::kPageCache);
+        pm.add_rmap(pfn, this, i, mem::RmapKind::kPageCache);
         cache_.push_back(pfn);
     }
 }
@@ -29,9 +29,8 @@ TmpFs::File::~File()
     // the last munmap (AddressSpace::release_vma frees it then).
     mem::PhysicalMemory &pm = fs_.kernel().phys();
     for (std::uint64_t i = 0; i < cache_.size(); ++i) {
-        mem::PageFrame &frame = pm.frame(cache_[i]);
-        frame.remove_rmap(this, i, mem::RmapKind::kPageCache);
-        if (frame.rmaps.empty()) pm.free(cache_[i], 0);
+        pm.remove_rmap(cache_[i], this, i, mem::RmapKind::kPageCache);
+        if (pm.frame(cache_[i]).mapcount() == 0) pm.free(cache_[i], 0);
     }
 }
 

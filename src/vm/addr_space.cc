@@ -49,12 +49,12 @@ AddressSpace::mmap_policy(std::uint64_t bytes, PageSize psize,
         if (pfn == mem::kInvalidPfn) {
             for (std::uint64_t j = 0; j < i; ++j) {
                 const mem::Pfn mapped = vma->pte(j).pfn;
-                pm_.frame(mapped).remove_rmap(this, vma->page_vaddr(j));
+                pm_.remove_rmap(mapped, this, vma->page_vaddr(j));
                 pm_.free(mapped, order);
             }
             return 0;
         }
-        pm_.frame(pfn).add_rmap(this, vma->page_vaddr(i));
+        pm_.add_rmap(pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(pfn).pack(),
                                std::memory_order_release);
         ++stats_.mapped_pages;
@@ -115,10 +115,9 @@ AddressSpace::release_vma(Vma &vma)
     for (std::uint64_t i = 0; i < vma.num_pages(); ++i) {
         const Pte pte = vma.pte(i);
         if (!pte.present) continue;
-        mem::PageFrame &frame = pm_.frame(pte.pfn);
-        frame.remove_rmap(this, vma.page_vaddr(i));
+        pm_.remove_rmap(pte.pfn, this, vma.page_vaddr(i));
         // Shared frames survive until their last mapping goes away.
-        if (frame.rmaps.empty()) pm_.free(pte.pfn, order);
+        if (pm_.frame(pte.pfn).mapcount() == 0) pm_.free(pte.pfn, order);
         vma.pte_slot(i).store(0, std::memory_order_release);
         ++stats_.unmapped_pages;
     }
@@ -139,7 +138,7 @@ AddressSpace::mmap_file(FileBacking &backing,
     for (std::uint64_t i = 0; i < num_pages; ++i) {
         const mem::Pfn pfn = backing.cached_pfn(file_page_offset + i);
         if (pfn == mem::kInvalidPfn) return 0;  // hole / beyond EOF
-        pm_.frame(pfn).add_rmap(this, vma->page_vaddr(i));
+        pm_.add_rmap(pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(pfn).pack(),
                                std::memory_order_release);
         ++stats_.mapped_pages;
@@ -159,7 +158,7 @@ AddressSpace::mmap_shared(const Vma &source)
     for (std::uint64_t i = 0; i < source.num_pages(); ++i) {
         const Pte src_pte = source.pte(i);
         if (!src_pte.present) return 0;
-        pm_.frame(src_pte.pfn).add_rmap(this, vma->page_vaddr(i));
+        pm_.add_rmap(src_pte.pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(src_pte.pfn).pack(),
                                std::memory_order_release);
         ++stats_.mapped_pages;

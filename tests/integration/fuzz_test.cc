@@ -55,7 +55,7 @@ check_machine_consistency(os::Kernel &kernel,
                 const mem::PageFrame &frame = pm.frame(pte.pfn);
                 ASSERT_TRUE(frame.allocated);
                 bool found = false;
-                for (const mem::RmapEntry &re : frame.rmaps)
+                for (const mem::RmapEntry &re : pm.rmaps(pte.pfn))
                     if (re.owner == &as &&
                         re.vaddr == vma->page_vaddr(i) &&
                         re.kind == mem::RmapKind::kAddressSpace)

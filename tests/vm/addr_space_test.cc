@@ -46,10 +46,9 @@ TEST(AddressSpace, MmapPopulatesPtesAndRmap)
         EXPECT_TRUE(pte.present);
         EXPECT_FALSE(pte.young);
         EXPECT_EQ(f.pm.node_of(pte.pfn), f.slow);
-        const mem::PageFrame &frame = f.pm.frame(pte.pfn);
-        ASSERT_EQ(frame.mapcount(), 1u);
-        EXPECT_EQ(frame.rmaps[0].owner, &as);
-        EXPECT_EQ(frame.rmaps[0].vaddr, vma->page_vaddr(i));
+        ASSERT_EQ(f.pm.frame(pte.pfn).mapcount(), 1u);
+        EXPECT_EQ(f.pm.rmaps(pte.pfn)[0].owner, &as);
+        EXPECT_EQ(f.pm.rmaps(pte.pfn)[0].vaddr, vma->page_vaddr(i));
     }
 }
 
@@ -198,8 +197,7 @@ class StubFile : public FileBacking {
     {
         for (std::uint64_t i = 0; i < pages; ++i) {
             pfns_.push_back(pm.allocate(node, 0));
-            pm.frame(pfns_.back())
-                .add_rmap(this, i, mem::RmapKind::kPageCache);
+            pm.add_rmap(pfns_.back(), this, i, mem::RmapKind::kPageCache);
         }
     }
     void
