@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a config field or a device counter has not earned its place.
+"""Fail when a config field or a stats counter has not earned its place.
 
 A config field is a value some caller sets. A tuning value that nobody
 sets is a named constant next to its one use, and a test alone does not
@@ -24,6 +24,11 @@ examples/, src/check/ and perfbench/, and fails on a counter that
 nothing reads by name. MemifDevice::print_stats reads every counter
 through the list, so its reads do not count.
 
+The same holds for each field of the plain stats structs in
+STATS_STRUCTS: a field that the same directories only ever increment
+or assign (`++x.name`, `x.name += v`, `x.name = v`) and never read is
+a counter nobody looks at, and fails too.
+
 Usage: python3 scripts/check_config_knobs.py [repo-root]
 """
 
@@ -44,6 +49,16 @@ TEST_DIRS = ["tests"]
 # The device counter list, and where its counters must be read.
 COUNTERS = ("src/memif/device.h", "MEMIF_DEVICE_COUNTERS")
 READER_DIRS = ["bench", "tests", "examples", "src/check", "perfbench"]
+# The plain stats structs, whose fields must be read in READER_DIRS too.
+STATS_STRUCTS = [
+    ("src/dma/engine.h", "EngineStats"),
+    ("src/dma/chain_cache.h", "ChainCacheStats"),
+    ("src/memif/user_api.h", "UserStats"),
+    ("src/vm/addr_space.h", "VmStats"),
+    ("src/vm/tlb.h", "TlbStats"),
+    ("src/os/kernel.h", "SyscallStats"),
+    ("src/dma/descriptor.h", "DescriptorRamStats"),
+]
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 # The fields only tests assign, and what each one lets a test reach.
@@ -157,17 +172,30 @@ def main():
     if not counters:
         sys.exit(f"{COUNTERS[0]}: no counters parsed out of {COUNTERS[1]}")
     readers = source_text(root, READER_DIRS)
-    unread = [c for c in counters
-              if not re.search(r"(?:\.|->|::)\s*" + c + r"\b", readers)]
+
+    def is_read(field):
+        return re.search(r"(?:\.|->|::)\s*" + field + r"\b", readers)
+
+    unread = [f"DeviceStats::{c}" for c in counters if not is_read(c)]
     print(f"DeviceStats: {len(counters)} counters in {COUNTERS[1]}")
+    # A stats field's bumps and stores are not reads: drop them first.
+    writes = re.compile(r"(?:\+\+|--)\s*[\w.>()-]*?(?:\.|->)\s*\w+"
+                        r"|(?:\.|->)\s*\w+\s*(?:\+\+|--|[-+]?=(?!=))")
+    readers = writes.sub("", readers)
+    for rel, name in STATS_STRUCTS:
+        fields = struct_fields(root / rel, name)
+        if not fields:
+            sys.exit(f"{rel}: no fields parsed out of struct {name}")
+        unread += [f"{name}::{f}" for _, f in fields if not is_read(f)]
+        print(f"{name}: {len(fields)} counters")
 
     failed = False
     if unread:
         failed = True
-        print("counters nothing outside src/memif reads (assert or report "
-              "each one, or delete it):")
+        print("counters nothing outside their layer reads (assert or "
+              "report each one, or delete it):")
         for c in unread:
-            print(f"  DeviceStats::{c}")
+            print(f"  {c}")
     print(f"assigned only by tests ({len(test_only)}):")
     for f in test_only:
         print(f"  {f}" + ("" if f in TEST_SEAMS else "  <- not a test seam"))

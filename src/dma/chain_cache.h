@@ -131,7 +131,6 @@ class ChainCache {
     std::uint32_t available() const { return ram_.size() - outstanding_; }
 
     const ChainCacheStats &stats() const { return stats_; }
-    void reset_stats() { stats_ = ChainCacheStats{}; }
 
   private:
     /** Fix the link field of @p idx if it does not already equal @p to. */

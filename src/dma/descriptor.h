@@ -111,7 +111,6 @@ struct TransferDescriptor {
 struct DescriptorRamStats {
     std::uint64_t full_writes = 0;     ///< all 12 parameters written
     std::uint64_t partial_writes = 0;  ///< src/dst-only rewrites (reuse)
-    std::uint64_t reads = 0;
 };
 
 /**
@@ -155,16 +154,14 @@ class DescriptorRam {
     const TransferDescriptor &
     read(DescIndex idx) const
     {
-        ++stats_.reads;
         return entries_.at(idx);
     }
 
     const DescriptorRamStats &stats() const { return stats_; }
-    void reset_stats() { stats_ = DescriptorRamStats{}; }
 
   private:
     std::vector<TransferDescriptor> entries_;
-    mutable DescriptorRamStats stats_;
+    DescriptorRamStats stats_;
 };
 
 }  // namespace memif::dma

@@ -131,31 +131,22 @@ DmaDriver::start(Prepared prepared, bool irq_mode, CompletionFn on_complete,
     MEMIF_ASSERT(head != kNullLink, "starting an empty chain");
 
     // Stash the lease; it returns to the cache on retirement (the
-    // engine's retire hook) or cancel.
+    // engine's retire hook), cancel or reclaim.
     const TransferId id =
         engine_.start_chain(head, tc, irq_mode, std::move(on_complete),
                             moderated, std::move(gate));
-    if (spare_leases_.empty()) {
-        leases_.emplace(id, std::move(prepared.lease));
-    } else {
-        auto node = std::move(spare_leases_.back());
-        spare_leases_.pop_back();
-        node.key() = id;
-        node.mapped() = std::move(prepared.lease);
-        leases_.insert(std::move(node));
-    }
+    const std::uint32_t slot = transfer_slot(id);
+    if (slot >= slot_leases_.size()) slot_leases_.resize(slot + 1);
+    slot_leases_[slot] = std::move(prepared.lease);
     return id;
 }
 
 void
 DmaDriver::retire(TransferId id)
 {
-    auto it = leases_.find(id);
-    if (it == leases_.end()) return;  // already cancelled
-    // The node (its lease moved out) is kept for the next start().
-    auto node = leases_.extract(it);
-    cache_.release(std::move(node.mapped()));
-    spare_leases_.push_back(std::move(node));
+    ChainLease &lease = slot_leases_[transfer_slot(id)];
+    if (lease.descs.empty()) return;  // already returned
+    cache_.release(std::exchange(lease, {}));
     capacity_wq_.notify_all();
 }
 

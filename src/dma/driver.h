@@ -9,6 +9,8 @@
  *   DmaDriver::Prepared p = driver.prepare(sg);
  *   co_await cpu.busy(ctx, Op::kDmaConfig, p.cpu_time);
  *   dma::TransferId id = driver.start(std::move(p), irq_mode, callback);
+ *   ... read status(id) ...
+ *   driver.reclaim(id);  // the one release; id is invalid afterwards
  *
  * prepare() applies the §5.3 optimizations when enabled: parameter-
  * calculation caching and descriptor-chain reuse (only src/dst rewritten
@@ -21,7 +23,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dma/chain_cache.h"
@@ -139,7 +140,8 @@ class DmaDriver {
 
     /**
      * Trigger the prepared chain. The lease returns to the chain cache
-     * automatically when the transfer retires.
+     * when the transfer retires, is cancelled or is reclaimed; the
+     * engine record stays until reclaim().
      *
      * @param irq_mode     completion interrupts the CPU (vs. polling)
      * @param on_complete  called at completion time (any mode; may be
@@ -187,24 +189,24 @@ class DmaDriver {
     {
         return engine_.completion_time(id);
     }
-    /** Did @p id's chain terminate on a translation-gate fault? */
-    bool gate_faulted(TransferId id) const { return engine_.gate_faulted(id); }
     bool cancel(TransferId id);
 
-    /**
-     * Return @p id's descriptor lease to the chain cache without a
-     * completion callback having run. Needed when the completion
-     * interrupt was lost: the engine finished the transfer but never
-     * invoked the retiring callback, so the watchdog reclaims the
-     * chain here. Harmless if the transfer already retired.
-     */
-    void reclaim(TransferId id) { retire(id); }
+    /** Release @p id, finished or cancelled: return its lease if it
+     *  still holds one (a lost interrupt never retired it), then its
+     *  engine record. @p id is invalid afterwards. */
+    void
+    reclaim(TransferId id)
+    {
+        retire(id);
+        engine_.release(id);
+    }
 
     Edma3Engine &engine() { return engine_; }
     const ChainCache &cache() const { return cache_; }
 
   private:
-    /** Return the lease of @p id to the chain cache. */
+    /** Return the lease of @p id, if it still holds one, to the chain
+     *  cache. */
     void retire(TransferId id);
 
     Edma3Engine &engine_;
@@ -212,10 +214,9 @@ class DmaDriver {
     DmaDriverOptions opts_;
     ChainCache cache_;
     sim::WaitQueue capacity_wq_;
-    std::unordered_map<TransferId, ChainLease> leases_;
-    /** Nodes of retired leases, reused by start(). */
-    std::vector<std::unordered_map<TransferId, ChainLease>::node_type>
-        spare_leases_;
+    /** Each started transfer's lease, indexed by its engine slot; an
+     *  empty lease once returned. */
+    std::vector<ChainLease> slot_leases_;
     /** Outstanding reserve_descriptors() tickets, oldest first. */
     std::deque<std::shared_ptr<std::uint32_t>> capacity_fifo_;
     /** prepare()'s per-entry signatures of a non-uniform list, kept for

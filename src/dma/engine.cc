@@ -1,40 +1,28 @@
 #include "dma/engine.h"
 
+#include <algorithm>
+
 #include "sim/log.h"
 
 namespace memif::dma {
 
-namespace {
-
-/** Per-side bandwidth of the node owning physical byte address @p addr. */
-double
-addr_bandwidth(mem::PhysicalMemory &pm, std::uint64_t addr)
-{
-    const mem::NodeId id = pm.node_of(addr >> mem::kPageShift);
-    MEMIF_ASSERT(id != mem::kInvalidNode, "DMA address outside memory");
-    return pm.node(id).bandwidth_bps();
-}
-
-/**
- * Per-descriptor access latency implied by the nodes a descriptor
- * touches: the slower (higher-latency) side gates the transfer, as with
- * bandwidth. On-board tiers carry zero, so two-node machines are
- * byte-identical; only descriptors touching a far/remote node pay.
- */
 sim::Duration
-desc_latency(mem::PhysicalMemory &pm, const TransferDescriptor &d)
+Edma3Engine::desc_time(const TransferDescriptor &d) const
 {
-    const auto lat = [&pm](std::uint64_t addr) {
-        const mem::NodeId id = pm.node_of(addr >> mem::kPageShift);
+    const auto node = [this](std::uint64_t addr) -> const mem::MemoryNode & {
+        const mem::NodeId id = pm_.node_of(addr >> mem::kPageShift);
         MEMIF_ASSERT(id != mem::kInvalidNode, "DMA address outside memory");
-        return pm.node(id).latency_ns();
+        return pm_.node(id);
     };
-    const std::uint64_t s = lat(d.src);
-    const std::uint64_t t = lat(d.dst);
-    return static_cast<sim::Duration>(s > t ? s : t);
+    const mem::MemoryNode &src = node(d.src);
+    const mem::MemoryNode &dst = node(d.dst);
+    // The slower side gates both the bandwidth and the access latency.
+    // On-board tiers carry zero latency, so two-node machines are
+    // byte-identical; only descriptors touching a far node pay.
+    return cm_.dma_per_desc + std::max(src.latency_ns(), dst.latency_ns()) +
+           cm_.dma_stream_time(d.total_bytes(), src.bandwidth_bps(),
+                               dst.bandwidth_bps());
 }
-
-}  // namespace
 
 sim::Duration
 Edma3Engine::chain_duration(DescIndex head) const
@@ -46,11 +34,7 @@ Edma3Engine::chain_duration(DescIndex head) const
         MEMIF_ASSERT(++hops <= DescriptorRam::kEntries,
                      "descriptor chain loops");
         const TransferDescriptor &d = ram_.read(idx);
-        auto &pm = const_cast<mem::PhysicalMemory &>(pm_);
-        const double src_bw = addr_bandwidth(pm, d.src);
-        const double dst_bw = addr_bandwidth(pm, d.dst);
-        total += cm_.dma_per_desc + desc_latency(pm, d) +
-                 cm_.dma_stream_time(d.total_bytes(), src_bw, dst_bw);
+        total += desc_time(d);
         idx = d.link;
     }
     return total;
@@ -62,18 +46,22 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
                          XlateGate gate)
 {
     MEMIF_ASSERT(tc < kNumTcs, "bad transfer controller");
-    // Housekeeping: keep the flight table bounded even when no driver
-    // ever calls purge_finished() explicitly.
-    if (flights_.size() >= kPurgeThreshold) purge_finished();
-
     const sim::Duration duration = chain_duration(head);
     const sim::SimTime begin =
         tc_busy_until_[tc] > eq_.now() ? tc_busy_until_[tc] : eq_.now();
     const sim::SimTime done_at = begin + duration;
     tc_busy_until_[tc] = done_at;
 
-    const TransferId id = next_id_++;
-    Flight flight{head, raise_irq};
+    if (free_slots_.empty()) {
+        free_slots_.push_back(static_cast<std::uint32_t>(flights_.size()));
+        flights_.emplace_back();
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    Flight &flight = flights_[slot];
+    const TransferId id = TransferId{flight.generation} << 32 | slot;
+    flight.head = head;
+    flight.raise_irq = raise_irq;
     flight.moderated = moderated && raise_irq;
     flight.tc = tc;
     flight.completes_at = done_at;
@@ -101,16 +89,6 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         flight.next_desc = head;
         ++stats_.gated_transfers;
     }
-    if (spare_flights_.empty()) {
-        flights_.emplace(id, std::move(flight));
-    } else {
-        // Reuse a purged record's node: no allocation per transfer.
-        auto node = std::move(spare_flights_.back());
-        spare_flights_.pop_back();
-        node.key() = id;
-        node.mapped() = std::move(flight);
-        flights_.insert(std::move(node));
-    }
     ++stats_.transfers_started;
     stats_.busy_time += duration;
 
@@ -120,20 +98,18 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         return id;
     }
     eq_.schedule_at(done_at, [this, id] {
-        auto it = flights_.find(id);
-        if (it == flights_.end()) return;  // cancelled and purged
-        Flight &fl = it->second;
-        if (fl.cancelled) return;
-        if (fl.stuck) return;  // hangs until the driver cancels it
-        if (fl.error) {
+        Flight *fl = live(id);
+        if (!fl || fl->cancelled) return;  // cancelled (and released)
+        if (fl->stuck) return;  // hangs until the driver cancels it
+        if (fl->error) {
             // TC bus error: the chain terminates without moving a
             // byte; the CC dispatches the error interrupt instead of
             // the completion interrupt.
             ++stats_.transfers_failed;
         } else {
-            execute_copies(fl.head);
+            execute_copies(fl->head);
         }
-        finish_flight(id, fl);
+        finish_flight(id, *fl);
     });
     return id;
 }
@@ -141,23 +117,23 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
 void
 Edma3Engine::step_chain(TransferId id)
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end() || it->second.cancelled) return;
-    if (it->second.next_desc == kNullLink) {
-        finish_flight(id, it->second);
+    Flight *cur = live(id);
+    if (!cur || cur->cancelled) return;
+    if (cur->next_desc == kNullLink) {
+        finish_flight(id, *cur);
         return;
     }
-    MEMIF_ASSERT(++it->second.steps <= DescriptorRam::kEntries,
+    MEMIF_ASSERT(++cur->steps <= DescriptorRam::kEntries,
                  "descriptor chain loops");
-    const std::uint32_t index = it->second.steps - 1;
+    const std::uint32_t index = cur->steps - 1;
     // The TC streams from a local copy: the gate may redirect the entry
     // (a mid-flight re-walk) without the PaRAM ever being rewritten.
-    TransferDescriptor d = ram_.read(it->second.next_desc);
-    XlateVerdict v = it->second.gate(id, index, d);
-    // The gate is driver code; revalidate the iterator after it ran.
-    it = flights_.find(id);
-    if (it == flights_.end() || it->second.cancelled) return;
-    Flight &fl = it->second;
+    TransferDescriptor d = ram_.read(cur->next_desc);
+    XlateVerdict v = cur->gate(id, index, d);
+    // The gate is driver code; look the record up again after it ran.
+    cur = live(id);
+    if (!cur || cur->cancelled) return;
+    Flight &fl = *cur;
     if (v.fault) {
         // SVA walk fault: the chain terminates like a TC bus error —
         // the CC error interrupt dispatches immediately and is never
@@ -184,20 +160,16 @@ Edma3Engine::step_chain(TransferId id)
         if (tc_busy_until_[fl.tc] < fl.completes_at)
             tc_busy_until_[fl.tc] = fl.completes_at;
     }
-    const double src_bw = addr_bandwidth(pm_, d.src);
-    const double dst_bw = addr_bandwidth(pm_, d.dst);
-    const sim::Duration step =
-        v.stall + cm_.dma_per_desc + desc_latency(pm_, d) +
-        cm_.dma_stream_time(d.total_bytes(), src_bw, dst_bw);
+    const sim::Duration step = v.stall + desc_time(d);
     fl.next_desc = d.link;
     fl.streaming = d;
     // Bytes land when the entry finishes streaming; the next gate check
     // happens at the same instant. The capture stays two words (INTERNALS
     // §3 caveat 3): the entry waits in the flight.
     eq_.schedule_after(step, [this, id] {
-        auto cur = flights_.find(id);
-        if (cur == flights_.end() || cur->second.cancelled) return;
-        execute_one(cur->second.streaming);
+        const Flight *fl = live(id);
+        if (!fl || fl->cancelled) return;
+        execute_one(fl->streaming);
         step_chain(id);
     });
 }
@@ -215,7 +187,7 @@ Edma3Engine::finish_flight(TransferId id, Flight &fl)
     // separate from the completion line, so time-to-detection of a
     // TC bus error is identical with moderation on or off.
     if (fl.moderated && !fl.error) {
-        hold_completion(id, fl.tc);
+        hold_completion(id, fl);
         return;
     }
     if (fl.raise_irq) ++stats_.interrupts_raised;
@@ -226,38 +198,53 @@ void
 Edma3Engine::deliver(TransferId id, Flight &fl)
 {
     if (retire_hook_) retire_hook_(id);
-    if (fl.on_complete) fl.on_complete(id);
+    // The callback runs once, and its owner may release the record
+    // while it runs: take it out of the record first.
+    if (CompletionFn done = std::move(fl.on_complete)) done(id);
 }
 
-bool
-Edma3Engine::gate_faulted(TransferId id) const
+Edma3Engine::Flight *
+Edma3Engine::live(TransferId id) const
 {
-    auto it = flights_.find(id);
-    return it != flights_.end() && it->second.gate_fault;
+    const std::uint32_t slot = transfer_slot(id);
+    if (slot >= flights_.size()) return nullptr;
+    const Flight &fl = flights_[slot];
+    return fl.generation == id >> 32 ? const_cast<Flight *>(&fl) : nullptr;
+}
+
+Edma3Engine::Flight &
+Edma3Engine::record(TransferId id) const
+{
+    Flight *fl = live(id);
+    MEMIF_ASSERT(fl, "DMA transfer %#llx queried after its release",
+                 static_cast<unsigned long long>(id));
+    return *fl;
 }
 
 void
-Edma3Engine::hold_completion(TransferId id, unsigned tc)
+Edma3Engine::hold_completion(TransferId id, Flight &fl)
 {
+    const unsigned tc = fl.tc;
     Moderation &mod = moderation_[tc];
-    flights_.at(id).delivery_pending = true;
+    fl.delivery_pending = true;
     mod.pending.push_back(id);
     // While masked the driver's poller reaps held completions itself
     // (NAPI-style); neither the batch threshold nor the holdoff timer
     // raises an IRQ. An already-armed timer keeps running as a
     // liveness backstop.
     if (moderation_mask_ > 0) return;
-    if (mod.pending.size() >= moderation_batch_) {
+    if (mod.pending.size() >= cm_.dma_moderation_batch) {
         flush_moderated(tc);
         return;
     }
     // First held completion arms the holdoff timer; later ones ride it.
     if (mod.timer == sim::EventQueue::kInvalidEvent) {
-        mod.timer = eq_.schedule_after(moderation_holdoff_, [this, tc] {
-            moderation_[tc].timer = sim::EventQueue::kInvalidEvent;
-            ++stats_.moderation_timer_flushes;
-            flush_moderated(tc);
-        });
+        mod.timer =
+            eq_.schedule_after(cm_.dma_moderation_holdoff, [this, tc] {
+                moderation_[tc].timer = sim::EventQueue::kInvalidEvent;
+                ++stats_.moderation_timer_flushes;
+                flush_moderated(tc);
+            });
     }
 }
 
@@ -280,12 +267,12 @@ Edma3Engine::flush_moderated(unsigned tc)
     ++stats_.interrupts_raised;
     ++stats_.moderated_irqs;
     for (TransferId id : batch) {
-        auto it = flights_.find(id);
-        if (it == flights_.end() || !it->second.delivery_pending)
+        Flight *fl = live(id);
+        if (!fl || !fl->delivery_pending)
             continue;  // discarded (watchdog or teardown) meanwhile
-        it->second.delivery_pending = false;
+        fl->delivery_pending = false;
         ++stats_.moderated_completions;
-        deliver(id, it->second);
+        deliver(id, *fl);
     }
     batch.clear();
     spare_batch_ = std::move(batch);
@@ -303,10 +290,10 @@ Edma3Engine::unmask_moderation()
 bool
 Edma3Engine::discard_moderated(TransferId id)
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end() || !it->second.delivery_pending) return false;
-    it->second.delivery_pending = false;
-    Moderation &mod = moderation_[it->second.tc];
+    Flight &fl = record(id);
+    if (!fl.delivery_pending) return false;
+    fl.delivery_pending = false;
+    Moderation &mod = moderation_[fl.tc];
     std::erase(mod.pending, id);
     if (mod.pending.empty() &&
         mod.timer != sim::EventQueue::kInvalidEvent) {
@@ -364,63 +351,52 @@ Edma3Engine::execute_copies(DescIndex head)
 bool
 Edma3Engine::is_complete(TransferId id) const
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return true;  // purged => finished
-    return it->second.completed;
+    return record(id).completed;
 }
 
 TransferStatus
 Edma3Engine::status(TransferId id) const
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return TransferStatus::kOk;  // purged
-    if (it->second.cancelled) return TransferStatus::kCancelled;
-    if (it->second.completed && it->second.error)
-        return TransferStatus::kError;
-    return TransferStatus::kOk;
+    const Flight &fl = record(id);
+    if (fl.cancelled) return TransferStatus::kCancelled;
+    if (!fl.completed) return TransferStatus::kInFlight;
+    if (!fl.error) return TransferStatus::kOk;
+    return fl.gate_fault ? TransferStatus::kXlateFault
+                         : TransferStatus::kError;
 }
 
 sim::SimTime
 Edma3Engine::completion_time(TransferId id) const
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return 0;
-    return it->second.completes_at;
-}
-
-std::size_t
-Edma3Engine::purge_finished()
-{
-    std::size_t purged = 0;
-    for (auto it = flights_.begin(); it != flights_.end();) {
-        const Flight &fl = it->second;
-        // A moderated completion whose delivery is still held must keep
-        // its record (and callback) alive until the batch flushes.
-        if ((fl.completed && !fl.delivery_pending) || fl.cancelled) {
-            // Park the node (record reset, callbacks dropped now) for
-            // the next start_chain().
-            auto node = flights_.extract(it++);
-            node.mapped() = Flight{};
-            spare_flights_.push_back(std::move(node));
-            ++purged;
-        } else {
-            ++it;
-        }
-    }
-    return purged;
+    return record(id).completes_at;
 }
 
 bool
 Edma3Engine::cancel(TransferId id)
 {
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return false;  // purged => was finished
-    if (it->second.completed) return false;
-    if (!it->second.cancelled) {
-        it->second.cancelled = true;
+    Flight &fl = record(id);
+    if (fl.completed) return false;
+    if (!fl.cancelled) {
+        fl.cancelled = true;
         ++stats_.transfers_cancelled;
     }
     return true;
+}
+
+void
+Edma3Engine::release(TransferId id)
+{
+    Flight &fl = record(id);
+    MEMIF_ASSERT(fl.completed || fl.cancelled,
+                 "release of a DMA transfer still in flight");
+    MEMIF_ASSERT(!fl.delivery_pending,
+                 "release of a DMA transfer whose delivery is held");
+    // A new generation: the engine's pending step or completion event
+    // for @p id, if any, finds the slot gone.
+    const std::uint32_t generation = fl.generation + 1;
+    fl = Flight{};
+    fl.generation = generation;
+    free_slots_.push_back(transfer_slot(id));
 }
 
 }  // namespace memif::dma

@@ -19,6 +19,11 @@
  * driver's watchdog / retry / fallback machinery turns all three into
  * definite request outcomes.
  *
+ * Every started transfer has one record, owned by its starter from
+ * start_chain() until it reads the outcome and calls release(); the
+ * freed slot then serves a later start under a new generation. Nothing
+ * else drops a record, and a query on a released id panics.
+ *
  * The engine is cache-coherent with the CPU, as on KeyStone II (§2.3),
  * so no cache maintenance is modelled around transfers.
  */
@@ -26,8 +31,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "dma/descriptor.h"
@@ -40,9 +45,19 @@
 
 namespace memif::dma {
 
-/** Handle for an in-flight or finished transfer. */
+/** Handle for a started transfer, valid until its owner releases it:
+ *  the record's generation in the high 32 bits, its slot in the low
+ *  ones. Generations start at 1, so no id is 0. */
 using TransferId = std::uint64_t;
 inline constexpr TransferId kInvalidTransfer = 0;
+
+/** The slot of @p id in the engine's record table; a released slot
+ *  serves a later start, so per-transfer side tables index by it. */
+inline std::uint32_t
+transfer_slot(TransferId id)
+{
+    return static_cast<std::uint32_t>(id);
+}
 
 /** Completion callback; runs in simulated interrupt context. */
 using CompletionFn = std::function<void(TransferId)>;
@@ -69,11 +84,13 @@ struct XlateVerdict {
 using XlateGate = std::function<XlateVerdict(
     TransferId id, std::uint32_t index, TransferDescriptor &d)>;
 
-/** Terminal outcome of a transfer (EDMA3 TC error status model). */
+/** Outcome of a transfer (EDMA3 TC error status model). */
 enum class TransferStatus : std::uint8_t {
-    kOk = 0,     ///< completed, bytes copied
-    kError,      ///< TC bus error: completed with no bytes moved
-    kCancelled,  ///< cancelled by the driver: no bytes moved
+    kInFlight,    ///< not finished; a stuck chain stays here
+    kOk,          ///< completed, bytes copied
+    kError,       ///< TC bus error: completed with no bytes moved
+    kXlateFault,  ///< an XlateGate fault ended it, as a TC-error completion
+    kCancelled,   ///< cancelled by the driver: no bytes moved
 };
 
 /** @name Engine fault-injection sites (see sim/fault.h catalog). */
@@ -123,17 +140,12 @@ struct EngineStats {
 class Edma3Engine {
   public:
     static constexpr unsigned kNumTcs = 6;  // Table 2
-    /** Finished-flight records are purged automatically once the table
-     *  grows past this, bounding memory in long-running simulations. */
-    static constexpr std::size_t kPurgeThreshold = 1024;
 
     Edma3Engine(sim::EventQueue &eq, mem::PhysicalMemory &pm,
                 const sim::CostModel &cm,
                 sim::FaultInjector *faults = nullptr)
         : eq_(eq), pm_(pm), cm_(cm), faults_(faults),
-          tc_busy_until_(kNumTcs, 0),
-          moderation_batch_(cm.dma_moderation_batch),
-          moderation_holdoff_(cm.dma_moderation_holdoff)
+          tc_busy_until_(kNumTcs, 0)
     {
     }
     Edma3Engine(const Edma3Engine &) = delete;
@@ -170,7 +182,7 @@ class Edma3Engine {
      *                      error. Injected error/stuck transfers skip
      *                      stepping entirely (their all-or-nothing
      *                      semantics are unchanged).
-     * @return a transfer id for polling/cancellation
+     * @return the id, whose record the caller owns until release()
      */
     TransferId start_chain(DescIndex head, unsigned tc, bool raise_irq,
                            CompletionFn on_complete, bool moderated = false,
@@ -188,23 +200,6 @@ class Edma3Engine {
         MEMIF_ASSERT(!hook || !retire_hook_,
                      "an engine serves one driver at a time");
         retire_hook_ = std::move(hook);
-    }
-
-    /** True if @p id terminated on an XlateGate fault (an SVA walk
-     *  fault, reported as a TC-error completion). Purged ids report
-     *  false. */
-    bool gate_faulted(TransferId id) const;
-
-    /**
-     * Override the moderation parameters (defaults come from the cost
-     * model: dma_moderation_batch / dma_moderation_holdoff). Engine-
-     * wide; only transfers started with moderated=true are affected.
-     */
-    void
-    configure_moderation(std::uint32_t batch, sim::Duration holdoff)
-    {
-        if (batch) moderation_batch_ = batch;
-        if (holdoff) moderation_holdoff_ = holdoff;
     }
 
     /**
@@ -249,29 +244,16 @@ class Edma3Engine {
         return best;
     }
 
-    /** True once the transfer finished (with or without error). A
-     *  purged id is reported complete (only finished transfers are
-     *  purged). Stuck transfers stay incomplete until cancelled. */
+    // Every query below panics on a released id.
+
+    /** True once the transfer finished (with or without error). A stuck
+     *  transfer never finishes, and a cancelled one never does either. */
     bool is_complete(TransferId id) const;
 
-    /** Terminal status of @p id; kOk while still in flight and for
-     *  purged ids (an error is always observed before purging). */
     TransferStatus status(TransferId id) const;
 
-    /** Earliest completion time of @p id (0 if purged). */
+    /** Earliest completion time of @p id. */
     sim::SimTime completion_time(TransferId id) const;
-
-    /** Flight records currently tracked (diagnostic; bounded by
-     *  kPurgeThreshold plus the genuinely in-flight population). */
-    std::size_t flight_count() const { return flights_.size(); }
-
-    /**
-     * Drop bookkeeping for finished (completed or cancelled) transfers
-     * so long-running simulations do not accumulate one record per
-     * transfer. Queries on purged ids degrade gracefully (see above).
-     * @return the number of records dropped.
-     */
-    std::size_t purge_finished();
 
     /**
      * Abort an in-flight transfer. No bytes are copied and no interrupt
@@ -279,13 +261,26 @@ class Edma3Engine {
      */
     bool cancel(TransferId id);
 
+    /** The owner is done with @p id, finished or cancelled and with no
+     *  delivery held by moderation: drop its record and free its slot
+     *  for the next start. @p id is invalid afterwards. */
+    void release(TransferId id);
+
+    /** Records started and not yet released. */
+    std::size_t
+    live_transfers() const
+    {
+        return flights_.size() - free_slots_.size();
+    }
+
     const EngineStats &stats() const { return stats_; }
-    void reset_stats() { stats_ = EngineStats{}; }
 
   private:
     struct Flight {
-        DescIndex head;
-        bool raise_irq;
+        /** Of the id the slot serves now; bumped when it is released. */
+        std::uint32_t generation = 1;
+        DescIndex head = kNullLink;
+        bool raise_irq = false;
         bool cancelled = false;
         bool completed = false;
         bool error = false;     ///< injected TC bus error
@@ -293,7 +288,7 @@ class Edma3Engine {
         bool lose_irq = false;  ///< injected lost completion interrupt
         bool moderated = false; ///< completion IRQ joins the TC batch
         /** Completed but the moderated delivery has not flushed yet;
-         *  such records are exempt from purge_finished(). */
+         *  such a record cannot be released. */
         bool delivery_pending = false;
         bool gate_fault = false; ///< terminated by an XlateGate fault
         unsigned tc = 0;
@@ -316,6 +311,14 @@ class Edma3Engine {
         sim::EventQueue::EventId timer = sim::EventQueue::kInvalidEvent;
     };
 
+    /** @p id's record, or null once the id is released (the engine's
+     *  own events and batches skip such ids). */
+    Flight *live(TransferId id) const;
+    /** @p id's record; panics on a released id. */
+    Flight &record(TransferId id) const;
+
+    /** One descriptor's streaming time, excluding queueing. */
+    sim::Duration desc_time(const TransferDescriptor &d) const;
     void execute_copies(DescIndex head);
     /** Copy one descriptor's bytes (possibly gate-rewritten); a packed
      *  frame inside one node on each side lands as one span. */
@@ -329,8 +332,8 @@ class Edma3Engine {
     void finish_flight(TransferId id, Flight &fl);
     /** Run the retire hook, then @p fl's on_complete. */
     void deliver(TransferId id, Flight &fl);
-    /** Park @p id's completion in @p tc's moderation batch. */
-    void hold_completion(TransferId id, unsigned tc);
+    /** Park @p id's completion in its TC's moderation batch. */
+    void hold_completion(TransferId id, Flight &fl);
     /** Deliver one coalesced IRQ retiring everything held on @p tc. */
     void flush_moderated(unsigned tc);
 
@@ -340,18 +343,16 @@ class Edma3Engine {
     sim::FaultInjector *faults_;
     DescriptorRam ram_;
     std::vector<sim::SimTime> tc_busy_until_;
-    std::unordered_map<TransferId, Flight> flights_;
-    /** Nodes of purged records, reused by start_chain(). */
-    std::vector<std::unordered_map<TransferId, Flight>::node_type>
-        spare_flights_;
+    /** The record table, indexed by slot. A deque: a callback a record
+     *  runs may start another transfer without moving the record. */
+    std::deque<Flight> flights_;
+    /** Released slots; the most recently freed serves the next start. */
+    std::vector<std::uint32_t> free_slots_;
     CompletionFn retire_hook_;
     std::array<Moderation, kNumTcs> moderation_;
     /** Storage a moderation flush swaps in for the batch it delivers. */
     std::vector<TransferId> spare_batch_;
-    std::uint32_t moderation_batch_;
-    sim::Duration moderation_holdoff_;
     unsigned moderation_mask_ = 0;
-    TransferId next_id_ = 1;
     EngineStats stats_;
 };
 

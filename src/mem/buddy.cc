@@ -76,8 +76,7 @@ free_maps(std::uint64_t num_frames)
 
 BuddyAllocator::BuddyAllocator(std::uint64_t num_frames)
     : num_frames_(num_frames),
-      free_lists_(free_maps(num_frames)),
-      allocated_order_(num_frames, 0)
+      free_lists_(free_maps(num_frames))
 {
     // Seed the free lists with the largest naturally aligned blocks that
     // fit, walking the range front to back (handles non-power-of-two
@@ -115,7 +114,6 @@ BuddyAllocator::allocate(unsigned order)
         free_lists_[o].insert((head >> o) + 1);
     }
 
-    allocated_order_[head] = static_cast<std::uint8_t>(order + 1);
     free_frames_ -= std::uint64_t{1} << order;
     return head;
 }
@@ -142,13 +140,6 @@ BuddyAllocator::free(std::uint64_t head, unsigned order)
     MEMIF_ASSERT(head < num_frames_, "frame %llu out of range",
                  static_cast<unsigned long long>(head));
     MEMIF_ASSERT(order <= kMaxOrder);
-    if (allocated_order_[head] == 0)
-        MEMIF_PANIC("double free or bad head frame %llu",
-                    static_cast<unsigned long long>(head));
-    if (allocated_order_[head] != order + 1)
-        MEMIF_PANIC("free order %u mismatches allocation order %u", order,
-                    allocated_order_[head] - 1);
-    allocated_order_[head] = 0;
     free_frames_ += std::uint64_t{1} << order;
 
     // Coalesce with the buddy while possible.

@@ -5,8 +5,9 @@
  * the memif driver allocate destination pages from.
  *
  * Frames are addressed by *local* index within the node. The allocator
- * detects double frees and frees of never-allocated blocks (they panic:
- * in this codebase such a call is always a library bug).
+ * keeps only the free blocks; what is allocated, and at which order,
+ * lives in the node's PageFrame descriptors, where PhysicalMemory::free
+ * catches double frees and wrong-order frees before they reach it.
  */
 #pragma once
 
@@ -66,7 +67,8 @@ class BuddyAllocator {
     bool allocate_bulk(unsigned order, std::uint64_t n,
                        std::vector<std::uint64_t> &out);
 
-    /** Free a block previously allocated with the same order. */
+    /** Free a block previously allocated with the same order (not
+     *  checked here: see PhysicalMemory::free). */
     void free(std::uint64_t head, unsigned order);
 
     std::uint64_t num_frames() const { return num_frames_; }
@@ -113,8 +115,6 @@ class BuddyAllocator {
      *  block is always handed out first, which keeps behaviour
      *  deterministic. */
     std::vector<FreeMap> free_lists_;
-    /** Allocation order of each allocated head frame, +1 (0 = not a head). */
-    std::vector<std::uint8_t> allocated_order_;
 };
 
 }  // namespace memif::mem

@@ -158,6 +158,13 @@ PhysicalMemory::free(Pfn head, unsigned order)
     const NodeId id = node_of(head);
     MEMIF_ASSERT(id != kInvalidNode, "freeing unmapped pfn");
     MemoryNode &n = node(id);
+    const PageFrame &hf = n.frame(head);
+    if (!hf.allocated || !hf.is_block_head)
+        MEMIF_PANIC("double free or bad head frame pfn=%llu",
+                    (unsigned long long)head);
+    if (hf.order != order)
+        MEMIF_PANIC("free order %u mismatches allocation order %u", order,
+                    unsigned{hf.order});
     for (std::uint64_t i = 0; i < (std::uint64_t{1} << order); ++i) {
         PageFrame &f = n.frame(head + i);
         MEMIF_ASSERT(f.allocated, "freeing unallocated frame pfn=%llu",

@@ -268,7 +268,8 @@ class PhysicalMemory {
     bool allocate_bulk(NodeId node, unsigned order, std::uint64_t n,
                        std::vector<Pfn> &out);
 
-    /** Free a block previously returned by allocate(). */
+    /** Free a block previously returned by allocate(), at its order;
+     *  a double free or a wrong order panics. */
     void free(Pfn head, unsigned order);
 
     /** Machine-wide allocated-and-not-freed frame count (leak check:

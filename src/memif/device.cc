@@ -90,8 +90,7 @@ MemifDevice::~MemifDevice()
     // supervisor frames themselves go with tasks_.
     while (!transfers_.empty()) {
         Transfer &x = *transfers_.back();
-        if (claim_transfer(x) == MovError::kTimeout)
-            kernel_.dma().cancel(x.tid);
+        if (claim_transfer(x) == MovError::kTimeout) release_transfer(x);
     }
     // Prefetch-fill events capture this device; drop them too.
     for (const InFlightPtr &fl : in_flight_)
@@ -167,14 +166,17 @@ MemifDevice::check_quiesced(std::string *why) const
                  std::to_string(static_cast<int>(st)));
     }
 
-    // Descriptor leases: at quiesce every chain has been returned, so
-    // the cache sees its full PaRAM capacity. (With several instances
-    // on one kernel this only holds once ALL of them are idle, which
-    // is the state test teardown checks.)
+    // Descriptor leases and engine records: at quiesce every chain has
+    // been returned, so the cache sees its full PaRAM capacity, and
+    // every transfer released. (With several instances on one kernel
+    // this only holds once ALL of them are idle, which is the state
+    // test teardown checks.)
     const dma::ChainCache &cache = kernel_.dma().cache();
     if (cache.available() != cache.capacity())
         fail(std::to_string(cache.capacity() - cache.available()) +
              " DMA descriptor(s) still leased");
+    if (const std::size_t live = kernel_.dma_engine().live_transfers())
+        fail(std::to_string(live) + " DMA transfer record(s) not released");
 
     mem::PhysicalMemory &pm = kernel_.phys();
     for (const auto &[key, mag] : magazines_) {
@@ -1296,6 +1298,8 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
     fl->op = snap.op;
     fl->asid = snap.asid;
     fl->daemon = daemon_movs_.contains(idx);
+    // Whose flights a managed-mode overlap check bounces this one for.
+    const Movers rivals = fl->daemon ? Movers::kAll : Movers::kDaemon;
     fl->vma = src_vma;
     fl->plan = plan_move(snap, *src_vma, dst_vma);
     fl->order = vm::page_order(src_vma->page_size());
@@ -1307,10 +1311,8 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         // see coming (and vice versa). Whichever of the two reaches
         // Prep second fails fast with kBusy: the daemon absorbs it
         // (cooldown), the app retries like any transient rejection.
-        const bool daemon_only = !fl->daemon;
-        if (page_run_in_flight(src_vma, fl->plan.src, daemon_only) ||
-            (dst_vma &&
-             page_run_in_flight(dst_vma, fl->plan.dst, daemon_only))) {
+        if (page_run_in_flight(src_vma, fl->plan.src, rivals) ||
+            (dst_vma && page_run_in_flight(dst_vma, fl->plan.dst, rivals))) {
             rj->error = MovError::kBusy;
             co_return;
         }
@@ -1516,7 +1518,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
         // stretch as the PTE stores and the registration below, so the
         // verdict cannot go stale before this flight becomes visible.
         if (!busy && config_.auto_migrate)
-            busy = page_run_in_flight(src_vma, fl->plan.src, !fl->daemon);
+            busy = page_run_in_flight(src_vma, fl->plan.src, rivals);
         if (busy) {
             rj->error = MovError::kBusy;
             co_return;
@@ -1601,6 +1603,15 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
             co_await cpu.busy(ctx, Op::kPrep,
                               (std::uint64_t{snap.rows} * 8 / 64 + 1) *
                                   cm.queue_op);
+        }
+        // A migration in flight over the source has already pointed
+        // its semi-final PTEs at frames its copy has not filled: bounce
+        // rather than copy them. Checked after the last suspension, so
+        // the verdict holds until this flight registers below.
+        // (Replications may share source pages with each other.)
+        if (page_run_in_flight(src_vma, fl->plan.src, Movers::kMigration)) {
+            rj->error = MovError::kBusy;
+            co_return;
         }
         // (A strided request captured no flat frames: num_pages is 0.)
         Lowering low = lower_rows(RowWalk{
@@ -1885,7 +1896,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
         const MovError o = claim_transfer(x, &held);
         if (fl->chained) --active_hop_stages_;
         if (*s.latch || stopping_) {
-            if (o == MovError::kTimeout) drv.cancel(x.tid);
+            if (o == MovError::kTimeout) release_transfer(x);
             break;
         }
         // A timeout is a hung chain, or a completion whose interrupt was
@@ -1922,7 +1933,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
             co_await kernel_.cpu().busy(s.ctx, Op::kSched, cm.irq_overhead);
             irq_episode = s.ctx == ExecContext::kIrq;
         }
-        if (o == MovError::kTimeout) drv.cancel(x.tid);
+        if (o == MovError::kTimeout) release_transfer(x);
         if (o == MovError::kNone) {  // a hop landed
             ++stats_.hop_stages_completed;
             *s.landed = true;
@@ -2005,20 +2016,29 @@ MemifDevice::claim_transfer(Transfer &x, bool *held)
         kernel_.eq().cancel(x.deadline);
         x.deadline = sim::EventQueue::kInvalidEvent;
     }
-    std::erase(transfers_, &x);
-    if (!drv.is_complete(x.tid)) return MovError::kTimeout;  // hung
-    // Drop a delivery moderation still holds, so it cannot dispatch a
-    // second time, and return the lease an undelivered callback would
-    // have (a no-op when it ran). The status is read now: the engine
-    // may purge the record at any later suspension, and a purged id
-    // reads as a clean completion.
-    const bool was_held = drv.discard_moderated(x.tid);
+    using dma::TransferStatus;
+    const TransferStatus st = drv.status(x.tid);
+    if (st == TransferStatus::kInFlight || st == TransferStatus::kCancelled)
+        return MovError::kTimeout;  // hung
+    const bool was_held = release_transfer(x);
     if (held) *held = was_held;
-    drv.reclaim(x.tid);
-    if (drv.status(x.tid) != dma::TransferStatus::kError)
-        return MovError::kNone;
-    return drv.gate_faulted(x.tid) ? MovError::kXlateFault
-                                   : MovError::kDmaError;
+    return st == TransferStatus::kOk      ? MovError::kNone
+           : st == TransferStatus::kError ? MovError::kDmaError
+                                          : MovError::kXlateFault;
+}
+
+bool
+MemifDevice::release_transfer(Transfer &x)
+{
+    dma::DmaDriver &drv = kernel_.dma();
+    // A hung chain is cancelled; a finished one's delivery, if
+    // moderation still holds it, is dropped so it cannot dispatch.
+    x.finished = drv.is_complete(x.tid);
+    const bool held = x.finished && drv.discard_moderated(x.tid);
+    if (!x.finished) drv.cancel(x.tid);
+    std::erase(transfers_, &x);
+    drv.reclaim(std::exchange(x.tid, dma::kInvalidTransfer));
+    return held;
 }
 
 void
@@ -2030,9 +2050,7 @@ MemifDevice::claim_completed(std::vector<InFlightPtr> &batch,
         Transfer &x = fl->xfer;
         if (!x.parked || (moderated_only && !fl->moderated)) continue;
         // Errors take their own path: the supervisor's error interrupt.
-        if (!drv.is_complete(x.tid) ||
-            drv.status(x.tid) != dma::TransferStatus::kOk)
-            continue;
+        if (drv.status(x.tid) != dma::TransferStatus::kOk) continue;
         claim_transfer(x);
         settle(x, Wake::kClaimed);
         batch.push_back(fl);
@@ -2634,9 +2652,12 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
             }
         }
         if (!hit) continue;
-        if (fl->xfer.tid != dma::kInvalidTransfer &&
-            kernel_.dma().is_complete(fl->xfer.tid))
-            return false;  // data already landed; default path is safe
+        // Data already landed (a released attempt kept whether it had
+        // finished): the default path is safe.
+        const Transfer &x = fl->xfer;
+        if (x.tid != dma::kInvalidTransfer ? kernel_.dma().is_complete(x.tid)
+                                           : x.finished)
+            return false;
         abort_migration(fl);
         return true;
     }
@@ -2646,10 +2667,10 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
 void
 MemifDevice::abort_migration(const InFlightPtr &fl)
 {
-    // Drop the outstanding DMA (if it was ever triggered), restore
-    // every old mapping, release the new pages, and notify the
-    // application of the abort. Runs synchronously in the faulting
-    // thread's context.
+    // Cancel the outstanding DMA (if one is started and not yet
+    // released: its supervisor releases it), restore every old mapping,
+    // release the new pages, and notify the application of the abort.
+    // Runs synchronously in the faulting thread's context.
     if (fl->xfer.tid != dma::kInvalidTransfer)
         kernel_.dma().cancel(fl->xfer.tid);
     rollback_remap(fl, ExecContext::kSyscall);

@@ -608,7 +608,8 @@ class MemifDevice {
      *  - the staging, submission, and per-CPU ring queues are drained;
      *  - no request slot is stuck in kSubmitted / kInFlight;
      *  - every DMA descriptor lease has been returned to the chain
-     *    cache (no leaked PaRAM entries);
+     *    cache (no leaked PaRAM entries), and every engine transfer
+     *    record released;
      *  - every frame parked in a bulk-alloc magazine is a real,
      *    allocated, unmapped frame and no magazine exceeds its cap;
      *  - every surviving gang-translation-cache entry still matches
@@ -682,7 +683,10 @@ class MemifDevice {
     /** One started transfer under supervision: a flight's own
      *  (InFlight::xfer) or one chain hop's. */
     struct Transfer {
+        /** The attempt's engine transfer until release_transfer(). */
         dma::TransferId tid = dma::kInvalidTransfer;
+        /** The released attempt had finished rather than hung. */
+        bool finished = false;
         std::uint32_t attempts = 0;   ///< starts so far (1 = first)
         sim::SimTime start_at = 0;    ///< trigger time of the attempt
         sim::Duration predicted = 0;  ///< engine quote for the attempt
@@ -907,11 +911,15 @@ class MemifDevice {
      *  supervisor that is not parked cannot be settled). */
     void settle(Transfer &x, Wake w);
     /** Take @p x from its waker's hands before any suspension:
-     *  unregister it, disarm its deadline, drop a delivery moderation
-     *  still holds (reported through @p held), return its lease, and
-     *  classify it — kNone, kDmaError, kXlateFault, or kTimeout for a
-     *  hung chain, which the caller must cancel. */
+     *  disarm its deadline and classify it — kNone, kDmaError or
+     *  kXlateFault for a finished transfer, which it releases
+     *  (@p held reports a delivery moderation still held), or kTimeout
+     *  for a hung chain, which the caller must release_transfer(). */
     MovError claim_transfer(Transfer &x, bool *held = nullptr);
+    /** Cancel @p x's transfer unless it finished, then unregister and
+     *  release it (lease and engine record). @return whether
+     *  moderation still held its delivery, now dropped. */
+    bool release_transfer(Transfer &x);
     /** Take and settle every parked supervisor whose transfer completed
      *  cleanly (only moderated ones with @p moderated_only), appending
      *  its flight to @p batch: the drain and reap passes' one scan. */
@@ -1161,12 +1169,14 @@ class MemifDevice {
                              MovError error);
     /** Wake the scanner if it parked (device-activity signal). */
     void wake_scanner();
-    /** True when @p run of @p vma overlaps an in-flight request's
-     *  source or destination run. With @p daemon_only only
-     *  daemon-originated flights count (app-side Prep gate); the
-     *  scanner passes false so it never samples under ANY move. */
+    /** Which in-flight requests page_run_in_flight() counts: all (the
+     *  scanner samples under none), the daemon's (the app-side Prep
+     *  gate) or migrations (a replication's source check). */
+    enum class Movers : std::uint8_t { kAll, kDaemon, kMigration };
+    /** True when @p run of @p vma overlaps the source or destination
+     *  run of an in-flight request that @p movers counts. */
     bool page_run_in_flight(const vm::Vma *vma, PageRun run,
-                            bool daemon_only = false);
+                            Movers movers = Movers::kAll);
     /** Which tier bucket @p b of @p mr currently lives on, judged by
      *  its first page: the daemon moves whole buckets, so a bucket's
      *  pages straddle nodes only mid-migration (which the scanner
@@ -1198,7 +1208,7 @@ class MemifDevice {
     /** Retired flights, parked with their vectors' capacity. */
     sim::RecyclePool<InFlight> flight_pool_;
     std::vector<InFlightPtr> in_flight_;
-    /** Every transfer started and not yet taken back (flights' and
+    /** Every transfer started and not yet released (flights' and
      *  hops'); teardown cancels them so no engine callback or deadline
      *  outlives the device. */
     std::vector<Transfer *> transfers_;

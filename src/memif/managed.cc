@@ -108,14 +108,16 @@ MemifDevice::wake_scanner()
 
 bool
 MemifDevice::page_run_in_flight(const vm::Vma *vma, PageRun run,
-                                bool daemon_only)
+                                Movers movers)
 {
     auto overlaps = [&](const InFlightPtr &fl) {
         // App-vs-app overlap keeps its pre-managed semantics (the
         // migration PTE check in Prep; replications may legitimately
         // share read-only source pages) — the gate only arbitrates
         // collisions that involve a daemon mov.
-        if (daemon_only && !fl->daemon) return false;
+        if (movers == Movers::kDaemon && !fl->daemon) return false;
+        if (movers == Movers::kMigration && fl->op != MovOp::kMigrate)
+            return false;
         return (fl->vma == vma && fl->plan.src.overlaps(run)) ||
                (fl->op == MovOp::kReplicate && fl->dst_vma == vma &&
                 fl->plan.dst.overlaps(run));

@@ -58,8 +58,7 @@ struct KernelConfig {
 /** Counters for the user/kernel interface (satellite of the FlexSC-style
  *  motivation in §2.3: crossings are the cost batching amortizes). */
 struct SyscallStats {
-    std::uint64_t crossings = 0;       ///< enter+exit round trips charged
-    sim::Duration crossing_time = 0;   ///< total time spent crossing
+    std::uint64_t crossings = 0;  ///< enter+exit round trips charged
 };
 
 /**
@@ -103,7 +102,6 @@ class Kernel {
     syscall_crossing()
     {
         ++syscall_stats_.crossings;
-        syscall_stats_.crossing_time += cfg_.costs.syscall_crossing;
         return cpu_.busy(sim::ExecContext::kSyscall, sim::Op::kSyscall,
                          cfg_.costs.syscall_crossing);
     }

@@ -57,7 +57,6 @@ AddressSpace::mmap_policy(std::uint64_t bytes, PageSize psize,
         pm_.add_rmap(pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(pfn).pack(),
                                std::memory_order_release);
-        ++stats_.mapped_pages;
     }
 
     return add_vma(std::move(vma));
@@ -119,7 +118,6 @@ AddressSpace::release_vma(Vma &vma)
         // Shared frames survive until their last mapping goes away.
         if (pm_.frame(pte.pfn).mapcount() == 0) pm_.free(pte.pfn, order);
         vma.pte_slot(i).store(0, std::memory_order_release);
-        ++stats_.unmapped_pages;
     }
 }
 
@@ -141,7 +139,6 @@ AddressSpace::mmap_file(FileBacking &backing,
         pm_.add_rmap(pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(pfn).pack(),
                                std::memory_order_release);
-        ++stats_.mapped_pages;
     }
     return add_vma(std::move(vma));
 }
@@ -161,7 +158,6 @@ AddressSpace::mmap_shared(const Vma &source)
         pm_.add_rmap(src_pte.pfn, this, vma->page_vaddr(i));
         vma->pte_slot(i).store(Pte::make(src_pte.pfn).pack(),
                                std::memory_order_release);
-        ++stats_.mapped_pages;
     }
     return add_vma(std::move(vma));
 }

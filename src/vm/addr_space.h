@@ -36,8 +36,6 @@ struct VmStats {
     std::uint64_t hard_faults = 0;
     std::uint64_t tlb_page_flushes = 0;
     std::uint64_t tlb_range_flushes = 0;
-    std::uint64_t mapped_pages = 0;
-    std::uint64_t unmapped_pages = 0;
     std::uint64_t heat_samples = 0;   ///< pages examined by heat_sample()
     std::uint64_t heat_rearms = 0;    ///< young bits re-armed by the scanner
 };

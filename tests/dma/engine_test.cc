@@ -299,7 +299,7 @@ TEST(EngineFault, StuckWinsOverTcErrorWhenBothFire)
     EXPECT_EQ(f.faulty.stats().transfers_failed, 0u);
 }
 
-TEST(Engine, FlightTableAutoPurgesAtThreshold)
+TEST(Engine, RecordTableIsBoundedByUnreleasedTransfers)
 {
     Fixture f;
     const mem::Pfn src = f.pm.allocate(f.slow, 0);
@@ -307,18 +307,32 @@ TEST(Engine, FlightTableAutoPurgesAtThreshold)
     f.engine.param_ram().write_full(
         0, TransferDescriptor::contiguous(f.addr(src), f.addr(dst),
                                           mem::kPageSize));
-    // Run well past the threshold without ever calling purge_finished():
-    // the table must stay bounded by the auto-purge in start_chain.
-    const std::size_t n = Edma3Engine::kPurgeThreshold * 2 + 10;
+    // Two transfers stay unreleased throughout; every other round starts
+    // one, runs it and releases it, so a released slot serves the next
+    // start and the table never grows past three records.
+    const TransferId held_a = f.engine.start_chain(0, 0, false, nullptr);
+    const TransferId held_b = f.engine.start_chain(0, 1, false, nullptr);
+    const std::size_t n = 2 * 1024 + 10;
+    TransferId last = kInvalidTransfer;
     for (std::size_t i = 0; i < n; ++i) {
-        f.engine.start_chain(0, 0, false, nullptr);
+        const TransferId id = f.engine.start_chain(0, 2, false, nullptr);
+        EXPECT_NE(id, kInvalidTransfer);
+        EXPECT_NE(id, last);  // a new generation ...
+        EXPECT_EQ(transfer_slot(id), 2u);  // ... of the one free slot
+        EXPECT_EQ(f.engine.live_transfers(), 3u);
         f.eq.run();
+        EXPECT_TRUE(f.engine.is_complete(id));
+        f.engine.release(id);
+        last = id;
     }
-    EXPECT_LE(f.engine.flight_count(), Edma3Engine::kPurgeThreshold);
-    EXPECT_EQ(f.engine.stats().transfers_completed, n);
+    EXPECT_EQ(f.engine.live_transfers(), 2u);
+    EXPECT_EQ(f.engine.stats().transfers_completed, n + 2);
+    f.engine.release(held_a);
+    f.engine.release(held_b);
+    EXPECT_EQ(f.engine.live_transfers(), 0u);
 }
 
-TEST(Engine, StatusOfPurgedAndInFlightIdsIsOk)
+TEST(EngineDeathTest, ReleasedIdIsRejected)
 {
     Fixture f;
     const mem::Pfn src = f.pm.allocate(f.slow, 0);
@@ -327,10 +341,56 @@ TEST(Engine, StatusOfPurgedAndInFlightIdsIsOk)
         0, TransferDescriptor::contiguous(f.addr(src), f.addr(dst),
                                           mem::kPageSize));
     const TransferId id = f.engine.start_chain(0, 0, false, nullptr);
-    EXPECT_EQ(f.engine.status(id), TransferStatus::kOk);  // in flight
+    EXPECT_EQ(f.engine.status(id), TransferStatus::kInFlight);
+    EXPECT_DEATH(f.engine.release(id), "still in flight");
     f.eq.run();
-    f.engine.purge_finished();
-    EXPECT_EQ(f.engine.status(id), TransferStatus::kOk);  // purged
+    f.engine.release(id);
+    // A released id answers nothing, not even after its slot serves
+    // the next transfer: the old generation is stale.
+    EXPECT_DEATH(f.engine.status(id), "after its release");
+    EXPECT_DEATH(f.engine.is_complete(id), "after its release");
+    EXPECT_DEATH(f.engine.cancel(id), "after its release");
+    EXPECT_DEATH(f.engine.release(id), "after its release");
+    const TransferId next = f.engine.start_chain(0, 0, false, nullptr);
+    EXPECT_NE(next, id);
+    EXPECT_EQ(transfer_slot(next), transfer_slot(id));
+    EXPECT_DEATH(f.engine.completion_time(id), "after its release");
+    f.eq.run();
+    f.engine.release(next);
+}
+
+TEST(Engine, GateFaultEndsTheChainWithItsOwnStatus)
+{
+    Fixture f;
+    const mem::Pfn src = f.pm.allocate(f.slow, 1);
+    const mem::Pfn dst = f.pm.allocate(f.fast, 1);
+    std::memset(f.pm.span(src, 2 * mem::kPageSize), 0x3C,
+                2 * mem::kPageSize);
+    TransferDescriptor d0 = TransferDescriptor::contiguous(
+        f.addr(src), f.addr(dst), mem::kPageSize);
+    d0.link = 1;
+    f.engine.param_ram().write_full(0, d0);
+    f.engine.param_ram().write_full(
+        1, TransferDescriptor::contiguous(f.addr(src + 1), f.addr(dst + 1),
+                                          mem::kPageSize));
+    // The walk for the second entry faults: the first entry streamed,
+    // the second never does, and the chain completes as a TC error.
+    bool fired = false;
+    const TransferId id = f.engine.start_chain(
+        0, 0, true, [&](TransferId) { fired = true; }, false,
+        [](TransferId, std::uint32_t index, TransferDescriptor &) {
+            return XlateVerdict{.fault = index == 1};
+        });
+    EXPECT_EQ(f.engine.status(id), TransferStatus::kInFlight);
+    f.eq.run();
+    EXPECT_TRUE(fired);
+    EXPECT_TRUE(f.engine.is_complete(id));
+    EXPECT_EQ(f.engine.status(id), TransferStatus::kXlateFault);
+    EXPECT_EQ(*f.pm.span(dst, 1), std::byte{0x3C});
+    EXPECT_EQ(*f.pm.span(dst + 1, 1), std::byte{0});
+    EXPECT_EQ(f.engine.stats().gate_faults, 1u);
+    EXPECT_EQ(f.engine.stats().transfers_failed, 1u);
+    f.engine.release(id);
 }
 
 TEST(Engine, BandwidthBoundBySlowerNode)

@@ -98,23 +98,6 @@ TEST(Buddy, NonPowerOfTwoCapacityIsFullyUsable)
     EXPECT_EQ(got, 1000u);
 }
 
-TEST(BuddyDeath, DoubleFreePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    BuddyAllocator b(64);
-    const std::uint64_t h = b.allocate(2);
-    b.free(h, 2);
-    EXPECT_DEATH(b.free(h, 2), "double free");
-}
-
-TEST(BuddyDeath, WrongOrderFreePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    BuddyAllocator b(64);
-    const std::uint64_t h = b.allocate(2);
-    EXPECT_DEATH(b.free(h, 3), "mismatch");
-}
-
 /** Property: random alloc/free churn never corrupts accounting. */
 class BuddyChurn : public ::testing::TestWithParam<std::uint64_t> {};
 

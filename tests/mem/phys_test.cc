@@ -78,6 +78,29 @@ TEST(Phys, AllocateMarksFramesAndFreeClears)
         EXPECT_FALSE(pm.frame(p).allocated);
 }
 
+TEST(PhysDeathTest, DoubleFreePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    PhysicalMemory pm;
+    add_two_nodes(pm);
+    const Pfn h = pm.allocate(0, 2);
+    pm.free(h, 2);
+    EXPECT_DEATH(pm.free(h, 2), "double free");
+    // A frame inside a live block is not a head either.
+    const Pfn live = pm.allocate(0, 2);
+    EXPECT_DEATH(pm.free(live + 1, 0), "bad head");
+}
+
+TEST(PhysDeathTest, WrongOrderFreePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    PhysicalMemory pm;
+    add_two_nodes(pm);
+    const Pfn h = pm.allocate(0, 2);
+    EXPECT_DEATH(pm.free(h, 3), "mismatch");
+    EXPECT_DEATH(pm.free(h, 1), "mismatch");
+}
+
 TEST(Phys, ExhaustionReturnsInvalidPfn)
 {
     PhysicalMemory pm;

@@ -16,6 +16,7 @@
 #include "dma/engine.h"
 #include "memif/xlate_cache.h"
 #include "memif_fixture.h"
+#include "os/page_migration.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
@@ -313,6 +314,105 @@ TEST(MmuAware, LeversOffStaysOnThePrePinnedPath)
     EXPECT_EQ(ds.stream_prefetch_issued, 0u);
     EXPECT_EQ(ds.sva_resolved, 0u);
     EXPECT_EQ(f.kernel.dma_engine().stats().gated_transfers, 0u);
+}
+
+// ---------------------------------------------------------------------
+// A stream's translations moving under it: the gate's retranslation,
+// its late-prefetch stall, and a retry's revalidation. Bytes stay exact.
+// ---------------------------------------------------------------------
+
+/** Submit a 64-page SVA replication of pattern @p seed to the fast
+ *  node; @p src and @p dst get its two regions. */
+std::uint32_t
+sva_stream(Fixture &f, std::uint8_t seed, vm::VAddr *src, vm::VAddr *dst)
+{
+    *src = f.region(64 * 4096, seed);
+    *dst = f.proc.mmap(64 * 4096, vm::PageSize::k4K, f.kernel.fast_node());
+    return f.submit(MovOp::kReplicate, *src, 64, *dst);
+}
+
+/** At @p when, the Linux baseline moves @p n source pages from @p page
+ *  on to the fast node, under the stream's feet. */
+void
+baseline_move_at(Fixture &f, sim::SimTime when, vm::VAddr src,
+                 std::uint64_t page, std::uint64_t n, os::MigrationResult *res)
+{
+    auto move = [&f, src, page, n, res]() -> sim::Task {
+        co_await os::migrate_pages_sync(f.proc, src + page * 4096, n,
+                                        f.kernel.fast_node(), res);
+    };
+    f.kernel.eq().schedule_at(when, [&f, move] { f.kernel.spawn(move()); });
+}
+
+TEST(MmuAware, GateRetranslatesPagesMovedMidStream)
+{
+    vm::VAddr src = 0, dst = 0;
+    const test::DmaWindow w = test::dma_window(
+        [&](Fixture &c) { return sva_stream(c, 61, &src, &dst); },
+        uncoalesced_mmu_aware());
+    Fixture f(uncoalesced_mmu_aware());
+    const std::uint32_t idx = sva_stream(f, 61, &src, &dst);
+    // The stream's last four pages move while its first ones copy: the
+    // descriptors programmed at Prep name their old frames, and the
+    // gate rewrites each from the live tables when the TC gets there.
+    os::MigrationResult res;
+    baseline_move_at(f, w.start, src, 60, 4, &res);
+    f.kernel.run();
+
+    EXPECT_EQ(res.pages_moved, 4u);
+    EXPECT_LT(res.completed_at, w.complete);
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 64 * 4096, 61));
+    EXPECT_TRUE(f.check(src, 64 * 4096, 61));
+    EXPECT_EQ(f.dev.stats().sva_retranslated, 4u);
+    EXPECT_EQ(f.dev.stats().dma_retries, 0u);
+}
+
+TEST(MmuAware, RetryRevalidatesPagesMovedDuringTheFailedAttempt)
+{
+    vm::VAddr src = 0, dst = 0;
+    const test::DmaWindow w = test::dma_window(
+        [&](Fixture &c) { return sva_stream(c, 62, &src, &dst); },
+        uncoalesced_mmu_aware());
+    Fixture f(uncoalesced_mmu_aware());
+    f.faults().arm_nth(dma::kFaultTcError, 1);
+    const std::uint32_t idx = sva_stream(f, 62, &src, &dst);
+    // An errored attempt never steps its chain, so the gate sees none
+    // of it; the four pages that move meanwhile are rewritten in the
+    // SG list by the retry's revalidation, before its chain is built.
+    os::MigrationResult res;
+    baseline_move_at(f, w.start, src, 0, 4, &res);
+    f.kernel.run();
+
+    EXPECT_EQ(res.pages_moved, 4u);
+    EXPECT_LT(res.completed_at, w.complete);
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 64 * 4096, 62));
+    EXPECT_EQ(f.dev.stats().dma_errors, 1u);
+    EXPECT_EQ(f.dev.stats().dma_retries, 1u);
+    EXPECT_EQ(f.dev.stats().sva_retranslated, 4u);
+}
+
+TEST(MmuAware, SlowWalkerStallsTheStreamWithoutLosingBytes)
+{
+    // A page walk forty times slower than the default: the TC streams
+    // each 4 KB entry faster than the prefetcher walks it, so the
+    // stream catches up with the walker and stalls until it lands.
+    os::KernelConfig kc;
+    kc.costs.page_walk_adjacent *= 40;
+    Fixture f(uncoalesced_mmu_aware(), kc);
+    vm::VAddr src = 0, dst = 0;
+    const std::uint32_t idx = sva_stream(f, 63, &src, &dst);
+    f.kernel.run();
+
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 64 * 4096, 63));
+    const DeviceStats &ds = f.dev.stats();
+    const dma::EngineStats &es = f.kernel.dma_engine().stats();
+    EXPECT_GE(ds.stream_prefetch_late, 1u);
+    EXPECT_GE(es.gate_stalls, ds.stream_prefetch_late);
+    EXPECT_GE(es.gate_stall_time, ds.consumer_stall_time);
+    EXPECT_GT(ds.consumer_stall_time, 0u);
 }
 
 }  // namespace

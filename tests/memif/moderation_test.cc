@@ -34,6 +34,17 @@ namespace {
 // Engine-level moderation mechanics.
 // --------------------------------------------------------------------
 
+/** The default cost model with a moderation batch of @p batch and a
+ *  holdoff of @p holdoff, each where nonzero. */
+sim::CostModel
+moderation_costs(std::uint32_t batch, sim::Duration holdoff)
+{
+    sim::CostModel cm;
+    if (batch) cm.dma_moderation_batch = batch;
+    if (holdoff) cm.dma_moderation_holdoff = holdoff;
+    return cm;
+}
+
 struct EngineFixture {
     sim::EventQueue eq;
     mem::PhysicalMemory pm;
@@ -42,7 +53,9 @@ struct EngineFixture {
     sim::FaultInjector faults;
     dma::Edma3Engine engine{eq, pm, cm, &faults};
 
-    EngineFixture()
+    explicit EngineFixture(std::uint32_t batch = 0,
+                           sim::Duration holdoff = 0)
+        : cm(moderation_costs(batch, holdoff))
     {
         auto ids = mem::KeystoneMemory::build(pm, 32ull << 20);
         slow = ids.first;
@@ -66,9 +79,8 @@ struct EngineFixture {
 
 TEST(ModerationEngine, BatchThresholdCoalescesIntoOneIrq)
 {
-    EngineFixture f;
     // Holdoff far in the future: only the count threshold can flush.
-    f.engine.configure_moderation(3, sim::milliseconds(10));
+    EngineFixture f(3, sim::milliseconds(10));
     int fired = 0;
     for (dma::DescIndex i = 0; i < 3; ++i)
         f.engine.start_chain(f.page_chain(i, 0x40 + i), 0, true,
@@ -85,8 +97,7 @@ TEST(ModerationEngine, BatchThresholdCoalescesIntoOneIrq)
 
 TEST(ModerationEngine, HoldoffTimerFlushesPartialBatch)
 {
-    EngineFixture f;
-    f.engine.configure_moderation(8, sim::microseconds(10));
+    EngineFixture f(8, sim::microseconds(10));
     sim::SimTime delivered = 0;
     const dma::TransferId id = f.engine.start_chain(
         f.page_chain(0, 0x51), 0, true,
@@ -106,8 +117,7 @@ TEST(ModerationEngine, TcErrorBypassesModeration)
     // The CC error line is separate from the completion line: a TC
     // error on a moderated chain is delivered at completion time, not
     // a holdoff later — moderation never extends time-to-detection.
-    EngineFixture f;
-    f.engine.configure_moderation(8, sim::microseconds(10));
+    EngineFixture f(8, sim::microseconds(10));
     f.faults.arm_nth(dma::kFaultTcError, 1);
     sim::SimTime delivered = 0;
     const dma::TransferId id = f.engine.start_chain(
@@ -124,9 +134,8 @@ TEST(ModerationEngine, TcErrorBypassesModeration)
 
 TEST(ModerationEngine, MaskAccumulatesAndUnmaskFlushesOnce)
 {
-    EngineFixture f;
     // Batch of 2 would flush immediately — unless masked.
-    f.engine.configure_moderation(2, sim::microseconds(10));
+    EngineFixture f(2, sim::microseconds(10));
     f.engine.mask_moderation();
     int fired = 0;
     for (dma::DescIndex i = 0; i < 2; ++i)
@@ -141,7 +150,7 @@ TEST(ModerationEngine, MaskAccumulatesAndUnmaskFlushesOnce)
     EXPECT_EQ(f.engine.stats().interrupts_raised, 1u);
 }
 
-TEST(ModerationEngine, DiscardDropsHeldDeliveryAndPurges)
+TEST(ModerationEngine, DiscardDropsHeldDeliveryAndLeavesItReleasable)
 {
     EngineFixture f;
     f.engine.mask_moderation();
@@ -152,14 +161,17 @@ TEST(ModerationEngine, DiscardDropsHeldDeliveryAndPurges)
         /*moderated=*/true);
     f.eq.run();
     EXPECT_TRUE(f.engine.is_complete(id));
+    EXPECT_DEATH(f.engine.release(id), "delivery is held");
     EXPECT_TRUE(f.engine.discard_moderated(id));
     EXPECT_FALSE(f.engine.discard_moderated(id));  // idempotent
     f.engine.unmask_moderation();
     f.eq.run();
     EXPECT_EQ(fired, 0);  // delivery was dropped, not deferred
     EXPECT_EQ(f.engine.stats().interrupts_raised, 0u);
-    // No longer held -> the record is purgeable.
-    EXPECT_GE(f.engine.purge_finished(), 1u);
+    // No longer held -> its owner can release the record.
+    EXPECT_EQ(f.engine.live_transfers(), 1u);
+    f.engine.release(id);
+    EXPECT_EQ(f.engine.live_transfers(), 0u);
 }
 
 // --------------------------------------------------------------------
@@ -261,8 +273,9 @@ TEST(Moderation, BackstopDrainRetiresCoalescedBatchInOnePass)
     // both watchdog deadlines.
     MemifConfig cfg = MemifConfig::moderated();
     cfg.multi_tc_dispatch = false;  // same TC -> one moderation batch
-    Fixture f(cfg);
-    f.kernel.dma_engine().configure_moderation(0, sim::microseconds(16));
+    os::KernelConfig kc;
+    kc.costs.dma_moderation_holdoff = sim::microseconds(16);
+    Fixture f(cfg, kc);
     const vm::VAddr src = f.proc.mmap(18 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst =
         f.proc.mmap(18 * 4096, vm::PageSize::k4K, f.kernel.fast_node());

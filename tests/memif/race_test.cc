@@ -85,6 +85,42 @@ TEST(RaceDetect, TouchAfterCompletionIsFine)
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
 }
 
+// A replication whose source run overlaps an in-flight migration must
+// not read it: under the semi-final protocol the PTEs already name the
+// new frames, which hold no bytes until the migration's copy lands.
+// Eight small replications keep the kernel thread awake, so with
+// multi-TC dispatch the late replication's copy runs beside the
+// migration's instead of queueing behind it on one TC.
+class ReplicationOverMigration
+    : public ::testing::TestWithParam<MemifConfig (*)()> {};
+
+TEST_P(ReplicationOverMigration, IsBusyUntilTheCopyLands)
+{
+    MemifFixture f(GetParam()());
+    const vm::VAddr warm_src = f.region(64 * 4096, 3);
+    const vm::VAddr warm_dst = f.region(64 * 4096, 4);
+    const vm::VAddr base = f.region(256 * 4096, 7);
+    const vm::VAddr copy = f.region(2 * 4096, 9);
+    for (vm::VAddr off = 0; off < 64 * 4096; off += 8 * 4096)
+        f.submit(MovOp::kReplicate, warm_src + off, 8, warm_dst + off);
+    const std::uint32_t mig =
+        f.submit(MovOp::kMigrate, base, 256, f.kernel.fast_node());
+    const std::uint32_t rep = f.submit(MovOp::kReplicate, base, 2, copy);
+    f.kernel.run();
+
+    EXPECT_EQ(f.user.request(mig).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(base, 256 * 4096, 7));
+    EXPECT_TRUE(f.check(warm_dst, 64 * 4096, 3));
+    EXPECT_EQ(f.user.request(rep).load_status(), MovStatus::kFailed);
+    EXPECT_EQ(f.user.request(rep).error, MovError::kBusy);
+    EXPECT_TRUE(f.check(copy, 2 * 4096, 9));  // never written
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SemiFinalPresets, ReplicationOverMigration,
+    ::testing::Values(&MemifConfig::pipelined, &MemifConfig::scaled,
+                      &MemifConfig::mmu_aware, &MemifConfig::strided));
+
 TEST(RaceRecover, TouchAbortsAndRestoresOldMapping)
 {
     const sim::SimTime mid = mid_copy(RacePolicy::kRecover);

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "check/reference_model.h"
 #include "dma/engine.h"
 #include "memif/user_api.h"
 #include "memif_fixture.h"
@@ -229,10 +230,10 @@ TEST(Recovery, LostErrorInterruptIsRetriedNotReleased)
 {
     // Every transfer is interrupt-driven. The second one fails with a
     // TC error AND its error interrupt is lost. Before its deadline the
-    // kernel thread starts the third request and goes to sleep — where
-    // it drops finished engine records. A purged id reads as a clean
-    // completion, so the deadline must still find the real status: it
-    // retries the copy instead of releasing bytes that never moved.
+    // kernel thread starts the third request and goes to sleep. The
+    // errored record waits for its supervisor, so the deadline finds
+    // the real status: it retries the copy instead of releasing bytes
+    // that never moved.
     MemifConfig cfg;
     cfg.poll_threshold_bytes = 0;
     cfg.watchdog_margin = 20.0;  // the deadline lands after that sleep
@@ -262,6 +263,67 @@ TEST(Recovery, LostErrorInterruptIsRetriedNotReleased)
     EXPECT_EQ(f.dev.stats().dma_retries, 1u);
     EXPECT_EQ(f.dev.stats().watchdog_timeouts, 1u);
     EXPECT_EQ(f.kernel.dma_engine().stats().interrupts_lost, 1u);
+}
+
+TEST(Recovery, LostErrorInterruptSurvivesAFullEngineTable)
+{
+    // One 16 MB replication out of the far node fails with a TC error
+    // whose interrupt is lost, so only its deadline learns of it. Until
+    // then a second instance on the same kernel runs thousands of
+    // one-page replications through the same engine. However many
+    // records that traffic leaves behind, the errored one stays until
+    // its supervisor reads it: the deadline retries the copy instead of
+    // releasing a destination no byte reached.
+    Fixture f(MemifConfig{}, os::KernelConfig{.far_bytes = 64ull << 20});
+    constexpr std::uint32_t kBigPages = 256;  // 64 KB pages
+    constexpr std::uint64_t kBig = kBigPages * (64ull << 10);
+    const vm::VAddr src =
+        f.region(kBig, 31, f.kernel.far_node(), vm::PageSize::k64K);
+    const vm::VAddr dst =
+        f.region(kBig, 32, f.kernel.slow_node(), vm::PageSize::k64K);
+    f.faults().arm_nth(dma::kFaultTcError, 1);
+    f.faults().arm_nth(dma::kFaultLostIrq, 1);
+    const std::uint32_t big =
+        f.submit(MovOp::kReplicate, src, kBigPages, dst);
+    const dma::EngineStats &es = f.kernel.dma_engine().stats();
+    while (es.transfers_started == 0 && f.kernel.eq().step()) {
+    }
+    ASSERT_EQ(es.transfers_started, 1u);
+
+    os::Process &p2 = f.kernel.create_process();
+    auto &other = f.open_device(p2);
+    const vm::VAddr osrc = p2.mmap(4096, vm::PageSize::k4K);
+    const vm::VAddr odst = p2.mmap(4096, vm::PageSize::k4K);
+    std::vector<std::uint8_t> page(4096);
+    check::fill_pattern(33, page);
+    ASSERT_TRUE(p2.as().write(osrc, page.data(), page.size()));
+    constexpr int kSmall = 4000;
+    int small_done = 0;
+    auto loop = [&]() -> sim::Task {
+        for (int r = 0; r < kSmall; ++r) {
+            const std::uint32_t idx =
+                f.prepare(other.user, MovOp::kReplicate, osrc, 1, odst);
+            co_await other.user.submit(idx);
+            std::uint32_t done = kNoRequest;
+            while ((done = other.user.retrieve_completed()) == kNoRequest)
+                co_await other.user.poll();
+            if (other.user.request(done).load_status() == MovStatus::kDone)
+                ++small_done;
+            other.user.free_request(done);
+        }
+    };
+    sim::Task task = loop();
+    f.kernel.run();
+    task.rethrow_if_failed();
+
+    EXPECT_EQ(small_done, kSmall);
+    EXPECT_EQ(f.user.request(big).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, kBig, 31));
+    EXPECT_EQ(f.dev.stats().dma_errors, 1u);
+    EXPECT_EQ(f.dev.stats().dma_retries, 1u);
+    EXPECT_EQ(f.dev.stats().watchdog_timeouts, 1u);
+    EXPECT_EQ(es.transfers_failed, 1u);
+    EXPECT_EQ(es.interrupts_lost, 1u);
 }
 
 TEST(Recovery, FallbackUnderRacePreventionDefersRelease)
