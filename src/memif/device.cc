@@ -1733,8 +1733,7 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
     tr.record(kernel_.eq().now(), TracePoint::kDmaConfigDone, ctx, idx);
 
     if (fl->aborted) {
-        // A racing access rolled the migration back while we were
-        // programming descriptors; nothing to trigger.
+        // Rolled back while the descriptors were programmed.
         kernel_.dma().abandon(std::move(prepared));
         co_return;
     }
@@ -1744,7 +1743,6 @@ MemifDevice::execute_ops(std::uint32_t idx, const ReqSnapshot &snap,
     *out = supervise(fl,
                      Supervision{.x = &fl->xfer,
                                  .sg = &fl->sg,
-                                 .latch = &fl->aborted,
                                  .ctx = irq_mode ? ExecContext::kIrq : ctx,
                                  .polled = !irq_mode},
                      &prepared);
@@ -1804,15 +1802,15 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
             p = std::move(*std::exchange(first, nullptr));
         } else {
             co_await drv.reserve_descriptors(
-                static_cast<std::uint32_t>(s.sg->size()), s.latch,
+                static_cast<std::uint32_t>(s.sg->size()), &fl->aborted,
                 &stopping_);
-            if (*s.latch || stopping_) break;
+            if (fl->aborted || stopping_) break;
             // A retried SVA stream re-validates every prefetched
             // translation: the world may have moved while it was down.
             if (!fl->slots.empty()) revalidate_stream(fl);
             p = drv.prepare(*s.sg);
             co_await kernel_.cpu().busy(s.ctx, Op::kDmaConfig, p.cpu_time);
-            if (*s.latch || stopping_) {
+            if (fl->aborted || stopping_) {
                 drv.abandon(std::move(p));
                 break;
             }
@@ -1881,7 +1879,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
                 w = co_await Park<Transfer>{x};
             }
             if (w == Wake::kClaimed) co_return;  // its settler retires it
-            if (*s.latch || stopping_ || w == Wake::kIrq) break;
+            if (fl->aborted || stopping_ || w == Wake::kIrq) break;
             // Gate stalls (SVA demand walks, late prefetches) push a
             // gated stream's completion past the quote its wait was
             // armed from: it is progressing, not stuck, so follow the
@@ -1895,7 +1893,7 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
         bool held = false;
         const MovError o = claim_transfer(x, &held);
         if (fl->chained) --active_hop_stages_;
-        if (*s.latch || stopping_) {
+        if (fl->aborted || stopping_) {
             if (o == MovError::kTimeout) release_transfer(x);
             break;
         }
@@ -1936,10 +1934,9 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
         if (o == MovError::kTimeout) release_transfer(x);
         if (o == MovError::kNone) {  // a hop landed
             ++stats_.hop_stages_completed;
-            *s.landed = true;
             co_return;
         }
-        if (*s.latch || stopping_) break;
+        if (fl->aborted || stopping_) break;
 
         // ---- The ladder: retry with backoff, then CPU replay, then
         // fail. Only the failed transfer is redone — a chain's earlier
@@ -1950,28 +1947,27 @@ MemifDevice::supervise(InFlightPtr fl, Supervision s,
             trace(TracePoint::kDmaRetry);
             co_await sim::Delay{
                 eq, kDmaRetryBackoff << (x.attempts - 1)};
-            if (*s.latch || stopping_) break;
+            if (fl->aborted || stopping_) break;
             continue;
         }
         if (config_.cpu_copy_fallback) {
             ++stats_.fallback_copies;
             trace(TracePoint::kFallbackCopy);
-            co_await fallback_copy(fl, s.sg, s.ctx);
+            // Landed from here on: a racing access now keeps the move.
+            const std::uint64_t bytes = fallback_copy(fl, *s.sg);
+            x.outcome = Outcome::kReplayed;
+            co_await kernel_.cpu().busy(s.ctx, Op::kCopy,
+                                        cm.cpu_copy_time(bytes));
             if (fl->chained) {
                 ++stats_.hop_fallback_copies;
                 ++stats_.hop_stages_completed;
-                *s.landed = true;
-            } else if (flight_prevents(*fl) && fl->op == MovOp::kMigrate &&
-                       s.ctx == ExecContext::kIrq) {
-                // Release needs sleepable locks under race prevention.
-                pending_release_.push_back(fl);
+            } else if (defer_release(fl, s.ctx)) {
                 wake_kthread();
             } else {
                 co_await do_release(fl, s.ctx);
             }
         } else if (!fl->chained) {
-            // A dry hop fails its chain instead: the batch latches it
-            // and the master rolls the whole remap back.
+            // A dry hop stops its chain instead (run_chain_batch).
             fail_unrecoverable(fl, s.ctx, o);
         }
         break;
@@ -2016,15 +2012,13 @@ MemifDevice::claim_transfer(Transfer &x, bool *held)
         kernel_.eq().cancel(x.deadline);
         x.deadline = sim::EventQueue::kInvalidEvent;
     }
-    using dma::TransferStatus;
-    const TransferStatus st = drv.status(x.tid);
-    if (st == TransferStatus::kInFlight || st == TransferStatus::kCancelled)
-        return MovError::kTimeout;  // hung
+    if (!drv.is_complete(x.tid)) return MovError::kTimeout;  // hung
+    const dma::TransferStatus st = drv.status(x.tid);
     const bool was_held = release_transfer(x);
     if (held) *held = was_held;
-    return st == TransferStatus::kOk      ? MovError::kNone
-           : st == TransferStatus::kError ? MovError::kDmaError
-                                          : MovError::kXlateFault;
+    return st == dma::TransferStatus::kOk      ? MovError::kNone
+           : st == dma::TransferStatus::kError ? MovError::kDmaError
+                                               : MovError::kXlateFault;
 }
 
 bool
@@ -2033,9 +2027,15 @@ MemifDevice::release_transfer(Transfer &x)
     dma::DmaDriver &drv = kernel_.dma();
     // A hung chain is cancelled; a finished one's delivery, if
     // moderation still holds it, is dropped so it cannot dispatch.
-    x.finished = drv.is_complete(x.tid);
-    const bool held = x.finished && drv.discard_moderated(x.tid);
-    if (!x.finished) drv.cancel(x.tid);
+    using dma::TransferStatus;
+    const TransferStatus st = drv.status(x.tid);
+    const bool finished = drv.is_complete(x.tid);
+    x.outcome = st == TransferStatus::kOk          ? Outcome::kLanded
+                : finished                         ? Outcome::kErrored
+                : st == TransferStatus::kCancelled ? Outcome::kCancelled
+                                                   : Outcome::kHung;
+    const bool held = finished && drv.discard_moderated(x.tid);
+    if (!finished) drv.cancel(x.tid);
     std::erase(transfers_, &x);
     drv.reclaim(std::exchange(x.tid, dma::kInvalidTransfer));
     return held;
@@ -2045,12 +2045,12 @@ void
 MemifDevice::claim_completed(std::vector<InFlightPtr> &batch,
                              bool moderated_only)
 {
-    const dma::DmaDriver &drv = kernel_.dma();
     for (const InFlightPtr &fl : in_flight_) {
         Transfer &x = fl->xfer;
-        if (!x.parked || (moderated_only && !fl->moderated)) continue;
         // Errors take their own path: the supervisor's error interrupt.
-        if (drv.status(x.tid) != dma::TransferStatus::kOk) continue;
+        if (!x.parked || (moderated_only && !fl->moderated) ||
+            !x.landed(kernel_.dma()))
+            continue;
         claim_transfer(x);
         settle(x, Wake::kClaimed);
         batch.push_back(fl);
@@ -2089,19 +2089,23 @@ MemifDevice::retire_irq(InFlightPtr first, bool sweep)
     co_await cpu.busy(ExecContext::kIrq, Op::kSched, cm.irq_overhead);
     for (const InFlightPtr &fl : batch) {
         observe_completion(fl);
-        if (flight_prevents(*fl) && fl->op == MovOp::kMigrate) {
-            // Release needs sleepable locks under race prevention —
-            // forbidden here. The kernel thread drains these in one
-            // pass with a shared ranged shootdown.
-            pending_release_.push_back(fl);
-        } else {
+        if (!defer_release(fl, ExecContext::kIrq))
             co_await do_release(fl, ExecContext::kIrq);
-        }
     }
     // ... and one wakeup charge.
     cpu.charge(ExecContext::kIrq, Op::kSched, cm.kthread_wakeup);
     wake_kthread();
     give_batch(std::move(batch));
+}
+
+bool
+MemifDevice::defer_release(const InFlightPtr &fl, ExecContext ctx)
+{
+    if (ctx != ExecContext::kIrq || !flight_prevents(*fl) ||
+        fl->op != MovOp::kMigrate)
+        return false;
+    pending_release_.push_back(fl);
+    return true;
 }
 
 std::vector<MemifDevice::InFlightPtr>
@@ -2154,10 +2158,9 @@ MemifDevice::release_batch(std::vector<InFlightPtr> batch, bool reaped)
     give_batch(std::move(batch));
 }
 
-sim::Task
-MemifDevice::fallback_copy(InFlightPtr fl,
-                           const std::vector<dma::SgEntry> *sg,
-                           ExecContext ctx)
+std::uint64_t
+MemifDevice::fallback_copy(const InFlightPtr &fl,
+                           const std::vector<dma::SgEntry> &sg)
 {
     mem::PhysicalMemory &pm = kernel_.phys();
     // The CPU replays the scatter-gather list byte-for-byte; correct
@@ -2170,7 +2173,7 @@ MemifDevice::fallback_copy(InFlightPtr fl,
         return pm.span(pa >> mem::kPageShift, off + bytes) + off;
     };
     std::uint64_t bytes = 0;
-    for (const dma::SgEntry &e : *sg) {
+    for (const dma::SgEntry &e : sg) {
         bytes += e.total_bytes();
         if (!e.strided() && e.src_addr % mem::kPageSize == 0 &&
             e.dst_addr % mem::kPageSize == 0) {
@@ -2186,8 +2189,7 @@ MemifDevice::fallback_copy(InFlightPtr fl,
                         span_at(e.src_addr + k * e.src_pitch, e.bytes),
                         e.bytes);
     }
-    co_await kernel_.cpu().busy(ctx, Op::kCopy,
-                                kernel_.costs().cpu_copy_time(bytes));
+    return bytes;
 }
 
 void
@@ -2643,21 +2645,14 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
         if (fl->op != MovOp::kMigrate || fl->aborted) continue;
         // Blocking-PTE flights (daemon movs) have no semi-final entry
         // a young fault could race; accessors wait instead.
-        if (flight_prevents(*fl)) continue;
-        bool hit = false;
-        for (const Mapping &m : fl->mappings) {
-            if (m.vma == &vma && m.page_idx == page_idx) {
-                hit = true;
-                break;
-            }
-        }
-        if (!hit) continue;
-        // Data already landed (a released attempt kept whether it had
-        // finished): the default path is safe.
-        const Transfer &x = fl->xfer;
-        if (x.tid != dma::kInvalidTransfer ? kernel_.dma().is_complete(x.tid)
-                                           : x.finished)
-            return false;
+        if (flight_prevents(*fl) ||
+            std::ranges::none_of(fl->mappings, [&](const Mapping &m) {
+                return m.vma == &vma && m.page_idx == page_idx;
+            }))
+            continue;
+        // Landed bytes are safe to access; anything else (a copy still
+        // running, an attempt waiting on its ladder) rolls back.
+        if (fl->xfer.landed(kernel_.dma())) return false;
         abort_migration(fl);
         return true;
     }
@@ -2667,10 +2662,8 @@ MemifDevice::handle_young_fault(vm::Vma &vma, std::uint64_t page_idx)
 void
 MemifDevice::abort_migration(const InFlightPtr &fl)
 {
-    // Cancel the outstanding DMA (if one is started and not yet
-    // released: its supervisor releases it), restore every old mapping,
-    // release the new pages, and notify the application of the abort.
-    // Runs synchronously in the faulting thread's context.
+    // Runs synchronously in the faulting thread's context. An attempt
+    // not yet released is cancelled here and released by its supervisor.
     if (fl->xfer.tid != dma::kInvalidTransfer)
         kernel_.dma().cancel(fl->xfer.tid);
     rollback_remap(fl, ExecContext::kSyscall);

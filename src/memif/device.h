@@ -25,25 +25,14 @@
  *    failed CAS reports the race to the application (the simulation's
  *    analogue of the SIGSEGV).
  *  - kRecover ("proceed and recover"): a custom fault handler catches
- *    the racing access, rolls the whole migration back (old PTEs
- *    restored, DMA dropped), and delivers an "aborted" notification.
+ *    an access racing a migration whose bytes have not landed, rolls
+ *    the whole migration back (old PTEs restored, DMA dropped), and
+ *    delivers an "aborted" notification.
  *  - kPrevent: the Linux-style migration PTE; accessors block, Release
  *    must run in the kernel thread (never in the interrupt handler).
  *
- * DMA error recovery: every started transfer — an interrupt-driven
- * flight, a polled flight, or one hop of a chained move — is owned by
- * one supervisor coroutine from its start until it settles. The
- * supervisor parks until exactly one waker settles it: the completion
- * interrupt, the deadline (predicted duration × watchdog_margin +
- * slack), a drain or reap pass, or (polled) its own tick sleep. Only a
- * parked supervisor can be settled, and the settler owns the transfer
- * from that synchronous point on. A TC bus error or a timeout first
- * retries the transfer (up to dma_max_retries, exponential backoff),
- * then degrades to a CPU byte-copy of the scatter-gather list, and —
- * only if the fallback is disabled — rolls a migration back to its old
- * frames (extending the §5.2 abort machinery) and fails the request
- * with kDmaError/kTimeout. Error completions move no bytes, so
- * destinations are all-or-nothing.
+ * DMA error recovery: one supervisor coroutine owns every started
+ * transfer (supervise(); docs/INTERNALS.md §5 draws its state machine).
  */
 #pragma once
 
@@ -680,13 +669,24 @@ class MemifDevice {
         kAborted,   ///< young-fault rollback (kRecover)
     };
 
+    /** How a transfer's latest attempt ended. */
+    enum class Outcome : std::uint8_t {
+        kInFlight = 0,  ///< not started, or not yet released
+        kLanded,        ///< the engine copied every byte
+        kErrored,       ///< a TC bus error or an xlate fault
+        kHung,          ///< never finished; released by the watchdog
+        kCancelled,     ///< cancelled by a rollback, then released
+        kReplayed,      ///< the CPU fallback copied its bytes
+    };
+
     /** One started transfer under supervision: a flight's own
      *  (InFlight::xfer) or one chain hop's. */
     struct Transfer {
         /** The attempt's engine transfer until release_transfer(). */
         dma::TransferId tid = dma::kInvalidTransfer;
-        /** The released attempt had finished rather than hung. */
-        bool finished = false;
+        /** Set by release_transfer() from the engine record, and to
+         *  kReplayed by the CPU replay; it outlives the record. */
+        Outcome outcome = Outcome::kInFlight;
         std::uint32_t attempts = 0;   ///< starts so far (1 = first)
         sim::SimTime start_at = 0;    ///< trigger time of the attempt
         sim::Duration predicted = 0;  ///< engine quote for the attempt
@@ -695,6 +695,17 @@ class MemifDevice {
          *  a parked supervisor can be settled; settle() clears this. */
         std::coroutine_handle<> parked;
         Wake wake = Wake::kNone;  ///< who settled it last
+
+        /** Whether the attempt's bytes are in: an unreleased one's
+         *  engine record reads kOk, a released one landed or replayed. */
+        bool
+        landed(const dma::DmaDriver &drv) const
+        {
+            return tid != dma::kInvalidTransfer
+                       ? drv.status(tid) == dma::TransferStatus::kOk
+                       : outcome == Outcome::kLanded ||
+                             outcome == Outcome::kReplayed;
+        }
     };
 
     /** Per-page state of one request being served. */
@@ -720,7 +731,9 @@ class MemifDevice {
         std::vector<CacheRef> cache_refs;
         /** The flight's transfer (never started on a chain master). */
         Transfer xfer;
-        bool aborted = false;            ///< recover-mode rollback done
+        /** The flight's one stop latch: set by a rollback and by a chain
+         *  hop whose ladder ran dry. Its gates and supervisors stop. */
+        bool aborted = false;
         /** Scatter-gather list, kept for retries and the CPU fallback. */
         std::vector<dma::SgEntry> sg;
         bool moderated = false;          ///< IRQ held in the TC batch
@@ -735,9 +748,6 @@ class MemifDevice {
          *  reap pass ever claims it; each hop stage runs the same
          *  supervisor over a Transfer of its own. */
         bool chained = false;
-        /** Chain failure latch: set by the first batch whose hop
-         *  ladder ran dry; sibling batches then stop starting hops. */
-        bool chain_failed = false;
         /** Transient 4 KB frames charged to the tenant's quota; zeroed
          *  when the charge is returned (release or rollback). */
         std::uint64_t frames_charged = 0;
@@ -886,22 +896,18 @@ class MemifDevice {
         Transfer *x = nullptr;  ///< &fl->xfer, or the hop's own
         /** What the transfer copies: fl->sg, or the hop's list. */
         const std::vector<dma::SgEntry> *sg = nullptr;
-        /** Abort latch: fl->aborted (young-fault rollback) or
-         *  fl->chain_failed (a sibling batch's ladder ran dry). */
-        const bool *latch = nullptr;
         /** Where IRQ entries and the ladder run: kIrq for interrupt-
          *  driven flights, kKthread for polled flights and hops. */
         sim::ExecContext ctx = sim::ExecContext::kIrq;
-        bool polled = false;     ///< woken by the worker's tick sleep
-        bool *landed = nullptr;  ///< hops: set once the bytes are in
+        bool polled = false;  ///< woken by the worker's tick sleep
     };
     /**
      * The one supervisor of a started transfer. Starts @p first (the
      * chain the caller programmed; null = reserve and program s.sg
      * here), parks until exactly one waker settles it, classifies the
      * outcome, then retires a clean completion or runs the one ladder:
-     * retry with backoff, then CPU replay, then fail. @p first is
-     * consumed before the first suspension.
+     * retry with backoff, then CPU replay, then fail; it stops at
+     * fl->aborted. @p first is consumed before the first suspension.
      */
     sim::Task supervise(InFlightPtr fl, Supervision s,
                         dma::DmaDriver::Prepared *first);
@@ -916,9 +922,9 @@ class MemifDevice {
      *  (@p held reports a delivery moderation still held), or kTimeout
      *  for a hung chain, which the caller must release_transfer(). */
     MovError claim_transfer(Transfer &x, bool *held = nullptr);
-    /** Cancel @p x's transfer unless it finished, then unregister and
-     *  release it (lease and engine record). @return whether
-     *  moderation still held its delivery, now dropped. */
+    /** Cancel @p x's transfer unless it finished, then record its
+     *  outcome, unregister and release it (lease and engine record).
+     *  @return whether moderation held its delivery, now dropped. */
     bool release_transfer(Transfer &x);
     /** Take and settle every parked supervisor whose transfer completed
      *  cleanly (only moderated ones with @p moderated_only), appending
@@ -930,6 +936,10 @@ class MemifDevice {
      *  completion drain), together with every sibling claim_completed()
      *  finds. */
     sim::Task retire_irq(InFlightPtr first, bool sweep);
+    /** Queue @p fl on pending_release_ when a blocking-PTE migration's
+     *  release (sleepable locks) cannot run in @p ctx, i.e. kIrq.
+     *  @return whether it was queued; the caller wakes the thread. */
+    bool defer_release(const InFlightPtr &fl, sim::ExecContext ctx);
     /** Release @p batch from the kernel thread under one shared ranged
      *  shootdown; @p reaped completions are traced and sampled first. */
     sim::Task release_batch(std::vector<InFlightPtr> batch, bool reaped);
@@ -938,10 +948,10 @@ class MemifDevice {
     /** Return @p batch's storage (its flights dropped) for reuse. */
     void give_batch(std::vector<InFlightPtr> batch);
     /** CPU replay of @p sg, row geometry preserved (the degraded floor
-     *  of the ladder); charged to @p ctx. */
-    sim::Task fallback_copy(InFlightPtr fl,
-                            const std::vector<dma::SgEntry> *sg,
-                            sim::ExecContext ctx);
+     *  of the ladder). The bytes land at once; @return the bytes
+     *  copied, whose CPU time the caller charges. */
+    std::uint64_t fallback_copy(const InFlightPtr &fl,
+                                const std::vector<dma::SgEntry> &sg);
     /** No recovery left: roll back (migrations) and fail the request. */
     void fail_unrecoverable(const InFlightPtr &fl, sim::ExecContext ctx,
                             MovError reason);
@@ -1212,7 +1222,7 @@ class MemifDevice {
      *  hops'); teardown cancels them so no engine callback or deadline
      *  outlives the device. */
     std::vector<Transfer *> transfers_;
-    /** kPrevent: releases deferred from the interrupt handler. */
+    /** Releases defer_release() left to the kernel thread. */
     std::vector<InFlightPtr> pending_release_;
     /** Storage of finished completion batches (take_batch()). */
     std::vector<std::vector<InFlightPtr>> batch_pool_;

@@ -121,22 +121,18 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
 {
     ++stats_.chain_batches;
     // One hop stage: a supervisor over a fresh transfer, in kernel-
-    // thread context, latched by the chain's failure flag. ok turns
-    // false when its ladder runs dry.
-    bool ok = true;
+    // thread context. The hop landed exactly when its transfer says so.
     Transfer x;
     const auto hop = [&](const std::vector<dma::SgEntry> *sg) {
-        ok = false;
         x = Transfer{};
         return supervise(fl,
                          Supervision{.x = &x,
                                      .sg = sg,
-                                     .latch = &fl->chain_failed,
-                                     .ctx = ExecContext::kKthread,
-                                     .landed = &ok},
+                                     .ctx = ExecContext::kKthread},
                          nullptr);
     };
-    if (!fl->chain_failed && !stopping_) {
+    const auto landed = [&] { return x.landed(kernel_.dma()); };
+    if (!fl->aborted && !stopping_) {
         // This batch's pages of the flight.
         const auto old_pfns =
             std::span<const mem::Pfn>(fl->old_pfns).subspan(first, count);
@@ -146,7 +142,7 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
         bool have_staging = false;
         co_await staging_acquire(mid, fl->order, count, &staging,
                                  &have_staging);
-        if (!fl->chain_failed && !stopping_) {
+        if (!fl->aborted && !stopping_) {
             if (have_staging) {
                 // Bulk-allocated staging frames are usually contiguous,
                 // so each hop merges its runs (the sg_coalescing rule).
@@ -156,7 +152,7 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                     staging, new_pfns, fl->order, /*merge=*/true);
                 stats_.sg_entries_emitted += hop1.size() + hop2.size();
                 co_await hop(&hop1);
-                if (ok && !fl->chain_failed && !stopping_)
+                if (landed() && !fl->aborted && !stopping_)
                     co_await hop(&hop2);
             } else {
                 // Middle tier exhausted: degrade this batch to one
@@ -168,10 +164,10 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
                 stats_.sg_entries_emitted += direct.size();
                 co_await hop(&direct);
             }
+            if (!landed()) fl->aborted = true;  // the ladder ran dry
         }
         if (!staging.empty()) staging_release(staging, fl->order);
     }
-    if (!ok) fl->chain_failed = true;
     --cs->batches_left;
     cs->join.notify_all();
 }
@@ -208,7 +204,7 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
     }
     while (cs->batches_left != 0) co_await cs->join.wait();
     if (stopping_) co_return;
-    if (fl->chain_failed) {
+    if (fl->aborted) {
         // Mid-chain failure: only unfinished hops are lost — completed
         // hops wrote frames no PTE points at, so restoring the old
         // PTEs (and freeing the new frames) is the whole rollback.

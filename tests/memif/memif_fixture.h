@@ -19,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/reference_model.h"
@@ -202,12 +204,13 @@ struct MemifFixture {
         return idx;
     }
 
-    /** Time of the first trace record of @p p for request @p idx. */
+    /** Time of the @p nth (1-based) trace record of @p p for request
+     *  @p idx. */
     std::optional<sim::SimTime>
-    traced(sim::TracePoint p, std::uint32_t idx)
+    traced(sim::TracePoint p, std::uint32_t idx, unsigned nth = 1)
     {
         for (const sim::TraceRecord &r : kernel.tracer().records())
-            if (r.point == p && r.req == idx) return r.time;
+            if (r.point == p && r.req == idx && --nth == 0) return r.time;
         return std::nullopt;
     }
 
@@ -244,7 +247,18 @@ struct MemifFixture {
     }
 };
 
-/** Where a request's copy runs: its first kDmaStart and kDmaComplete. */
+/** The two trace records of one request that bound a window: the
+ *  @p from_nth (1-based) record of @p from and the @p to_nth of @p to.
+ *  The default is the request's first copy. */
+struct TraceSpan {
+    sim::TracePoint from = sim::TracePoint::kDmaStart;
+    sim::TracePoint to = sim::TracePoint::kDmaComplete;
+    unsigned from_nth = 1;
+    unsigned to_nth = 1;
+};
+
+/** Where a request's copy runs: by default its first kDmaStart and
+ *  kDmaComplete, else the two records of the TraceSpan asked for. */
 struct DmaWindow {
     sim::SimTime start = 0;
     sim::SimTime complete = 0;
@@ -253,28 +267,42 @@ struct DmaWindow {
 };
 
 /**
- * The DMA window of the request @p setup submits. Builds a calibration
- * fixture of type @p F from @p args, runs @p setup on it (setup returns
- * the request's index), then traces the machine until it runs dry. The
- * trace starts when setup returns, so setup may first run earlier
- * requests to completion. The simulation is deterministic: a test that
- * replays the same setup on a fresh fixture finds its request's copy
- * running over the same instants, so a touch at mid() lands mid-copy.
+ * The window @p span bounds for the request @p setup submits. Builds a
+ * calibration fixture of type @p F from @p args, runs @p setup on it
+ * (setup returns the request's index), then traces the machine until
+ * it runs dry. The trace starts when setup returns, so setup may first
+ * run earlier requests to completion, or arm a fault. The simulation
+ * is deterministic: a test that replays the same setup on a fresh
+ * fixture finds its request at the same instants, so a touch at mid()
+ * of the default span lands mid-copy.
  */
 template <typename F = MemifFixture, typename Setup, typename... Args>
 DmaWindow
-dma_window(Setup &&setup, Args &&...args)
+dma_window(const TraceSpan &span, Setup &&setup, Args &&...args)
 {
     F cal(std::forward<Args>(args)...);
     const std::uint32_t idx = setup(cal);
     cal.kernel.tracer().enable();
     cal.kernel.run();
     const std::optional<sim::SimTime> start =
-        cal.traced(sim::TracePoint::kDmaStart, idx);
+        cal.traced(span.from, idx, span.from_nth);
     const std::optional<sim::SimTime> complete =
-        cal.traced(sim::TracePoint::kDmaComplete, idx);
-    EXPECT_TRUE(start && complete) << "request " << idx << " ran no DMA";
+        cal.traced(span.to, idx, span.to_nth);
+    EXPECT_TRUE(start && complete)
+        << "request " << idx << " traced no " << sim::to_string(span.from)
+        << " #" << span.from_nth << " or no " << sim::to_string(span.to)
+        << " #" << span.to_nth;
     return DmaWindow{start.value_or(0), complete.value_or(0)};
+}
+
+/** The DMA window of the request @p setup submits: its first copy. */
+template <typename F = MemifFixture, typename Setup, typename... Args>
+    requires(!std::same_as<std::remove_cvref_t<Setup>, TraceSpan>)
+DmaWindow
+dma_window(Setup &&setup, Args &&...args)
+{
+    return dma_window<F>(TraceSpan{}, std::forward<Setup>(setup),
+                         std::forward<Args>(args)...);
 }
 
 }  // namespace memif::core::test

@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests of the three §5.2 race policies under a CPU access that lands
- * mid-migration: proceed-and-fail (detect), proceed-and-recover, and
+ * mid-migration: proceed-and-fail (detect), proceed-and-recover (also
+ * while a faulted DMA attempt waits on its recovery ladder), and
  * Linux-style prevention, which the Linux baseline itself respects.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "check/reference_model.h"
+#include "dma/engine.h"
 #include "memif/device.h"
 #include "memif_fixture.h"
 #include "os/page_migration.h"
@@ -158,6 +165,171 @@ TEST(RaceRecover, CleanMigrationStillSucceeds)
     f.kernel.run();
     EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
     EXPECT_EQ(f.dev.stats().migrations_aborted, 0u);
+}
+
+// Proceed-and-recover after a DMA fault. migrate_64's first attempt
+// fails (a TC error, or a hang the watchdog ends), so its new frames
+// hold no bytes until the ladder refills them: by a retry after its
+// backoff, or by the CPU replay. An access before that must roll the
+// migration back, exactly as one mid-copy does; one during the replay
+// finds the bytes in and keeps the move. The racing access is a write
+// touch of page 10 that then stores kStoreBytes of kStored there, both
+// at its instant.
+
+constexpr std::uint64_t kRacedPage = 10;
+constexpr std::uint64_t kStoreBytes = 64;
+constexpr std::uint8_t kStored = 0xAB;
+
+/** kRecover with @p retries DMA retries before the CPU replay. */
+MemifConfig
+recover_config(std::uint32_t retries)
+{
+    MemifConfig cfg = race_config(RacePolicy::kRecover);
+    cfg.dma_max_retries = retries;
+    return cfg;
+}
+
+/** migrate_64 with its first DMA attempt armed to fail at @p site. */
+std::uint32_t
+migrate_64_failing(MemifFixture &f, std::string_view site)
+{
+    f.faults().arm_nth(site, 1);
+    return migrate_64(f);
+}
+
+/** The middle of the window @p span bounds in a calibration run of
+ *  migrate_64_failing(@p site) under recover_config(@p retries). */
+sim::SimTime
+error_window_mid(const test::TraceSpan &span, std::uint32_t retries,
+                 std::string_view site = dma::kFaultTcError)
+{
+    const test::DmaWindow w = test::dma_window(
+        span, [site](MemifFixture &f) { return migrate_64_failing(f, site); },
+        recover_config(retries));
+    EXPECT_LT(w.start, w.complete);
+    return w.mid();
+}
+
+/** What the racing access at @p when made of migrate_64_failing(@p site)
+ *  under recover_config(@p retries), once the machine ran dry. */
+struct RacedMove {
+    MovStatus status = MovStatus::kFree;
+    std::uint64_t migrations_aborted = 0;
+    std::uint8_t seen = 0;             ///< first byte the access read
+    std::uint8_t pattern = 0;          ///< pattern 7's byte there
+    bool bytes_ok = false;             ///< pattern 7 plus the store
+    std::uint32_t pages_on_slow = 0;
+    std::uint32_t pages_on_fast = 0;
+    bool fast_frames_restored = false;
+};
+
+RacedMove
+race_after_error(std::uint32_t retries, sim::SimTime when,
+                 std::string_view site = dma::kFaultTcError)
+{
+    MemifFixture f(recover_config(retries));
+    const std::uint64_t fast_free =
+        f.kernel.phys().node(f.kernel.fast_node()).free_frames();
+    const std::uint32_t idx = migrate_64_failing(f, site);
+    const vm::VAddr base = f.user.request(idx).src_base;
+    const vm::VAddr va = base + kRacedPage * 4096;
+    RacedMove r;
+    f.kernel.eq().schedule_at(when, [&] {
+        // The touch runs its fault hook before its first suspension.
+        f.kernel.spawn(f.proc.touch(va, /*write=*/true, nullptr));
+        EXPECT_TRUE(f.proc.as().read(va, &r.seen, 1));
+        const std::vector<std::uint8_t> store(kStoreBytes, kStored);
+        EXPECT_TRUE(f.proc.as().write(va, store.data(), kStoreBytes));
+    });
+    f.kernel.run();
+
+    EXPECT_EQ(f.user.retrieve_completed(), idx);
+    r.status = f.user.request(idx).load_status();
+    r.migrations_aborted = f.dev.stats().migrations_aborted;
+    std::vector<std::uint8_t> want(64 * 4096);
+    check::fill_pattern(7, want);
+    r.pattern = want[kRacedPage * 4096];
+    std::fill_n(want.begin() + kRacedPage * 4096, kStoreBytes, kStored);
+    r.bytes_ok = f.read(base, want.size()) == want;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const mem::NodeId node = f.node_of_page(base, i);
+        r.pages_on_slow += node == f.kernel.slow_node();
+        r.pages_on_fast += node == f.kernel.fast_node();
+    }
+    r.fast_frames_restored =
+        f.kernel.phys().node(f.kernel.fast_node()).free_frames() == fast_free;
+    return r;
+}
+
+/** The access rolled the migration back: it read the old bytes, its
+ *  store survived, and the region and the fast node are as before. */
+void
+expect_rolled_back(const RacedMove &r)
+{
+    EXPECT_EQ(r.status, MovStatus::kAborted);
+    EXPECT_EQ(r.migrations_aborted, 1u);
+    EXPECT_EQ(r.seen, r.pattern);
+    EXPECT_TRUE(r.bytes_ok);
+    EXPECT_EQ(r.pages_on_slow, 64u);
+    EXPECT_TRUE(r.fast_frames_restored);
+}
+
+/** The access found the bytes in: the move completed, and the store
+ *  it made on the new frame survived. */
+void
+expect_moved(const RacedMove &r)
+{
+    EXPECT_EQ(r.status, MovStatus::kDone);
+    EXPECT_EQ(r.migrations_aborted, 0u);
+    EXPECT_EQ(r.seen, r.pattern);
+    EXPECT_TRUE(r.bytes_ok);
+    EXPECT_EQ(r.pages_on_fast, 64u);
+}
+
+TEST(RaceRecover, TouchInRetryBackoffAbortsTheMigration)
+{
+    // Between the error and the retry's start, no attempt is running
+    // and the new frames are empty.
+    const sim::SimTime when =
+        error_window_mid({.from = sim::TracePoint::kDmaError,
+                          .to = sim::TracePoint::kDmaStart,
+                          .to_nth = 2},
+                         /*retries=*/3);
+    expect_rolled_back(race_after_error(3, when));
+}
+
+TEST(RaceRecover, TouchBeforeCpuFallbackAbortsTheMigration)
+{
+    // No retries: the error interrupt's entry runs, then the CPU replay
+    // starts. Before it starts, the new frames are empty.
+    const sim::SimTime when =
+        error_window_mid({.from = sim::TracePoint::kDmaError,
+                          .to = sim::TracePoint::kFallbackCopy},
+                         /*retries=*/0);
+    expect_rolled_back(race_after_error(0, when));
+}
+
+TEST(RaceRecover, TouchDuringCpuReplayKeepsTheMove)
+{
+    // The replay copies its bytes when it starts and is charged the
+    // CPU time after: an access while it runs finds the new frames
+    // full, so the supervisor's release keeps the move and the store.
+    const sim::SimTime when =
+        error_window_mid({.from = sim::TracePoint::kFallbackCopy,
+                          .to = sim::TracePoint::kReleaseDone},
+                         /*retries=*/0);
+    expect_moved(race_after_error(0, when));
+}
+
+TEST(RaceRecover, TouchDuringCpuReplayAfterAHangKeepsTheMove)
+{
+    // The same window after a hung attempt the watchdog cancelled: the
+    // replayed bytes are just as landed as after an error.
+    const sim::SimTime when =
+        error_window_mid({.from = sim::TracePoint::kFallbackCopy,
+                          .to = sim::TracePoint::kReleaseDone},
+                         /*retries=*/0, dma::kFaultStuck);
+    expect_moved(race_after_error(0, when, dma::kFaultStuck));
 }
 
 TEST(RacePrevent, TouchBlocksUntilRelease)

@@ -244,7 +244,7 @@ TEST(ScheduleFuzzer, YoungBitCasRaceOnXlateHitStaysConsistent)
     // every run of this test.
     const std::uint64_t pinned[] = {0, 13, 29, 57, 101, 806};
     for (const RacePolicy policy :
-         {RacePolicy::kDetect, RacePolicy::kPrevent}) {
+         {RacePolicy::kDetect, RacePolicy::kPrevent, RacePolicy::kRecover}) {
         for (const std::uint64_t sched : pinned) {
             RunOptions opt;
             opt.config = MemifConfig::scaled();
